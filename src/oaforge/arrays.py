@@ -39,6 +39,8 @@ class LevelProfile:
             raise ValueError("a profile needs at least one column")
         if any(s < 2 for s in levels):
             raise ValueError("every column needs at least 2 levels")
+        if any(s > 2**31 for s in levels):
+            raise ValueError("every column needs at most 2^31 levels (symbols are int32)")
         object.__setattr__(self, "levels", levels)
 
     def __setattr__(self, name, value):

@@ -5,9 +5,23 @@ OA block:   `OA N=<int> t=<int> levels=<s1>^<k1>[,<s2>^<k2>...]`
 LOA file:   `LOA M=<int>` followed by M OA blocks separated by exactly one
             blank line.
 
-UTF-8, LF line endings, column order significant.  Lines starting with `#`
-are skipped on input (fixture files use them for marked-column metadata) and
-never emitted by the writers, so read(write(x)) is the identity.
+UTF-8, LF line endings (files with CR LF or CR read as if they had LF),
+column order significant.  Lines starting with `#` are skipped on input
+(fixture files use them for marked-column metadata) and never emitted by the
+writers, so read(write(x)) is the identity.  Only blank and `#` lines may
+follow the last block.
+
+A header's sizes are checked against the file before anything is allocated:
+0 <= N <= the number of lines after the header, and N x k (k for N = 0) at
+most the file's length in bytes, since every symbol takes at least one byte.
+Every ParseError names its line.
+
+Rows are read in one of two ways with the same result.  Text that is exactly
+what the writers emit (one space between symbols, no signs or leading
+zeros, no comments inside a block) is parsed in one vectorised pass per run
+of blocks, and accepted only when encoding the parsed symbols again gives
+back the same bytes.  Any other block is parsed line by line, which is also
+where every row's ParseError comes from.
 """
 
 from __future__ import annotations
@@ -19,18 +33,38 @@ import numpy as np
 from .arrays import LargeSet, LevelProfile, SymbolMatrix
 from .errors import ParseError
 
+CHUNK_CELLS = 1 << 16  # symbols encoded or decoded at once, to bound memory
+
 
 class _Lines:
-    """Line iterator that skips comments and tracks 1-based numbers."""
+    """The lines of a UTF-8 buffer, located by one vectorised search for LF.
 
-    def __init__(self, text: str):
-        self.raw = text.split("\n")
+    A line is decoded only when read on its own; numbers are 1-based."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        # line i (0-based) is data[bounds[i] + 1 : bounds[i + 1]], without its LF
+        newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        self.bounds = np.concatenate(([-1], newlines, [len(data)]))
         self.pos = 0
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def raw(self, i: int) -> bytes:
+        return self.data[self.bounds[i] + 1:self.bounds[i + 1]]
+
+    def text(self, i: int) -> str:
+        return self.raw(i).decode("utf-8")
+
+    def span(self, first: int, count: int) -> bytes:
+        """Lines first .. first + count - 1, each with its LF."""
+        return self.data[self.bounds[first] + 1:self.bounds[first + count] + 1]
 
     def next_content(self) -> tuple[str, int] | None:
         """Next non-blank, non-comment line."""
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos]
+        while self.pos < len(self):
+            line = self.text(self.pos)
             self.pos += 1
             if line.strip() and not line.lstrip().startswith("#"):
                 return line, self.pos
@@ -38,9 +72,9 @@ class _Lines:
 
     def peek_is_blank_separator(self) -> bool:
         """Consume one blank line (the LOA block separator); False at EOF."""
-        while self.pos < len(self.raw) and self.raw[self.pos].lstrip().startswith("#"):
+        while self.pos < len(self) and self.text(self.pos).lstrip().startswith("#"):
             self.pos += 1
-        if self.pos < len(self.raw) and not self.raw[self.pos].strip():
+        if self.pos < len(self) and not self.text(self.pos).strip():
             self.pos += 1
             return True
         return False
@@ -62,23 +96,101 @@ def _parse_kv(line: str, lineno: int, tag: str, keys: list[str]) -> dict[str, st
     return out
 
 
-def _parse_oa_block(lines: _Lines) -> SymbolMatrix:
+def _parse_oa_header(lines: _Lines) -> tuple[int, int, LevelProfile, int]:
+    """The next OA header as (N, t, profile, line number)."""
     first = lines.next_content()
     if first is None:
-        raise ParseError("unexpected end of file, expected OA header")
+        raise ParseError("unexpected end of file, expected OA header", len(lines))
     header, lineno = first
     kv = _parse_kv(header, lineno, "OA", ["N", "t", "levels"])
     try:
         n = int(kv["N"])
         t = int(kv["t"])
+        k = sum(max(0, int(g.partition("^")[2] or 1)) for g in kv["levels"].split(","))
+    except ValueError as exc:
+        raise ParseError(f"malformed header: {exc}", lineno) from None
+    left = len(lines) - lines.pos
+    if not 0 <= n <= left:
+        raise ParseError(f"N={n} is outside [0, {left}], the lines after the header",
+                         lineno)
+    if max(n, 1) * k > len(lines.data):
+        raise ParseError(
+            f"N={n} rows of {k} symbols cannot fit in a file of {len(lines.data)} bytes",
+            lineno,
+        )
+    try:
         profile = LevelProfile.parse(kv["levels"])
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}", lineno) from None
+    return n, t, profile, lineno
+
+
+def _encode_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The writer's text of the rows of `cells`: decimal symbols, one space
+    apart, each row ending in LF.  Returns the bytes as a uint8 array and the
+    length of each row."""
+    n, k = cells.shape
+    width = len(str(int(cells.max()))) if cells.size else 1
+    out = np.empty((n, k, width + 1), dtype=np.uint8)
+    rest = cells
+    for d in range(width - 1, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=out[..., d], casting="unsafe")
+    np.add(rest, ord("0"), out=out[..., 0], casting="unsafe")
+    out[..., width] = ord(" ")
+    out[:, -1, width] = ord("\n")
+    if width == 1:  # no zeros to drop
+        return out.reshape(-1), np.full(n, 2 * k)
+    keep = np.ones(out.shape, dtype=bool)
+    for d in range(width - 1):  # drop the zeros in front of each symbol
+        keep[..., d] = cells >= 10 ** (width - 1 - d)
+    return out[keep], np.count_nonzero(keep.reshape(n, -1), axis=1)
+
+
+def _fast_rows(lines: _Lines, n: int, profile: LevelProfile, count: int = 1):
+    """The rows of `count` blocks of n rows from lines.pos on, as one
+    (count * n, k) int32 array parsed in one vectorised pass, or None
+    (lines.pos unmoved) unless the text is exactly what the writer emits for
+    them.  Blocks after the first must each follow one blank line and a copy
+    of the header line before lines.pos."""
+    first, step = lines.pos, n + 2
+    starts = range(first, first + count * step, step)
+    end = starts[-1] + n  # the line after the last row, which must end in LF
+    if end >= len(lines):
+        return None
+    header = lines.raw(first - 1)
+    if any(lines.raw(s - 2) or lines.raw(s - 1) != header for s in starts[1:]):
+        return None
+    body = np.frombuffer(b"".join([lines.span(s, n) for s in starts]), dtype=np.uint8)
+    ends = np.flatnonzero(body <= ord(" "))  # the space or LF after each symbol
+    if len(ends) != count * n * profile.k:
+        return None
+    begins = np.concatenate(([0], ends + 1))[:-1]
+    width = ends - begins
+    if width.size and not 1 <= width.min() <= width.max() <= 10:
+        return None
+    cells = body[begins].astype(np.int64) - ord("0")
+    for j in range(1, int(width.max(initial=0))):
+        more = width > j
+        cells[more] = cells[more] * 10 + body[begins[more] + j] - ord("0")
+    cells = cells.reshape(-1, profile.k)
+    if ((cells < 0) | (cells >= np.array(profile.levels))).any():
+        return None
+    cells = cells.astype(np.int32)
+    if not np.array_equal(_encode_rows(cells)[0], body):
+        return None
+    lines.pos = end
+    return cells
+
+
+def _slow_rows(lines: _Lines, n: int, profile: LevelProfile) -> np.ndarray:
+    """The next n rows, read line by line with a ParseError for the first bad
+    one."""
     rows = np.empty((n, profile.k), dtype=np.int32)
     for i in range(n):
         item = lines.next_content()
         if item is None:
-            raise ParseError(f"expected {n} rows, found {i}", len(lines.raw))
+            raise ParseError(f"expected {n} rows, found {i}", len(lines))
         line, lineno = item
         fields = line.split()
         if len(fields) != profile.k:
@@ -96,20 +208,56 @@ def _parse_oa_block(lines: _Lines) -> SymbolMatrix:
                     lineno,
                 )
             rows[i, j] = v
-    return SymbolMatrix(profile, rows, t)
+    return rows
 
 
-def loads(text: str) -> SymbolMatrix | LargeSet:
-    lines = _Lines(text)
-    probe = _Lines(text)
-    first = probe.next_content()
+def _rows(lines: _Lines, n: int, profile: LevelProfile) -> np.ndarray:
+    rows = _fast_rows(lines, n, profile)
+    return _slow_rows(lines, n, profile) if rows is None else rows
+
+
+def _parse_members(lines: _Lines, m: int) -> list[SymbolMatrix]:
+    """The M blocks of an LOA file.  Runs of members are tried on the fast
+    path together until one run fails; then each member goes alone."""
+    members: list[SymbolMatrix] = []
+    runs = True
+    while len(members) < m:
+        if members and not lines.peek_is_blank_separator():
+            raise ParseError(
+                f"expected a blank line before member {len(members) + 1}", lines.pos + 1
+            )
+        n, t, profile, lineno = _parse_oa_header(lines)
+        if members and (n, profile) != (members[0].n, members[0].profile):
+            raise ParseError(
+                f"member {len(members)} has N={n} levels={profile.format()},"
+                f" member 0 has N={members[0].n} levels={members[0].profile.format()}",
+                lineno,
+            )
+        count = min(m - len(members), max(1, CHUNK_CELLS // max(1, n * profile.k)))
+        rows = None
+        if runs and count > 1:
+            rows = _fast_rows(lines, n, profile, count)
+            runs = rows is not None
+        if rows is None:
+            count = 1
+            rows = _rows(lines, n, profile)
+        members.extend(SymbolMatrix(profile, r, t)
+                       for r in rows.reshape(count, n, profile.k))
+    return members
+
+
+def _load(data: bytes) -> SymbolMatrix | LargeSet:
+    lines = _Lines(data)
+    first = lines.next_content()
     if first is None:
         raise ParseError("empty file", 1)
-    tag = first[0].split()[0]
+    header, lineno = first
+    tag = header.split()[0]
     if tag == "OA":
-        return _parse_oa_block(lines)
-    if tag == "LOA":
-        header, lineno = lines.next_content()
+        lines.pos = lineno - 1
+        n, t, profile, _ = _parse_oa_header(lines)
+        obj = SymbolMatrix(profile, _rows(lines, n, profile), t)
+    elif tag == "LOA":
         kv = _parse_kv(header, lineno, "LOA", ["M"])
         try:
             m = int(kv["M"])
@@ -117,51 +265,69 @@ def loads(text: str) -> SymbolMatrix | LargeSet:
             raise ParseError(f"malformed header: {exc}", lineno) from None
         if m < 1:
             raise ParseError("M must be >= 1", lineno)
-        members = []
-        for i in range(m):
-            if i > 0 and not lines.peek_is_blank_separator():
-                raise ParseError(
-                    f"expected a blank line before member {i + 1}", lines.pos + 1
-                )
-            members.append(_parse_oa_block(lines))
-        try:
-            ls = LargeSet(members[0].profile, members,
-                          min(mm.t for mm in members))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        return ls
-    raise ParseError(f"unknown header tag {tag!r}", first[1])
+        members = _parse_members(lines, m)
+        obj = LargeSet(members[0].profile, members, min(mm.t for mm in members))
+    else:
+        raise ParseError(f"unknown header tag {tag!r}", lineno)
+    extra = lines.next_content()
+    if extra is not None:
+        raise ParseError(f"content after the last block: {extra[0][:40]!r}", extra[1])
+    return obj
+
+
+def loads(text: str) -> SymbolMatrix | LargeSet:
+    return _load(text.encode("utf-8"))
+
+
+def _write(obj: SymbolMatrix | LargeSet, out) -> None:
+    """Write obj's text to the binary stream `out`, encoding up to
+    CHUNK_CELLS symbols at once."""
+    if isinstance(obj, SymbolMatrix):
+        blocks = (obj,)
+    elif isinstance(obj, LargeSet):
+        blocks = obj.members
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if any(a.t is None for a in blocks):
+        raise ValueError("array has no claimed strength; set t before writing")
+    if isinstance(obj, LargeSet):
+        out.write(f"LOA M={obj.m}\n".encode())
+    levels = obj.profile.format()
+    n, k = blocks[0].cells.shape
+    step = max(1, CHUNK_CELLS // max(1, n * k))
+    for lo in range(0, len(blocks), step):
+        chunk = blocks[lo:lo + step]
+        text, row_len = _encode_rows(np.concatenate([a.cells for a in chunk]))
+        view = memoryview(text)
+        start = 0
+        for i, size in enumerate(row_len.reshape(len(chunk), n).sum(axis=1).tolist()):
+            if lo + i:
+                out.write(b"\n")
+            out.write(f"OA N={n} t={chunk[i].t} levels={levels}\n".encode())
+            out.write(view[start:start + size])
+            start += size
 
 
 def dumps(obj: SymbolMatrix | LargeSet) -> str:
-    buf = io.StringIO()
-    if isinstance(obj, SymbolMatrix):
-        _write_oa_block(buf, obj)
-    elif isinstance(obj, LargeSet):
-        buf.write(f"LOA M={obj.m}\n")
-        for i, member in enumerate(obj.members):
-            if i > 0:
-                buf.write("\n")
-            _write_oa_block(buf, member)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return buf.getvalue()
-
-
-def _write_oa_block(buf, a: SymbolMatrix):
-    if a.t is None:
-        raise ValueError("array has no claimed strength; set t before writing")
-    buf.write(f"OA N={a.n} t={a.t} levels={a.profile.format()}\n")
-    for row in a.cells:
-        buf.write(" ".join(str(int(x)) for x in row))
-        buf.write("\n")
+    buf = io.BytesIO()
+    _write(obj, buf)
+    return buf.getvalue().decode("ascii")
 
 
 def read_array(path) -> SymbolMatrix | LargeSet:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads(f.read())
+    with open(path, "rb") as f:
+        data = f.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}",
+                             data.count(b"\n", 0, exc.start) + 1) from None
+    return _load(data)
 
 
 def write_array(obj: SymbolMatrix | LargeSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps(obj))
+    with open(path, "wb") as f:
+        _write(obj, f)

@@ -215,6 +215,21 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert record["kind"] == "parse-error" and record["line"] == 2
 
 
+@pytest.mark.parametrize("kind, content, line", [
+    ("oa", b"OA N=1 t=1 levels=2^2\n0 \xff\n", 2),
+    ("oa", b"OA N=1 t=1 levels=2^2\n0 1\n5 5 5\n", 3),
+    ("loa", b"LOA M=2\nOA N=1 t=0 levels=2^1\n0\n\n"
+            b"OA N=1000000000000 t=0 levels=2^1\n1\n", 5),
+])
+def test_garbled_file_is_a_parse_error_record(capsys, tmp_path, kind, content, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    code, out = run(capsys, "verify", kind, str(bad))
+    assert code == 1
+    record = json.loads(out.splitlines()[0])
+    assert record["kind"] == "parse-error" and record["line"] == line
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["construct", "nonsense"])

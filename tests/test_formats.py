@@ -103,3 +103,259 @@ def random_arrays(draw):
 @given(random_arrays())
 def test_roundtrip_random(a):
     assert loads(dumps(a)) == a
+
+
+# -- the vectorised reader and writer against per-symbol references -------------
+
+
+def reference_dumps(obj):
+    """The per-symbol writer: str() of every symbol."""
+    def block(a):
+        rows = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in a.cells)
+        return f"OA N={a.n} t={a.t} levels={a.profile.format()}\n" + rows
+    if isinstance(obj, SymbolMatrix):
+        return block(obj)
+    return f"LOA M={obj.m}\n" + "\n".join(block(a) for a in obj.members)
+
+
+def reference_loads(text):
+    """The per-symbol reader: every row split on whitespace and every symbol
+    read with int().  Returns the array or large set, or the line of the
+    ParseError loads must raise."""
+    lines = text.split("\n")
+    pos = 0
+
+    def content():
+        nonlocal pos
+        while pos < len(lines):
+            pos += 1
+            line = lines[pos - 1]
+            if line.strip() and not line.lstrip().startswith("#"):
+                return line, pos
+        return None, len(lines)
+
+    def block():
+        header, lineno = content()
+        kv = dict(part.split("=") for part in header.split()[1:])
+        n, profile = int(kv["N"]), LevelProfile.parse(kv["levels"])
+        # header sizes are checked against the file before any row is read
+        if n > len(lines) - pos or max(n, 1) * profile.k > len(text.encode()):
+            return lineno
+        rows = []
+        for _ in range(n):
+            line, lineno = content()
+            if line is None or len(line.split()) != profile.k:
+                return lineno
+            try:
+                row = [int(f) for f in line.split()]
+            except ValueError:
+                return lineno
+            if any(not 0 <= v < s for v, s in zip(row, profile.levels)):
+                return lineno
+            rows.append(row)
+        return SymbolMatrix(profile, np.array(rows).reshape(n, profile.k), int(kv["t"]))
+
+    header, _ = content()
+    if header.startswith("OA"):
+        pos = 0
+        return block()
+    members = []
+    for i in range(int(header.split("=")[1])):
+        if i:
+            while lines[pos].lstrip().startswith("#"):
+                pos += 1
+            if lines[pos].strip():
+                return pos + 1
+            pos += 1
+        member = block()
+        if isinstance(member, int):
+            return member
+        members.append(member)
+    return LargeSet(members[0].profile, members, min(a.t for a in members))
+
+
+def same_result(text):
+    expected = reference_loads(text)
+    if isinstance(expected, int):
+        with pytest.raises(ParseError) as err:
+            loads(text)
+        assert err.value.line == expected
+        return
+    got = loads(text)
+    if isinstance(expected, SymbolMatrix):
+        assert got == expected
+    else:
+        assert isinstance(got, LargeSet) and got.t == expected.t
+        assert list(got.members) == list(expected.members)
+
+
+@st.composite
+def random_objects(draw):
+    """A random array or large set; levels up to 13 and, now and then, up to
+    1200, so that symbols of one to four digits appear."""
+    k = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([6, 13, 1200]))
+    levels = draw(st.lists(st.integers(2, top), min_size=k, max_size=k))
+    n = draw(st.integers(0, 8))
+    profile = LevelProfile(levels)
+
+    def matrix():
+        cells = [[draw(st.integers(0, s - 1)) for s in levels] for _ in range(n)]
+        return SymbolMatrix(profile, np.array(cells, dtype=int).reshape(n, k),
+                            t=draw(st.integers(0, k)))
+
+    if draw(st.booleans()):
+        return matrix()
+    members = [matrix() for _ in range(draw(st.integers(1, 4)))]
+    return LargeSet(profile, members, min(a.t for a in members))
+
+
+PERTURBATIONS = ("spaces", "tab", "leading_zero", "plus", "comment", "blank",
+                 "short_row", "out_of_range", "overlong", "joined_rows", "non_digit")
+
+
+def perturb(text, kind, draw):
+    """Apply one perturbation of `kind` to a random row of `text`."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line and line[0].isdigit()]
+    if not rows:
+        return text
+    i = draw(st.sampled_from(rows))
+    fields = lines[i].split()
+    j = draw(st.integers(0, len(fields) - 1))
+    if kind == "spaces":
+        lines[i] = "  " + "   ".join(fields) + " "
+    elif kind == "tab":
+        lines[i] = "\t".join(fields)
+    elif kind == "leading_zero":
+        fields[j] = "00" + fields[j]
+    elif kind == "plus":
+        fields[j] = "+" + fields[j]
+    elif kind == "comment":
+        lines.insert(i, "# note")
+    elif kind == "blank":
+        lines.insert(i, "")
+    elif kind == "short_row":
+        del fields[j]
+    elif kind == "out_of_range":
+        fields[j] = str(draw(st.integers(1200, 5000)))
+    elif kind == "joined_rows":
+        lines[i:i + 2] = [" ".join(lines[i:i + 2])]
+        return "\n".join(lines)
+    elif kind == "non_digit":
+        fields[j] = draw(st.sampled_from([":", "1:", "\u0663", "1\x01"]))
+    elif kind == "overlong":
+        fields[j] = draw(st.sampled_from(["4294967296", "18446744073709551617",
+                                          "00000000000000000001"]))
+    if kind not in ("spaces", "tab", "comment", "blank"):
+        lines[i] = " ".join(fields)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_objects(), st.lists(st.sampled_from(PERTURBATIONS), max_size=2), st.data())
+def test_loads_matches_reference_parser(obj, kinds, data):
+    text = reference_dumps(obj)
+    for kind in kinds:
+        text = perturb(text, kind, data.draw)
+    same_result(text)
+
+
+@pytest.mark.parametrize("text", [
+    "OA N=2 t=1 levels=2^2\n0 1 1\n0\n",  # a symbol moved to the row above
+    "LOA M=2\nOA N=1 t=1 levels=2^2\n0 1 1\n\nOA N=1 t=1 levels=2^2\n0\n",
+    "OA N=1 t=1 levels=13^2\n: 1\n",  # decodes to 10 digit by digit
+    "OA N=1 t=1 levels=13^2\n1\x0c 1\n",
+    "OA N=1 t=1 levels=13^2\n\u0663 12\n",  # int() reads Arabic-Indic digits
+])
+def test_loads_matches_reference_parser_on_near_writer_text(text):
+    same_result(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_objects())
+def test_writer_matches_reference_writer(obj):
+    assert dumps(obj) == reference_dumps(obj)
+
+
+def test_writer_two_digit_and_mixed_levels(tmp_path):
+    profile = LevelProfile([11, 13, 2, 13])
+    cells = [[i % 11, (3 * i) % 13, i % 2, 12 - i % 13] for i in range(26)]
+    a = SymbolMatrix(profile, cells, t=1)
+    ls = LargeSet(profile, [a, SymbolMatrix(profile, cells[::-1], t=1)], t=1)
+    for obj in (a, ls):
+        write_array(obj, tmp_path / "x")
+        assert (tmp_path / "x").read_bytes() == reference_dumps(obj).encode()
+        same_result(reference_dumps(obj))
+    assert dumps(a).split("\n")[1:4] == ["0 0 0 12", "1 3 1 11", "2 6 0 10"]
+    assert dumps(a).split("\n")[11] == "10 4 0 2"
+
+
+def test_large_set_in_several_runs_matches_reference(monkeypatch):
+    """Runs of members are parsed together; a fault in one run is still found
+    on its line, and the members before it are read the fast way."""
+    import oaforge.formats as formats
+
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 6)
+    profile = LevelProfile([3, 2])
+    members = [SymbolMatrix(profile, [[i % 3, 0], [(i + 1) % 3, 1]], t=1) for i in range(7)]
+    text = reference_dumps(LargeSet(profile, members, t=1))
+    same_result(text)
+    lines = text.split("\n")
+    lines[-6] = "0 5"  # the last row of member 5
+    same_result("\n".join(lines))
+    lines[-6] = "0  1"
+    same_result("\n".join(lines))
+
+
+# -- header limits, trailing content and undecodable files ------------------------
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OA N=-1 t=1 levels=2^2\n0 1\n", 1),
+    ("OA N=1000000000000 t=1 levels=2^2\n0 1\n", 1),
+    ("OA N=4 t=1 levels=2^1\n0\n# more bytes than N x k\n", 1),
+    ("LOA M=2\nOA N=1 t=1 levels=2^2\n0 1\n\nOA N=1000000000000 t=1 levels=2^2\n0 1\n", 5),
+    ("OA N=3 t=1 levels=2^100000\n0 1\n\n\n", 1),
+    ("OA N=1 t=1 levels=3000000000^1\n5\n", 1),
+])
+def test_header_sizes_checked_before_allocating(text, line):
+    with pytest.raises(ParseError) as err:
+        loads(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OA N=1 t=1 levels=2^2\n0 1\n5 5 5\n", 3),
+    ("OA N=1 t=1 levels=2^2\n0 1\n\n# note\n1 0\n", 5),
+    ("LOA M=1\nOA N=1 t=1 levels=2^2\n0 1\n\nOA N=1 t=1 levels=2^2\n1 0\n", 5),
+])
+def test_content_after_the_last_block_is_refused(text, line):
+    with pytest.raises(ParseError) as err:
+        loads(text)
+    assert err.value.line == line
+
+
+def test_blank_and_comment_lines_may_follow_the_last_block():
+    assert loads("OA N=1 t=1 levels=2^2\n0 1\n\n# end\n\n").n == 1
+    assert loads("LOA M=1\nOA N=1 t=1 levels=2^2\n0 1\n# end\n").m == 1
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.oa"
+    path.write_bytes(b"OA N=2 t=1 levels=2^2\n0 1\n1 \xff\n")
+    with pytest.raises(ParseError) as err:
+        read_array(path)
+    assert err.value.line == 3
+
+
+def test_cr_lf_and_cr_read_as_lf(tmp_path):
+    text = "# comment é\nOA N=2 t=1 levels=2^2\n0 1\n1 0\n"
+    for newline in ("\r\n", "\r"):
+        path = tmp_path / "a.oa"
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert read_array(path) == loads(text)
+    path.write_bytes(b"OA N=2 t=1 levels=2^2\r\n0 1\r7 0\r\n")
+    with pytest.raises(ParseError) as err:
+        read_array(path)
+    assert err.value.line == 3
