@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .arrays import LevelProfile, SymbolMatrix, verify_strength
-from .errors import VerificationError
+from .errors import BudgetExceededError, ConstraintError, VerificationError
 from .expand import ResolvableProjection, check_resolvable_projection
 from .gf import Field, make_field, prime_power
 
 SYLVESTER_MAX_N = 10
-INDEPENDENCE_CHECK_CAP = 10**7
+LINEAR_WORK_CAP = 10**9  # counting operations of one generator-column check
 
 
 # -- Sylvester / Hadamard ------------------------------------------------------
@@ -150,30 +151,79 @@ def field_det(field: Field, matrix) -> int:
 # -- generator columns ---------------------------------------------------------
 
 
+def _check_work(q: int, m: int, l: int, t: int):
+    """Refuse, before any column or cell exists, a count of q^m rows by C(l, t)
+    subsets (the --budget unit), or q^m x l cells, above LINEAR_WORK_CAP.
+    Once m reaches the cap's bit length, q^m >= 2^m alone is over it."""
+    if m >= LINEAR_WORK_CAP.bit_length():
+        need = f"{q}^{m} rows"
+    elif q**m * max(comb(l, t), l) > LINEAR_WORK_CAP:
+        need = f"{q}^{m} rows x C({l},{t}) subsets"
+    else:
+        return
+    raise BudgetExceededError(
+        f"independence check in F_{q}^{m} at t={t} needs {need},"
+        f" over the cap of {LINEAR_WORK_CAP} counting operations"
+    )
+
+
 @dataclass(frozen=True)
 class GeneratorColumns:
     """l column vectors in F_q^m, any t of them linearly independent, with
-    some m of them spanning."""
+    some m of them spanning.  The vectors and the size of the check are
+    validated on construction; the check itself runs once, on first use."""
 
     field: Field
     m: int
     columns: tuple[tuple[int, ...], ...]
     t: int
 
+    def __post_init__(self):
+        q = self.field.q
+        for j, col in enumerate(self.columns):
+            if len(col) != self.m or any(not 0 <= x < q for x in col):
+                raise ValueError(f"column {j} {col} is not a vector of F_{q}^{self.m}")
+        _check_work(q, self.m, len(self.columns), self.t)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Read-only q^m x l array of the rows x . M, x in F_q^m ascending."""
+        q, m = self.field.q, self.m
+        digits = np.indices((q,) * m).reshape(m, -1).T
+        mat = np.asarray(self.columns, dtype=np.intp).reshape(-1, m).T
+        add, mul = self.field.add_table, self.field.mul_table
+        cells = np.zeros((q**m, mat.shape[1]), dtype=np.int32)
+        for i in range(m):
+            cells = add[cells, mul[digits[:, i, None], mat[i]]]
+        cells.setflags(write=False)
+        return cells
+
+    @cached_property
+    def dependent_subset(self) -> tuple[int, ...] | None:
+        """First dependent t-subset in colex order, or None.  The rows x . M
+        have strength t exactly when any t columns of M are independent
+        (Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 3)."""
+        l = len(self.columns)
+        if self.t > l:
+            return None
+        if self.t > self.m:  # more than m vectors of F_q^m are dependent
+            return tuple(range(self.t))
+        a = SymbolMatrix(LevelProfile([self.field.q] * l), self.cells)
+        report = verify_strength(a, self.t, fail_fast=True)
+        return report.failures[0].columns if report.failures else None
+
 
 def verify_generator_columns(gc: GeneratorColumns) -> tuple[int, ...] | None:
     """First dependent t-subset in colex order, or None when all are
-    independent (exhaustive; callers keep C(l, t) within the check cap)."""
-    l = len(gc.columns)
-    if comb(l, gc.t) > INDEPENDENCE_CHECK_CAP:
-        raise VerificationError(
-            f"independence check needs {comb(l, gc.t)} subsets, cap is"
-            f" {INDEPENDENCE_CHECK_CAP}"
-        )
-    for sub in itertools.combinations(range(l), gc.t):
-        if field_rank(gc.field, [gc.columns[j] for j in sub]) < gc.t:
-            return sub
-    return None
+    independent (one exhaustive count, cached on gc)."""
+    return gc.dependent_subset
+
+
+def _independent(gc: GeneratorColumns) -> GeneratorColumns:
+    bad = verify_generator_columns(gc)
+    if bad is not None:
+        raise VerificationError(f"columns {bad} are linearly dependent")
+    return gc
 
 
 def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
@@ -181,15 +231,10 @@ def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvablePro
     rotating m independent columns to the front.  N = q^m, strength t, and
     the leading m columns project bijectively (M = q^(k-m) after expansion)."""
     field = gc.field
-    q = field.q
     m = gc.m
     if not gc.t <= m <= k <= len(gc.columns):
-        raise ValueError(
-            f"need t={gc.t} <= m={m} <= k={k} <= l={len(gc.columns)}"
-        )
-    bad = verify_generator_columns(gc)
-    if bad is not None:
-        raise VerificationError(f"columns {bad} are linearly dependent")
+        raise ConstraintError(f"need t={gc.t} <= m={m} <= k={k} <= l={len(gc.columns)}")
+    _independent(gc)
     # greedy basis in construction order, rotated to the front
     basis: list[int] = []
     for j in range(len(gc.columns)):
@@ -200,18 +245,7 @@ def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvablePro
     if len(basis) < m:
         raise VerificationError(f"columns have rank {len(basis)} < m = {m}")
     order = basis + [j for j in range(len(gc.columns)) if j not in set(basis)]
-    chosen = [gc.columns[j] for j in order[:k]]
-
-    digits = np.indices((q,) * m).reshape(m, -1).T.astype(np.int32)
-    add, mul = field.add_table, field.mul_table
-    cells = np.zeros((q**m, k), dtype=np.int32)
-    for jc, col in enumerate(chosen):
-        acc = np.zeros(q**m, dtype=np.int32)
-        for i in range(m):
-            if col[i]:
-                acc = add[acc, mul[digits[:, i], col[i]]]
-        cells[:, jc] = acc
-    a = SymbolMatrix(LevelProfile([q] * k), cells, t=gc.t)
+    a = SymbolMatrix(LevelProfile([field.q] * k), gc.cells[:, order[:k]], t=gc.t)
     proj = ResolvableProjection(tuple(range(m)), a.n)
     _self_check(a, gc.t, proj)
     return a, proj
@@ -222,36 +256,31 @@ def projective_columns(q: int, n: int) -> GeneratorColumns:
     coordinate 1), in lexicographic coordinate order: (q^n - 1)/(q - 1)
     pairwise independent columns."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ConstraintError("n must be >= 2")
+    _check_work(q, n, (q ** min(n, 30) - 1) // (q - 1), 2)  # l unused if n >= 30
     field = make_field(*prime_power(q))
     cols = [
         v
         for v in itertools.product(range(q), repeat=n)
         if any(v) and next(x for x in v if x) == 1
     ]
-    gc = GeneratorColumns(field, n, tuple(cols), 2)
-    bad = verify_generator_columns(gc)
-    if bad is not None:
-        raise VerificationError(f"projective columns {bad} dependent")
-    return gc
+    return _independent(GeneratorColumns(field, n, tuple(cols), 2))
 
 
 def bush_columns(q: int, t: int) -> GeneratorColumns:
     """Moment-curve columns (1, c, c^2, ..., c^(t-1)) for every c, plus
     (0, ..., 0, 1); for even q at t = 3 also (0, 1, 0).  Any t columns are
     independent (Vandermonde), giving OA(q^t, l, q, t) at index 1."""
-    field = make_field(*prime_power(q))
+    p, e = prime_power(q)
     if not 2 <= t <= q + 1:
-        raise ValueError(f"t must be in [2, {q + 1}], got {t}")
+        raise ConstraintError(f"t must be in [2, {q + 1}], got {t}")
+    _check_work(q, t, q + 1 + (p == 2 and t == 3), t)
+    field = make_field(p, e)
     cols = [tuple(field.pow(c, i) for i in range(t)) for c in field.elements()]
     cols.append((0,) * (t - 1) + (1,))
     if field.p == 2 and t == 3:
         cols.append((0, 1, 0))
-    gc = GeneratorColumns(field, t, tuple(cols), t)
-    bad = verify_generator_columns(gc)
-    if bad is not None:
-        raise VerificationError(f"moment-curve columns {bad} dependent")
-    return gc
+    return _independent(GeneratorColumns(field, t, tuple(cols), t))
 
 
 # -- the strength-3 matrix over q^2 + 1 columns --------------------------------
@@ -269,7 +298,7 @@ def quad_coefficient(q: int) -> QuadraticCoefficient:
     """Smallest (by encoding) a outside {-(z + 1/z) : z nonzero}; the
     exhaustive no-nontrivial-zero check is run before returning."""
     if q < 3:
-        raise ValueError("q must be a prime power >= 3")
+        raise ConstraintError("q must be a prime power >= 3")
     field = make_field(*prime_power(q))
     forbidden = {field.neg(field.add(z, field.inv(z))) for z in range(1, q)}
     a = next(x for x in field.elements() if x not in forbidden)
@@ -291,16 +320,14 @@ def q4_matrix(q: int) -> GeneratorColumns:
     """The 4 x (q^2 + 1) matrix of columns (0,0,1,0) and
     (x, y, -(x^2+a*x*y+y^2), 1) over all (x, y), any 3 of which are
     independent.  Expanding its strength-3 array partitions the q^k universe."""
+    _check_work(q, 4, q * q + 1, 3)
     qc = quad_coefficient(q)
     field = qc.field
     cols = [(0, 0, 1, 0)]
     for u in field.elements():
         for v in field.elements():
             cols.append((u, v, _g(field, qc.a, u, v), 1))
-    gc = GeneratorColumns(field, 4, tuple(cols), 3)
-    bad = verify_generator_columns(gc)
-    if bad is not None:
-        raise VerificationError(f"columns {bad} dependent; construction invalid")
+    gc = _independent(GeneratorColumns(field, 4, tuple(cols), 3))
     anchor = [cols[0], cols[1], cols[2], cols[q + 1]]
     det = field_det(field, list(zip(*anchor)))
     if det == 0:

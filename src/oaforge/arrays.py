@@ -14,7 +14,9 @@ fast path is tested against.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import BudgetExceededError
 
 OCCUPANCY_LIMIT = 1 << 24  # full-factorial bitmap above this uses a hashed row set
-CHUNK_TARGET_CELLS = 1 << 20  # per-chunk code-buffer size for the counting kernel
+CHUNK_TARGET_CELLS = 1 << 16  # per-chunk code-buffer size for the counting kernel
 
 
 class LevelProfile:
@@ -295,9 +297,9 @@ def _strength_plan(levels: tuple[int, ...], t: int):
     return subsets, cols, wpos, prods, offsets
 
 
-def _expected_counts(prods, offsets, n: int):
-    lams = np.where(n % prods == 0, n // prods, -1)
-    return np.repeat(lams, prods), lams
+def _lambdas(prods, n: int):
+    """Per-subset index n / prod, or -1 where prod does not divide n."""
+    return np.where(n % prods == 0, n // prods, -1)
 
 
 def _count_chunk(cells_t, cols, wpos, offsets, lo: int, hi: int):
@@ -373,7 +375,7 @@ def verify_strength(
         raise BudgetExceededError(
             f"strength check needs {a.n * len(subsets)} counting ops, budget {budget}"
         )
-    expected, lams = _expected_counts(prods, offsets, a.n)
+    lams = _lambdas(prods, a.n)
     code_dtype = np.int32 if int(offsets[-1]) < (1 << 31) else np.int64
     cells_t = np.ascontiguousarray(a.cells.T, dtype=code_dtype)
 
@@ -385,29 +387,41 @@ def verify_strength(
     def run(r):
         return _count_chunk(cells_t, cols, wpos, offsets, *r)
 
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts_per = list(pool.map(run, ranges))
-    else:
-        counts_per = [run(r) for r in ranges]
-
     report = StrengthReport(
         t=t,
         checked_subsets=len(subsets),
         _lazy_lambda=(subsets, prods, a.n),
     )
-    for (lo, hi), counts in zip(ranges, counts_per):
-        seg_expected = expected[offsets[lo]:offsets[hi]]
-        if np.array_equal(counts, seg_expected):
-            continue
-        for s in range(lo, hi):
-            seg = counts[offsets[s] - offsets[lo]: offsets[s + 1] - offsets[lo]]
-            if lams[s] >= 0 and np.all(seg == lams[s]):
+    # each chunk is compared as soon as it is counted; with threads only a
+    # few chunks are counted ahead, and a fail-fast return stops the rest
+    with closing(_in_order(run, ranges, threads)) as counted:
+        for (lo, hi), counts in zip(ranges, counted):
+            if np.array_equal(counts, np.repeat(lams[lo:hi], prods[lo:hi])):
                 continue
-            report.failures.extend(_subset_failures(a, subsets[s]))
-            if fail_fast:
-                return report
+            for s in range(lo, hi):
+                seg = counts[offsets[s] - offsets[lo]: offsets[s + 1] - offsets[lo]]
+                if lams[s] >= 0 and np.all(seg == lams[s]):
+                    continue
+                report.failures.extend(_subset_failures(a, subsets[s]))
+                if fail_fast:
+                    return report
     return report
+
+
+def _in_order(fn, items, threads: int):
+    """fn(item) for each item, yielded in order; with threads > 1 the calls
+    run in a pool, at most `threads` of them ahead of the consumer."""
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead: deque = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def brute_force_strength(a: SymbolMatrix, t: int, budget: int = 10**8) -> StrengthReport:
@@ -535,7 +549,7 @@ def verify_large_set(
                 f"large-set check needs {ls.m * ls.n * len(subsets)} counting ops,"
                 f" budget {budget}"
             )
-        expected, _ = _expected_counts(prods, offsets, ls.n)
+        expected = np.repeat(_lambdas(prods, ls.n), prods)
         code_dtype = np.int32 if int(offsets[-1]) < (1 << 31) else np.int64
     for idx, member in enumerate(ls.members):
         if t > 0:

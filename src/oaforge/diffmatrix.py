@@ -23,6 +23,7 @@ from .errors import (
     VerificationError,
 )
 from .expand import ResolvableProjection, check_resolvable_projection
+from .formats import read_utf8
 from .gf import make_field, prime_power
 
 SEARCH_SIZE_CAP = 200  # v * k above this is out of search scope
@@ -514,8 +515,7 @@ def dumps_dm(dm: DifferenceMatrix) -> str:
 
 
 def read_dm(path) -> DifferenceMatrix:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads_dm(f.read())
+    return loads_dm(read_utf8(path).decode("utf-8"))
 
 
 def write_dm(dm: DifferenceMatrix, path) -> None:

@@ -29,8 +29,9 @@ class VerificationError(OAForgeError):
         super().__init__(message)
 
 
-class ConstraintError(OAForgeError):
-    """Recipe parameters outside the stated constraint block."""
+class ConstraintError(OAForgeError, ValueError):
+    """Recipe parameters outside the stated constraint block.  Also a
+    ValueError, the type callers of the constructors have always caught."""
 
 
 class DMUnavailableError(OAForgeError):

@@ -314,7 +314,9 @@ def dumps(obj: SymbolMatrix | LargeSet) -> str:
     return buf.getvalue().decode("ascii")
 
 
-def read_array(path) -> SymbolMatrix | LargeSet:
+def read_utf8(path) -> bytes:
+    """The bytes of a text file, with CR LF and CR line ends read as LF; a
+    ParseError names the line of the first byte that is not UTF-8."""
     with open(path, "rb") as f:
         data = f.read()
     if b"\r" in data:
@@ -325,7 +327,11 @@ def read_array(path) -> SymbolMatrix | LargeSet:
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason}",
                              data.count(b"\n", 0, exc.start) + 1) from None
-    return _load(data)
+    return data
+
+
+def read_array(path) -> SymbolMatrix | LargeSet:
+    return _load(read_utf8(path))
 
 
 def write_array(obj: SymbolMatrix | LargeSet, path) -> None:

@@ -1,9 +1,15 @@
 """Sylvester matrices and the generator-column constructions."""
 
 import itertools
+import time
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oaforge import algebraic
 
 from oaforge.algebraic import (
     GeneratorColumns,
@@ -20,7 +26,7 @@ from oaforge.algebraic import (
     verify_generator_columns,
 )
 from oaforge.arrays import verify_strength
-from oaforge.errors import VerificationError
+from oaforge.errors import BudgetExceededError, ConstraintError, VerificationError
 from oaforge.expand import check_resolvable_projection, expand_shift
 from oaforge.gf import make_field
 
@@ -233,3 +239,141 @@ def test_q4_full_width_q5():
     a, _ = linear_oa(q4_matrix(5), 26)
     assert (a.n, a.k) == (625, 26)
     assert verify_strength(a, 3).ok
+
+
+# -- the independence check as one exhaustive count ----------------------------
+
+
+def reference_dependent_subset(gc):
+    """Colex-first t-subset of rank < t, one field_rank call per subset."""
+    dependent = [
+        sub for sub in itertools.combinations(range(len(gc.columns)), gc.t)
+        if field_rank(gc.field, [gc.columns[j] for j in sub]) < gc.t
+    ]
+    return min(dependent, key=lambda sub: sub[::-1], default=None)
+
+
+@st.composite
+def generator_sets(draw):
+    """Column sets over GF(2..5) mixing random, zero, repeated and
+    linear-combination columns; t may exceed m and l."""
+    field = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[
+        draw(st.sampled_from([2, 3, 4, 5]))])
+    m = draw(st.integers(1, 3))
+    t = draw(st.integers(1, m + 1))
+    symbol = st.integers(0, field.q - 1)
+    cols: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "random" and not cols):
+            col = (0,) * m if kind == "zero" else draw(st.tuples(*[symbol] * m))
+        elif kind == "random":
+            col = draw(st.tuples(*[symbol] * m))
+        elif kind == "repeat":
+            col = draw(st.sampled_from(cols))
+        else:
+            x, y = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            a, b = draw(symbol), draw(symbol)
+            col = tuple(field.add(field.mul(a, u), field.mul(b, v)) for u, v in zip(x, y))
+        cols.append(col)
+    return GeneratorColumns(field, m, tuple(cols), t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_independence_check_matches_field_rank_reference(gc):
+    assert verify_generator_columns(gc) == reference_dependent_subset(gc)
+
+
+def test_more_than_m_columns_at_a_time_are_dependent(monkeypatch):
+    gc = GeneratorColumns(make_field(3, 1), 2, ((1, 0), (0, 1), (1, 1), (1, 2)), 3)
+    assert verify_generator_columns(gc) == (0, 1, 2) == reference_dependent_subset(gc)
+    assert verify_generator_columns(GeneratorColumns(gc.field, 2, gc.columns[:2], 3)) is None
+    # decided without a count, whose q^t tuple space would dwarf the q^m rows
+    monkeypatch.setattr(algebraic, "verify_strength", None)
+    gc = GeneratorColumns(make_field(2, 8), 1, ((1,),) * 10, 4)
+    assert verify_generator_columns(gc) == (0, 1, 2, 3)
+
+
+def test_each_generator_set_is_counted_once(monkeypatch):
+    counts, ranks = [], []
+    real_count, real_rank = algebraic.verify_strength, algebraic.field_rank
+
+    def count(a, t, **kwargs):
+        counts.append((a.n, a.k, t))
+        return real_count(a, t, **kwargs)
+
+    def rank(field, vectors):
+        ranks.append(len(vectors))
+        return real_rank(field, vectors)
+
+    monkeypatch.setattr(algebraic, "verify_strength", count)
+    monkeypatch.setattr(algebraic, "field_rank", rank)
+    gc = q4_matrix(4)
+    assert counts == [(256, 17, 3)] and ranks == []  # one full-width count
+    linear_oa(gc, 6)
+    linear_oa(gc, 8)
+    assert verify_generator_columns(gc) is None
+    # then only each output's self-check, and the greedy basis's few ranks
+    assert counts == [(256, 17, 3), (256, 6, 3), (256, 8, 3)]
+    assert len(ranks) <= 2 * len(gc.columns)
+
+
+def test_q4_matrix_q8_is_fast():
+    start = time.perf_counter()
+    a, _ = linear_oa(q4_matrix(8), 6)
+    assert (a.n, a.k) == (4096, 6)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_linear_output_is_a_column_selection_of_the_full_width_rows():
+    gc = projective_columns(3, 3)
+    a, _ = linear_oa(gc, 6)
+    full = {tuple(row) for row in gc.cells.tolist()}
+    assert len(full) == 27 and gc.cells.shape == (27, 13)
+    assert not gc.cells.flags.writeable
+    basis = [0, 1, 4]  # (0,0,1), (0,1,0), (1,0,0): the first independent ones
+    order = basis + [j for j in range(13) if j not in basis]
+    assert np.array_equal(a.cells, gc.cells[:, order[:6]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: projective_columns(4096, 3),
+    lambda: projective_columns(4093, 3),
+    lambda: projective_columns(3, 10**9),
+    lambda: bush_columns(4093, 3),
+    lambda: q4_matrix(4093),
+    lambda: GeneratorColumns(make_field(2, 1), 29, ((1,) * 29,) * 29, 29),
+])
+def test_oversized_generator_sets_are_refused_before_building(build):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        build()
+    assert time.perf_counter() - start < 2.0
+
+
+def test_work_cap_admits_q4t3_at_q9():
+    assert algebraic.LINEAR_WORK_CAP >= 9**4 * comb(9 * 9 + 1, 3)
+
+
+@pytest.mark.parametrize("columns", [
+    ((1, 0), (0,)),
+    ((1, 0), (0, 1, 1)),
+    ((1, 0), (0, -1)),
+    ((1, 0), (0, 3)),
+])
+def test_generator_columns_are_validated(columns):
+    with pytest.raises(ValueError):
+        GeneratorColumns(make_field(3, 1), 2, columns, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: linear_oa(q4_matrix(3), 11),
+    lambda: q4_matrix(2),
+    lambda: projective_columns(3, 1),
+    lambda: linear_oa(projective_columns(3, 3), 2),
+    lambda: bush_columns(3, 5),
+])
+def test_linear_parameter_errors_are_constraint_errors(build):
+    with pytest.raises(ConstraintError):
+        build()

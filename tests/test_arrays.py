@@ -340,3 +340,45 @@ def test_large_set_profile_mismatch_raises():
             [SymbolMatrix(LevelProfile([2, 2]), [[0, 0]]),
              SymbolMatrix(LevelProfile([2, 3]), [[0, 0]])],
         )
+
+
+
+def _chunking_array(name: str, mutant: bool) -> SymbolMatrix:
+    from oaforge.algebraic import linear_oa, projective_columns
+
+    if name == "projective q=3 n=3":
+        a = linear_oa(projective_columns(3, 3), 7)[0]
+    else:
+        a = load_fixture(name)[0]
+    if mutant:
+        cells = a.cells.copy()
+        cells[5, 1] = (cells[5, 1] + 1) % a.profile.levels[1]
+        a = SymbolMatrix(a.profile, cells)
+    return a
+
+
+@pytest.mark.parametrize("name, t, mutant, fails", [
+    ("oa54_3e5_2e1", 3, False, False),
+    ("oa54_3e5_2e1", 3, True, True),
+    ("oa48_4e1_3e1_2e4", 2, False, False),
+    ("oa48_4e1_3e1_2e4", 2, True, True),
+    ("projective q=3 n=3", 2, False, False),
+    ("projective q=3 n=3", 2, True, True),
+    ("oa24_2e13_3e1_4e1", 3, False, True),  # non-integer indices and imbalance
+])
+def test_kernel_reports_do_not_depend_on_chunking(monkeypatch, name, t, mutant, fails):
+    import oaforge.arrays as arrays_mod
+
+    a = _chunking_array(name, mutant)
+    oracle = brute_force_strength(a, t)
+    expected = sorted(oracle.failures, key=lambda f: f.columns[::-1])  # colex, stable
+    assert bool(expected) == fails
+    first = [f for f in expected if f.columns == expected[0].columns] if fails else []
+    for target in (1, 1 << 24):
+        monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", target)
+        for threads in (1, 2):
+            for fail_fast, want in ((False, expected), (True, first)):
+                report = verify_strength(a, t, threads=threads, fail_fast=fail_fast)
+                assert report.failures == want
+                assert report.checked_subsets == oracle.checked_subsets
+                assert report.lambda_by_subset == oracle.lambda_by_subset

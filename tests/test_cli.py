@@ -244,3 +244,49 @@ def test_global_flags_accepted_after_subcommand(capsys):
     code, out = run(capsys, "search", "dm", "--v", "7", "--k", "4",
                     "--budget", "25")
     assert code == 1 and "budget exhausted" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "construct q4t3 --q 3 --k 11",
+    "construct q4t3 --q 2 --k 5",
+    "construct projective --q 3 --n 1 --k 3",
+    "construct projective --q 3 --n 3 --k 2",
+    "construct bush --q 3 --t 5 --k 4",
+])
+def test_linear_parameter_errors_are_usage_errors(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_oversized_linear_construction_is_refused_at_once(capsys):
+    code, out = run(capsys, "construct", "projective", "--q", "4093", "--n", "3",
+                    "--k", "5")
+    assert code == 1
+    record = json.loads(out.splitlines()[0])
+    assert record["kind"] == "BudgetExceededError" and "4093^3 rows" in record["message"]
+
+
+def test_verify_dm_non_utf8_is_a_parse_error_record(capsys, tmp_path):
+    from oaforge.diffmatrix import dm_for, dumps_dm
+
+    lines = dumps_dm(dm_for(4)).encode().split(b"\n")
+    lines[2] = lines[2] + b" \xff"
+    bad = tmp_path / "bad.dm"
+    bad.write_bytes(b"\n".join(lines))
+    code, out = run(capsys, "verify", "dm", str(bad))
+    assert code == 1
+    record = json.loads(out.splitlines()[0])
+    assert record["kind"] == "parse-error" and record["line"] == 3
+
+
+def test_verify_dm_reads_crlf_files(capsys, tmp_path):
+    from oaforge.diffmatrix import dm_for, dumps_dm
+
+    path = tmp_path / "crlf.dm"
+    path.write_bytes(dumps_dm(dm_for(4)).replace("\n", "\r\n").encode())
+    code, out = run(capsys, "verify", "dm", str(path))
+    assert code == 0 and out.startswith("ok:")
