@@ -31,7 +31,7 @@ def sylvester(n: int) -> np.ndarray:
     rows/columns indexed by Z_2^n in lexicographic order.  Also built as the
     n-fold Kronecker power of the order-2 matrix; the two must agree."""
     if not 1 <= n <= SYLVESTER_MAX_N:
-        raise ValueError(f"n must be in [1, {SYLVESTER_MAX_N}], got {n}")
+        raise ConstraintError(f"n must be in [1, {SYLVESTER_MAX_N}], got {n}")
     idx = np.arange(1 << n, dtype=np.uint32)
     bits = np.bitwise_count(idx[:, None] & idx[None, :])
     direct = (1 - 2 * (bits & 1)).astype(np.int8)
@@ -59,16 +59,14 @@ def sylvester_oa2(n: int, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     columns project bijectively, so the result expands to a large set with
     M = 2^(k-n)."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ConstraintError("n must be >= 2")
     if not n <= k <= (1 << n) - 1:
-        raise ValueError(f"k must be in [{n}, {(1 << n) - 1}], got {k}")
+        raise ConstraintError(f"k must be in [{n}, {(1 << n) - 1}], got {k}")
     s = sylvester(n)
     labels = _label_order(n, include_zero=False)[:k]
     cells = ((1 - s[:, labels]) // 2).astype(np.int32)
     a = SymbolMatrix(LevelProfile([2] * k), cells, t=2)
-    proj = ResolvableProjection(tuple(range(n)), a.n)
-    _self_check(a, 2, proj)
-    return a, proj
+    return _self_check(a, 2, n)
 
 
 def sylvester_oa3(n: int, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
@@ -76,20 +74,20 @@ def sylvester_oa3(n: int, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     its symbol-swapped copy, keeping the all-zero column.  The zero column
     plus the n weight-one columns project bijectively."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ConstraintError("n must be >= 2")
     if not n + 1 <= k <= (1 << n):
-        raise ValueError(f"k must be in [{n + 1}, {1 << n}], got {k}")
+        raise ConstraintError(f"k must be in [{n + 1}, {1 << n}], got {k}")
     s = sylvester(n)
     labels = _label_order(n, include_zero=True)[:k]
     top = (1 - s[:, labels]) // 2
     cells = np.vstack([top, 1 - top]).astype(np.int32)
     a = SymbolMatrix(LevelProfile([2] * k), cells, t=3)
-    proj = ResolvableProjection(tuple(range(n + 1)), a.n)
-    _self_check(a, 3, proj)
-    return a, proj
+    return _self_check(a, 3, n + 1)
 
 
-def _self_check(a: SymbolMatrix, t: int, proj: ResolvableProjection):
+def _self_check(a: SymbolMatrix, t: int, lead: int):
+    """a and its projection onto the first `lead` columns, once both check."""
+    proj = ResolvableProjection(tuple(range(lead)), a.n)
     report = verify_strength(a, t)
     if not report.ok:
         raise VerificationError(
@@ -98,6 +96,7 @@ def _self_check(a: SymbolMatrix, t: int, proj: ResolvableProjection):
     ok, why = check_resolvable_projection(a, proj.columns)
     if not ok:
         raise VerificationError(f"projection {proj.columns} not resolvable: {why}")
+    return a, proj
 
 
 # -- linear algebra over a field ----------------------------------------------
@@ -108,7 +107,6 @@ def field_rank(field: Field, vectors) -> int:
     rows = [list(v) for v in zip(*vectors)]  # to row-major
     n_cols = len(vectors)
     rank = 0
-    col = 0
     for col in range(n_cols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -151,27 +149,29 @@ def field_det(field: Field, matrix) -> int:
 # -- generator columns ---------------------------------------------------------
 
 
-def _check_work(q: int, m: int, l: int, t: int):
-    """Refuse, before any column or cell exists, a count of q^m rows by C(l, t)
-    subsets (the --budget unit), or q^m x l cells, above LINEAR_WORK_CAP.
-    Once m reaches the cap's bit length, q^m >= 2^m alone is over it."""
+def _check_work(q: int, m: int, l: int, t: int | None = None):
+    """Refuse q^m rows times l columns (the row table) or, given t, times
+    C(l, t) subsets (the --budget unit) above LINEAR_WORK_CAP, before any of
+    it is built.  Once m reaches the cap's bit length, q^m alone is over it."""
+    width, what = (l, f"{l} columns") if t is None else (comb(l, t), f"C({l},{t}) subsets")
     if m >= LINEAR_WORK_CAP.bit_length():
         need = f"{q}^{m} rows"
-    elif q**m * max(comb(l, t), l) > LINEAR_WORK_CAP:
-        need = f"{q}^{m} rows x C({l},{t}) subsets"
+    elif q**m * width > LINEAR_WORK_CAP:
+        need = f"{q}^{m} rows x {what}"
     else:
         return
     raise BudgetExceededError(
-        f"independence check in F_{q}^{m} at t={t} needs {need},"
-        f" over the cap of {LINEAR_WORK_CAP} counting operations"
+        f"generator columns in F_{q}^{m} need {need},"
+        f" over the cap of {LINEAR_WORK_CAP} cells or counting operations"
     )
 
 
 @dataclass(frozen=True)
 class GeneratorColumns:
-    """l column vectors in F_q^m, any t of them linearly independent, with
-    some m of them spanning.  The vectors and the size of the check are
-    validated on construction; the check itself runs once, on first use."""
+    """l column vectors in F_q^m, claimed any t independent and some m
+    spanning.  Construction checks the vectors and the q^m x l size, but
+    builds and counts nothing: linear_oa proves the k columns it emits, and
+    verify_generator_columns counts all l on demand."""
 
     field: Field
     m: int
@@ -183,7 +183,7 @@ class GeneratorColumns:
         for j, col in enumerate(self.columns):
             if len(col) != self.m or any(not 0 <= x < q for x in col):
                 raise ValueError(f"column {j} {col} is not a vector of F_{q}^{self.m}")
-        _check_work(q, self.m, len(self.columns), self.t)
+        _check_work(q, self.m, len(self.columns))
 
     @cached_property
     def cells(self) -> np.ndarray:
@@ -208,33 +208,29 @@ class GeneratorColumns:
             return None
         if self.t > self.m:  # more than m vectors of F_q^m are dependent
             return tuple(range(self.t))
+        _check_work(self.field.q, self.m, l, self.t)
         a = SymbolMatrix(LevelProfile([self.field.q] * l), self.cells)
         report = verify_strength(a, self.t, fail_fast=True)
         return report.failures[0].columns if report.failures else None
 
 
 def verify_generator_columns(gc: GeneratorColumns) -> tuple[int, ...] | None:
-    """First dependent t-subset in colex order, or None when all are
-    independent (one exhaustive count, cached on gc)."""
+    """First dependent t-subset of all l columns in colex order, or None when
+    all are independent (one exhaustive count, cached on gc)."""
     return gc.dependent_subset
-
-
-def _independent(gc: GeneratorColumns) -> GeneratorColumns:
-    bad = verify_generator_columns(gc)
-    if bad is not None:
-        raise VerificationError(f"columns {bad} are linearly dependent")
-    return gc
 
 
 def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     """Rows x . M for all x in F_q^m, restricted to the first k columns after
     rotating m independent columns to the front.  N = q^m, strength t, and
-    the leading m columns project bijectively (M = q^(k-m) after expansion)."""
+    the leading m columns project bijectively (M = q^(k-m) after expansion).
+    Only these k columns are built; their strength-t self-check proves that
+    any t of them are independent, which is all the output relies on."""
     field = gc.field
     m = gc.m
     if not gc.t <= m <= k <= len(gc.columns):
         raise ConstraintError(f"need t={gc.t} <= m={m} <= k={k} <= l={len(gc.columns)}")
-    _independent(gc)
+    _check_work(field.q, m, k, gc.t)
     # greedy basis in construction order, rotated to the front
     basis: list[int] = []
     for j in range(len(gc.columns)):
@@ -245,42 +241,41 @@ def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvablePro
     if len(basis) < m:
         raise VerificationError(f"columns have rank {len(basis)} < m = {m}")
     order = basis + [j for j in range(len(gc.columns)) if j not in set(basis)]
-    a = SymbolMatrix(LevelProfile([field.q] * k), gc.cells[:, order[:k]], t=gc.t)
-    proj = ResolvableProjection(tuple(range(m)), a.n)
-    _self_check(a, gc.t, proj)
-    return a, proj
+    emitted = GeneratorColumns(field, m, tuple(gc.columns[j] for j in order[:k]), gc.t)
+    a = SymbolMatrix(LevelProfile([field.q] * k), emitted.cells, t=gc.t)
+    return _self_check(a, gc.t, m)
 
 
 def projective_columns(q: int, n: int) -> GeneratorColumns:
     """One representative per projective point of F_q^n (first nonzero
     coordinate 1), in lexicographic coordinate order: (q^n - 1)/(q - 1)
-    pairwise independent columns."""
+    columns claimed pairwise independent, unverified until linear_oa."""
     if n < 2:
         raise ConstraintError("n must be >= 2")
-    _check_work(q, n, (q ** min(n, 30) - 1) // (q - 1), 2)  # l unused if n >= 30
+    _check_work(q, n, (q ** min(n, 30) - 1) // (q - 1))  # l unused if n >= 30
     field = make_field(*prime_power(q))
     cols = [
         v
         for v in itertools.product(range(q), repeat=n)
         if any(v) and next(x for x in v if x) == 1
     ]
-    return _independent(GeneratorColumns(field, n, tuple(cols), 2))
+    return GeneratorColumns(field, n, tuple(cols), 2)
 
 
 def bush_columns(q: int, t: int) -> GeneratorColumns:
     """Moment-curve columns (1, c, c^2, ..., c^(t-1)) for every c, plus
     (0, ..., 0, 1); for even q at t = 3 also (0, 1, 0).  Any t columns are
-    independent (Vandermonde), giving OA(q^t, l, q, t) at index 1."""
+    independent (Vandermonde, unverified until linear_oa): OA(q^t, l, q, t)."""
     p, e = prime_power(q)
     if not 2 <= t <= q + 1:
         raise ConstraintError(f"t must be in [2, {q + 1}], got {t}")
-    _check_work(q, t, q + 1 + (p == 2 and t == 3), t)
+    _check_work(q, t, q + 1 + (p == 2 and t == 3))
     field = make_field(p, e)
     cols = [tuple(field.pow(c, i) for i in range(t)) for c in field.elements()]
     cols.append((0,) * (t - 1) + (1,))
     if field.p == 2 and t == 3:
         cols.append((0, 1, 0))
-    return _independent(GeneratorColumns(field, t, tuple(cols), t))
+    return GeneratorColumns(field, t, tuple(cols), t)
 
 
 # -- the strength-3 matrix over q^2 + 1 columns --------------------------------
@@ -318,18 +313,17 @@ def _g(field: Field, a: int, x: int, y: int) -> int:
 
 def q4_matrix(q: int) -> GeneratorColumns:
     """The 4 x (q^2 + 1) matrix of columns (0,0,1,0) and
-    (x, y, -(x^2+a*x*y+y^2), 1) over all (x, y), any 3 of which are
-    independent.  Expanding its strength-3 array partitions the q^k universe."""
-    _check_work(q, 4, q * q + 1, 3)
+    (x, y, -(x^2+a*x*y+y^2), 1) over all (x, y), any 3 of which are claimed
+    independent (unverified until linear_oa).  Expanding its strength-3
+    array partitions the q^k universe."""
+    _check_work(q, 4, q * q + 1)
     qc = quad_coefficient(q)
     field = qc.field
     cols = [(0, 0, 1, 0)]
     for u in field.elements():
         for v in field.elements():
             cols.append((u, v, _g(field, qc.a, u, v), 1))
-    gc = _independent(GeneratorColumns(field, 4, tuple(cols), 3))
     anchor = [cols[0], cols[1], cols[2], cols[q + 1]]
-    det = field_det(field, list(zip(*anchor)))
-    if det == 0:
+    if field_det(field, list(zip(*anchor))) == 0:
         raise VerificationError("anchor columns {0,1,2,q+1} are singular")
-    return gc
+    return GeneratorColumns(field, 4, tuple(cols), 3)

@@ -24,7 +24,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConstraintError
 
 OCCUPANCY_LIMIT = 1 << 24  # full-factorial bitmap above this uses a hashed row set
 CHUNK_TARGET_CELLS = 1 << 16  # per-chunk code-buffer size for the counting kernel
@@ -366,7 +366,7 @@ def verify_strength(
     operations.
     """
     if not 0 <= t <= a.k:
-        raise ValueError(f"strength {t} out of range [0, {a.k}]")
+        raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
     if t == 0:
         return StrengthReport(t=0, lambda_by_subset={(): Fraction(a.n)}, checked_subsets=0)
     levels = a.profile.levels
@@ -428,7 +428,7 @@ def brute_force_strength(a: SymbolMatrix, t: int, budget: int = 10**8) -> Streng
     """Independent oracle: a deliberately naive nested re-count over python
     tuples, sharing no counting kernels with verify_strength."""
     if not 0 <= t <= a.k:
-        raise ValueError(f"strength {t} out of range [0, {a.k}]")
+        raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
     if t == 0:
         return StrengthReport(t=0, lambda_by_subset={(): Fraction(a.n)}, checked_subsets=0)
     n_subsets = 0
@@ -537,6 +537,8 @@ def verify_large_set(
     """Check the three large-set properties: every member a simple OA of
     strength t, M * N = universe, and the union of all rows repeat-free
     (hence the full factorial)."""
+    if not 0 <= t <= ls.profile.k:
+        raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
     universe = ls.profile.universe_size
     report = LargeSetReport(m=ls.m, n=ls.n, universe=universe, t=t)
     report.count_ok = ls.m * ls.n == universe

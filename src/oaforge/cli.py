@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from pathlib import Path
 
 from . import algebraic, catalog as cat, compose, diffmatrix, fixtures as fix
@@ -50,33 +51,45 @@ def _params(text: str) -> dict[str, int]:
     return out
 
 
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _budget(text: str) -> int:
-    return int(float(text))
+    ops = float(text)
+    if not 0 <= ops < float("inf"):  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return int(ops)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # the global flags, accepted before and after the subcommand (the later
+    # one wins); their defaults are set in main()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=_threads, default=argparse.SUPPRESS,
+                        help="worker threads for subset counting (default 1)")
+    common.add_argument("--budget", type=_budget, default=argparse.SUPPRESS,
+                        help="counting-operation / search-node budget (default 1e8)")
+    common.add_argument("--fail-fast", action="store_true", default=argparse.SUPPRESS,
+                        help="stop at the first failing column subset")
+    parser = _Parser(
         prog="oaforge",
+        parents=[common],
         description="Construct and exhaustively verify mixed-level orthogonal"
                     " arrays, large sets, and difference matrices.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for subset counting")
-    parser.add_argument("--budget", type=_budget, default=10**8,
-                        help="counting-operation / search-node budget (default 1e8)")
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop at the first failing column subset")
-    # the same globals are accepted after the subcommand; merged in main()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", dest="sub_threads", type=int, default=None,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--budget", dest="sub_budget", type=_budget, default=None,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--fail-fast", dest="sub_fail_fast", action="store_const",
-                        const=True, default=None, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+                                parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     c = sub.add_parser("construct", help="run one constructor")
     c.add_argument("recipe", choices=["sylvester2", "sylvester3", "projective",
@@ -255,13 +268,6 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _level_product(a: SymbolMatrix, columns) -> int:
-    out = 1
-    for c in columns:
-        out *= a.profile.levels[c]
-    return out
-
-
 def _cmd_expand(args) -> int:
     a = read_array(args.oa_file)
     if isinstance(a, LargeSet):
@@ -269,7 +275,8 @@ def _cmd_expand(args) -> int:
     if args.keep:
         a = project_columns(a, args.keep)
     if args.columns:
-        proj = ResolvableProjection(args.columns, _level_product(a, args.columns))
+        levels = a.profile.levels
+        proj = ResolvableProjection(args.columns, prod(levels[c] for c in args.columns))
     else:
         found = find_resolvable_projection(a)
         if found is None:
@@ -375,10 +382,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    group = None
-    if args.group:
-        group = diffmatrix.AbelianGroup(
-            int(z[1:]) for z in args.group.split("x"))
+    group = diffmatrix.parse_group(args.group) if args.group else None
     try:
         dm = diffmatrix.search_dm(args.v, args.k, budget=args.budget, group=group)
     except BudgetExceededError as exc:
@@ -414,13 +418,8 @@ def _cmd_fixtures(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "sub_threads", None) is not None:
-        args.threads = args.sub_threads
-    if getattr(args, "sub_budget", None) is not None:
-        args.budget = args.sub_budget
-    if getattr(args, "sub_fail_fast", None) is not None:
-        args.fail_fast = args.sub_fail_fast
+    args = parser.parse_args(
+        argv, argparse.Namespace(threads=1, budget=10**8, fail_fast=False))
     handlers = {
         "construct": _cmd_construct,
         "expand": _cmd_expand,

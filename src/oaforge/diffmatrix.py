@@ -18,6 +18,7 @@ import numpy as np
 from .arrays import LevelProfile, StrengthReport, SymbolMatrix, verify_strength
 from .errors import (
     BudgetExceededError,
+    ConstraintError,
     DMUnavailableError,
     ParseError,
     VerificationError,
@@ -250,7 +251,7 @@ def search_dm(
         raise ValueError(f"v*k = {v * k} exceeds search cap {SEARCH_SIZE_CAP}")
     grp = group if group is not None else AbelianGroup((v,))
     if grp.order != v:
-        raise ValueError(f"group order {grp.order} != v = {v}")
+        raise ConstraintError(f"group order {grp.order} != v = {v}")
     sub = grp.add_table[:, grp.neg_table]  # sub[a, b] = a - b
     entries = np.zeros((v, k), dtype=np.int32)
     # used[l][h] tracks which differences d[:,h] - d[:,l] are taken
@@ -299,9 +300,9 @@ def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
     search over every abelian group of order v.  The result always passes
     verify_dm; uncovered orders raise rather than guess."""
     if v < 4:
-        raise ValueError(f"v must be >= 4, got {v}")
+        raise ConstraintError(f"v must be >= 4, got {v}")
     if v % 4 == 2:
-        raise ValueError(f"v = {v} is 2 (mod 4); no (v,4,1) difference matrix exists")
+        raise ConstraintError(f"v = {v} is 2 (mod 4); no (v,4,1) difference matrix exists")
     parts = []
     m = v
     p = 2
@@ -450,11 +451,12 @@ def develop_chai2(
 # -- file format ----------------------------------------------------------------
 
 
-def _parse_group(text: str) -> AbelianGroup:
+def parse_group(text: str) -> AbelianGroup:
+    """'Z4' or 'Z2xZ2': a direct product of cyclic groups of order >= 1."""
     factors = []
     for part in text.split("x"):
-        if not part.startswith("Z"):
-            raise ValueError(f"bad group factor {part!r}")
+        if not (part[:1] == "Z" and part[1:].isdecimal() and int(part[1:]) >= 1):
+            raise ConstraintError(f"bad group factor {part!r}")
         factors.append(int(part[1:]))
     return AbelianGroup(factors)
 
@@ -475,7 +477,7 @@ def loads_dm(text: str) -> DifferenceMatrix:
     try:
         v = int(kv["v"])
         k = int(kv["k"])
-        group = _parse_group(kv["group"])
+        group = parse_group(kv["group"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"malformed DM header: {exc}", lineno) from None
     if group.order != v:

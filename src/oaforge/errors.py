@@ -30,8 +30,8 @@ class VerificationError(OAForgeError):
 
 
 class ConstraintError(OAForgeError, ValueError):
-    """Recipe parameters outside the stated constraint block.  Also a
-    ValueError, the type callers of the constructors have always caught."""
+    """Parameters outside their stated range: recipe constraints, strengths,
+    group names.  Also a ValueError, the type callers have always caught."""
 
 
 class DMUnavailableError(OAForgeError):

@@ -25,7 +25,7 @@ from oaforge.algebraic import (
     sylvester_oa3,
     verify_generator_columns,
 )
-from oaforge.arrays import verify_strength
+from oaforge.arrays import brute_force_strength, verify_strength
 from oaforge.errors import BudgetExceededError, ConstraintError, VerificationError
 from oaforge.expand import check_resolvable_projection, expand_shift
 from oaforge.gf import make_field
@@ -295,7 +295,7 @@ def test_more_than_m_columns_at_a_time_are_dependent(monkeypatch):
     assert verify_generator_columns(gc) == (0, 1, 2, 3)
 
 
-def test_each_generator_set_is_counted_once(monkeypatch):
+def test_only_the_emitted_columns_are_counted(monkeypatch):
     counts, ranks = [], []
     real_count, real_rank = algebraic.verify_strength, algebraic.field_rank
 
@@ -310,13 +310,61 @@ def test_each_generator_set_is_counted_once(monkeypatch):
     monkeypatch.setattr(algebraic, "verify_strength", count)
     monkeypatch.setattr(algebraic, "field_rank", rank)
     gc = q4_matrix(4)
-    assert counts == [(256, 17, 3)] and ranks == []  # one full-width count
+    assert counts == ranks == [] and "cells" not in vars(gc)  # the builder counts nothing
     linear_oa(gc, 6)
     linear_oa(gc, 8)
-    assert verify_generator_columns(gc) is None
-    # then only each output's self-check, and the greedy basis's few ranks
-    assert counts == [(256, 17, 3), (256, 6, 3), (256, 8, 3)]
+    # each output's self-check, and the greedy basis's few ranks
+    assert counts == [(256, 6, 3), (256, 8, 3)] and "cells" not in vars(gc)
     assert len(ranks) <= 2 * len(gc.columns)
+    # the full width is counted only on demand, once
+    assert verify_generator_columns(gc) is None
+    assert verify_generator_columns(gc) is None
+    assert counts[2:] == [(256, 17, 3)]
+
+
+def reference_emitted_columns(gc, k):
+    """The k columns linear_oa emits, the first m independent ones (greedy,
+    in construction order) leading, or None when no m of them span."""
+    basis = []
+    for j in range(len(gc.columns)):
+        if len(basis) < gc.m and field_rank(
+                gc.field, [gc.columns[i] for i in basis + [j]]) == len(basis) + 1:
+            basis.append(j)
+    if len(basis) < gc.m:
+        return None
+    return basis + [j for j in range(len(gc.columns)) if j not in basis][:k - gc.m]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_linear_oa_succeeds_exactly_when_its_emitted_columns_are_independent(gc):
+    for k in range(gc.m, len(gc.columns) + 1):
+        if gc.t > gc.m:
+            with pytest.raises(ConstraintError):
+                linear_oa(gc, k)
+            continue
+        emitted = reference_emitted_columns(gc, k)
+        if emitted is None or any(
+                field_rank(gc.field, [gc.columns[j] for j in sub]) < gc.t
+                for sub in itertools.combinations(emitted, gc.t)):
+            with pytest.raises(VerificationError):
+                linear_oa(gc, k)
+            continue
+        a, _ = linear_oa(gc, k)
+        assert np.array_equal(a.cells, gc.cells[:, emitted])
+        assert brute_force_strength(a, gc.t).ok
+
+
+def test_each_count_is_charged_for_its_own_width():
+    gc = q4_matrix(11)  # its 11^4 x 122 row table is under the cap
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"11\^4 rows x C\(122,3\) subsets"):
+        linear_oa(gc, 122)
+    with pytest.raises(BudgetExceededError, match=r"11\^4 rows x C\(122,3\) subsets"):
+        verify_generator_columns(gc)
+    assert time.perf_counter() - start < 2.0
+    a, _ = linear_oa(gc, 6)
+    assert (a.n, a.k, a.t) == (11**4, 6, 3)
 
 
 def test_q4_matrix_q8_is_fast():

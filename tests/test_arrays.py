@@ -20,7 +20,7 @@ from oaforge.arrays import (
     verify_simple,
     verify_strength,
 )
-from oaforge.errors import BudgetExceededError
+from oaforge.errors import BudgetExceededError, ConstraintError
 from oaforge.fixtures import load_fixture
 
 
@@ -286,6 +286,14 @@ def test_verify_large_set_single_full_factorial():
     ff = full_factorial(LevelProfile([2, 2, 2]))
     report = verify_large_set(LargeSet(ff.profile, [ff], t=3), 3)
     assert report.ok and report.m == 1
+
+
+def test_verify_large_set_refuses_out_of_range_strength():
+    ls = even_odd_partition()
+    assert verify_large_set(ls, 3).ok is False  # in range, and honestly refused
+    for t in (4, 99, -1):
+        with pytest.raises(ConstraintError, match="out of range"):
+            verify_large_set(ls, t)
 
 
 def test_verify_large_set_detects_union_repeat():

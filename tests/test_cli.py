@@ -1,11 +1,15 @@
 """CLI surface: exit codes, machine-readable failure records, file flows."""
 
 import json
+import time
 
 import pytest
 
+from oaforge.algebraic import sylvester_oa2
 from oaforge.cli import main
+from oaforge.expand import expand_shift
 from oaforge.fixtures import fixture_dir
+from oaforge.formats import write_array
 
 
 def run(capsys, *argv):
@@ -220,6 +224,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
     ("oa", b"OA N=1 t=1 levels=2^2\n0 1\n5 5 5\n", 3),
     ("loa", b"LOA M=2\nOA N=1 t=0 levels=2^1\n0\n\n"
             b"OA N=1000000000000 t=0 levels=2^1\n1\n", 5),
+    ("dm", b"DM v=4 k=1 group=Z2xQ\n0\n1\n2\n3\n", 1),
 ])
 def test_garbled_file_is_a_parse_error_record(capsys, tmp_path, kind, content, line):
     bad = tmp_path / "bad.txt"
@@ -244,6 +249,8 @@ def test_global_flags_accepted_after_subcommand(capsys):
     code, out = run(capsys, "search", "dm", "--v", "7", "--k", "4",
                     "--budget", "25")
     assert code == 1 and "budget exhausted" in out
+    code, out = run(capsys, "--budget", "25", "search", "dm", "--v", "7", "--k", "4")
+    assert code == 1 and "budget exhausted" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -252,14 +259,42 @@ def test_global_flags_accepted_after_subcommand(capsys):
     "construct projective --q 3 --n 1 --k 3",
     "construct projective --q 3 --n 3 --k 2",
     "construct bush --q 3 --t 5 --k 4",
+    "construct sylvester2 --n 1 --k 1",
+    "construct chai1 --v 6",
+    "search dm --v 4 --k 4 --group Z2xQ",
+    "search dm --v 4 --k 4 --group Z2xZ3",
+    "verify oa {oa} --strength 99",
+    "verify loa {loa} --strength 99",
+    "oracle {oa} --strength 99",
+    "--threads 0 verify oa {oa}",
+    "verify oa {oa} --threads 0",
+    "--budget -5 verify oa {oa}",
+    "verify oa {oa} --budget -5",
 ])
-def test_linear_parameter_errors_are_usage_errors(capsys, argv):
-    code = main(argv.split())
+def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv):
+    loa = tmp_path / "l5.loa"  # a 5-column large set
+    write_array(expand_shift(*sylvester_oa2(3, 5)), loa)
+    oa = fixture_dir() / "oa54_3e5_2e1.txt"
+    try:
+        code = main([arg.format(oa=oa, loa=loa) for arg in argv.split()])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, label", [
+    ("construct q4t3 --q 16 --k 6", "OA(65536,16^6,3)"),
+    ("construct bush --q 16 --t 5 --k 6", "OA(1048576,16^6,5)"),
+])
+def test_linear_constructions_at_q16_verify(capsys, argv, label):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and out.startswith(label)
+    assert time.perf_counter() - start < 30.0
 
 
 def test_oversized_linear_construction_is_refused_at_once(capsys):
