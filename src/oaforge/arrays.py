@@ -1,8 +1,9 @@
 """Data model and exhaustive verification for mixed-level orthogonal arrays.
 
 Symbols are column-local integers 0..s-1.  A SymbolMatrix is an immutable
-N x k run matrix; a LargeSet is an ordered list of row-disjoint simple
-SymbolMatrices partitioning the full factorial.
+N x k run matrix; a LargeSet is an ordered list of M row-disjoint simple
+N x k members partitioning the full factorial, stored as one (M, N, k)
+array.
 
 The strength verifier counts every t-tuple in every t-subset of columns.
 Column subsets are enumerated in colexicographic order throughout, so reports
@@ -13,6 +14,7 @@ fast path is tested against.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -21,12 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConstraintError
 
-OCCUPANCY_LIMIT = 1 << 24  # full-factorial bitmap above this uses a hashed row set
+OCCUPANCY_LIMIT = 1 << 24  # bitmap of row codes up to this universe size, sorted codes above
 CHUNK_TARGET_CELLS = 1 << 16  # per-chunk code-buffer size for the counting kernel
 
 
@@ -110,6 +113,13 @@ class LevelProfile:
         return f"LevelProfile({self.format()})"
 
 
+def _freeze(obj, **fields):
+    """Set the fields of an immutable object; its cells become read-only."""
+    fields["cells"].setflags(write=False)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 class SymbolMatrix:
     """An N x k run matrix over a LevelProfile, with an optional claimed
     strength t carried for file round-trips and verification defaults."""
@@ -131,10 +141,15 @@ class SymbolMatrix:
                 f"symbol {cells[bad[0], bad[1]]} out of range in column {bad[1]}"
                 f" (row {bad[0]})"
             )
-        cells.setflags(write=False)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "t", t)
+        _freeze(self, profile=profile, cells=cells, t=t)
+
+    @classmethod
+    def _trusted(cls, profile: LevelProfile, cells: np.ndarray, t: int | None):
+        """A matrix over int32 cells whose symbols are already known to be in
+        range: no copy and no second check; the cells are made read-only."""
+        a = object.__new__(cls)
+        _freeze(a, profile=profile, cells=cells, t=t)
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolMatrix is immutable")
@@ -163,9 +178,12 @@ class SymbolMatrix:
 
 
 class LargeSet:
-    """An ordered collection of M SymbolMatrices sharing one profile and N."""
+    """M members sharing one profile and N, stored as one read-only
+    C-contiguous (M, N, k) int32 array `cells`; `member_t` holds each member's
+    claimed strength and `t` the set's.  `members` gives the members as
+    SymbolMatrix views into `cells`, built on first use."""
 
-    __slots__ = ("profile", "members", "t")
+    __slots__ = ("profile", "cells", "member_t", "t", "_members")
 
     def __init__(self, profile: LevelProfile, members, t: int | None = None):
         members = tuple(members)
@@ -176,20 +194,36 @@ class LargeSet:
                 raise ValueError(f"member {i} profile {m.profile} != {profile}")
             if m.n != members[0].n:
                 raise ValueError(f"member {i} has {m.n} rows, member 0 has {members[0].n}")
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "t", t)
+        _freeze(self, profile=profile, cells=np.stack([m.cells for m in members]),
+                member_t=tuple(m.t for m in members), t=t, _members=None)
+
+    @classmethod
+    def _stacked(cls, profile: LevelProfile, cells: np.ndarray, member_t, t: int | None):
+        """A large set over an (M, N, k) int32 array whose symbols are already
+        known to be in range; the array is made read-only, not copied."""
+        ls = object.__new__(cls)
+        _freeze(ls, profile=profile, cells=cells, member_t=tuple(member_t), t=t,
+                _members=None)
+        return ls
 
     def __setattr__(self, name, value):
         raise AttributeError("LargeSet is immutable")
 
     @property
+    def members(self) -> tuple[SymbolMatrix, ...]:
+        if self._members is None:
+            object.__setattr__(self, "_members", tuple(
+                SymbolMatrix._trusted(self.profile, c, t)
+                for c, t in zip(self.cells, self.member_t)))
+        return self._members
+
+    @property
     def m(self) -> int:
-        return len(self.members)
+        return self.cells.shape[0]
 
     @property
     def n(self) -> int:
-        return self.members[0].n
+        return self.cells.shape[1]
 
     def __repr__(self):
         return (
@@ -277,76 +311,105 @@ def colex_combinations(k: int, t: int):
             yield rest + (top,)
 
 
+class _Plan(NamedTuple):
+    """How to count one (levels, t, N).  A subset whose level product does
+    not divide N has no integer index and fails without a count; the others
+    are counted, each in its own table of the code space."""
+
+    subsets: list[tuple[int, ...]]  # every t-subset, colex order
+    prods: np.ndarray  # level product of each subset
+    uncounted: list[int]  # indices of the subsets without an integer index
+    counted: np.ndarray  # indices of the others
+    cols: np.ndarray  # counted subsets as a column-index matrix
+    wpos: np.ndarray  # matching mixed-radix weights
+    offsets: np.ndarray  # start of each counted subset's table, then the end
+    lams: np.ndarray  # index of each counted subset
+
+
 @lru_cache(maxsize=64)
-def _strength_plan(levels: tuple[int, ...], t: int):
-    """Precomputed counting plan for one (levels, t): the subset list, the
-    subsets as an S x t column-index matrix with matching mixed-radix weights,
-    per-subset tuple-space sizes, and code offsets."""
-    k = len(levels)
-    subsets = list(colex_combinations(k, t))
+def _strength_plan(levels: tuple[int, ...], t: int, n: int) -> _Plan:
+    subsets = list(colex_combinations(len(levels), t))
     cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
     lv = np.asarray(levels, dtype=np.int64)
     wpos = np.empty_like(cols)
-    acc = np.ones(len(subsets), dtype=np.int64)
+    prods = np.ones(len(subsets), dtype=np.int64)
     for p in range(t - 1, -1, -1):
-        wpos[:, p] = acc
-        acc = acc * lv[cols[:, p]]
-    prods = acc
-    offsets = np.zeros(len(subsets) + 1, dtype=np.int64)
-    np.cumsum(prods, out=offsets[1:])
-    return subsets, cols, wpos, prods, offsets
+        wpos[:, p] = prods
+        prods = prods * lv[cols[:, p]]
+    integer = n % prods == 0
+    counted = np.flatnonzero(integer)
+    offsets = np.zeros(len(counted) + 1, dtype=np.int64)
+    np.cumsum(prods[counted], out=offsets[1:])
+    return _Plan(subsets, prods, np.flatnonzero(~integer).tolist(), counted,
+                 cols[counted], wpos[counted], offsets, n // prods[counted])
 
 
-def _lambdas(prods, n: int):
-    """Per-subset index n / prod, or -1 where prod does not divide n."""
-    return np.where(n % prods == 0, n // prods, -1)
-
-
-def _count_chunk(cells_t, cols, wpos, offsets, lo: int, hi: int):
-    """Tuple-frequency table for subsets [lo, hi): per-position row gathers on
-    the transposed (k x N) cell matrix, combined into mixed-radix codes, then
-    one shared bincount.  Codes stay in the dtype of cells_t (int32 when the
-    code space fits, chosen by the caller)."""
+def _off_tables(cells_t, plan: _Plan, lo: int, hi: int, members: int) -> np.ndarray:
+    """Which tuple tables of counted subsets [lo, hi) are off, as a (members,
+    hi - lo) bool array.  The transposed (k x rows) cells hold `members` equal
+    members one after another; per-position row gathers make mixed-radix
+    codes in the dtype of cells_t, with the member index as the leading
+    coordinate, and one bincount counts them."""
     dtype = cells_t.dtype
+    starts = plan.offsets[lo:hi] - plan.offsets[lo]
+    space = int(plan.offsets[hi] - plan.offsets[lo])
     shape = (hi - lo, cells_t.shape[1])
     codes = np.empty(shape, dtype=dtype)
     tmp = np.empty(shape, dtype=dtype)
-    np.take(cells_t, cols[lo:hi, 0], axis=0, out=codes)
-    codes *= wpos[lo:hi, 0, None].astype(dtype)
-    for p in range(1, cols.shape[1]):
-        np.take(cells_t, cols[lo:hi, p], axis=0, out=tmp)
-        tmp *= wpos[lo:hi, p, None].astype(dtype)
+    np.take(cells_t, plan.cols[lo:hi, 0], axis=0, out=codes)
+    codes *= plan.wpos[lo:hi, 0, None].astype(dtype)
+    for p in range(1, plan.cols.shape[1]):
+        np.take(cells_t, plan.cols[lo:hi, p], axis=0, out=tmp)
+        tmp *= plan.wpos[lo:hi, p, None].astype(dtype)
         codes += tmp
-    codes += (offsets[lo:hi] - offsets[lo])[:, None].astype(dtype)
-    return np.bincount(codes.reshape(-1), minlength=int(offsets[hi] - offsets[lo]))
+    codes += starts[:, None].astype(dtype)
+    if members > 1:
+        codes += np.repeat(np.arange(0, members * space, space, dtype=dtype),
+                           shape[1] // members)
+    counts = np.bincount(codes.reshape(-1), minlength=members * space)
+    expected = np.repeat(plan.lams[lo:hi], plan.offsets[lo + 1:hi + 1] - plan.offsets[lo:hi])
+    off = counts.reshape(members, space) != expected
+    if not off.any():  # the usual case: skip the per-table reduction
+        return np.zeros((members, hi - lo), dtype=bool)
+    return np.logical_or.reduceat(off, starts, axis=1)
+
+
+def _off_chunks(cells: np.ndarray, plan: _Plan, threads: int):
+    """Count stacked (M, N, k) cells in chunks of members and of counted
+    subsets, sized so each code buffer stays cache-friendly.  Yields, in
+    order, (first member, first subset, off) with `off` the (members,
+    subsets) array of the tables that are off.  With threads, a few subset
+    chunks of one member chunk are counted ahead of the consumer."""
+    m, n, k = cells.shape
+    total = len(plan.counted)
+    step = max(1, min(total, CHUNK_TARGET_CELLS // max(n, 1)))
+    per = max(1, CHUNK_TARGET_CELLS // max(1, n * step))
+    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    # a chunk's codes stay below max(CHUNK_TARGET_CELLS, N): each counted
+    # table has at most N slots
+    dtype = np.int32 if max(CHUNK_TARGET_CELLS, n) < 1 << 31 else np.int64
+    for first in range(0, m, per):
+        block = cells[first:first + per]
+        cells_t = np.ascontiguousarray(block.reshape(-1, k).T, dtype=dtype)
+
+        def run(r):
+            return _off_tables(cells_t, plan, *r, len(block))
+
+        with closing(_in_order(run, ranges, threads)) as offs:
+            for (lo, _), off in zip(ranges, offs):
+                yield first, lo, off
 
 
 def _subset_failures(a: SymbolMatrix, sub: tuple[int, ...]) -> list[StrengthFailure]:
-    levels = a.profile.levels
-    space = prod(levels[j] for j in sub)
+    shape = [a.profile.levels[j] for j in sub]
+    space = prod(shape)
     expected = Fraction(a.n, space)
     if a.n % space:
         return [StrengthFailure(sub, "non-integer-index", None, None, expected)]
-    w = np.empty(len(sub), dtype=np.int64)
-    acc = 1
-    for i in range(len(sub) - 1, -1, -1):
-        w[i] = acc
-        acc *= levels[sub[i]]
-    codes = a.cells[:, sub].astype(np.int64) @ w
-    counts = np.bincount(codes, minlength=space)
-    out = []
-    lam = a.n // space
-    for code in np.nonzero(counts != lam)[0]:
-        symbols = []
-        c = int(code)
-        for j in reversed(sub):
-            symbols.append(c % levels[j])
-            c //= levels[j]
-        out.append(
-            StrengthFailure(sub, "count-imbalance", tuple(reversed(symbols)),
-                            int(counts[code]), expected)
-        )
-    return out
+    counts = np.bincount(np.ravel_multi_index(a.cells[:, sub].T, shape), minlength=space)
+    bad = np.flatnonzero(counts != a.n // space)
+    return [StrengthFailure(sub, "count-imbalance", tuple(symbols), int(counts[code]), expected)
+            for code, symbols in zip(bad, np.transpose(np.unravel_index(bad, shape)).tolist())]
 
 
 def verify_strength(
@@ -362,49 +425,37 @@ def verify_strength(
 
     t = 0 passes trivially.  Subsets whose level product does not divide N are
     reported as a structural non-integer-index failure, distinct from count
-    imbalance.  The budget counts N * (number of subsets) elementary counting
-    operations.
+    imbalance, and are not counted.  The budget counts N * (number of
+    subsets) elementary counting operations.
     """
     if not 0 <= t <= a.k:
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
     if t == 0:
         return StrengthReport(t=0, lambda_by_subset={(): Fraction(a.n)}, checked_subsets=0)
-    levels = a.profile.levels
-    subsets, cols, wpos, prods, offsets = _strength_plan(levels, t)
-    if budget is not None and a.n * len(subsets) > budget:
+    plan = _strength_plan(a.profile.levels, t, a.n)
+    if budget is not None and a.n * len(plan.subsets) > budget:
         raise BudgetExceededError(
-            f"strength check needs {a.n * len(subsets)} counting ops, budget {budget}"
+            f"strength check needs {a.n * len(plan.subsets)} counting ops, budget {budget}"
         )
-    lams = _lambdas(prods, a.n)
-    code_dtype = np.int32 if int(offsets[-1]) < (1 << 31) else np.int64
-    cells_t = np.ascontiguousarray(a.cells.T, dtype=code_dtype)
 
-    # chunk subsets so each code buffer stays cache-friendly
-    chunk = max(1, min(len(subsets), CHUNK_TARGET_CELLS // max(a.n, 1)))
-    bounds = list(range(0, len(subsets), chunk))
-    ranges = [(lo, min(lo + chunk, len(subsets))) for lo in bounds]
-
-    def run(r):
-        return _count_chunk(cells_t, cols, wpos, offsets, *r)
+    def off_counted(chunks):  # the counted subsets whose table is off, in order
+        for _, lo, off in chunks:
+            if off.any():
+                yield from plan.counted[lo + np.flatnonzero(off[0])].tolist()
 
     report = StrengthReport(
         t=t,
-        checked_subsets=len(subsets),
-        _lazy_lambda=(subsets, prods, a.n),
+        checked_subsets=len(plan.subsets),
+        _lazy_lambda=(plan.subsets, plan.prods, a.n),
     )
-    # each chunk is compared as soon as it is counted; with threads only a
-    # few chunks are counted ahead, and a fail-fast return stops the rest
-    with closing(_in_order(run, ranges, threads)) as counted:
-        for (lo, hi), counts in zip(ranges, counted):
-            if np.array_equal(counts, np.repeat(lams[lo:hi], prods[lo:hi])):
-                continue
-            for s in range(lo, hi):
-                seg = counts[offsets[s] - offsets[lo]: offsets[s + 1] - offsets[lo]]
-                if lams[s] >= 0 and np.all(seg == lams[s]):
-                    continue
-                report.failures.extend(_subset_failures(a, subsets[s]))
-                if fail_fast:
-                    return report
+    # each chunk is compared as soon as it is counted, and a fail-fast return
+    # stops the rest
+    with closing(_off_chunks(a.cells[None], plan, threads)) as chunks:
+        failing = off_counted(chunks)
+        for s in heapq.merge(plan.uncounted, failing) if plan.uncounted else failing:
+            report.failures.extend(_subset_failures(a, plan.subsets[s]))
+            if fail_fast:
+                break
     return report
 
 
@@ -471,16 +522,18 @@ def brute_force_strength(a: SymbolMatrix, t: int, budget: int = 10**8) -> Streng
 
 def verify_simple(a: SymbolMatrix) -> tuple[bool, tuple[int, int] | None]:
     """True iff all rows are distinct; otherwise also the first duplicate row
-    pair (original indices, sorted)."""
-    if a.n <= 1:
-        return True, None
+    pair in lexicographic row order (original indices, sorted), that is, a
+    pair holding the smallest repeated row.  Rows are compared in sorted
+    blocks, so no copy of the whole matrix is made."""
     order = np.lexsort(a.cells.T[::-1])
-    sorted_cells = a.cells[order]
-    dup = np.nonzero((sorted_cells[1:] == sorted_cells[:-1]).all(axis=1))[0]
-    if dup.size == 0:
-        return True, None
-    i, j = int(order[dup[0]]), int(order[dup[0] + 1])
-    return False, (min(i, j), max(i, j))
+    step = max(2, CHUNK_TARGET_CELLS // max(a.k, 1))
+    for lo in range(0, a.n - 1, step - 1):  # blocks overlap by one row
+        block = a.cells[order[lo:lo + step]]
+        same = np.flatnonzero((block[1:] == block[:-1]).all(axis=1))
+        if same.size:
+            i, j = sorted(order[lo + same[0]:lo + same[0] + 2].tolist())
+            return False, (i, j)
+    return True, None
 
 
 def row_weights(profile: LevelProfile) -> np.ndarray | None:
@@ -488,12 +541,7 @@ def row_weights(profile: LevelProfile) -> np.ndarray | None:
     [0, universe_size); None when the universe exceeds int64."""
     if profile.universe_size >= 1 << 62:
         return None
-    w = np.empty(profile.k, dtype=np.int64)
-    acc = 1
-    for j in range(profile.k - 1, -1, -1):
-        w[j] = acc
-        acc *= profile.levels[j]
-    return w
+    return np.array([prod(profile.levels[j + 1:]) for j in range(profile.k)], dtype=np.int64)
 
 
 @dataclass
@@ -536,60 +584,66 @@ def verify_large_set(
 ) -> LargeSetReport:
     """Check the three large-set properties: every member a simple OA of
     strength t, M * N = universe, and the union of all rows repeat-free
-    (hence the full factorial)."""
+    (hence the full factorial).  One occupancy pass over all M * N rows comes
+    first: with no repeated row every member is simple and the members are
+    disjoint, so verify_simple runs per member only to name the members that
+    hold a repeat.  Strength is then counted over chunks of stacked members."""
     if not 0 <= t <= ls.profile.k:
         raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
     universe = ls.profile.universe_size
-    report = LargeSetReport(m=ls.m, n=ls.n, universe=universe, t=t)
-    report.count_ok = ls.m * ls.n == universe
-
-    levels = ls.profile.levels
+    report = LargeSetReport(m=ls.m, n=ls.n, universe=universe, t=t,
+                            count_ok=ls.m * ls.n == universe)
     if t > 0:
-        subsets, cols, wpos, prods, offsets = _strength_plan(levels, t)
-        if budget is not None and ls.m * ls.n * len(subsets) > budget:
+        plan = _strength_plan(ls.profile.levels, t, ls.n)
+        if budget is not None and ls.m * ls.n * len(plan.subsets) > budget:
             raise BudgetExceededError(
-                f"large-set check needs {ls.m * ls.n * len(subsets)} counting ops,"
+                f"large-set check needs {ls.m * ls.n * len(plan.subsets)} counting ops,"
                 f" budget {budget}"
             )
-        expected = np.repeat(_lambdas(prods, ls.n), prods)
-        code_dtype = np.int32 if int(offsets[-1]) < (1 << 31) else np.int64
-    for idx, member in enumerate(ls.members):
-        if t > 0:
-            member_t = np.ascontiguousarray(member.cells.T, dtype=code_dtype)
-            counts = _count_chunk(member_t, cols, wpos, offsets, 0, len(subsets))
-            if not np.array_equal(counts, expected):
-                report.member_problems.append((idx, "strength"))
-                if report.first_bad_report is None:
-                    report.first_bad_report = verify_strength(member, t, threads=threads)
-        simple, _ = verify_simple(member)
-        if not simple:
+    report.collision = _smallest_repeat(ls)
+    report.disjoint_ok = report.collision is None
+    weak = np.zeros(ls.m, dtype=bool)
+    if t > 0 and plan.uncounted:  # a non-integer index fails every member uncounted
+        weak[:] = True
+    elif t > 0:
+        for first, _, off in _off_chunks(ls.cells, plan, threads):
+            weak[first:first + len(off)] |= off.any(axis=1)
+    simple = np.ones(ls.m, dtype=bool) if report.disjoint_ok else \
+        np.array([verify_simple(m)[0] for m in ls.members])
+    for idx in np.flatnonzero(weak | ~simple).tolist():
+        if weak[idx]:
+            report.member_problems.append((idx, "strength"))
+        if not simple[idx]:
             report.member_problems.append((idx, "simple"))
-
-    w = row_weights(ls.profile)
-    if w is not None and universe <= OCCUPANCY_LIMIT:
-        occupancy = np.zeros(universe, dtype=np.int32)
-        for member in ls.members:
-            codes = member.cells.astype(np.int64) @ w
-            occupancy[codes] += 1
-        if occupancy.max(initial=0) > 1:
-            report.disjoint_ok = False
-            code = int(np.nonzero(occupancy > 1)[0][0])
-            sym = []
-            for j in range(ls.profile.k - 1, -1, -1):
-                sym.append(code % levels[j])
-                code //= levels[j]
-            report.collision = tuple(reversed(sym))
-    else:
-        seen: set[bytes] = set()
-        for member in ls.members:
-            for row in member.cells:
-                key = row.tobytes()
-                if key in seen:
-                    report.disjoint_ok = False
-                    report.collision = tuple(int(x) for x in row)
-                    return report
-                seen.add(key)
+    if weak.any():
+        report.first_bad_report = verify_strength(ls.members[np.argmax(weak)], t, threads=threads)
     return report
+
+
+def _smallest_repeat(ls: LargeSet) -> tuple[int, ...] | None:
+    """The smallest row that occurs more than once among all M * N rows, or
+    None.  Row codes, computed in chunks, are counted in a bincount bitmap up
+    to OCCUPANCY_LIMIT and sorted above it; rows whose codes would not fit in
+    int64 are lexsorted instead, by verify_simple."""
+    levels, universe = ls.profile.levels, ls.profile.universe_size
+    rows = ls.cells.reshape(-1, len(levels))
+    if row_weights(ls.profile) is None:
+        simple, pair = verify_simple(SymbolMatrix._trusted(ls.profile, rows, None))
+        return None if simple else tuple(rows[pair[0]].tolist())
+    step = max(1, CHUNK_TARGET_CELLS // len(levels))
+    codes = np.empty(len(rows), dtype=np.int32 if universe <= 1 << 31 else np.int64)
+    for lo in range(0, len(rows), step):
+        out = codes[lo:lo + step]
+        out[:] = rows[lo:lo + step, 0]
+        for j in range(1, len(levels)):
+            out *= levels[j]
+            out += rows[lo:lo + step, j]
+    if universe <= OCCUPANCY_LIMIT:
+        repeats = np.flatnonzero(np.bincount(codes, minlength=universe) > 1)
+    else:
+        codes.sort()
+        repeats = codes[1:][codes[1:] == codes[:-1]]
+    return tuple(int(x) for x in np.unravel_index(repeats[0], levels)) if repeats.size else None
 
 
 # -- projections and indices ---------------------------------------------------

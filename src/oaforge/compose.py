@@ -23,7 +23,7 @@ from .arrays import (
     verify_large_set,
     verify_strength,
 )
-from .errors import ConstraintError, VerificationError
+from .errors import ConstraintError, SizeCapError, VerificationError
 from .expand import ResolvableProjection, check_resolvable_projection, expand_shift
 from .gf import prime_power
 
@@ -43,7 +43,7 @@ def cosets_strength1(profile: LevelProfile) -> LargeSet:
         n = lcm(n, s)
     universe = profile.universe_size
     if universe * profile.k > MAX_MATERIALIZED:
-        raise ValueError(f"universe {universe} too large to materialize")
+        raise SizeCapError(f"universe {universe} too large to materialize")
     base = np.empty((n, profile.k), dtype=np.int64)
     for j, s in enumerate(levels):
         base[:, j] = np.arange(n) % s
@@ -79,7 +79,7 @@ def zero_sum_oa(s: int, t: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     if s < 2 or t < 1:
         raise ValueError("need s >= 2 and t >= 1")
     if s**t > MAX_MATERIALIZED:
-        raise ValueError(f"s^t = {s**t} too large to materialize")
+        raise SizeCapError(f"s^t = {s**t} too large to materialize")
     x = np.indices((s,) * t).reshape(t, -1).T
     last = (-x.sum(axis=1)) % s
     cells = np.hstack([x, last[:, None]])
@@ -103,28 +103,25 @@ def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
     relabeled to a1..a1+b1-1; the tails (columns 1..k-1) must agree and
     N1/a1 = N2/b1.  Output verified at the common strength."""
     if l1.profile.levels[1:] != l2.profile.levels[1:]:
-        raise ValueError(
+        raise ConstraintError(
             f"profiles differ beyond column 0: {l1.profile.format()} vs"
             f" {l2.profile.format()}"
         )
     a1 = l1.profile.levels[0]
     b1 = l2.profile.levels[0]
     if l1.n * b1 != l2.n * a1:
-        raise ValueError(
+        raise ConstraintError(
             f"run/level ratio mismatch: {l1.n}/{a1} != {l2.n}/{b1}"
         )
     if l1.m != l2.m:
-        raise ValueError(f"member counts differ: {l1.m} != {l2.m}")
+        raise ConstraintError(f"member counts differ: {l1.m} != {l2.m}")
     if l1.t is None or l2.t is None:
-        raise ValueError("both large sets need a claimed strength")
+        raise ConstraintError("both large sets need a claimed strength")
     t = min(l1.t, l2.t)
     profile = LevelProfile((a1 + b1,) + l1.profile.levels[1:])
-    members = []
-    for m1, m2 in zip(l1.members, l2.members):
-        shifted = m2.cells.copy()
-        shifted[:, 0] += a1
-        members.append(SymbolMatrix(profile, np.vstack([m1.cells, shifted]), t=t))
-    ls = LargeSet(profile, members, t=t)
+    cells = np.concatenate([l1.cells, l2.cells], axis=1)
+    cells[:, l1.n:, 0] += a1
+    ls = LargeSet._stacked(profile, cells, (t,) * l1.m, t)
     report = verify_large_set(ls, t)
     if not report.ok:
         raise VerificationError("juxtaposed large set failed verification", report)
@@ -158,11 +155,11 @@ def kronecker(
     t = l1.t + l2.t + 1
     n_out = h * l1.n * l2.n
     if n_out * (l1.profile.k + l2.profile.k) > MAX_MATERIALIZED * 8:
-        raise ValueError(f"output with {n_out} rows too large to materialize")
+        raise SizeCapError(f"output with {n_out} rows too large to materialize")
     blocks = []
     for s in range(h):
-        a = l1.members[s % m1].cells
-        b = l2.members[s % m2].cells
+        a = l1.cells[s % m1]
+        b = l2.cells[s % m2]
         left = np.repeat(a, b.shape[0], axis=0)
         right = np.tile(b, (a.shape[0], 1))
         blocks.append(np.hstack([left, right]))

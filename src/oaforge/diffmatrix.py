@@ -21,6 +21,7 @@ from .errors import (
     ConstraintError,
     DMUnavailableError,
     ParseError,
+    SizeCapError,
     VerificationError,
 )
 from .expand import ResolvableProjection, check_resolvable_projection
@@ -248,7 +249,7 @@ def search_dm(
     budget runs out first.
     """
     if v * k > SEARCH_SIZE_CAP:
-        raise ValueError(f"v*k = {v * k} exceeds search cap {SEARCH_SIZE_CAP}")
+        raise SizeCapError(f"v*k = {v * k} exceeds search cap {SEARCH_SIZE_CAP}")
     grp = group if group is not None else AbelianGroup((v,))
     if grp.order != v:
         raise ConstraintError(f"group order {grp.order} != v = {v}")

@@ -18,6 +18,11 @@ class BudgetExceededError(OAForgeError):
     """An enumeration or search exceeded its operation/node budget."""
 
 
+class SizeCapError(BudgetExceededError, ValueError):
+    """An input would build more than a fixed size cap allows; raised before
+    anything is built.  Also a ValueError, the type these caps raised first."""
+
+
 class VerificationError(OAForgeError):
     """A constructed artifact failed its mandatory self-verification.
 

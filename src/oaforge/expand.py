@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from .arrays import LargeSet, SymbolMatrix, verify_strength
-from .errors import BudgetExceededError, VerificationError
+from .errors import BudgetExceededError, SizeCapError, VerificationError
 
 SUBSET_SEARCH_CAP = 10**6
 MAX_MEMBER_CELLS = 1 << 27  # cap on total cells materialized by an expansion
@@ -87,25 +87,23 @@ def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
     if not ok:
         raise VerificationError(f"projection {proj.columns} is not resolvable: {why}")
     complement = [j for j in range(a.k) if j not in set(proj.columns)]
-    comp_levels = [a.profile.levels[j] for j in complement]
-    total_cells = prod(comp_levels) * a.n * a.k
-    if total_cells > MAX_MEMBER_CELLS:
-        raise ValueError(
-            f"expansion would materialize {total_cells} cells"
+    m = prod(a.profile.levels[j] for j in complement)
+    if m * a.n * a.k > MAX_MEMBER_CELLS:
+        raise SizeCapError(
+            f"expansion would materialize {m * a.n * a.k} cells"
             f" (cap {MAX_MEMBER_CELLS}); project to fewer columns first"
         )
-    members = []
-    if complement:
-        deltas = np.indices(comp_levels).reshape(len(complement), -1).T
-    else:
-        deltas = np.zeros((1, 0), dtype=np.int64)
-    lv = np.asarray(comp_levels, dtype=np.int32)
-    for delta in deltas:
-        cells = a.cells.copy()
-        if complement:
-            cells[:, complement] = (cells[:, complement] + delta.astype(np.int32)) % lv
-        members.append(SymbolMatrix(a.profile, cells, a.t))
-    return LargeSet(a.profile, members, a.t)
+    cells = np.empty((m, a.n, a.k), dtype=np.int32)
+    cells[:] = a.cells
+    member = np.arange(m, dtype=np.int32)
+    stride = m
+    for j in complement:  # member i's shift vector is i in mixed radix
+        s = a.profile.levels[j]
+        stride //= s
+        column = cells[:, :, j]
+        column += (member // stride % s)[:, None]
+        column %= s
+    return LargeSet._stacked(a.profile, cells, (a.t,) * m, a.t)
 
 
 def expand_full_strength(a: SymbolMatrix) -> LargeSet:

@@ -147,46 +147,46 @@ def _encode_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[keep], np.count_nonzero(keep.reshape(n, -1), axis=1)
 
 
-def _fast_rows(lines: _Lines, n: int, profile: LevelProfile, count: int = 1):
-    """The rows of `count` blocks of n rows from lines.pos on, as one
-    (count * n, k) int32 array parsed in one vectorised pass, or None
+def _fast_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> bool:
+    """Fill `out`, a (count, n, k) int32 array, with the rows of count blocks
+    of n rows from lines.pos on, parsed in one vectorised pass.  False
     (lines.pos unmoved) unless the text is exactly what the writer emits for
     them.  Blocks after the first must each follow one blank line and a copy
     of the header line before lines.pos."""
+    count = len(out)
     first, step = lines.pos, n + 2
     starts = range(first, first + count * step, step)
     end = starts[-1] + n  # the line after the last row, which must end in LF
     if end >= len(lines):
-        return None
+        return False
     header = lines.raw(first - 1)
     if any(lines.raw(s - 2) or lines.raw(s - 1) != header for s in starts[1:]):
-        return None
+        return False
     body = np.frombuffer(b"".join([lines.span(s, n) for s in starts]), dtype=np.uint8)
     ends = np.flatnonzero(body <= ord(" "))  # the space or LF after each symbol
-    if len(ends) != count * n * profile.k:
-        return None
+    if len(ends) != out.size:
+        return False
     begins = np.concatenate(([0], ends + 1))[:-1]
     width = ends - begins
     if width.size and not 1 <= width.min() <= width.max() <= 10:
-        return None
+        return False
     cells = body[begins].astype(np.int64) - ord("0")
     for j in range(1, int(width.max(initial=0))):
         more = width > j
         cells[more] = cells[more] * 10 + body[begins[more] + j] - ord("0")
     cells = cells.reshape(-1, profile.k)
     if ((cells < 0) | (cells >= np.array(profile.levels))).any():
-        return None
-    cells = cells.astype(np.int32)
-    if not np.array_equal(_encode_rows(cells)[0], body):
-        return None
+        return False
+    out[...] = cells.reshape(out.shape)
+    if not np.array_equal(_encode_rows(out.reshape(-1, profile.k))[0], body):
+        return False
     lines.pos = end
-    return cells
+    return True
 
 
-def _slow_rows(lines: _Lines, n: int, profile: LevelProfile) -> np.ndarray:
-    """The next n rows, read line by line with a ParseError for the first bad
-    one."""
-    rows = np.empty((n, profile.k), dtype=np.int32)
+def _slow_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> None:
+    """Fill `out` (n x k) with the next n rows, read line by line with a
+    ParseError for the first bad one."""
     for i in range(n):
         item = lines.next_content()
         if item is None:
@@ -207,43 +207,42 @@ def _slow_rows(lines: _Lines, n: int, profile: LevelProfile) -> np.ndarray:
                     f"symbol {v} out of range [0, {profile.levels[j]}) in column {j}",
                     lineno,
                 )
-            rows[i, j] = v
-    return rows
+            out[i, j] = v
 
 
-def _rows(lines: _Lines, n: int, profile: LevelProfile) -> np.ndarray:
-    rows = _fast_rows(lines, n, profile)
-    return _slow_rows(lines, n, profile) if rows is None else rows
-
-
-def _parse_members(lines: _Lines, m: int) -> list[SymbolMatrix]:
-    """The M blocks of an LOA file.  Runs of members are tried on the fast
-    path together until one run fails; then each member goes alone."""
-    members: list[SymbolMatrix] = []
+def _parse_blocks(lines: _Lines, m: int) -> tuple[LevelProfile, np.ndarray, list[int]]:
+    """The next m OA blocks as (profile, one (m, N, k) array, each block's t).
+    Runs of blocks are tried on the fast path together until one run fails;
+    then each block goes alone."""
+    n, t, profile, _ = _parse_oa_header(lines)
+    k = profile.k
+    # every symbol takes a byte, so the file holds fewer than `fit` blocks
+    fit = len(lines.data) // (n * k) + 1 if n else m
+    cells = np.empty((min(m, fit), n, k), dtype=np.int32)
+    member_t: list[int] = []
     runs = True
-    while len(members) < m:
-        if members and not lines.peek_is_blank_separator():
-            raise ParseError(
-                f"expected a blank line before member {len(members) + 1}", lines.pos + 1
-            )
-        n, t, profile, lineno = _parse_oa_header(lines)
-        if members and (n, profile) != (members[0].n, members[0].profile):
-            raise ParseError(
-                f"member {len(members)} has N={n} levels={profile.format()},"
-                f" member 0 has N={members[0].n} levels={members[0].profile.format()}",
-                lineno,
-            )
-        count = min(m - len(members), max(1, CHUNK_CELLS // max(1, n * profile.k)))
-        rows = None
-        if runs and count > 1:
-            rows = _fast_rows(lines, n, profile, count)
-            runs = rows is not None
-        if rows is None:
-            count = 1
-            rows = _rows(lines, n, profile)
-        members.extend(SymbolMatrix(profile, r, t)
-                       for r in rows.reshape(count, n, profile.k))
-    return members
+    while len(member_t) < m:
+        i = len(member_t)
+        if i:
+            if not lines.peek_is_blank_separator():
+                raise ParseError(f"expected a blank line before member {i + 1}",
+                                 lines.pos + 1)
+            n_i, t, profile_i, lineno = _parse_oa_header(lines)
+            if (n_i, profile_i) != (n, profile):
+                raise ParseError(
+                    f"member {i} has N={n_i} levels={profile_i.format()},"
+                    f" member 0 has N={n} levels={profile.format()}",
+                    lineno,
+                )
+        block = cells[i:i + max(1, CHUNK_CELLS // max(1, n * k))]
+        if runs and len(block) > 1:
+            runs = _fast_rows(lines, n, profile, block)
+        if not runs or len(block) == 1:
+            block = block[:1]
+            if not _fast_rows(lines, n, profile, block):
+                _slow_rows(lines, n, profile, block[0])
+        member_t += [t] * len(block)
+    return profile, cells, member_t
 
 
 def _load(data: bytes) -> SymbolMatrix | LargeSet:
@@ -255,8 +254,8 @@ def _load(data: bytes) -> SymbolMatrix | LargeSet:
     tag = header.split()[0]
     if tag == "OA":
         lines.pos = lineno - 1
-        n, t, profile, _ = _parse_oa_header(lines)
-        obj = SymbolMatrix(profile, _rows(lines, n, profile), t)
+        profile, cells, (t,) = _parse_blocks(lines, 1)
+        obj = SymbolMatrix._trusted(profile, cells[0], t)
     elif tag == "LOA":
         kv = _parse_kv(header, lineno, "LOA", ["M"])
         try:
@@ -265,8 +264,8 @@ def _load(data: bytes) -> SymbolMatrix | LargeSet:
             raise ParseError(f"malformed header: {exc}", lineno) from None
         if m < 1:
             raise ParseError("M must be >= 1", lineno)
-        members = _parse_members(lines, m)
-        obj = LargeSet(members[0].profile, members, min(mm.t for mm in members))
+        profile, cells, member_t = _parse_blocks(lines, m)
+        obj = LargeSet._stacked(profile, cells, member_t, min(member_t))
     else:
         raise ParseError(f"unknown header tag {tag!r}", lineno)
     extra = lines.next_content()
@@ -283,27 +282,27 @@ def _write(obj: SymbolMatrix | LargeSet, out) -> None:
     """Write obj's text to the binary stream `out`, encoding up to
     CHUNK_CELLS symbols at once."""
     if isinstance(obj, SymbolMatrix):
-        blocks = (obj,)
+        cells, member_t = obj.cells[None], (obj.t,)
     elif isinstance(obj, LargeSet):
-        blocks = obj.members
+        cells, member_t = obj.cells, obj.member_t
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if any(a.t is None for a in blocks):
+    if None in member_t:
         raise ValueError("array has no claimed strength; set t before writing")
     if isinstance(obj, LargeSet):
         out.write(f"LOA M={obj.m}\n".encode())
     levels = obj.profile.format()
-    n, k = blocks[0].cells.shape
+    m, n, k = cells.shape
     step = max(1, CHUNK_CELLS // max(1, n * k))
-    for lo in range(0, len(blocks), step):
-        chunk = blocks[lo:lo + step]
-        text, row_len = _encode_rows(np.concatenate([a.cells for a in chunk]))
+    for lo in range(0, m, step):
+        block = cells[lo:lo + step]
+        text, row_len = _encode_rows(block.reshape(-1, k))
         view = memoryview(text)
         start = 0
-        for i, size in enumerate(row_len.reshape(len(chunk), n).sum(axis=1).tolist()):
+        for i, size in enumerate(row_len.reshape(len(block), n).sum(axis=1).tolist()):
             if lo + i:
                 out.write(b"\n")
-            out.write(f"OA N={n} t={chunk[i].t} levels={levels}\n".encode())
+            out.write(f"OA N={n} t={member_t[lo + i]} levels={levels}\n".encode())
             out.write(view[start:start + size])
             start += size
 

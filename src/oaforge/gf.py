@@ -30,20 +30,26 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Factor q as p^e with p prime, or raise ValueError."""
+    """Factor q as p^e with p prime, or raise ValueError.  The smallest
+    factor p is found by trial division up to sqrt(q); none there means q is
+    prime."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
+    p = 2
+    while p * p <= q:
         if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+            break
+        p += 1
+    else:
+        return q, 1
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def parse_order(text: str) -> tuple[int, int]:

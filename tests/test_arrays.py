@@ -121,6 +121,19 @@ def test_verify_simple():
     assert np.array_equal(doubled.cells[i], doubled.cells[j])
 
 
+@pytest.mark.parametrize("target", [1, 6, 9, 1 << 16])
+def test_verify_simple_names_the_smallest_repeat_in_any_block(monkeypatch, target):
+    import oaforge.arrays as arrays_mod
+
+    monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", target)
+    ff = full_factorial(LevelProfile([2, 2, 2])).cells
+    for first in range(7):
+        for second in range(first + 1, 8):
+            cells = np.vstack([ff[::-1], ff[[second, first]]])
+            ok, pair = verify_simple(SymbolMatrix(LevelProfile([2, 2, 2]), cells))
+            assert not ok and pair == (7 - first, 9)
+
+
 def test_fixture_simple():
     a, _ = load_fixture("oa40_5e1_2e6")
     ok, _ = verify_simple(a)
@@ -390,3 +403,30 @@ def test_kernel_reports_do_not_depend_on_chunking(monkeypatch, name, t, mutant, 
                 assert report.failures == want
                 assert report.checked_subsets == oracle.checked_subsets
                 assert report.lambda_by_subset == oracle.lambda_by_subset
+
+
+def test_non_integer_index_subsets_get_no_count_table():
+    """9 rows over 300 levels: no pair's 90000 tuples divide N, so every pair
+    fails without a count, in verify_strength and in the large-set count,
+    and no 300^2 table is allocated."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    profile = LevelProfile([300] * 5)
+    members = [SymbolMatrix(profile, rng.integers(0, 300, size=(9, 5)), t=2)
+               for _ in range(2)]
+    a, ls = members[0], LargeSet(profile, members, t=2)
+    oracle = brute_force_strength(a, 2)
+    want = sorted(oracle.failures, key=lambda f: f.columns[::-1])
+    tracemalloc.start()
+    try:
+        report = verify_strength(a, 2)
+        large = verify_large_set(ls, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert report.failures == want and len(want) == 10
+    assert all(f.kind == "non-integer-index" for f in want)
+    assert large.member_problems == [(0, "strength"), (1, "strength")]
+    assert large.first_bad_report.failures == want

@@ -253,37 +253,52 @@ def test_global_flags_accepted_after_subcommand(capsys):
     assert code == 1 and "budget exhausted" in out
 
 
-@pytest.mark.parametrize("argv", [
-    "construct q4t3 --q 3 --k 11",
-    "construct q4t3 --q 2 --k 5",
-    "construct projective --q 3 --n 1 --k 3",
-    "construct projective --q 3 --n 3 --k 2",
-    "construct bush --q 3 --t 5 --k 4",
-    "construct sylvester2 --n 1 --k 1",
-    "construct chai1 --v 6",
-    "search dm --v 4 --k 4 --group Z2xQ",
-    "search dm --v 4 --k 4 --group Z2xZ3",
-    "verify oa {oa} --strength 99",
-    "verify loa {loa} --strength 99",
-    "oracle {oa} --strength 99",
-    "--threads 0 verify oa {oa}",
-    "verify oa {oa} --threads 0",
-    "--budget -5 verify oa {oa}",
-    "verify oa {oa} --budget -5",
-])
-def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv):
+# each row exits with the code given: 2 for a usage error, with one "error:"
+# line on standard error; 1 for a size cap, with one line on standard output
+CLI_ERRORS = [
+    ("construct q4t3 --q 3 --k 11", 2),
+    ("construct q4t3 --q 2 --k 5", 2),
+    ("construct projective --q 3 --n 1 --k 3", 2),
+    ("construct projective --q 3 --n 3 --k 2", 2),
+    ("construct bush --q 3 --t 5 --k 4", 2),
+    ("construct sylvester2 --n 1 --k 1", 2),
+    ("construct chai1 --v 6", 2),
+    ("search dm --v 4 --k 4 --group Z2xQ", 2),
+    ("search dm --v 4 --k 4 --group Z2xZ3", 2),
+    ("verify oa {oa} --strength 99", 2),
+    ("verify loa {loa} --strength 99", 2),
+    ("oracle {oa} --strength 99", 2),
+    ("--threads 0 verify oa {oa}", 2),
+    ("verify oa {oa} --threads 0", 2),
+    ("--budget -5 verify oa {oa}", 2),
+    ("verify oa {oa} --budget -5", 2),
+    ("compose juxtapose {loa} {loa4} -o {out}", 2),
+    ("construct chai1 --v 7 --expand", 1),
+    ("search dm --v 60 --k 4", 1),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", [pytest.param(a, c, id=a) for a, c in CLI_ERRORS])
+def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv, exit_code):
     loa = tmp_path / "l5.loa"  # a 5-column large set
     write_array(expand_shift(*sylvester_oa2(3, 5)), loa)
+    loa4 = tmp_path / "l4.loa"  # and a 4-column one
+    write_array(expand_shift(*sylvester_oa2(3, 4)), loa4)
     oa = fixture_dir() / "oa54_3e5_2e1.txt"
+    out = tmp_path / "out.loa"
     try:
-        code = main([arg.format(oa=oa, loa=loa) for arg in argv.split()])
+        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, out=out) for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
-    assert "Traceback" not in captured.err
+    assert code == exit_code
+    if exit_code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    else:
+        assert captured.err == "" and len(captured.out.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, label", [

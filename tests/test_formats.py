@@ -318,6 +318,7 @@ def test_large_set_in_several_runs_matches_reference(monkeypatch):
     ("LOA M=2\nOA N=1 t=1 levels=2^2\n0 1\n\nOA N=1000000000000 t=1 levels=2^2\n0 1\n", 5),
     ("OA N=3 t=1 levels=2^100000\n0 1\n\n\n", 1),
     ("OA N=1 t=1 levels=3000000000^1\n5\n", 1),
+    ("LOA M=1000000000000\nOA N=1 t=1 levels=2^2\n0 1\n", 4),
 ])
 def test_header_sizes_checked_before_allocating(text, line):
     with pytest.raises(ParseError) as err:

@@ -1,5 +1,7 @@
 """Field arithmetic: canonical moduli, encodings, and exhaustive field laws."""
 
+import time
+
 import pytest
 
 from oaforge.gf import Field, field_of_order, find_irreducible, make_field, parse_order, prime_power
@@ -158,3 +160,39 @@ def test_parse_order():
 def test_order_cap():
     with pytest.raises(ValueError):
         Field(2, 13)
+
+
+def _prime_power_by_every_divisor(q):
+    """The first definition of prime_power: trial division by every p up to
+    q, kept as the reference."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            e = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                e += 1
+            if m != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
+
+
+def test_prime_power_agrees_with_trial_division_by_every_divisor():
+    for q in range(-2, 5000):
+        try:
+            want = _prime_power_by_every_divisor(q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                prime_power(q)
+        else:
+            assert prime_power(q) == want, q
+
+
+@pytest.mark.parametrize("q, factored", [(2**31 - 1, (2**31 - 1, 1)), (3**19, (3, 19))])
+def test_prime_power_stops_at_the_square_root(q, factored):
+    start = time.perf_counter()
+    assert prime_power(q) == factored
+    assert time.perf_counter() - start < 0.1
