@@ -654,12 +654,12 @@ def project_columns(a: SymbolMatrix, columns) -> SymbolMatrix:
     t is preserved whenever at least t columns remain."""
     columns = [int(c) for c in columns]
     if not columns:
-        raise ValueError("projection needs at least one column")
+        raise ConstraintError("projection needs at least one column")
     if len(set(columns)) != len(columns):
-        raise ValueError("projection columns must be distinct")
+        raise ConstraintError(f"projection columns {tuple(columns)} must be distinct")
     for c in columns:
         if not 0 <= c < a.k:
-            raise ValueError(f"column {c} out of range [0, {a.k})")
+            raise ConstraintError(f"column {c} out of range [0, {a.k})")
     profile = LevelProfile(a.profile.levels[c] for c in columns)
     t = None if a.t is None else min(a.t, len(columns))
     return SymbolMatrix(profile, a.cells[:, columns], t)

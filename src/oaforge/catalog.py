@@ -10,27 +10,33 @@ theorem.  Status values:
                    no reading is forced
   out-of-scope     declared out of scope for the artifact
 
-`run_entries` executes every synthesizable entry whose estimated counting
-cost fits the budget and reports one verdict per entry; nothing is accepted
-without verification.
+Each synthesizable entry's `runner` is a ConstructionPlan whose claim is the
+row's printed (or, for a family, one concrete) N, profile and strength.
+`run_entries` executes every one whose cost, the counting operations of the
+plan's final check, fits the budget and reports one verdict per entry;
+nothing is accepted without verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
-from .arrays import LevelProfile, verify_large_set
+from .arrays import LargeSet, LevelProfile
 from .compose import (
-    cosets_strength1,
+    Claim,
+    ConstructionPlan,
+    Expand,
+    Juxtapose,
+    Kronecker,
+    Project,
+    _counts,
     execute_plan,
-    juxtapose,
-    kronecker,
+    leaf,
     plan_theorem,
 )
 from .errors import VerificationError
-from .expand import expand_shift
-from .fixtures import fixture_loa
+from .fixtures import FIXTURES
 
 FIX = "$(python3 -c 'import oaforge.fixtures as f; print(f.fixture_dir())')"
 
@@ -43,8 +49,29 @@ class CatalogEntry:
     status: str
     command: str | None = None
     note: str = ""
-    runner: str | None = None
-    cost: int = 0
+    runner: ConstructionPlan | None = None
+
+    @property
+    def cost(self) -> int:
+        """Counting operations of the plan's final check, rows x C(k, t): rows
+        is N for an array and the universe for a large set."""
+        if self.runner is None:
+            return 0
+        claim = self.runner.claim
+        root = self.runner.root
+        large = isinstance(root, (Expand, Juxtapose)) or getattr(root, "kind", "") in (
+            "cosets", "fixture")
+        rows = prod(s**c for s, c in claim.profile_counts) if large else claim.n
+        return rows * comb(sum(c for _, c in claim.profile_counts), claim.t)
+
+
+def _claim(text: str) -> Claim:
+    """The claim printed as 'OA(N,profile,t)' or 'LOA(N,profile,t)', the
+    profile's groups separated by spaces or commas."""
+    head, _, t = text.rpartition(",")
+    n, _, profile = head.partition("(")[2].partition(",")
+    groups = LevelProfile.parse(profile.replace(" ", ",")).groups
+    return Claim(int(n), _counts(groups), int(t.rstrip(")")))
 
 
 # -- Table 1: expansions of externally catalogued arrays ------------------------
@@ -140,137 +167,132 @@ _T2 = (
     ("LOA(54,3^k 2^1,3)", "3<=k<=5", "oa54_3e5_2e1"),
 )
 
-_T2_COST = {
-    "oa20_2e8_5e1": 1280 * comb(9, 2),
-    "oa24_2e13_3e1_4e1": 98304 * comb(15, 2),
-    "oa28_2e12_7e1": 28672 * comb(13, 2),
-    "oa44_2e16_11e1": 720896 * comb(17, 2),
-    "oa40_5e1_2e6": 320 * comb(7, 3),
-    "oa48_4e1_3e1_2e4": 768 * comb(6, 3),
-    "oa48_3e1_2e9": 1536 * comb(10, 3),
-    "oa54_3e5_2e1": 486 * comb(6, 3),
-}
-
-_T2_MARKED = {
-    "oa20_2e8_5e1": "0,1,8",
-    "oa24_2e13_3e1_4e1": "12,13,14",
-    "oa28_2e12_7e1": "0,11,12",
-    "oa44_2e16_11e1": "0,11,16",
-    "oa40_5e1_2e6": "0,1,2,3",
-    "oa48_4e1_3e1_2e4": "0,1,2,3",
-    "oa48_3e1_2e9": "0,1,2,7,9",
-    "oa54_3e5_2e1": "0,1,2,5",
-}
-
 # -- Table 3: juxtapositions -----------------------------------------------------
-# (ingredients, condition, result, status, runner, cost, note)
+# (ingredients, condition, result, status, plan root, note); the claim is the result
 
 _T3 = (
     ("LOA(20,5^1 2^8,2) + LOA(28,7^1 2^8,2)", "20/5 = 28/7",
-     "LOA(48,12^1 2^8,2)", "synthesizable", "t3_48", 3072 * 36, ""),
+     "LOA(48,12^1 2^8,2)", "synthesizable", Juxtapose(
+         leaf("fixture", name="oa20_2e8_5e1", lead_level=5),
+         leaf("fixture", name="oa28_2e12_7e1", lead_level=7, width=9)), ""),
     ("LOA(24,4^1 3^1 2^13,2) + LOA(36,6^1 3^1 2^13,2)", "24/4 = 36/6",
-     "LOA(60,10^1 3^1 2^13,2)", "fixture-required", None, 0,
+     "LOA(60,10^1 3^1 2^13,2)", "fixture-required", None,
      "needs the 36-run source array"),
     ("LOA(16,4^1 2^9,2) + LOA(44,11^1 2^9,2)", "16/4 = 44/11",
-     "LOA(60,15^1 2^9,2)", "fixture-required", None, 0,
+     "LOA(60,15^1 2^9,2)", "fixture-required", None,
      "needs the 16-run source array"),
     ("LOA(20,5^1 2^8,2) + LOA(44,11^1 2^8,2)", "20/5 = 44/11",
-     "LOA(64,16^1 2^8,2)", "synthesizable", "t3_64", 4096 * 36, ""),
+     "LOA(64,16^1 2^8,2)", "synthesizable", Juxtapose(
+         leaf("fixture", name="oa20_2e8_5e1", lead_level=5),
+         leaf("fixture", name="oa44_2e16_11e1", lead_level=11, width=9)), ""),
     ("LOA(24,4^1 3^1 2^13,2) + LOA(40,5^1 4^1 2^13,2)", "24/3 = 40/5",
-     "LOA(64,8^1 4^1 2^13,2)", "fixture-required", None, 0,
+     "LOA(64,8^1 4^1 2^13,2)", "fixture-required", None,
      "needs the 40-run source array"),
     ("LOA(16,4^1 2^9,2) + LOA(52,13^1 2^9,2)", "16/4 = 52/13",
-     "LOA(68,17^1 2^9,2)", "fixture-required", None, 0, ""),
+     "LOA(68,17^1 2^9,2)", "fixture-required", None, ""),
     ("LOA(28,7^1 2^12,2) + LOA(44,11^1 2^12,2)", "28/7 = 44/11",
-     "LOA(72,18^1 2^12,2)", "synthesizable", "t3_72", 73728 * 78, ""),
+     "LOA(72,18^1 2^12,2)", "synthesizable", Juxtapose(
+         leaf("fixture", name="oa28_2e12_7e1", lead_level=7),
+         leaf("fixture", name="oa44_2e16_11e1", lead_level=11, width=13)), ""),
     ("LOA(36,9^1 2^13,2) + LOA(40,10^1 2^13,2)", "36/9 = 40/10",
-     "LOA(76,19^1 2^13,2)", "fixture-required", None, 0, ""),
+     "LOA(76,19^1 2^13,2)", "fixture-required", None, ""),
     ("LOA(44,11^1 2^13,2) + LOA(36,9^1 2^13,2)", "44/11 = 36/9",
-     "LOA(80,20^1 2^13,2)", "fixture-required", None, 0,
+     "LOA(80,20^1 2^13,2)", "fixture-required", None,
      "needs the 36-run source array"),
     ("LOA(36,6^1 3^1 2^13,2) + LOA(48,8^1 3^1 2^13,2)", "36/6 = 48/8",
-     "LOA(84,14^1 3^1 2^18,2)", "unreconciled", None, 0,
+     "LOA(84,14^1 3^1 2^18,2)", "unreconciled", None,
      "2^13 tails cannot yield the printed 2^18"),
     ("LOA(36,9^1 2^13,2) + LOA(48,12^1 2^13,2)", "36/9 = 48/12",
-     "LOA(84,21^1 2^13,2)", "fixture-required", None, 0,
+     "LOA(84,21^1 2^13,2)", "fixture-required", None,
      "the 48-run ingredient needs 2^13 tails; the reproducible one has 2^8"),
     ("LOA(28,7^1 2^12,2) + LOA(56,7^1 4^1 2^11,2)", "28/2 = 56/4",
-     "LOA(84,7^1 6^1 2^11,2)", "fixture-required", None, 0, ""),
+     "LOA(84,7^1 6^1 2^11,2)", "fixture-required", None, ""),
     ("LOA(24,6^1 2^13,2) + LOA(68,17^1 2^13,2)", "24/6 = 68/17",
-     "LOA(92,23^1 2^13,2)", "fixture-required", None, 0, ""),
+     "LOA(92,23^1 2^13,2)", "fixture-required", None, ""),
     ("LOA(44,11^1 2^16,2) + LOA(52,13^1 2^16,2)", "44/11 = 52/13",
-     "LOA(96,24^1 2^16,2)", "fixture-required", None, 0,
+     "LOA(96,24^1 2^16,2)", "fixture-required", None,
      "needs the 52-run source array"),
     ("LOA(24,4^1 3^1 2^13,2) + LOA(56,7^1 4^1 2^13,2)", "24/3 = 56/7",
-     "LOA(80,10^1 4^1 2^13,2)", "fixture-required", None, 0, ""),
+     "LOA(80,10^1 4^1 2^13,2)", "fixture-required", None, ""),
     ("LOA(24,4^1 3^1 2^13,2) + LOA(48,8^1 3^1 2^13,2)", "24/4 = 48/8",
-     "LOA(72,12^1 3^1 2^13,2)", "fixture-required", None, 0, ""),
+     "LOA(72,12^1 3^1 2^13,2)", "fixture-required", None, ""),
     ("LOA(52,13^1 2^13,2) + LOA(36,9^1 2^13,2)", "52/13 = 36/9",
-     "LOA(88,22^1 2^13,2)", "fixture-required", None, 0, ""),
+     "LOA(88,22^1 2^13,2)", "fixture-required", None, ""),
     ("LOA(40,10^1 2^9,2) + LOA(68,17^1 2^9,2)", "40/10 = 68/17",
-     "LOA(108,27^1 2^9,2)", "fixture-required", None, 0, ""),
+     "LOA(108,27^1 2^9,2)", "fixture-required", None, ""),
     ("LOA(36,9^1 2^13,2) + LOA(80,20^1 2^13,2)", "36/9 = 80/20",
-     "LOA(116,29^1 2^13,2)", "fixture-required", None, 0, ""),
+     "LOA(116,29^1 2^13,2)", "fixture-required", None, ""),
     ("LOA(40,5^1 4^1 2^25,2) + LOA(80,8^1 5^1 2^25,2)", "40/4 = 80/8",
-     "LOA(120,12^1 5^1 2^25,2)", "fixture-required", None, 0, ""),
+     "LOA(120,12^1 5^1 2^25,2)", "fixture-required", None, ""),
     ("LOA(72,9^1 4^1 2^37,2) + LOA(56,7^1 4^1 2^37,2)", "72/9 = 56/7",
-     "LOA(128,16^1 4^1 2^37,2)", "fixture-required", None, 0, ""),
+     "LOA(128,16^1 4^1 2^37,2)", "fixture-required", None, ""),
     ("LOA(64,16^1 2^9,2) + LOA(68,17^1 2^9,2)", "64/16 = 68/17",
-     "LOA(132,33^1 2^9,2)", "fixture-required", None, 0,
+     "LOA(132,33^1 2^9,2)", "fixture-required", None,
      "the reproducible 64-run set has only 2^8 tails"),
     ("LOA(32,10,2,3) + LOA(48,3^1 2^9,3)", "32/2 = 48/3",
-     "LOA(80,5^1 2^9,3)", "synthesizable", "t3_80", 2560 * 120, ""),
+     "LOA(80,5^1 2^9,3)", "synthesizable", Juxtapose(
+         Expand(leaf("sylvester3", n=4, k=10)), leaf("fixture", name="oa48_3e1_2e9")), ""),
     ("LOA(32,4^1 2^5,3) + LOA(48,4^1 3^1 2^4,3)", "32/2 = 48/3",
-     "LOA(80,5^1 4^1 2^4,3)", "fixture-required", None, 0,
+     "LOA(80,5^1 4^1 2^4,3)", "fixture-required", None,
      "needs the 32-run mixed source array"),
 )
 
 # -- Table 4: Kronecker pairings -------------------------------------------------
+# (the same columns as table 3)
 
 _T4 = (
     ("LOA(2,3,2,1) x LOA(44,11^1 2^4,2)", "h=4", "OA(352,11^1 2^7,4)",
-     "synthesizable", "t4_352", 352 * comb(8, 4), ""),
+     "synthesizable", Kronecker(
+         leaf("cosets", v=2, k=3),
+         leaf("fixture", name="oa44_2e16_11e1", lead_level=11, width=5)), ""),
     ("LOA(24,6^1 4^1 2^2,2) x LOA(4,2,4,1)", "h=4", "OA(384,6^1 4^3 2^2,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(52,13^1 2^4,2)", "h=4", "OA(416,13^1 2^7,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(68,17^1 2^4,2)", "h=4", "OA(544,17^1 2^7,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(76,19^1 2^4,2)", "h=4", "OA(608,19^1 2^7,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(84,14^1 6^1 2^2,2)", "h=4", "OA(672,14^1 6^1 2^5,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(4,2,4,1) x LOA(44,11^1 2^4,2)", "h=4", "OA(704,11^1 2^4 4^2,4)",
-     "synthesizable", "t4_704", 704 * comb(7, 4), ""),
+     "synthesizable", Kronecker(
+         leaf("cosets", v=4, k=2),
+         leaf("fixture", name="oa44_2e16_11e1", lead_level=11, width=5)), ""),
     ("LOA(2,3,2,1) x LOA(116,29^1 2^4,2)", "h=4", "OA(928,29^1 2^7,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(120,12^1 10^1 2^2,2)", "h=4", "OA(960,12^1 10^1 2^5,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(132,12^1 6^1 2^2,2)", "h=4", "OA(1056,22^1 6^1 2^5,4)",
-     "unreconciled", None, 0,
+     "unreconciled", None,
      "the 12^1 ingredient cannot headline a 22^1 output"),
     ("LOA(2,3,2,1) x LOA(144,24^1 6^1 2^2,2)", "h=4", "OA(1152,24^1 6^1 2^5,4)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(4,3,2,2) x LOA(36,6^1 3^1 2^2,2)", "h=2", "OA(288,6^1 3^1 2^5,5)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,3,2,1) x LOA(48,4^1 3^1 2^4,3)", "h=4", "OA(384,3^1 4^1 2^7,5)",
-     "synthesizable", "t4_384", 384 * comb(9, 5), ""),
+     "synthesizable", Kronecker(
+         leaf("cosets", v=2, k=3), leaf("fixture", name="oa48_4e1_3e1_2e4")), ""),
     ("LOA(2,3,2,1) x LOA(80,5^1 4^1 2^4,3)", "h=4", "OA(640,5^1 4^1 2^7,5)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(2,4,2,1) x LOA(40,5^1 2^6,3)", "h=8", "OA(640,5^1 2^10,5)",
-     "synthesizable", "t4_640", 640 * comb(11, 5), ""),
+     "synthesizable", Kronecker(
+         leaf("cosets", v=2, k=4), leaf("fixture", name="oa40_5e1_2e6")), ""),
     ("LOA(2,4,2,1) x LOA(56,2^6 7^1,3)", "h=8", "OA(896,7^1 2^10,5)",
-     "synthesizable", "t4_896", 896 * comb(11, 5), ""),
+     "synthesizable", Kronecker(
+         leaf("cosets", v=2, k=4),
+         Juxtapose(Expand(leaf("sylvester3", n=3, k=7)),
+                   leaf("fixture", name="oa40_5e1_2e6"))), ""),
     ("LOA(12,3^1 2^4,2) x LOA(20,5^1 2^4,2)", "h=4", "OA(960,5^1 3^1 2^8,5)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(12,3^1 2^4,2) x LOA(24,4^1 3^1 2^3,2)", "h=4", "OA(1153,4^1 3^2 2^7,5)",
-     "unreconciled", None, 0, "1153 is odd and cannot equal h*12*24"),
+     "unreconciled", None, "1153 is odd and cannot equal h*12*24"),
     ("LOA(12,3^1 2^4,2) x LOA(28,7^1 2^4,2)", "h=4", "OA(1344,7^1 3^1 2^8,5)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
     ("LOA(12,3^1 2^4,2) x LOA(16,6,2,3)", "h=4", "OA(768,3^1 2^10,6)",
-     "fixture-required", None, 0, "needs the 12-run source array"),
+     "fixture-required", None, "needs the 12-run source array"),
     ("LOA(8,4^1 2^4,2) x LOA(40,5^1 2^6,3)", "h=8", "OA(2560,5^1 4^1 2^10,6)",
-     "fixture-required", None, 0, ""),
+     "fixture-required", None, ""),
 )
 
 # -- Table 5: the new large-set families ------------------------------------------
@@ -278,126 +300,108 @@ _T4 = (
 _T5 = (
     ("LOA(2^n,k,2,2)", "n>=2, n<=k<=2^n-1",
      "oaforge construct sylvester2 --n 3 --k 7 --expand -o out.loa",
-     "t5_syl2", 1 << 14, ""),
+     Expand(leaf("sylvester2", n=3, k=7)), "LOA(8,2^7,2)", ""),
     ("LOA(2^(n+1),k,2,3)", "n>=2, n+1<=k<=2^n",
      "oaforge construct sylvester3 --n 3 --k 8 --expand -o out.loa",
-     "t5_syl3", 1 << 15, ""),
+     Expand(leaf("sylvester3", n=3, k=8)), "LOA(16,2^8,3)", ""),
     ("LOA(v^3,k,v,2)", "v>=4, v != 2 (mod 4), 4<=k<=13",
      "oaforge construct chai1 --v 4 --keep 0,1,6,2,3,4 --expand -o out.loa",
-     "t5_chai1", 4096 * 15, ""),
+     Expand(Project(leaf("chai1", v=4), (0, 1, 6, 2, 3, 4))), "LOA(64,4^6,2)", ""),
+    # its 4^25-member expansion could never be built; the self-check is the verdict
     ("LOA(v^4,k,v,2)", "v>=4, v != 2 (mod 4), 4<=k<=29",
-     "oaforge construct chai2 --v 4 -o out.oa",
-     "t5_chai2", 256 * comb(29, 2),
+     "oaforge construct chai2 --v 4 -o out.oa", leaf("chai2", v=4), "OA(256,4^29,2)",
      "the 29-column development self-check rejects the printed row formula"
      " (duplicated column pair); the command reports the verdict"),
     ("LOA(q^4,k,q,3)", "prime power q>=3, 4<=k<=q^2+1",
      "oaforge construct q4t3 --q 3 --k 10 --expand -o out.loa",
-     "t5_q4t3", 59049 * comb(10, 3), ""),
+     Expand(leaf("q4t3", q=3, k=10)), "LOA(81,3^10,3)", ""),
 )
 
 # -- Table 6: derived symmetric families -------------------------------------------
-# (result, constraints, substitution, representative params, runner cost, status, note)
+# (result, constraints, substitution, theorem, representative params, status, note)
 
 _T6 = (
     ("OA(q^(k2+1),2k2-3,q,5)", "prime power q>=3, 4<=k2<=q^2+1",
-     "v=q, k1=k2-1 in v1+q4-3", "v1+q4-3", "v=3,k1=3,q=3,k2=4", 250,
-     "synthesizable", ""),
+     "v=q, k1=k2-1 in v1+q4-3", "v1+q4-3", "v=3,k1=3,q=3,k2=4", "synthesizable", ""),
     ("OA(2^(k2+1),2k2-n+1,2,4)", "n>=2, n<=k2<=2^n-1",
-     "v=2, k1=k2-n+3 in v12n-4", "v12n-4", "v=2,k1=4,n=2,k2=3", 100,
-     "synthesizable", ""),
+     "v=2, k1=k2-n+3 in v12n-4", "v12n-4", "v=2,k1=4,n=2,k2=3", "synthesizable", ""),
     ("OA(2^(k2+1),2k2-n,2,5)", "n>=2, n+1<=k2<=2^n",
-     "v=2, k1=k2-n+2, b=3 in v12n-4", "v12n-4", "v=2,k1=4,n=2,k2=4,b=3", 200,
-     "synthesizable", ""),
+     "v=2, k1=k2-n+2, b=3 in v12n-4", "v12n-4", "v=2,k1=4,n=2,k2=4,b=3", "synthesizable", ""),
     ("OA(2^(k+n),2k,2,5)", "n>=2, n<=k<=2^n-1",
-     "q=2, k1=k2=k, m=n in qn2n-com", "qn2n-com", "q=2,m=2,k1=3,n=2,k2=3", 200,
-     "synthesizable", ""),
+     "q=2, k1=k2=k, m=n in qn2n-com", "qn2n-com", "q=2,m=2,k1=3,n=2,k2=3", "synthesizable", ""),
     ("OA(2^(k1+n),2k1+1,2,6)", "n>=2, n<=k1<=2^n-1",
      "q=2, k1=k2'-1, m=n, b=3 in qn2n-com", "qn2n-com",
-     "q=2,m=2,k1=3,n=2,k2=4,b=3", 500, "unreconciled",
+     "q=2,m=2,k1=3,n=2,k2=4,b=3", "unreconciled",
      "the pairing yields 2^(k1+n+1) runs, not the printed 2^(k1+n)"),
     ("OA(q^(k2+4),2k2+2,q,6)", "prime power q>=3, 4<=k2<=q+1",
-     "p=q, k1=k2+2, n=2 in qn2q43=6", "qn2q43=6", "p=3,k1=6,q=3,n=2,k2=4",
-     6561 * comb(10, 6), "synthesizable", ""),
+     "p=q, k1=k2+2, n=2 in qn2q43=6", "qn2q43=6", "p=3,k1=6,q=3,n=2,k2=4", "synthesizable", ""),
     ("OA(q^(k+4),2k,q,6)", "prime power q>=3, 4<=k<=q^2+1",
-     "p=q, k1=k2=k, n=4 in qn2q43=6", "qn2q43=6", "p=3,k1=4,q=3,n=4,k2=4",
-     6561 * comb(8, 6), "synthesizable", ""),
+     "p=q, k1=k2=k, n=4 in qn2q43=6", "qn2q43=6", "p=3,k1=4,q=3,n=4,k2=4", "synthesizable", ""),
     ("OA(2^(k1*m+n),(2^m)^k1 2^((k1-3)m+n),6)", "m>=1, n>=2, 4<=k1<=2^m+2",
-     "q=2^m, k2=m(k1-3)+n in q3323=7", "q3323=7", "q=2,k1=4,n=2,k2=3", 500,
-     "synthesizable", ""),
+     "q=2^m, k2=m(k1-3)+n in q3323=7", "q3323=7", "q=2,k1=4,n=2,k2=3", "synthesizable", ""),
     ("OA(2^(k1*m+n+1),(2^m)^k1 2^((k1-3)m+n+1),7)", "m>=1, n>=2, 4<=k1<=2^m+2",
      "q=2^m, k2=(k1-3)m+n+1, b=3 in q3323=7", "q3323=7",
-     "q=2,k1=4,n=2,k2=4,b=3", 1000, "synthesizable", ""),
+     "q=2,k1=4,n=2,k2=4,b=3", "synthesizable", ""),
     ("OA(q^((k-4)t+4),(q^(k-4))^t q^k,t+3)", "prime power q>=3, t>=2, 4<=k<=q^2+1",
-     "s=q^(k-4) in t-1q43=t+3", "t-1q43=t+3", "s=3,t=2,q=3,k=5",
-     729 * comb(7, 5), "synthesizable", ""),
+     "s=q^(k-4) in t-1q43=t+3", "t-1q43=t+3", "s=3,t=2,q=3,k=5", "synthesizable", ""),
     ("OA(2^(m*k1+n),(2^m)^k1 2^(m(k1-t)+n),t+3)", "m>=1, n,t>=2, 2<=k1<=2^m+1",
-     "q=2^m, k2=m(k1-t)+n in qt2n2-3", "qt2n2-3", "q=2,t=2,k1=3,n=2,k2=3",
-     200, "synthesizable", ""),
+     "q=2^m, k2=m(k1-t)+n in qt2n2-3", "qt2n2-3", "q=2,t=2,k1=3,n=2,k2=3", "synthesizable", ""),
     ("OA(2^(m*k1+n+1),(2^m)^k1 2^(m(k1-t)+n+1),t+4)", "m>=3, n,t>=2, 7<=k1<=2^m+1",
      "q=2^m, k2=m(k1-t)+n+1, b=3 in qt2n2-3", "qt2n2-3",
-     "q=8,t=2,k1=7,n=5,k2=21,b=3", 10**18, "synthesizable",
+     "q=8,t=2,k1=7,n=5,k2=21,b=3", "synthesizable",
      "smallest instance has 2^27 runs; beyond the desk-scale run budget"),
     ("OA(2^((k1-n)t+n),(2^(k1-n))^t 2^k1,t+2)", "t>=2, n>=2, n<=k1<=2^n-1",
-     "s=2^(k1-n) in tt-1n2-3", "tt-1n2-3", "s=2,t=2,n=2,k1=3", 100,
-     "synthesizable", ""),
+     "s=2^(k1-n) in tt-1n2-3", "tt-1n2-3", "s=2,t=2,n=2,k1=3", "synthesizable", ""),
     ("OA(2^((k1-n-1)t+n+1),(2^(k1-n-1))^t 2^k1,t+3)", "t>=2, n>=2, n+1<=k1<=2^n",
-     "s=2^(k1-n-1), b=3 in tt-1n2-3", "tt-1n2-3", "s=2,t=2,n=2,k1=4,b=3", 200,
-     "synthesizable", ""),
+     "s=2^(k1-n-1), b=3 in tt-1n2-3", "tt-1n2-3", "s=2,t=2,n=2,k1=4,b=3", "synthesizable", ""),
     ("OA(q^(k1+t),q^(2k1+t-4),t+4)", "prime power q>=3, 2<=t<=q+1, 4<=k1<=q+5-t",
-     "p=q, k2=k1+t-4 in qtp43", "qtp43", "p=3,k1=4,q=3,t=2,k2=2", 729,
-     "synthesizable", ""),
+     "p=q, k2=k1+t-4 in qtp43", "qtp43", "p=3,k1=4,q=3,t=2,k2=2", "synthesizable", ""),
 )
 
 # -- the thirteen composite recipes -------------------------------------------------
 
 _THEOREMS = (
     ("v1+v3-2", "OA(v^(k+1),2k-2,v,4) and OA(v^(k+2),2k-1,v,4)",
-     "v>=4, v != 2 (mod 4), 5<=k<=13 resp. 14<=k<=28", "v=4,k=5",
-     4096 * comb(8, 4), ""),
+     "v>=4, v != 2 (mod 4), 5<=k<=13 resp. 14<=k<=28", "v=4,k=5", ""),
     ("doublev3-2", "OA(v^(k+3),2k,v,5) and OA(v^(k+4),2k,v,5)",
-     "v>=4, v != 2 (mod 4), 5<=k<=13 resp. 14<=k<=29", "v=4,k=5",
-     65536 * comb(10, 5), ""),
+     "v>=4, v != 2 (mod 4), 5<=k<=13 resp. 14<=k<=29", "v=4,k=5", ""),
     ("v1+q4-3", "OA(v q^4 h, v^(k1-2) q^k2, 5)",
      "k1>=3, prime power q>=3, 4<=k2<=q^2+1, h=lcm(v^(k1-3),q^(k2-4))",
-     "v=2,k1=3,q=3,k2=4", 200, ""),
+     "v=2,k1=3,q=3,k2=4", ""),
     ("v12n-4", "OA(2^n v h1, v^(k1-2) 2^k2, 4); OA(2^(n+1) v h2, v^(k1-2) 2^k2, 5)",
-     "k1>=3, n>=2, n<=k2<=2^n-1 resp. n+1<=k2<=2^n", "v=2,k1=4,n=2,k2=3",
-     100, ""),
+     "k1>=3, n>=2, n<=k2<=2^n-1 resp. n+1<=k2<=2^n", "v=2,k1=4,n=2,k2=3", ""),
     ("qn2n-com", "OA(2^n q^m h, q^k1 2^k2, 5); OA(2^(n+1) q^m h', q^k1 2^k2, 6)",
-     "2<=m<=k1<=(q^m-1)/(q-1), n>=2", "q=2,m=2,k1=3,n=2,k2=3", 200,
+     "2<=m<=k1<=(q^m-1)/(q-1), n>=2", "q=2,m=2,k1=3,n=2,k2=3",
      "the strength-6 variant's stated size carries a 2^n factor; the pairing"
      " yields 2^(n+1)"),
     ("qn2v32=5", "OA(q^m v^3 h, q^k1 v^k2, 5); OA(q^m v^4 h', q^k1 v^k2, 5)",
      "2<=m<=k1<=(q^m-1)/(q-1), v>=4, v != 2 (mod 4), 4<=k2<=13 resp. 29",
-     "q=3,m=2,k1=4,v=4,k2=4", 20736 * comb(8, 5), ""),
+     "q=3,m=2,k1=4,v=4,k2=4", ""),
     ("qn2q43=6", "OA(p^4 q^n h, p^k1 q^k2, 6)",
      "prime powers p,q>=3, 4<=k1<=p^2+1, 2<=n<=k2<=(q^n-1)/(q-1)",
-     "p=3,k1=4,q=3,n=2,k2=2", 729, ""),
+     "p=3,k1=4,q=3,n=2,k2=2", ""),
     ("qn3q43=7", "OA(p^4 q^3 h, p^k1 q^k2, 7)",
      "prime powers p,q>=3, 4<=k1<=p^2+1, 3<=k2<=q+1",
-     "p=3,k1=4,q=3,k2=3", 2187, ""),
+     "p=3,k1=4,q=3,k2=3", ""),
     ("q3323=7", "OA(2^n q^3 h, q^k1 2^k2, 6); OA(2^(n+1) q^3 h', q^k1 2^k2, 7)",
-     "q=2^m, 3<=k1<=q+2, n>=2", "q=2,k1=3,n=2,k2=3", 500, ""),
+     "q=2^m, 3<=k1<=q+2, n>=2", "q=2,k1=3,n=2,k2=3", ""),
     ("t-1q43=t+3", "OA(q^4 s^(t-1) h, q^k s^t, t+3)",
      "s,t>=2, prime power q>=3, 4<=k<=q^2+1, h=lcm(s,q^(k-4))",
-     "s=2,t=2,q=3,k=4", 324 * comb(6, 5), ""),
+     "s=2,t=2,q=3,k=4", ""),
     ("qt2n2-3", "OA(2^n q^t h, q^k1 2^k2, t+3); OA(2^(n+1) q^t h', q^k1 2^k2, t+4)",
-     "prime power q, 1<=t<=k1<=q+1, n>=2", "q=3,t=2,k1=3,n=2,k2=3",
-     216 * comb(6, 5), ""),
+     "prime power q, 1<=t<=k1<=q+1, n>=2", "q=3,t=2,k1=3,n=2,k2=3", ""),
     ("tt-1n2-3", "OA(2^n s^(t-1) h, 2^k1 s^t, t+2); OA(2^(n+1) s^(t-1) h', 2^k1 s^t, t+3)",
-     "s,t,n>=2", "s=2,t=2,n=2,k1=3", 100, ""),
+     "s,t,n>=2", "s=2,t=2,n=2,k1=3", ""),
     ("qtp43", "OA(p^4 q^t h, p^k1 q^k2, t+4)",
      "prime powers p,q>=3, 4<=k1<=p^2+1, 2<=t<=k2<=q+1",
-     "p=3,k1=4,q=3,t=2,k2=2", 729, ""),
+     "p=3,k1=4,q=3,t=2,k2=2", ""),
 )
 
 
-def _parse_params(text: str) -> dict[str, int]:
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        out[key.strip()] = int(value)
-    return out
+def _theorem_plan(theorem: str, rep: str) -> ConstructionPlan:
+    from .cli import _params  # the parser of `theorem --params`
+
+    return plan_theorem(theorem, _params(rep))
 
 
 def _entries_table1() -> list[CatalogEntry]:
@@ -415,9 +419,10 @@ def _entries_table1() -> list[CatalogEntry]:
 
 
 def _entries_table2() -> list[CatalogEntry]:
+    fixtures = {f.name: f for f in FIXTURES}
     out = []
-    for i, (result, params, fixture) in enumerate(_T2):
-        if fixture is None:
+    for i, (result, params, name) in enumerate(_T2):
+        if name is None:
             out.append(CatalogEntry(
                 source=f"table2 row {i + 1}", result=result, params=params,
                 status="fixture-required",
@@ -425,41 +430,30 @@ def _entries_table2() -> list[CatalogEntry]:
                 note="the backing reference array is not in the shipped corpus",
             ))
         else:
+            fx = fixtures[name]
             out.append(CatalogEntry(
                 source=f"table2 row {i + 1}", result=result, params=params,
                 status="synthesizable",
-                command=(f"oaforge expand {FIX}/{fixture}.txt "
-                         f"--columns {_T2_MARKED[fixture]} -o out.loa"),
-                runner=f"t2:{fixture}",
-                cost=_T2_COST[fixture],
+                command=(f"oaforge expand {FIX}/{name}.txt "
+                         f"--columns {','.join(map(str, fx.marked))} -o out.loa"),
+                runner=ConstructionPlan(leaf("fixture", name=name),
+                                        _claim(f"LOA({fx.n},{fx.profile},{fx.t})")),
             ))
     return out
 
 
-def _entries_table3() -> list[CatalogEntry]:
+def _entries_composed(table: str, rows) -> list[CatalogEntry]:
+    """Table 3 or table 4: each synthesizable row's plan is checked against
+    the row's printed result."""
     out = []
-    for i, (ingredients, cond, result, status, runner, cost, note) in enumerate(_T3):
+    for i, (ingredients, cond, result, status, root, note) in enumerate(rows):
         command = None
         if status == "synthesizable":
-            command = f"oaforge catalog table3 --run  # row {i + 1}: {ingredients}"
+            command = f"oaforge catalog {table} --run  # row {i + 1}: {ingredients}"
         out.append(CatalogEntry(
-            source=f"table3 row {i + 1}", result=result,
-            params=f"{ingredients}; {cond}", status=status, command=command,
-            note=note, runner=runner, cost=cost,
-        ))
-    return out
-
-
-def _entries_table4() -> list[CatalogEntry]:
-    out = []
-    for i, (ingredients, cond, result, status, runner, cost, note) in enumerate(_T4):
-        command = None
-        if status == "synthesizable":
-            command = f"oaforge catalog table4 --run  # row {i + 1}: {ingredients}"
-        out.append(CatalogEntry(
-            source=f"table4 row {i + 1}", result=result,
-            params=f"{ingredients}; {cond}", status=status, command=command,
-            note=note, runner=runner, cost=cost,
+            source=f"{table} row {i + 1}", result=result,
+            params=f"{ingredients}; {cond}", status=status, command=command, note=note,
+            runner=None if root is None else ConstructionPlan(root, _claim(result)),
         ))
     return out
 
@@ -468,21 +462,21 @@ def _entries_table5() -> list[CatalogEntry]:
     return [
         CatalogEntry(
             source=f"table5 row {i + 1}", result=result, params=params,
-            status="synthesizable", command=command, runner=runner, cost=cost,
-            note=note,
+            status="synthesizable", command=command, note=note,
+            runner=ConstructionPlan(root, _claim(claim)),
         )
-        for i, (result, params, command, runner, cost, note) in enumerate(_T5)
+        for i, (result, params, command, root, claim, note) in enumerate(_T5)
     ]
 
 
 def _entries_table6() -> list[CatalogEntry]:
     out = []
-    for i, (result, constraints, subst, theorem, rep, cost, status, note) in enumerate(_T6):
+    for i, (result, constraints, subst, theorem, rep, status, note) in enumerate(_T6):
         out.append(CatalogEntry(
             source=f"table6 row {i + 1}", result=result,
             params=f"{constraints}; {subst}", status=status,
             command=f"oaforge theorem '{theorem}' --params {rep} -o out.oa",
-            note=note, runner=f"thm:{theorem}:{rep}", cost=cost,
+            note=note, runner=_theorem_plan(theorem, rep),
         ))
     return out
 
@@ -493,9 +487,9 @@ def _entries_theorems() -> list[CatalogEntry]:
             source=f"theorem {tid}", result=result, params=params,
             status="synthesizable",
             command=f"oaforge theorem '{tid}' --params {rep} -o out.oa",
-            note=note, runner=f"thm:{tid}:{rep}", cost=cost,
+            note=note, runner=_theorem_plan(tid, rep),
         )
-        for tid, result, params, rep, cost, note in _THEOREMS
+        for tid, result, params, rep, note in _THEOREMS
     ]
 
 
@@ -504,8 +498,8 @@ def catalog(query: str) -> list[CatalogEntry]:
     views = {
         "table1": _entries_table1,
         "table2": _entries_table2,
-        "table3": _entries_table3,
-        "table4": _entries_table4,
+        "table3": lambda: _entries_composed("table3", _T3),
+        "table4": lambda: _entries_composed("table4", _T4),
         "table5": _entries_table5,
         "table6": _entries_table6,
         "theorems": _entries_theorems,
@@ -521,130 +515,19 @@ def catalog(query: str) -> list[CatalogEntry]:
     return views[query]()
 
 
-# -- runners ---------------------------------------------------------------------
-
-
-def _describe_loa(ls) -> str:
-    return f"LOA({ls.n},{ls.profile.format()},{ls.t}) with M={ls.m}"
-
-
-def _describe_oa(a) -> str:
-    return f"OA({a.n},{a.profile.format()},{a.t})"
-
-
-def _run_t2(fixture: str) -> str:
-    from .fixtures import FIXTURES
-
-    fx = next(f for f in FIXTURES if f.name == fixture)
-    ls = fixture_loa(fixture)
-    report = verify_large_set(ls, fx.t)
-    if not report.ok:
-        raise VerificationError(f"{fixture} expansion failed", report)
-    return _describe_loa(ls) + " verified"
-
-
-def _loa_sylvester3(n: int, k: int):
-    from .algebraic import sylvester_oa3
-
-    a, proj = sylvester_oa3(n, k)
-    return expand_shift(a, proj)
-
-
-def _run_t3(row: str) -> str:
-    if row == "t3_48":
-        ls = juxtapose(fixture_loa("oa20_2e8_5e1", lead_level=5),
-                       fixture_loa("oa28_2e12_7e1", lead_level=7, width=9))
-    elif row == "t3_64":
-        ls = juxtapose(fixture_loa("oa20_2e8_5e1", lead_level=5),
-                       fixture_loa("oa44_2e16_11e1", lead_level=11, width=9))
-    elif row == "t3_72":
-        ls = juxtapose(fixture_loa("oa28_2e12_7e1", lead_level=7),
-                       fixture_loa("oa44_2e16_11e1", lead_level=11, width=13))
-    elif row == "t3_80":
-        ls = juxtapose(_loa_sylvester3(4, 10), fixture_loa("oa48_3e1_2e9"))
-    else:  # pragma: no cover
-        raise KeyError(row)
-    return _describe_loa(ls) + " verified"
-
-
-def _run_t4(row: str) -> str:
-    if row == "t4_352":
-        out = kronecker(cosets_strength1(LevelProfile([2, 2, 2])),
-                        fixture_loa("oa44_2e16_11e1", lead_level=11, width=5))
-    elif row == "t4_704":
-        out = kronecker(cosets_strength1(LevelProfile([4, 4])),
-                        fixture_loa("oa44_2e16_11e1", lead_level=11, width=5))
-    elif row == "t4_384":
-        out = kronecker(cosets_strength1(LevelProfile([2, 2, 2])),
-                        fixture_loa("oa48_4e1_3e1_2e4"))
-    elif row == "t4_640":
-        out = kronecker(cosets_strength1(LevelProfile([2] * 4)),
-                        fixture_loa("oa40_5e1_2e6"))
-    elif row == "t4_896":
-        l56 = juxtapose(_loa_sylvester3(3, 7), fixture_loa("oa40_5e1_2e6"))
-        out = kronecker(cosets_strength1(LevelProfile([2] * 4)), l56)
-    else:  # pragma: no cover
-        raise KeyError(row)
-    return _describe_oa(out) + " verified"
-
-
-def _run_t5(row: str) -> str:
-    from . import algebraic, diffmatrix
-    from .arrays import project_columns
-    from .expand import ResolvableProjection
-
-    if row == "t5_syl2":
-        a, proj = algebraic.sylvester_oa2(3, 7)
-        ls = expand_shift(a, proj)
-    elif row == "t5_syl3":
-        ls = _loa_sylvester3(3, 8)
-    elif row == "t5_chai1":
-        a, proj = diffmatrix.develop_chai1(diffmatrix.dm_for(4))
-        keep = [0, 1, 6, 2, 3, 4]
-        ls = expand_shift(project_columns(a, keep),
-                          ResolvableProjection((0, 1, 2), a.n))
-    elif row == "t5_chai2":
-        a, proj, report = diffmatrix.develop_chai2(diffmatrix.dm_for(4))
-        if not report.ok:
-            raise VerificationError(
-                "29-column development self-check failed on pairs "
-                f"{report.failing_subsets()}", report)
-        ls = expand_shift(a, proj)
-    elif row == "t5_q4t3":
-        a, proj = algebraic.linear_oa(algebraic.q4_matrix(3), 10)
-        ls = expand_shift(a, proj)
-    else:  # pragma: no cover
-        raise KeyError(row)
-    report = verify_large_set(ls, ls.t)
-    if not report.ok:
-        raise VerificationError("large set failed verification", report)
-    return _describe_loa(ls) + " verified"
-
-
 def run_entry(entry: CatalogEntry) -> str:
-    """Execute one synthesizable entry, returning a verified-artifact
-    description; raises on any verification failure."""
+    """Execute one synthesizable entry's plan, checked against its claim, and
+    describe the verified artifact; raises on any verification failure."""
     if entry.runner is None:
         raise ValueError(f"{entry.source} has no runner")
-    if entry.runner.startswith("t2:"):
-        return _run_t2(entry.runner[3:])
-    if entry.runner.startswith("t3_"):
-        return _run_t3(entry.runner)
-    if entry.runner.startswith("t4_"):
-        return _run_t4(entry.runner)
-    if entry.runner.startswith("t5_"):
-        return _run_t5(entry.runner)
-    if entry.runner.startswith("thm:"):
-        _, tid, rep = entry.runner.split(":", 2)
-        artifact = execute_plan(plan_theorem(tid, _parse_params(rep)))
-        desc = _describe_loa(artifact) if hasattr(artifact, "members") \
-            else _describe_oa(artifact)
-        return desc + " verified"
-    raise KeyError(entry.runner)  # pragma: no cover
+    out = execute_plan(entry.runner)
+    if isinstance(out, LargeSet):
+        return f"LOA({out.n},{out.profile.format()},{out.t}) with M={out.m} verified"
+    return f"OA({out.n},{out.profile.format()},{out.t}) verified"
 
 
 def run_entries(entries, budget: int = 10**8) -> list[tuple[CatalogEntry, str]]:
-    """Run every synthesizable entry within budget; outcomes are
+    """Run every synthesizable entry whose cost fits the budget; outcomes are
     'verified ...', 'failed: ...', 'skipped(budget)', 'needs-fixture', or
     'unreconciled'."""
     out = []

@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
 from pathlib import Path
 
-from . import algebraic, catalog as cat, compose, diffmatrix, fixtures as fix
+from . import catalog as cat, compose, diffmatrix, fixtures as fix
 from .arrays import (
     LargeSet,
     SymbolMatrix,
@@ -32,6 +31,7 @@ from .expand import (
     ResolvableProjection,
     expand_shift,
     find_resolvable_projection,
+    project_resolvable,
 )
 from .formats import read_array, write_array
 from .gf import parse_order
@@ -195,28 +195,7 @@ def _write(obj, path: Path | None, label: str):
 
 def _cmd_construct(args) -> int:
     recipe = args.recipe
-    if recipe in ("sylvester2", "sylvester3"):
-        if args.n is None or args.k is None:
-            raise ConstraintError(f"{recipe} needs --n and --k")
-        builder = algebraic.sylvester_oa2 if recipe == "sylvester2" \
-            else algebraic.sylvester_oa3
-        a, proj = builder(args.n, args.k)
-    elif recipe == "projective":
-        if args.q is None or args.n is None or args.k is None:
-            raise ConstraintError("projective needs --q, --n and --k")
-        q = args.q[0] ** args.q[1]
-        a, proj = algebraic.linear_oa(algebraic.projective_columns(q, args.n), args.k)
-    elif recipe == "bush":
-        if args.q is None or args.t is None or args.k is None:
-            raise ConstraintError("bush needs --q, --t and --k")
-        q = args.q[0] ** args.q[1]
-        a, proj = algebraic.linear_oa(algebraic.bush_columns(q, args.t), args.k)
-    elif recipe == "q4t3":
-        if args.q is None or args.k is None:
-            raise ConstraintError("q4t3 needs --q and --k")
-        q = args.q[0] ** args.q[1]
-        a, proj = algebraic.linear_oa(algebraic.q4_matrix(q), args.k)
-    else:  # chai1 / chai2
+    if recipe == "chai2" or (recipe == "chai1" and args.dm_file is not None):
         if args.v is None:
             raise ConstraintError(f"{recipe} needs --v")
         if args.dm_file is not None:
@@ -245,15 +224,16 @@ def _cmd_construct(args) -> int:
                        f"candidate array ({a.n} x {a.k}) emitted unverified")
                 return 1
             print("self-check verdict: pass")
+    else:
+        params = {name: getattr(args, name) for name in compose.LEAVES[recipe][0]
+                  if getattr(args, name) is not None}
+        if "q" in params:  # parse_order gives (p, e)
+            params["q"] = params["q"][0] ** params["q"][1]
+        built = compose.run_leaf(compose.leaf(recipe, **params))
+        a, proj = built.matrix, built.projection
 
     if args.keep:
-        missing = set(proj.columns) - set(args.keep)
-        if missing:
-            raise ConstraintError(
-                f"--keep must retain the resolvable columns {proj.columns}")
-        a = project_columns(a, args.keep)
-        proj = ResolvableProjection(
-            tuple(args.keep.index(c) for c in proj.columns), a.n)
+        a, proj = project_resolvable(a, proj, args.keep)
     label = f"OA({a.n},{a.profile.format()},{a.t}), resolvable columns {proj.columns}"
     if args.expand:
         ls = expand_shift(a, proj)
@@ -275,8 +255,7 @@ def _cmd_expand(args) -> int:
     if args.keep:
         a = project_columns(a, args.keep)
     if args.columns:
-        levels = a.profile.levels
-        proj = ResolvableProjection(args.columns, prod(levels[c] for c in args.columns))
+        proj = ResolvableProjection(args.columns, a.n)
     else:
         found = find_resolvable_projection(a)
         if found is None:

@@ -12,19 +12,21 @@ artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
+from . import algebraic, diffmatrix, fixtures
 from .arrays import (
     LargeSet,
     LevelProfile,
     SymbolMatrix,
+    full_factorial,
     verify_large_set,
     verify_strength,
 )
 from .errors import ConstraintError, SizeCapError, VerificationError
-from .expand import ResolvableProjection, check_resolvable_projection, expand_shift
+from .expand import ResolvableProjection, expand_shift, project_resolvable
 from .gf import prime_power
 
 MAX_MATERIALIZED = 1 << 24
@@ -38,35 +40,21 @@ def cosets_strength1(profile: LevelProfile) -> LargeSet:
     generated by (1, ..., 1): each coset is a simple strength-1 array with
     N = lcm of the levels, members ordered by their smallest row."""
     levels = profile.levels
-    n = 1
+    if profile.universe_size * profile.k > MAX_MATERIALIZED:
+        raise SizeCapError(f"universe {profile.universe_size} too large to materialize")
+    # Adding i * (1, ..., 1) keeps columns 0..j-1 fixed iff lcm(l_0..l_{j-1})
+    # divides i, which moves column j in steps of g_j = gcd(that lcm, l_j).
+    # So a row is the smallest of its coset iff every symbol y_j < g_j, and
+    # these rows in lexicographic order are the members' first rows.
+    bounds, n = [], 1
     for s in levels:
+        bounds.append(gcd(n, s))
         n = lcm(n, s)
-    universe = profile.universe_size
-    if universe * profile.k > MAX_MATERIALIZED:
-        raise SizeCapError(f"universe {universe} too large to materialize")
-    base = np.empty((n, profile.k), dtype=np.int64)
-    for j, s in enumerate(levels):
-        base[:, j] = np.arange(n) % s
-    weights = np.empty(profile.k, dtype=np.int64)
-    acc = 1
-    for j in range(profile.k - 1, -1, -1):
-        weights[j] = acc
-        acc *= levels[j]
-    lv = np.asarray(levels, dtype=np.int64)
-    covered = np.zeros(universe, dtype=bool)
-    members = []
-    for code in range(universe):
-        if covered[code]:
-            continue
-        rep = np.empty(profile.k, dtype=np.int64)
-        c = code
-        for j in range(profile.k - 1, -1, -1):
-            rep[j] = c % levels[j]
-            c //= levels[j]
-        rows = (base + rep[None, :]) % lv[None, :]
-        covered[rows @ weights] = True
-        members.append(SymbolMatrix(profile, rows, t=1))
-    ls = LargeSet(profile, members, t=1)
+    firsts = np.indices(bounds, dtype=np.int32).reshape(profile.k, -1).T
+    cells = np.empty((len(firsts), n, profile.k), dtype=np.int32)
+    np.add(firsts[:, None, :], np.arange(n, dtype=np.int32)[None, :, None], out=cells)
+    cells %= np.asarray(levels, dtype=np.int32)
+    ls = LargeSet._stacked(profile, cells, (1,) * len(firsts), 1)
     report = verify_large_set(ls, 1)
     if not report.ok:
         raise VerificationError("coset large set failed verification", report)
@@ -195,7 +183,7 @@ def _counts(levels_with_mult) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class Leaf:
     kind: str
-    params: tuple[tuple[str, int], ...]
+    params: tuple[tuple[str, int | str | None], ...]
 
 
 @dataclass(frozen=True)
@@ -241,55 +229,54 @@ class _OAWithProjection:
     projection: ResolvableProjection
 
 
-def _run_leaf(node: Leaf):
-    from . import algebraic, diffmatrix  # deferred: heavy neighbors
+def _fullfact(v: int, k: int):
+    a = full_factorial(LevelProfile([v] * k))
+    return a, ResolvableProjection(tuple(range(a.k)), a.n)
 
-    params = dict(node.params)
-    kind = node.kind
-    if kind == "fullfact":
-        from .arrays import full_factorial
 
-        a = full_factorial(LevelProfile([params["v"]] * params["k"]))
-        return _OAWithProjection(a, ResolvableProjection(tuple(range(a.k)), a.n))
-    if kind == "cosets":
-        levels = [params["v"]] * params["k"]
-        return cosets_strength1(LevelProfile(levels))
-    if kind == "zerosum":
-        return _OAWithProjection(*zero_sum_oa(params["s"], params["t"]))
-    if kind == "sylvester2":
-        return _OAWithProjection(*algebraic.sylvester_oa2(params["n"], params["k"]))
-    if kind == "sylvester3":
-        return _OAWithProjection(*algebraic.sylvester_oa3(params["n"], params["k"]))
-    if kind == "projective":
-        gc = algebraic.projective_columns(params["q"], params["n"])
-        return _OAWithProjection(*algebraic.linear_oa(gc, params["k"]))
-    if kind == "bush":
-        gc = algebraic.bush_columns(params["q"], params["t"])
-        return _OAWithProjection(*algebraic.linear_oa(gc, params["k"]))
-    if kind == "q4t3":
-        gc = algebraic.q4_matrix(params["q"])
-        return _OAWithProjection(*algebraic.linear_oa(gc, params["k"]))
-    if kind == "chai1":
-        dm = diffmatrix.dm_for(params["v"])
-        return _OAWithProjection(*diffmatrix.develop_chai1(dm))
-    if kind == "chai2":
-        dm = diffmatrix.dm_for(params["v"])
-        a, proj, report = diffmatrix.develop_chai2(dm)
-        if not report.ok:
-            raise VerificationError(
-                "29-column development failed its strength-2 self-check on pairs "
-                f"{report.failing_subsets()}; the composite cannot be certified",
-                report,
-            )
-        return _OAWithProjection(a, proj)
-    raise ValueError(f"unknown leaf kind {kind!r}")
+def _chai2(v: int):
+    a, proj, report = diffmatrix.develop_chai2(diffmatrix.dm_for(v))
+    if not report.ok:
+        raise VerificationError("29-column development self-check failed on pairs "
+                                f"{report.failing_subsets()}", report)
+    return a, proj
+
+
+# kind -> (required parameters, optional parameters with their defaults, builder);
+# a builder returns an array with its resolvable projection, or a large set.
+# The lambdas look library functions up when called, so a function replaced on
+# its module (as a tracer does) is the one that runs.
+LEAVES = {
+    "fullfact": (("v", "k"), None, _fullfact),
+    "cosets": (("v", "k"), None, lambda v, k: cosets_strength1(LevelProfile([v] * k))),
+    "zerosum": (("s", "t"), None, zero_sum_oa),
+    "sylvester2": (("n", "k"), None, lambda n, k: algebraic.sylvester_oa2(n, k)),
+    "sylvester3": (("n", "k"), None, lambda n, k: algebraic.sylvester_oa3(n, k)),
+    "projective": (("q", "n", "k"), None, lambda q, n, k: algebraic.linear_oa(
+        algebraic.projective_columns(q, n), k)),
+    "bush": (("q", "t", "k"), None, lambda q, t, k: algebraic.linear_oa(
+        algebraic.bush_columns(q, t), k)),
+    "q4t3": (("q", "k"), None, lambda q, k: algebraic.linear_oa(algebraic.q4_matrix(q), k)),
+    "chai1": (("v",), None, lambda v: diffmatrix.develop_chai1(diffmatrix.dm_for(v))),
+    "chai2": (("v",), None, _chai2),
+    "fixture": (("name",), {"lead_level": None, "width": None},
+                lambda **p: fixtures.fixture_loa(**p)),
+}
+
+
+def run_leaf(node: Leaf) -> _OAWithProjection | LargeSet:
+    """Build one leaf through LEAVES; a missing or unknown parameter is a
+    ConstraintError."""
+    if node.kind not in LEAVES:
+        raise ValueError(f"unknown leaf kind {node.kind!r}")
+    keys, defaults, build = LEAVES[node.kind]
+    out = build(**_need(dict(node.params), list(keys), node.kind, defaults))
+    return _OAWithProjection(*out) if isinstance(out, tuple) else out
 
 
 def _execute(node: PlanNode):
-    from .arrays import project_columns  # local alias for clarity
-
     if isinstance(node, Leaf):
-        return _run_leaf(node)
+        return run_leaf(node)
     if isinstance(node, Expand):
         child = _execute(node.child)
         if not isinstance(child, _OAWithProjection):
@@ -299,17 +286,8 @@ def _execute(node: PlanNode):
         child = _execute(node.child)
         if not isinstance(child, _OAWithProjection):
             raise VerificationError(f"project needs an array with projection: {node}")
-        old = set(child.projection.columns)
-        if not old <= set(node.columns):
-            raise VerificationError(
-                f"projection {child.projection.columns} dropped by {node.columns}"
-            )
-        a = project_columns(child.matrix, node.columns)
-        remap = tuple(node.columns.index(c) for c in child.projection.columns)
-        ok, why = check_resolvable_projection(a, remap)
-        if not ok:
-            raise VerificationError(f"projection no longer resolvable: {why}")
-        return _OAWithProjection(a, ResolvableProjection(remap, a.n))
+        return _OAWithProjection(*project_resolvable(child.matrix, child.projection,
+                                                     node.columns))
     if isinstance(node, Juxtapose):
         return juxtapose(_as_large_set(node.left), _as_large_set(node.right))
     if isinstance(node, Kronecker):

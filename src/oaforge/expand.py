@@ -16,8 +16,8 @@ from math import prod
 
 import numpy as np
 
-from .arrays import LargeSet, SymbolMatrix, verify_strength
-from .errors import BudgetExceededError, SizeCapError, VerificationError
+from .arrays import LargeSet, SymbolMatrix, project_columns, verify_strength
+from .errors import BudgetExceededError, ConstraintError, SizeCapError, VerificationError
 
 SUBSET_SEARCH_CAP = 10**6
 MAX_MEMBER_CELLS = 1 << 27  # cap on total cells materialized by an expansion
@@ -34,10 +34,10 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
     between rows and tuples; otherwise a human-readable counterexample."""
     columns = tuple(int(c) for c in columns)
     if len(set(columns)) != len(columns):
-        raise ValueError("projection columns must be distinct")
+        raise ConstraintError(f"projection columns {columns} must be distinct")
     for c in columns:
         if not 0 <= c < a.k:
-            raise ValueError(f"column {c} out of range [0, {a.k})")
+            raise ConstraintError(f"column {c} out of range [0, {a.k})")
     level_product = prod(a.profile.levels[c] for c in columns)
     if level_product != a.n:
         return False, f"level product {level_product} != N={a.n}"
@@ -49,6 +49,20 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
         tup = tuple(int(x) for x in srt[dup[0]])
         return False, f"tuple {tup} occurs more than once on columns {columns}"
     return True, None
+
+
+def project_resolvable(
+    a: SymbolMatrix, proj: ResolvableProjection, columns
+) -> tuple[SymbolMatrix, ResolvableProjection]:
+    """Project onto `columns` (in order) and renumber the resolvable columns
+    to match; dropping one of them is a ConstraintError.  Resolvability itself
+    is unchanged by the projection and is checked by expand_shift."""
+    columns = [int(c) for c in columns]
+    if not set(proj.columns) <= set(columns):
+        raise ConstraintError(
+            f"columns {tuple(columns)} must retain the resolvable columns {proj.columns}")
+    b = project_columns(a, columns)
+    return b, ResolvableProjection(tuple(columns.index(c) for c in proj.columns), b.n)
 
 
 def _product_subsets(levels, top_limit: int, target: int, counter: list[int]):

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .arrays import LargeSet, SymbolMatrix, verify_large_set, verify_strength
 from .errors import OAForgeError
-from .expand import ResolvableProjection, check_resolvable_projection, expand_shift
+from .expand import (ResolvableProjection, check_resolvable_projection, expand_shift,
+                     project_resolvable)
 from .formats import loads
 
 
@@ -89,9 +90,7 @@ def fixture_loa(
 ) -> LargeSet:
     """Expand a fixture into its large set, optionally rotating the marked
     column of a given level to the front and truncating to `width` columns
-    (all marked columns are always kept, in front)."""
-    from .arrays import project_columns
-
+    (a width that drops a marked column is a ConstraintError)."""
     a, marked = load_fixture(name, directory)
     marked_list = list(marked)
     if lead_level is not None:
@@ -103,13 +102,8 @@ def fixture_loa(
             )
         marked_list = leads + [c for c in marked_list if c != leads[0]]
     order = marked_list + [c for c in range(a.k) if c not in set(marked_list)]
-    if width is not None:
-        if width < len(marked_list):
-            raise ValueError(f"width {width} drops marked columns")
-        order = order[:width]
-    a = project_columns(a, order)
-    proj = ResolvableProjection(tuple(range(len(marked_list))), a.n)
-    return expand_shift(a, proj)
+    proj = ResolvableProjection(tuple(marked_list), a.n)
+    return expand_shift(*project_resolvable(a, proj, order[:width]))
 
 
 @dataclass

@@ -1,8 +1,18 @@
 """The table catalog: coverage, statuses, and reproduction runs."""
 
+import zlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from oaforge.arrays import LargeSet, SymbolMatrix, verify_large_set, verify_strength
 from oaforge.catalog import catalog, run_entries
+from oaforge.cli import main
+from oaforge.compose import execute_plan
+from oaforge.errors import VerificationError
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_every_row_appears_exactly_once():
@@ -100,3 +110,67 @@ def test_theorem_entries_runnable():
 def test_unknown_query():
     with pytest.raises(ValueError):
         catalog("table9")
+
+
+@pytest.mark.parametrize("argv, golden, exit_code", [
+    ("catalog all", "catalog_all.txt", 0),
+    ("catalog all --run", "catalog_all_run.txt", 1),  # 1: the chai2 row's verdict
+])
+def test_catalog_output_is_pinned(capsys, argv, golden, exit_code):
+    code = main(argv.split())
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+    assert code == exit_code
+
+
+SMALL_ROWS = [e for e in catalog("all") if e.status == "synthesizable" and e.cost <= 10**6]
+
+
+def _large_set_mutants(ls: LargeSet, rng):
+    """(kind, mutant, members put at fault) for one changed cell, one
+    duplicated row and one row swapped between two members."""
+    m, r, c = rng.integers(ls.m), rng.integers(ls.n), rng.integers(ls.profile.k)
+    cell = ls.cells.copy()
+    s = ls.profile.levels[c]
+    cell[m, r, c] = (cell[m, r, c] + rng.integers(1, s)) % s
+    dup = ls.cells.copy()
+    dup[m, r] = dup[m, (r + 1 + rng.integers(ls.n - 1)) % ls.n]
+    swap = ls.cells.copy()
+    other, r2 = (m + 1 + rng.integers(ls.m - 1)) % ls.m, rng.integers(ls.n)
+    swap[[m, other], [r, r2]] = swap[[other, m], [r2, r]]
+    for kind, cells, touched in (("cell", cell, {m}), ("dup_row", dup, {m}),
+                                 ("swap_rows", swap, {m, other})):
+        members = [SymbolMatrix(ls.profile, x, t) for x, t in zip(cells, ls.member_t)]
+        yield kind, LargeSet(ls.profile, members, ls.t), touched
+
+
+def _array_mutants(a: SymbolMatrix, rng):
+    """(kind, mutant, mutated columns) for one changed cell and one row
+    replaced by a copy of another."""
+    r, c = rng.integers(a.n), rng.integers(a.k)
+    cell = a.cells.copy()
+    cell[r, c] = (cell[r, c] + rng.integers(1, a.profile.levels[c])) % a.profile.levels[c]
+    dup = a.cells.copy()
+    dup[r] = dup[(r + 1 + rng.integers(a.n - 1)) % a.n]
+    for kind, cells, cols in (("cell", cell, {c}),
+                              ("dup_row", dup, set(np.flatnonzero(dup[r] != a.cells[r])))):
+        yield kind, SymbolMatrix(a.profile, cells, a.t), cols
+
+
+@pytest.mark.parametrize("entry", SMALL_ROWS, ids=lambda e: e.source)
+def test_catalog_plan_mutants_are_rejected(entry):
+    try:
+        artifact = execute_plan(entry.runner)
+    except VerificationError:
+        assert entry.source == "table5 row 4"  # chai2: its self-check is the verdict
+        return
+    t = entry.runner.claim.t
+    rng = np.random.default_rng(zlib.crc32(entry.source.encode()))
+    if isinstance(artifact, LargeSet):
+        for kind, mutant, touched in _large_set_mutants(artifact, rng):
+            report = verify_large_set(mutant, t)
+            assert not report.ok, kind
+            assert touched <= {idx for idx, _ in report.member_problems}, kind
+    else:
+        for kind, mutant, cols in _array_mutants(artifact, rng):
+            subsets = verify_strength(mutant, t).failing_subsets()
+            assert subsets and all(cols & set(s) for s in subsets), kind

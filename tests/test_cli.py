@@ -1,12 +1,15 @@
 """CLI surface: exit codes, machine-readable failure records, file flows."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from oaforge.algebraic import sylvester_oa2
-from oaforge.cli import main
+from oaforge.catalog import FIX, catalog
+from oaforge.cli import build_parser, main
 from oaforge.expand import expand_shift
 from oaforge.fixtures import fixture_dir
 from oaforge.formats import write_array
@@ -275,6 +278,12 @@ CLI_ERRORS = [
     ("compose juxtapose {loa} {loa4} -o {out}", 2),
     ("construct chai1 --v 7 --expand", 1),
     ("search dm --v 60 --k 4", 1),
+    ("construct sylvester2 --n 3 --k 7 --keep 0,0,1,2", 2),
+    ("construct sylvester2 --n 3 --k 7 --keep 0,1,2,99", 2),
+    ("construct sylvester2 --n 3 --k 7 --keep 1,2,3 --expand", 2),
+    ("expand {oa} --keep 0,0 -o {out}", 2),
+    ("expand {oa} --columns 0,99 -o {out}", 2),
+    ("expand {oa} --columns 0,0 -o {out}", 2),
 ]
 
 
@@ -340,3 +349,20 @@ def test_verify_dm_reads_crlf_files(capsys, tmp_path):
     path.write_bytes(dumps_dm(dm_for(4)).replace("\n", "\r\n").encode())
     code, out = run(capsys, "verify", "dm", str(path))
     assert code == 0 and out.startswith("ok:")
+
+
+def _documented_commands() -> list[str]:
+    """Each `oaforge ...` line of the README's CLI tour, and each distinct
+    catalog command."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in tour.splitlines() if line.startswith("oaforge ")]
+    lines += [e.command.replace(FIX, "$FIX") for e in catalog("all") if e.command]
+    return list(dict.fromkeys(lines))
+
+
+@pytest.mark.parametrize("command", _documented_commands())
+def test_documented_commands_parse(command):
+    argv = shlex.split(command, comments=True)
+    assert argv[0] == "oaforge"
+    build_parser().parse_args(argv[1:])
