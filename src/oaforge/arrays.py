@@ -122,7 +122,9 @@ def _freeze(obj, **fields):
 
 class SymbolMatrix:
     """An N x k run matrix over a LevelProfile, with an optional claimed
-    strength t carried for file round-trips and verification defaults."""
+    strength t carried for file round-trips and verification defaults.  A
+    C-contiguous int32 `cells` is taken over without a copy and made
+    read-only, so the caller's array is frozen too; other input is copied."""
 
     __slots__ = ("profile", "cells", "t")
 

@@ -195,6 +195,13 @@ def _write(obj, path: Path | None, label: str):
 
 def _cmd_construct(args) -> int:
     recipe = args.recipe
+    takes = set(compose.LEAVES[recipe][0])
+    if recipe in ("chai1", "chai2"):
+        takes.add("dm_file")
+    stray = [f"--{name.replace('_', '-')}" for name in ("n", "k", "q", "t", "v", "dm_file")
+             if getattr(args, name) is not None and name not in takes]
+    if stray:
+        raise ConstraintError(f"{recipe} does not take {' '.join(stray)}")
     if recipe == "chai2" or (recipe == "chai1" and args.dm_file is not None):
         if args.v is None:
             raise ConstraintError(f"{recipe} needs --v")

@@ -6,7 +6,8 @@ into reproducible composite artifacts.
 The Kronecker pairing takes one block per s in [0, lcm(M1, M2)): the full row
 product of member (s mod M1) with member (s mod M2).  Strength verification of
 the result is mandatory, so a wrong pairing can never produce an accepted
-artifact.
+artifact.  Each engine counts its own output once; a plan hands that verdict
+to execute_plan, which recounts only a claim above it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
     """Stack member i of l1 over member i of l2 with l2's column-0 symbols
     relabeled to a1..a1+b1-1; the tails (columns 1..k-1) must agree and
     N1/a1 = N2/b1.  Output verified at the common strength."""
+    return _juxtapose(l1, l2)[0]
+
+
+def _juxtapose(l1: LargeSet, l2: LargeSet) -> tuple[LargeSet, int]:
+    """juxtapose, with the strength its large-set check passed at."""
     if l1.profile.levels[1:] != l2.profile.levels[1:]:
         raise ConstraintError(
             f"profiles differ beyond column 0: {l1.profile.format()} vs"
@@ -113,53 +119,52 @@ def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
     report = verify_large_set(ls, t)
     if not report.ok:
         raise VerificationError("juxtaposed large set failed verification", report)
-    return ls
+    return ls, t
 
 
 # -- Kronecker pairing -------------------------------------------------------------
 
 
-def kronecker(
-    l1: LargeSet,
-    l2: LargeSet,
-    *,
-    skip_input_check: bool = False,
-) -> SymbolMatrix:
+def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     """Union over s < lcm(M1, M2) of the row products of member (s mod M1)
     with member (s mod M2): an array on k1 + k2 columns with
-    h * N1 * N2 rows and strength t1 + t2 + 1, verified before returning."""
+    h * N1 * N2 rows and strength t1 + t2 + 1, verified before returning.
+    Both inputs are first verified as large sets at their claimed strengths."""
     if l1.t is None or l2.t is None:
         raise ValueError("both large sets need a claimed strength")
     for ls, name in ((l1, "first"), (l2, "second")):
-        if skip_input_check:
-            continue
         report = verify_large_set(ls, ls.t)
         if not report.ok:
             raise VerificationError(
                 f"{name} input is not a verified large set", report
             )
+    return _kronecker(l1, l2)[0]
+
+
+def _kronecker(l1: LargeSet, l2: LargeSet) -> tuple[SymbolMatrix, int]:
+    """kronecker without the input checks, with the strength its output's
+    count passed at."""
     m1, m2 = l1.m, l2.m
     h = lcm(m1, m2)
     t = l1.t + l2.t + 1
     n_out = h * l1.n * l2.n
-    if n_out * (l1.profile.k + l2.profile.k) > MAX_MATERIALIZED * 8:
+    k1 = l1.profile.k
+    if n_out * (k1 + l2.profile.k) > MAX_MATERIALIZED * 8:
         raise SizeCapError(f"output with {n_out} rows too large to materialize")
-    blocks = []
-    for s in range(h):
-        a = l1.cells[s % m1]
-        b = l2.cells[s % m2]
-        left = np.repeat(a, b.shape[0], axis=0)
-        right = np.tile(b, (a.shape[0], 1))
-        blocks.append(np.hstack([left, right]))
+    # block s holds row i of member s mod M1 beside row j of member s mod M2
+    # at row i * N2 + j; s mod M runs over h / M copies of range(M)
+    cells = np.empty((h, l1.n, l2.n, k1 + l2.profile.k), dtype=np.int32)
+    cells.reshape(h // m1, m1, l1.n, l2.n, -1)[..., :k1] = l1.cells[None, :, :, None, :]
+    cells.reshape(h // m2, m2, l1.n, l2.n, -1)[..., k1:] = l2.cells[None, :, None, :, :]
     profile = LevelProfile(l1.profile.levels + l2.profile.levels)
-    out = SymbolMatrix(profile, np.vstack(blocks), t=t)
+    out = SymbolMatrix._trusted(profile, cells.reshape(n_out, -1), t)
     report = verify_strength(out, t)
     if not report.ok:
         raise VerificationError(
             f"Kronecker pairing failed its strength-{t} check on subsets "
             f"{report.failing_subsets()[:4]}", report
         )
-    return out
+    return out, t
 
 
 # -- construction plans -------------------------------------------------------------
@@ -274,32 +279,36 @@ def run_leaf(node: Leaf) -> _OAWithProjection | LargeSet:
     return _OAWithProjection(*out) if isinstance(out, tuple) else out
 
 
-def _execute(node: PlanNode):
+def _execute(node: PlanNode, built: dict):
+    """The node's artifact and the strength that its engine's own exhaustive
+    count has just passed at, or None when nothing has counted it yet.
+    `built` holds the results of one plan, so equal subtrees are built once."""
+    if node not in built:
+        built[node] = _build(node, built)
+    return built[node]
+
+
+def _build(node: PlanNode, built: dict):
     if isinstance(node, Leaf):
-        return run_leaf(node)
-    if isinstance(node, Expand):
-        child = _execute(node.child)
+        return run_leaf(node), None
+    if isinstance(node, (Expand, Project)):
+        child, _ = _execute(node.child, built)
         if not isinstance(child, _OAWithProjection):
-            raise VerificationError(f"expand needs an array with projection: {node}")
-        return expand_shift(child.matrix, child.projection)
-    if isinstance(node, Project):
-        child = _execute(node.child)
-        if not isinstance(child, _OAWithProjection):
-            raise VerificationError(f"project needs an array with projection: {node}")
+            raise VerificationError(
+                f"{type(node).__name__.lower()} needs an array with projection: {node}")
+        if isinstance(node, Expand):
+            return expand_shift(child.matrix, child.projection), None
         return _OAWithProjection(*project_resolvable(child.matrix, child.projection,
-                                                     node.columns))
+                                                     node.columns)), None
     if isinstance(node, Juxtapose):
-        return juxtapose(_as_large_set(node.left), _as_large_set(node.right))
+        return _juxtapose(_as_large_set(node.left, built), _as_large_set(node.right, built))
     if isinstance(node, Kronecker):
-        return kronecker(
-            _as_large_set(node.left), _as_large_set(node.right),
-            skip_input_check=True,
-        )
+        return _kronecker(_as_large_set(node.left, built), _as_large_set(node.right, built))
     raise TypeError(f"unknown plan node {node!r}")
 
 
-def _as_large_set(node: PlanNode) -> LargeSet:
-    result = _execute(node)
+def _as_large_set(node: PlanNode, built: dict) -> LargeSet:
+    result, _ = _execute(node, built)
     if isinstance(result, _OAWithProjection):
         result = expand_shift(result.matrix, result.projection)
     if not isinstance(result, LargeSet):
@@ -309,8 +318,10 @@ def _as_large_set(node: PlanNode) -> LargeSet:
 
 def execute_plan(plan: ConstructionPlan) -> SymbolMatrix | LargeSet:
     """Execute the tree and verify the claimed (N, profile, strength); any
-    mismatch is a hard error naming the failing check."""
-    result = _execute(plan.root)
+    mismatch is a hard error naming the failing check.  The strength is
+    counted here unless the engine that built the root has already passed
+    a count at t >= the claimed t (strength t implies every lower one)."""
+    result, verified_t = _execute(plan.root, {})
     if isinstance(result, _OAWithProjection):
         result = result.matrix
     claim = plan.claim
@@ -322,6 +333,8 @@ def execute_plan(plan: ConstructionPlan) -> SymbolMatrix | LargeSet:
         raise VerificationError(
             f"claimed profile {claim.profile_counts}, produced {counts}"
         )
+    if verified_t is not None and 0 <= claim.t <= verified_t:
+        return result
     if isinstance(result, LargeSet):
         report = verify_large_set(result, claim.t)
     else:
@@ -382,9 +395,14 @@ def _dev_node(v: int, cols: int) -> PlanNode:
     return Expand(Project(base, tuple(keep[:cols])))
 
 
-def _binary_node(n: int, k: int, b: int) -> PlanNode:
-    kind = "sylvester2" if b == 2 else "sylvester3"
-    return Expand(leaf(kind, n=n, k=k))
+def _binary(n: int, k: int, b: int, theorem: str, name: str):
+    """The binary large set of strength b on k columns (the recipe's parameter
+    `name`), checked against n, as (node, N, M, b)."""
+    if b == 2:
+        _check(n <= k <= 2**n - 1, theorem, f"n <= {name} <= 2^n - 1")
+        return Expand(leaf("sylvester2", n=n, k=k)), 2**n, 2 ** (k - n), 2
+    _check(n + 1 <= k <= 2**n, theorem, f"n + 1 <= {name} <= 2^n")
+    return Expand(leaf("sylvester3", n=n, k=k)), 2 ** (n + 1), 2 ** (k - n - 1), 3
 
 
 def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
@@ -432,15 +450,10 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         v, k1, n, k2, b = p["v"], p["k1"], p["n"], p["k2"], p["b"]
         _check(v >= 2 and k1 >= 3, theorem, "v >= 2 and k1 >= 3")
         _check(n >= 2 and b in (2, 3), theorem, "n >= 2 and b in {2, 3}")
-        if b == 2:
-            _check(n <= k2 <= 2**n - 1, theorem, "n <= k2 <= 2^n - 1")
-            h = lcm(v ** (k1 - 3), 2 ** (k2 - n))
-            claim = Claim(2**n * v * h, _counts([(v, k1 - 2), (2, k2)]), 4)
-        else:
-            _check(n + 1 <= k2 <= 2**n, theorem, "n + 1 <= k2 <= 2^n")
-            h = lcm(v ** (k1 - 3), 2 ** (k2 - n - 1))
-            claim = Claim(2 ** (n + 1) * v * h, _counts([(v, k1 - 2), (2, k2)]), 5)
-        node = Kronecker(leaf("cosets", v=v, k=k1 - 2), _binary_node(n, k2, b))
+        binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
+        h = lcm(v ** (k1 - 3), m2)
+        claim = Claim(n2 * v * h, _counts([(v, k1 - 2), (2, k2)]), t2 + 2)
+        node = Kronecker(leaf("cosets", v=v, k=k1 - 2), binary)
         return ConstructionPlan(node, claim, theorem)
 
     if theorem == "qn2n-com":
@@ -450,17 +463,10 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(2 <= m <= k1 <= (q**m - 1) // (q - 1), theorem,
                "2 <= m <= k1 <= (q^m - 1)/(q - 1)")
         _check(n >= 2 and b in (2, 3), theorem, "n >= 2 and b in {2, 3}")
-        if b == 2:
-            _check(n <= k2 <= 2**n - 1, theorem, "n <= k2 <= 2^n - 1")
-            h = lcm(q ** (k1 - m), 2 ** (k2 - n))
-            claim = Claim(2**n * q**m * h, _counts([(q, k1), (2, k2)]), 5)
-        else:
-            _check(n + 1 <= k2 <= 2**n, theorem, "n + 1 <= k2 <= 2^n")
-            h = lcm(q ** (k1 - m), 2 ** (k2 - n - 1))
-            claim = Claim(2 ** (n + 1) * q**m * h, _counts([(q, k1), (2, k2)]), 6)
-        node = Kronecker(
-            Expand(leaf("projective", q=q, n=m, k=k1)), _binary_node(n, k2, b)
-        )
+        binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
+        h = lcm(q ** (k1 - m), m2)
+        claim = Claim(n2 * q**m * h, _counts([(q, k1), (2, k2)]), t2 + 3)
+        node = Kronecker(Expand(leaf("projective", q=q, n=m, k=k1)), binary)
         return ConstructionPlan(node, claim, theorem)
 
     if theorem == "qn2v32=5":
@@ -521,17 +527,10 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(q >= 2 and q & (q - 1) == 0, theorem, "q a power of 2")
         _check(3 <= k1 <= q + 2, theorem, "3 <= k1 <= q + 2")
         _check(n >= 2 and b in (2, 3), theorem, "n >= 2 and b in {2, 3}")
-        if b == 2:
-            _check(n <= k2 <= 2**n - 1, theorem, "n <= k2 <= 2^n - 1")
-            h = lcm(q ** (k1 - 3), 2 ** (k2 - n))
-            claim = Claim(2**n * q**3 * h, _counts([(q, k1), (2, k2)]), 6)
-        else:
-            _check(n + 1 <= k2 <= 2**n, theorem, "n + 1 <= k2 <= 2^n")
-            h = lcm(q ** (k1 - 3), 2 ** (k2 - n - 1))
-            claim = Claim(2 ** (n + 1) * q**3 * h, _counts([(q, k1), (2, k2)]), 7)
-        node = Kronecker(
-            Expand(leaf("bush", q=q, t=3, k=k1)), _binary_node(n, k2, b)
-        )
+        binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
+        h = lcm(q ** (k1 - 3), m2)
+        claim = Claim(n2 * q**3 * h, _counts([(q, k1), (2, k2)]), t2 + 4)
+        node = Kronecker(Expand(leaf("bush", q=q, t=3, k=k1)), binary)
         return ConstructionPlan(node, claim, theorem)
 
     if theorem == "t-1q43=t+3":
@@ -558,15 +557,10 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
             level_part: PlanNode = leaf("cosets", v=q, k=k1)
         else:
             level_part = Expand(leaf("bush", q=q, t=t, k=k1))
-        if b == 2:
-            _check(n <= k2 <= 2**n - 1, theorem, "n <= k2 <= 2^n - 1")
-            h = lcm(q ** (k1 - t), 2 ** (k2 - n))
-            claim = Claim(2**n * q**t * h, _counts([(q, k1), (2, k2)]), t + 3)
-        else:
-            _check(n + 1 <= k2 <= 2**n, theorem, "n + 1 <= k2 <= 2^n")
-            h = lcm(q ** (k1 - t), 2 ** (k2 - n - 1))
-            claim = Claim(2 ** (n + 1) * q**t * h, _counts([(q, k1), (2, k2)]), t + 4)
-        node = Kronecker(level_part, _binary_node(n, k2, b))
+        binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
+        h = lcm(q ** (k1 - t), m2)
+        claim = Claim(n2 * q**t * h, _counts([(q, k1), (2, k2)]), t + t2 + 1)
+        node = Kronecker(level_part, binary)
         return ConstructionPlan(node, claim, theorem)
 
     if theorem == "tt-1n2-3":
@@ -574,18 +568,10 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         s, t, n, k1, b = p["s"], p["t"], p["n"], p["k1"], p["b"]
         _check(s >= 2 and t >= 2 and n >= 2, theorem, "s, t, n >= 2")
         _check(b in (2, 3), theorem, "b in {2, 3}")
-        if b == 2:
-            _check(n <= k1 <= 2**n - 1, theorem, "n <= k1 <= 2^n - 1")
-            h = lcm(s, 2 ** (k1 - n))
-            claim = Claim(2**n * s ** (t - 1) * h, _counts([(2, k1), (s, t)]), t + 2)
-        else:
-            _check(n + 1 <= k1 <= 2**n, theorem, "n + 1 <= k1 <= 2^n")
-            h = lcm(s, 2 ** (k1 - n - 1))
-            claim = Claim(2 ** (n + 1) * s ** (t - 1) * h,
-                          _counts([(2, k1), (s, t)]), t + 3)
-        node = Kronecker(
-            Expand(leaf("zerosum", s=s, t=t - 1)), _binary_node(n, k1, b)
-        )
+        binary, n2, m2, t2 = _binary(n, k1, b, theorem, "k1")
+        h = lcm(s, m2)
+        claim = Claim(n2 * s ** (t - 1) * h, _counts([(2, k1), (s, t)]), t + t2)
+        node = Kronecker(Expand(leaf("zerosum", s=s, t=t - 1)), binary)
         return ConstructionPlan(node, claim, theorem)
 
     if theorem == "qtp43":

@@ -1,0 +1,21 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from oaforge import arrays
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Every strength count made while the test runs, as (M, N, k, t) per
+    call of arrays._off_chunks, the kernel that verify_strength (M = 1) and
+    verify_large_set both count through."""
+    calls = []
+    kernel = arrays._off_chunks
+
+    def spy(cells, plan, threads):
+        calls.append((*cells.shape, plan.cols.shape[1]))
+        return kernel(cells, plan, threads)
+
+    monkeypatch.setattr(arrays, "_off_chunks", spy)
+    return calls

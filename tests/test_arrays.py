@@ -55,6 +55,27 @@ def test_symbol_matrix_validation():
         a.cells[0, 0] = 1  # read-only
 
 
+def test_symbol_matrix_takes_over_a_contiguous_int32_array():
+    # no copy: linear_oa hands over its freshly built cells, and a copy
+    # would add a second output-sized array to its peak memory
+    cells = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    a = SymbolMatrix(LevelProfile([2, 2]), cells)
+    assert np.shares_memory(a.cells, cells)
+    assert not cells.flags.writeable
+
+
+@pytest.mark.parametrize("cells", [
+    np.array([[0, 1], [1, 0]], dtype=np.int64),
+    np.array([[0, 1], [1, 0]], dtype=np.int32).T,  # not C-contiguous
+])
+def test_symbol_matrix_copies_other_input(cells):
+    a = SymbolMatrix(LevelProfile([2, 2]), cells)
+    assert not np.shares_memory(a.cells, cells)
+    assert cells.flags.writeable and not a.cells.flags.writeable
+    cells[0, 0] = 1
+    assert a.cells[0, 0] == 0
+
+
 def test_full_factorial_strength():
     ff = full_factorial(LevelProfile([2, 2, 2]))
     report = verify_strength(ff, 3)

@@ -284,6 +284,7 @@ CLI_ERRORS = [
     ("expand {oa} --keep 0,0 -o {out}", 2),
     ("expand {oa} --columns 0,99 -o {out}", 2),
     ("expand {oa} --columns 0,0 -o {out}", 2),
+    ("construct sylvester2 --n 3 --k 7 --q 5 --v 9 --dm-file nonexistent.dm -o {out}", 2),
 ]
 
 

@@ -3,19 +3,27 @@
 import numpy as np
 import pytest
 
+from oaforge import compose
 from oaforge.arrays import (
     LargeSet,
     LevelProfile,
     SymbolMatrix,
+    brute_force_strength,
     verify_large_set,
     verify_strength,
 )
+from oaforge.catalog import catalog
 from oaforge.compose import (
     THEOREM_IDS,
+    Claim,
+    ConstructionPlan,
+    Juxtapose,
+    Kronecker,
     cosets_strength1,
     execute_plan,
     juxtapose,
     kronecker,
+    leaf,
     plan_theorem,
     zero_sum_large_set,
     zero_sum_oa,
@@ -297,3 +305,74 @@ def test_all_theorem_ids_have_runnable_smallest_instance():
     for tid, params in smallest.items():
         plan = plan_theorem(tid, params)
         assert plan.claim.n >= 1
+
+
+def test_kronecker_fills_the_block_formula_rows():
+    # compose kronecker t4_640: block s is member s mod M1 (each row repeated
+    # N2 times) beside member s mod M2 (tiled N1 times), blocks stacked
+    l1 = cosets_strength1(LevelProfile([2] * 4))
+    l2 = fixture_loa("oa40_5e1_2e6")
+    out = kronecker(l1, l2)
+    h = np.lcm(l1.m, l2.m)
+    expected = np.vstack([
+        np.hstack([np.repeat(l1.cells[s % l1.m], l2.n, axis=0),
+                   np.tile(l2.cells[s % l2.m], (l1.n, 1))])
+        for s in range(h)])
+    assert out.n == 640
+    assert out.cells.dtype == np.int32 and not out.cells.flags.writeable
+    assert np.array_equal(out.cells, expected)
+
+
+@pytest.mark.parametrize("theorem, params, n, k, t", [
+    ("doublev3-2", {"v": 4, "k": 5}, 4**8, 10, 5),
+    ("v1+v3-2", {"v": 4, "k": 6}, 4**7, 10, 4),
+])
+def test_composite_output_is_counted_once(counts, theorem, params, n, k, t):
+    art = execute_plan(plan_theorem(theorem, params))
+    assert (art.n, art.k, art.t) == (n, k, t)
+    assert [c for c in counts if c[1:3] == (n, k)] == [(1, n, k, t)]
+
+
+def test_equal_subtrees_are_built_and_counted_once(counts):
+    # doublev3-2 pairs the projected chai1 large set with itself; its
+    # 64 x 13 development is built and self-checked once
+    execute_plan(plan_theorem("doublev3-2", {"v": 4, "k": 5}))
+    assert [c for c in counts if c[2] == 13] == [(1, 64, 13, 2)]
+    assert len(counts) == 2
+
+
+def test_juxtaposed_catalog_row_is_counted_once(counts):
+    entry = next(e for e in catalog("table3")
+                 if e.runner is not None and isinstance(e.runner.root, Juxtapose))
+    ls = execute_plan(entry.runner)
+    assert [c for c in counts if c[:3] == (ls.m, ls.n, ls.profile.k)] == \
+        [(ls.m, ls.n, ls.profile.k, ls.t)]
+
+
+def test_claim_above_the_engine_verdict_is_counted_and_rejected(counts):
+    # two strength-1 coset sets pair to strength 3; a claim of 4 is counted
+    # (index 1 on 16 rows) and fails
+    node = Kronecker(leaf("cosets", v=2, k=3), leaf("cosets", v=2, k=3))
+    with pytest.raises(VerificationError, match="claimed strength 4"):
+        execute_plan(ConstructionPlan(node, Claim(16, ((2, 6),), 4)))
+    assert counts[-2:] == [(1, 16, 6, 3), (1, 16, 6, 4)]
+
+
+def test_wrong_pairing_is_rejected_through_execute_plan(monkeypatch):
+    engine = compose._kronecker
+
+    def member_zero_only(l1, l2):  # pair every member s with member 0 of l2
+        zeros = LargeSet._stacked(l2.profile, np.repeat(l2.cells[:1], l2.m, axis=0),
+                                  l2.member_t, l2.t)
+        return engine(l1, zeros)
+
+    monkeypatch.setattr(compose, "_kronecker", member_zero_only)
+    with pytest.raises(VerificationError, match="Kronecker pairing failed"):
+        execute_plan(plan_theorem("v12n-4", {"v": 2, "k1": 4, "n": 2, "k2": 3}))
+
+
+def test_oracle_agrees_with_the_verdict_on_the_smallest_composite():
+    plan = plan_theorem("v12n-4", {"v": 2, "k1": 4, "n": 2, "k2": 3})
+    art = execute_plan(plan)
+    assert art.n == 16 and plan.claim.t == 4
+    assert brute_force_strength(art, plan.claim.t).ok
