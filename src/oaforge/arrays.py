@@ -5,20 +5,21 @@ N x k run matrix; a LargeSet is an ordered list of M row-disjoint simple
 N x k members partitioning the full factorial, stored as one (M, N, k)
 array.
 
-The strength verifier counts every t-tuple in every t-subset of columns.
-Column subsets are enumerated in colexicographic order throughout, so reports
-are deterministic.  brute_force_strength re-counts with deliberately naive
-nested loops and shares no kernels with the fast path; it is the oracle the
-fast path is tested against.
+The strength verifier counts every t-tuple in every t-subset of columns with
+one kernel for single arrays and stacked large sets.  It walks the subsets
+depth-first from the largest column down: a node's row codes are its
+parent's times the column's level plus the column, starting from the member
+index, so a subset costs one multiply-add and one bincount (runs of small
+subsets share one), and the subsets come out in colexicographic order, which
+keeps reports deterministic.  brute_force_strength re-counts with
+deliberately naive nested loops and shares no kernels with the fast path; it
+is the oracle the fast path is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -316,16 +317,17 @@ def colex_combinations(k: int, t: int):
 class _Plan(NamedTuple):
     """How to count one (levels, t, N).  A subset whose level product does
     not divide N has no integer index and fails without a count; the others
-    are counted, each in its own table of the code space."""
+    are the leaves of the walk, whose depth-d nodes fix the d largest columns."""
 
     subsets: list[tuple[int, ...]]  # every t-subset, colex order
     prods: np.ndarray  # level product of each subset
     uncounted: list[int]  # indices of the subsets without an integer index
     counted: np.ndarray  # indices of the others
-    cols: np.ndarray  # counted subsets as a column-index matrix
-    wpos: np.ndarray  # matching mixed-radix weights
-    offsets: np.ndarray  # start of each counted subset's table, then the end
+    down: np.ndarray  # counted subsets' columns, largest first
+    radix: np.ndarray  # the levels of those columns
+    spaces: np.ndarray  # level product of each counted subset
     lams: np.ndarray  # index of each counted subset
+    tree: tuple  # root node; a node is (lo, hi, ((column, level, child), ...))
 
 
 @lru_cache(maxsize=64)
@@ -333,73 +335,99 @@ def _strength_plan(levels: tuple[int, ...], t: int, n: int) -> _Plan:
     subsets = list(colex_combinations(len(levels), t))
     cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
     lv = np.asarray(levels, dtype=np.int64)
-    wpos = np.empty_like(cols)
-    prods = np.ones(len(subsets), dtype=np.int64)
-    for p in range(t - 1, -1, -1):
-        wpos[:, p] = prods
-        prods = prods * lv[cols[:, p]]
-    integer = n % prods == 0
-    counted = np.flatnonzero(integer)
-    offsets = np.zeros(len(counted) + 1, dtype=np.int64)
-    np.cumsum(prods[counted], out=offsets[1:])
-    return _Plan(subsets, prods, np.flatnonzero(~integer).tolist(), counted,
-                 cols[counted], wpos[counted], offsets, n // prods[counted])
+    prods = np.prod(lv[cols], axis=1)
+    counted = np.flatnonzero(n % prods == 0)
+    down = cols[counted, ::-1]
+    radix = lv[down].astype(np.int32 if max(levels) < 1 << 31 else np.int64)
+    return _Plan(subsets, prods, np.flatnonzero(n % prods).tolist(), counted, down,
+                 radix, prods[counted], n // prods[counted],
+                 _node(down.tolist(), levels, 0, len(counted), 0))
 
 
-def _off_tables(cells_t, plan: _Plan, lo: int, hi: int, members: int) -> np.ndarray:
-    """Which tuple tables of counted subsets [lo, hi) are off, as a (members,
-    hi - lo) bool array.  The transposed (k x rows) cells hold `members` equal
-    members one after another; per-position row gathers make mixed-radix
-    codes in the dtype of cells_t, with the member index as the leading
-    coordinate, and one bincount counts them."""
-    dtype = cells_t.dtype
-    starts = plan.offsets[lo:hi] - plan.offsets[lo]
-    space = int(plan.offsets[hi] - plan.offsets[lo])
-    shape = (hi - lo, cells_t.shape[1])
-    codes = np.empty(shape, dtype=dtype)
-    tmp = np.empty(shape, dtype=dtype)
-    np.take(cells_t, plan.cols[lo:hi, 0], axis=0, out=codes)
-    codes *= plan.wpos[lo:hi, 0, None].astype(dtype)
-    for p in range(1, plan.cols.shape[1]):
-        np.take(cells_t, plan.cols[lo:hi, p], axis=0, out=tmp)
-        tmp *= plan.wpos[lo:hi, p, None].astype(dtype)
-        codes += tmp
-    codes += starts[:, None].astype(dtype)
-    if members > 1:
-        codes += np.repeat(np.arange(0, members * space, space, dtype=dtype),
-                           shape[1] // members)
-    counts = np.bincount(codes.reshape(-1), minlength=members * space)
-    expected = np.repeat(plan.lams[lo:hi], plan.offsets[lo + 1:hi + 1] - plan.offsets[lo:hi])
-    off = counts.reshape(members, space) != expected
-    if not off.any():  # the usual case: skip the per-table reduction
-        return np.zeros((members, hi - lo), dtype=bool)
-    return np.logical_or.reduceat(off, starts, axis=1)
+def _node(down: list, levels, lo: int, hi: int, depth: int) -> tuple:
+    """The node over counted subsets [lo, hi), which share their `depth`
+    largest columns; its children split them by the next column."""
+    if lo == hi or depth == len(down[lo]):
+        return lo, hi, ()
+    cuts = [lo] + [i for i in range(lo + 1, hi) if down[i][depth] != down[i - 1][depth]] + [hi]
+    return lo, hi, tuple((down[a][depth], levels[down[a][depth]],
+                          _node(down, levels, a, b, depth + 1)) for a, b in zip(cuts, cuts[1:]))
 
 
-def _off_chunks(cells: np.ndarray, plan: _Plan, threads: int):
-    """Count stacked (M, N, k) cells in chunks of members and of counted
-    subsets, sized so each code buffer stays cache-friendly.  Yields, in
-    order, (first member, first subset, off) with `off` the (members,
-    subsets) array of the tables that are off.  With threads, a few subset
-    chunks of one member chunk are counted ahead of the consumer."""
+def _off_walk(cells: np.ndarray, plan: _Plan):
+    """Count stacked (M, N, k) cells in chunks of about CHUNK_TARGET_CELLS
+    rows of whole members.  Yields, in colex order within each chunk, (first
+    member, first counted subset, off) with `off` the (members, subsets)
+    array of the tables that are off."""
     m, n, k = cells.shape
-    total = len(plan.counted)
-    step = max(1, min(total, CHUNK_TARGET_CELLS // max(n, 1)))
-    per = max(1, CHUNK_TARGET_CELLS // max(1, n * step))
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    # a chunk's codes stay below max(CHUNK_TARGET_CELLS, N): each counted
-    # table has at most N slots
+    per = max(1, CHUNK_TARGET_CELLS // max(n, 1))
+    # codes stay below max(CHUNK_TARGET_CELLS, N): a batch of subsets shares
+    # CHUNK_TARGET_CELLS slots, one subset has members * N
     dtype = np.int32 if max(CHUNK_TARGET_CELLS, n) < 1 << 31 else np.int64
-    for first in range(0, m, per):
+    for first in range(0, m if len(plan.counted) else 0, per):
         block = cells[first:first + per]
-        cells_t = np.ascontiguousarray(block.reshape(-1, k).T, dtype=dtype)
+        x = np.ascontiguousarray(block.reshape(-1, k).T, dtype=dtype)
+        # the member index is the leading coordinate of the root code
+        root = np.repeat(np.arange(len(block), dtype=dtype), n) if len(block) > 1 else None
+        # one row of codes per depth, then room for two batches of codes
+        fit = CHUNK_TARGET_CELLS // max(x.shape[1], 1)
+        bufs = np.empty((plan.down.shape[1] + 2 * max(fit, 1), x.shape[1]), dtype=dtype)
+        for lo, off in _walk(x, root, plan.tree, 0, plan, bufs, len(block)):
+            yield first, lo, off
 
-        def run(r):
-            return _off_tables(cells_t, plan, *r, len(block))
 
-        with closing(_in_order(run, ranges, threads)) as offs:
-            for (lo, _), off in zip(ranges, offs):
-                yield first, lo, off
+def _walk(x, code, node, depth, plan, bufs, members):
+    """Depth-first over `node`, whose rows have the codes `code` (None for
+    zeros).  A run of two or more children whose subsets x rows fit in
+    CHUNK_TARGET_CELLS is one batch from these codes; any other child gets
+    its codes, code * level + its column, in bufs[depth] and is walked."""
+    lo, hi, children = node
+    if not children:
+        yield lo, _off_batch(x, code, plan, lo, hi, depth, members, bufs)
+        return
+    fit, i = CHUNK_TARGET_CELLS // max(x.shape[1], 1), 0
+    while i < len(children):
+        start, j = children[i][2][0], i
+        while j < len(children) and children[j][2][1] - start <= fit:
+            j += 1
+        if j > i + 1:
+            yield start, _off_batch(x, code, plan, start, children[j - 1][2][1], depth,
+                                    members, bufs)
+            i = j
+            continue
+        col, level, child = children[i]
+        if code is not None:
+            np.multiply(code, level, out=bufs[depth])
+            bufs[depth] += x[col]
+        yield from _walk(x, x[col] if code is None else bufs[depth], child, depth + 1,
+                         plan, bufs, members)
+        i += 1
+
+
+def _off_batch(x, code, plan, lo, hi, depth, members, bufs) -> np.ndarray:
+    """Extend `code` by the remaining columns of counted subsets [lo, hi),
+    one gather per level, and count them all in one bincount, each subset in
+    `members` tables of its level product.  A table sums to N, so it is off
+    exactly when its largest count is not the index."""
+    down, radix, spaces = plan.down[lo:hi, depth:], plan.radix[lo:hi, depth:], plan.spaces[lo:hi]
+    codes = code
+    if down.shape[1]:
+        t, size = plan.down.shape[1], hi - lo
+        codes, tmp = bufs[t:t + size], bufs[t + size:t + 2 * size]
+        np.take(x, down[:, 0], axis=0, out=codes, mode="clip")
+        if code is not None:
+            codes += np.multiply(code, radix[:, :1], out=tmp)
+        for j in range(1, down.shape[1]):
+            codes *= radix[:, j, None]
+            codes += np.take(x, down[:, j], axis=0, out=tmp, mode="clip")
+    starts = np.zeros(hi - lo, dtype=np.int64)
+    np.cumsum(spaces[:-1] * members, out=starts[1:])
+    if hi - lo > 1:
+        codes += starts[:, None].astype(x.dtype)
+    counts = np.bincount(codes.reshape(-1), minlength=int(starts[-1] + spaces[-1] * members))
+    tables = (starts[:, None] + spaces[:, None] * np.arange(members)).reshape(-1)
+    peaks = np.maximum.reduceat(counts, tables).reshape(hi - lo, members)
+    return (peaks != plan.lams[lo:hi, None]).T
 
 
 def _subset_failures(a: SymbolMatrix, sub: tuple[int, ...]) -> list[StrengthFailure]:
@@ -414,21 +442,18 @@ def _subset_failures(a: SymbolMatrix, sub: tuple[int, ...]) -> list[StrengthFail
             for code, symbols in zip(bad, np.transpose(np.unravel_index(bad, shape)).tolist())]
 
 
-def verify_strength(
-    a: SymbolMatrix,
-    t: int,
-    *,
-    fail_fast: bool = False,
-    budget: int | None = None,
-    threads: int = 1,
-) -> StrengthReport:
+def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
+                    budget: int | None = None) -> StrengthReport:
     """Exhaustively check that every t-tuple count is N / (product of levels)
     in every t-subset of columns.
 
     t = 0 passes trivially.  Subsets whose level product does not divide N are
     reported as a structural non-integer-index failure, distinct from count
-    imbalance, and are not counted.  The budget counts N * (number of
-    subsets) elementary counting operations.
+    imbalance, and are not counted.  The others are met in colex order by the
+    walk (see the module doc), each compared as soon as it is counted, so a
+    fail-fast return stops the walk; only an off subset is recounted, to
+    name its tuples.  The budget counts N * (number of subsets) elementary
+    counting operations.
     """
     if not 0 <= t <= a.k:
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
@@ -439,42 +464,18 @@ def verify_strength(
         raise BudgetExceededError(
             f"strength check needs {a.n * len(plan.subsets)} counting ops, budget {budget}"
         )
-
-    def off_counted(chunks):  # the counted subsets whose table is off, in order
-        for _, lo, off in chunks:
-            if off.any():
-                yield from plan.counted[lo + np.flatnonzero(off[0])].tolist()
-
     report = StrengthReport(
         t=t,
         checked_subsets=len(plan.subsets),
         _lazy_lambda=(plan.subsets, plan.prods, a.n),
     )
-    # each chunk is compared as soon as it is counted, and a fail-fast return
-    # stops the rest
-    with closing(_off_chunks(a.cells[None], plan, threads)) as chunks:
-        failing = off_counted(chunks)
-        for s in heapq.merge(plan.uncounted, failing) if plan.uncounted else failing:
-            report.failures.extend(_subset_failures(a, plan.subsets[s]))
-            if fail_fast:
-                break
+    failing = (plan.counted[lo + j] for _, lo, off in _off_walk(a.cells[None], plan)
+               for j in np.flatnonzero(off[0]).tolist())
+    for s in heapq.merge(plan.uncounted, failing) if plan.uncounted else failing:
+        report.failures.extend(_subset_failures(a, plan.subsets[s]))
+        if fail_fast:
+            break
     return report
-
-
-def _in_order(fn, items, threads: int):
-    """fn(item) for each item, yielded in order; with threads > 1 the calls
-    run in a pool, at most `threads` of them ahead of the consumer."""
-    if threads <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        ahead: deque = deque()
-        for item in items:
-            ahead.append(pool.submit(fn, item))
-            if len(ahead) > threads:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
 
 
 def brute_force_strength(a: SymbolMatrix, t: int, budget: int = 10**8) -> StrengthReport:
@@ -577,19 +578,14 @@ class LargeSetReport:
         return recs
 
 
-def verify_large_set(
-    ls: LargeSet,
-    t: int,
-    *,
-    threads: int = 1,
-    budget: int | None = None,
-) -> LargeSetReport:
+def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> LargeSetReport:
     """Check the three large-set properties: every member a simple OA of
     strength t, M * N = universe, and the union of all rows repeat-free
     (hence the full factorial).  One occupancy pass over all M * N rows comes
     first: with no repeated row every member is simple and the members are
     disjoint, so verify_simple runs per member only to name the members that
-    hold a repeat.  Strength is then counted over chunks of stacked members."""
+    hold a repeat.  Strength is then counted by one walk (see the module doc)
+    over chunks of whole members, the member index leading every code."""
     if not 0 <= t <= ls.profile.k:
         raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
     universe = ls.profile.universe_size
@@ -608,7 +604,7 @@ def verify_large_set(
     if t > 0 and plan.uncounted:  # a non-integer index fails every member uncounted
         weak[:] = True
     elif t > 0:
-        for first, _, off in _off_chunks(ls.cells, plan, threads):
+        for first, _, off in _off_walk(ls.cells, plan):
             weak[first:first + len(off)] |= off.any(axis=1)
     simple = np.ones(ls.m, dtype=bool) if report.disjoint_ok else \
         np.array([verify_simple(m)[0] for m in ls.members])
@@ -618,7 +614,7 @@ def verify_large_set(
         if not simple[idx]:
             report.member_problems.append((idx, "simple"))
     if weak.any():
-        report.first_bad_report = verify_strength(ls.members[np.argmax(weak)], t, threads=threads)
+        report.first_bad_report = verify_strength(ls.members[np.argmax(weak)], t)
     return report
 
 

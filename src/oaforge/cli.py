@@ -51,13 +51,6 @@ def _params(text: str) -> dict[str, int]:
     return out
 
 
-def _threads(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def _budget(text: str) -> int:
     ops = float(text)
     if not 0 <= ops < float("inf"):  # also refuses nan
@@ -76,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the global flags, accepted before and after the subcommand (the later
     # one wins); their defaults are set in main()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_threads, default=argparse.SUPPRESS,
-                        help="worker threads for subset counting (default 1)")
     common.add_argument("--budget", type=_budget, default=argparse.SUPPRESS,
                         help="counting-operation / search-node budget (default 1e8)")
     common.add_argument("--fail-fast", action="store_true", default=argparse.SUPPRESS,
@@ -244,8 +235,7 @@ def _cmd_construct(args) -> int:
     label = f"OA({a.n},{a.profile.format()},{a.t}), resolvable columns {proj.columns}"
     if args.expand:
         ls = expand_shift(a, proj)
-        report = verify_large_set(ls, ls.t, threads=args.threads,
-                                  budget=args.budget)
+        report = verify_large_set(ls, ls.t, budget=args.budget)
         code = _report_large_set(report)
         if code:
             return code
@@ -272,7 +262,7 @@ def _cmd_expand(args) -> int:
         proj = found
     ls = expand_shift(a, proj)
     t = ls.t if ls.t is not None else 0
-    report = verify_large_set(ls, t, threads=args.threads, budget=args.budget)
+    report = verify_large_set(ls, t, budget=args.budget)
     code = _report_large_set(report)
     if code:
         return code
@@ -300,12 +290,12 @@ def _cmd_verify(args) -> int:
             raise OAForgeError(f"{args.file} holds a large set; use 'verify loa'")
         t = args.strength if args.strength is not None else (obj.t or 0)
         report = verify_strength(obj, t, fail_fast=args.fail_fast,
-                                 budget=args.budget, threads=args.threads)
+                                 budget=args.budget)
         return _report_strength(report)
     if not isinstance(obj, LargeSet):
         raise OAForgeError(f"{args.file} holds a single array; use 'verify oa'")
     t = args.strength if args.strength is not None else (obj.t or 0)
-    report = verify_large_set(obj, t, threads=args.threads, budget=args.budget)
+    report = verify_large_set(obj, t, budget=args.budget)
     return _report_large_set(report)
 
 
@@ -405,7 +395,7 @@ def _cmd_fixtures(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(
-        argv, argparse.Namespace(threads=1, budget=10**8, fail_fast=False))
+        argv, argparse.Namespace(budget=10**8, fail_fast=False))
     handlers = {
         "construct": _cmd_construct,
         "expand": _cmd_expand,

@@ -269,6 +269,10 @@ LEAVES = {
 }
 
 
+# the kinds whose builder ends in an exhaustive count at the output's claimed t
+COUNTED_LEAVES = frozenset(LEAVES) - {"fullfact", "fixture"}
+
+
 def run_leaf(node: Leaf) -> _OAWithProjection | LargeSet:
     """Build one leaf through LEAVES; a missing or unknown parameter is a
     ConstraintError."""
@@ -280,9 +284,11 @@ def run_leaf(node: Leaf) -> _OAWithProjection | LargeSet:
 
 
 def _execute(node: PlanNode, built: dict):
-    """The node's artifact and the strength that its engine's own exhaustive
-    count has just passed at, or None when nothing has counted it yet.
-    `built` holds the results of one plan, so equal subtrees are built once."""
+    """The node's artifact and the strength that an exhaustive count has
+    passed it at, or None.  An Expand node passes on its seed's: shifted
+    members are per-column symbol translations, and projections keep
+    strength; its large-set properties are left to execute_plan.  `built`
+    holds the results of one plan, so equal subtrees are built once."""
     if node not in built:
         built[node] = _build(node, built)
     return built[node]
@@ -290,16 +296,18 @@ def _execute(node: PlanNode, built: dict):
 
 def _build(node: PlanNode, built: dict):
     if isinstance(node, Leaf):
-        return run_leaf(node), None
+        out = run_leaf(node)
+        return out, getattr(out, "matrix", out).t if node.kind in COUNTED_LEAVES else None
     if isinstance(node, (Expand, Project)):
-        child, _ = _execute(node.child, built)
+        child, verified_t = _execute(node.child, built)
         if not isinstance(child, _OAWithProjection):
             raise VerificationError(
                 f"{type(node).__name__.lower()} needs an array with projection: {node}")
         if isinstance(node, Expand):
-            return expand_shift(child.matrix, child.projection), None
-        return _OAWithProjection(*project_resolvable(child.matrix, child.projection,
-                                                     node.columns)), None
+            return expand_shift(child.matrix, child.projection), verified_t
+        out = _OAWithProjection(*project_resolvable(child.matrix, child.projection,
+                                                    node.columns))
+        return out, None if verified_t is None else min(verified_t, len(node.columns))
     if isinstance(node, Juxtapose):
         return _juxtapose(_as_large_set(node.left, built), _as_large_set(node.right, built))
     if isinstance(node, Kronecker):
@@ -319,8 +327,10 @@ def _as_large_set(node: PlanNode, built: dict) -> LargeSet:
 def execute_plan(plan: ConstructionPlan) -> SymbolMatrix | LargeSet:
     """Execute the tree and verify the claimed (N, profile, strength); any
     mismatch is a hard error naming the failing check.  The strength is
-    counted here unless the engine that built the root has already passed
-    a count at t >= the claimed t (strength t implies every lower one)."""
+    counted here unless the root has already passed a count at t >= the
+    claimed t (strength t implies every lower one).  An Expand root then
+    gets only the large-set checks that its seed's count does not cover:
+    member count, occupancy and simplicity."""
     result, verified_t = _execute(plan.root, {})
     if isinstance(result, _OAWithProjection):
         result = result.matrix
@@ -333,9 +343,12 @@ def execute_plan(plan: ConstructionPlan) -> SymbolMatrix | LargeSet:
         raise VerificationError(
             f"claimed profile {claim.profile_counts}, produced {counts}"
         )
-    if verified_t is not None and 0 <= claim.t <= verified_t:
+    covered = verified_t is not None and 0 <= claim.t <= verified_t
+    if isinstance(plan.root, Expand):
+        report = verify_large_set(result, 0 if covered else claim.t)
+    elif covered:
         return result
-    if isinstance(result, LargeSet):
+    elif isinstance(result, LargeSet):
         report = verify_large_set(result, claim.t)
     else:
         report = verify_strength(result, claim.t)

@@ -8,14 +8,14 @@ from oaforge import arrays
 @pytest.fixture
 def counts(monkeypatch):
     """Every strength count made while the test runs, as (M, N, k, t) per
-    call of arrays._off_chunks, the kernel that verify_strength (M = 1) and
+    call of arrays._off_walk, the kernel that verify_strength (M = 1) and
     verify_large_set both count through."""
     calls = []
-    kernel = arrays._off_chunks
+    kernel = arrays._off_walk
 
-    def spy(cells, plan, threads):
-        calls.append((*cells.shape, plan.cols.shape[1]))
-        return kernel(cells, plan, threads)
+    def spy(cells, plan):
+        calls.append((*cells.shape, plan.down.shape[1]))
+        return kernel(cells, plan)
 
-    monkeypatch.setattr(arrays, "_off_chunks", spy)
+    monkeypatch.setattr(arrays, "_off_walk", spy)
     return calls

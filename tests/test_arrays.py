@@ -252,23 +252,6 @@ def test_fail_fast_stops_early():
     assert len(full.failing_subsets()) == 3
 
 
-def test_threads_give_identical_reports(monkeypatch):
-    import oaforge.arrays as arrays_mod
-
-    a, _ = load_fixture("oa44_2e16_11e1")
-    monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", 512)  # force many chunks
-    r1 = verify_strength(a, 2, threads=1)
-    r4 = verify_strength(a, 2, threads=4)
-    assert r1.ok and r4.ok
-    assert r1.lambda_by_subset == r4.lambda_by_subset
-    cells = a.cells.copy()
-    cells[0, 0] ^= 1
-    broken = SymbolMatrix(a.profile, cells)
-    b1 = verify_strength(broken, 2, threads=1)
-    b4 = verify_strength(broken, 2, threads=4)
-    assert set(b1.failing_subsets()) == set(b4.failing_subsets())
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_level_permutation_invariance(data):
@@ -418,12 +401,90 @@ def test_kernel_reports_do_not_depend_on_chunking(monkeypatch, name, t, mutant, 
     first = [f for f in expected if f.columns == expected[0].columns] if fails else []
     for target in (1, 1 << 24):
         monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", target)
-        for threads in (1, 2):
-            for fail_fast, want in ((False, expected), (True, first)):
-                report = verify_strength(a, t, threads=threads, fail_fast=fail_fast)
-                assert report.failures == want
-                assert report.checked_subsets == oracle.checked_subsets
-                assert report.lambda_by_subset == oracle.lambda_by_subset
+        for fail_fast, want in ((False, expected), (True, first)):
+            report = verify_strength(a, t, fail_fast=fail_fast)
+            assert report.failures == want
+            assert report.checked_subsets == oracle.checked_subsets
+            assert report.lambda_by_subset == oracle.lambda_by_subset
+
+
+def _drawn_cells(data, profile: LevelProfile, kind: str, n: int) -> np.ndarray:
+    """Rows of one of three kinds, then maybe one mutation: whole copies of
+    the full factorial (strength k), the same with one column made random
+    (subsets without it pass), or n random rows (most subsets fail, many
+    without an integer index)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = np.asarray(profile.levels)
+    if kind == "random":
+        cells = rng.integers(0, levels, size=(n, profile.k))
+    else:
+        ff = full_factorial(profile).cells
+        cells = rng.permutation(np.tile(ff, (n // len(ff), 1)))
+        if kind == "one-random-column":
+            j = data.draw(st.integers(0, profile.k - 1), label="random column")
+            cells[:, j] = rng.integers(0, levels[j], size=len(cells))
+    mutation = data.draw(st.sampled_from(["none", "cell", "dup_row"]), label="mutation")
+    row, other = rng.integers(0, len(cells), size=2)
+    if mutation == "cell":
+        j = rng.integers(0, profile.k)
+        cells[row, j] = (cells[row, j] + 1) % levels[j]
+    elif mutation == "dup_row":
+        cells[row] = cells[other]
+    return cells
+
+
+def _colex_oracle(a: SymbolMatrix, t: int) -> list:
+    """brute_force_strength's failures in colex subset order (stable)."""
+    return sorted(brute_force_strength(a, t).failures, key=lambda f: f.columns[::-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_oracle(data):
+    """The walk against the naive oracle on small mixed-level arrays: the
+    failure list in colex order, the first fail-fast failure, and the
+    member problems and first bad report of a stacked set.
+    CHUNK_TARGET_CELLS is a few rows' worth, so that subsets are counted one
+    at a time or in small batches and members in small chunks, or so large
+    that everything is one batch."""
+    from unittest import mock
+
+    import oaforge.arrays as arrays_mod
+
+    levels = data.draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=5),
+                       label="levels")
+    profile = LevelProfile(levels)
+    t = data.draw(st.integers(1, profile.k), label="t")
+    kind = data.draw(st.sampled_from(["factorial", "one-random-column", "random"]),
+                     label="kind")
+    if kind == "random":
+        n = data.draw(st.integers(1, 48), label="n")
+    else:
+        n = profile.universe_size * data.draw(st.integers(1, 2), label="copies")
+    members = [SymbolMatrix(profile, _drawn_cells(data, profile, kind, n), t)
+               for _ in range(data.draw(st.integers(1, 4), label="members"))]
+    target = max(1, n * data.draw(st.integers(0, 12)) + data.draw(st.integers(-1, 1)))
+    target = data.draw(st.sampled_from([target, 1 << 16]), label="chunk target")
+    with mock.patch.object(arrays_mod, "CHUNK_TARGET_CELLS", target):
+        a = members[0]
+        want = _colex_oracle(a, t)
+        assert verify_strength(a, t).failures == want
+        first = [f for f in want if f.columns == want[0].columns] if want else []
+        assert verify_strength(a, t, fail_fast=True).failures == first
+        got = verify_large_set(LargeSet(profile, members, t), t)
+    oracle = [_colex_oracle(m, t) for m in members]
+    problems = []
+    for idx, m in enumerate(members):
+        if oracle[idx]:
+            problems.append((idx, "strength"))
+        if len({tuple(r) for r in m.cells.tolist()}) < n:
+            problems.append((idx, "simple"))
+    assert got.member_problems == problems
+    weak = [failures for failures in oracle if failures]
+    if weak:
+        assert got.first_bad_report.failures == weak[0]
+    else:
+        assert got.first_bad_report is None
 
 
 def test_non_integer_index_subsets_get_no_count_table():

@@ -5,11 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oaforge.arrays import LargeSet, SymbolMatrix, verify_large_set, verify_strength
+from oaforge.arrays import (
+    LargeSet,
+    SymbolMatrix,
+    colex_combinations,
+    verify_large_set,
+    verify_strength,
+)
 from oaforge.catalog import catalog, run_entries
 from oaforge.cli import main
-from oaforge.compose import execute_plan
+from oaforge.compose import Expand, Leaf, Project, execute_plan, leaf, run_leaf
 from oaforge.errors import VerificationError
 
 DATA = Path(__file__).parent / "data"
@@ -174,3 +182,56 @@ def test_catalog_plan_mutants_are_rejected(entry):
         for kind, mutant, cols in _array_mutants(artifact, rng):
             subsets = verify_strength(mutant, t).failing_subsets()
             assert subsets and all(cols & set(s) for s in subsets), kind
+
+
+def _leaves(node):
+    if isinstance(node, Leaf):
+        yield node
+    elif isinstance(node, (Expand, Project)):
+        yield from _leaves(node.child)
+    else:
+        yield from _leaves(node.left)
+        yield from _leaves(node.right)
+
+
+CATALOG_LEAVES = {lf for e in catalog("all") if e.runner is not None for lf in _leaves(e.runner.root)}
+
+
+def _unused_constructor(data) -> Leaf:
+    """A constructor leaf at parameters outside the catalog: fullfact,
+    sylvester at n >= 5, and the linear families at q = 7, 8, 9."""
+    kind = data.draw(st.sampled_from(
+        ["fullfact", "sylvester2", "sylvester3", "projective", "bush", "q4t3"]), label="kind")
+    if kind == "fullfact":
+        node = leaf(kind, v=data.draw(st.integers(2, 5)), k=data.draw(st.integers(1, 4)))
+    elif kind.startswith("sylvester"):
+        n = data.draw(st.integers(5, 6), label="n")
+        low = n if kind == "sylvester2" else n + 1
+        node = leaf(kind, n=n, k=data.draw(st.integers(low, low + 16), label="k"))
+    else:
+        q = data.draw(st.sampled_from([7, 8, 9]), label="q")
+        if kind == "projective":
+            n = data.draw(st.integers(2, 3), label="n")
+            node = leaf(kind, q=q, n=n, k=data.draw(st.integers(n, 12 if n == 3 else q + 1)))
+        elif kind == "bush":
+            t = data.draw(st.integers(2, 4), label="t")
+            node = leaf(kind, q=q, t=t, k=data.draw(st.integers(t, q + 1), label="k"))
+        else:
+            node = leaf(kind, q=q, k=data.draw(st.integers(4, 10), label="k"))
+    assume(node not in CATALOG_LEAVES)
+    return node
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_constructor_mutants_are_rejected_and_located(data):
+    """One changed cell or one duplicated row in a constructor's output is
+    rejected at its strength and located: the failing subsets are, in colex
+    order, exactly those holding a mutated column, since each of them sees
+    one tuple fewer (the mutated row's old tuple)."""
+    a = run_leaf(_unused_constructor(data)).matrix
+    assert verify_strength(a, a.t).ok
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for kind, mutant, cols in _array_mutants(a, rng):
+        want = [s for s in colex_combinations(a.k, a.t) if cols & set(s)]
+        assert want and verify_strength(mutant, a.t).failing_subsets() == want, kind

@@ -247,7 +247,7 @@ def test_usage_error_exit_code():
 def test_global_flags_accepted_after_subcommand(capsys):
     path = fixture_dir() / "oa54_3e5_2e1.txt"
     code, out = run(capsys, "verify", "oa", str(path), "--strength", "3",
-                    "--threads", "2", "--budget", "1e8")
+                    "--budget", "1e8")
     assert code == 0 and out.startswith("ok:")
     code, out = run(capsys, "search", "dm", "--v", "7", "--k", "4",
                     "--budget", "25")

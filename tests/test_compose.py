@@ -349,6 +349,44 @@ def test_juxtaposed_catalog_row_is_counted_once(counts):
         [(ls.m, ls.n, ls.profile.k, ls.t)]
 
 
+def test_expanded_catalog_row_counts_only_its_seed(counts):
+    # table5's q4t3 q=3 row: the 81-row seed is counted at t=3 by its
+    # builder; its 729 shifted members are not counted again
+    entry = next(e for e in catalog("table5") if e.runner is not None
+                 and e.runner.root == compose.Expand(leaf("q4t3", q=3, k=10)))
+    ls = execute_plan(entry.runner)
+    assert (ls.m, ls.n, ls.t) == (729, 81, 3)
+    assert counts == [(1, 81, 10, 3)]
+
+
+def test_expand_root_still_gets_its_large_set_checks(counts, monkeypatch):
+    def repeat_member_zero(a, proj):  # member 1 becomes a copy of member 0
+        ls = expand_shift(a, proj)
+        cells = ls.cells.copy()
+        cells[1] = cells[0]
+        return LargeSet._stacked(ls.profile, cells, ls.member_t, ls.t)
+
+    monkeypatch.setattr(compose, "expand_shift", repeat_member_zero)
+    plan = ConstructionPlan(compose.Expand(leaf("sylvester2", n=3, k=7)), Claim(8, ((2, 7),), 2))
+    with pytest.raises(VerificationError) as err:
+        execute_plan(plan)
+    assert {"kind": "union-repeat", "tuple": [0] * 7} in err.value.report.records()
+    assert counts == [(1, 8, 7, 2)]  # the occupancy pass found it, not a count
+
+
+def test_claim_above_the_seed_verdict_is_counted_and_rejected(counts):
+    plan = ConstructionPlan(compose.Expand(leaf("sylvester2", n=3, k=7)), Claim(8, ((2, 7),), 3))
+    with pytest.raises(VerificationError, match="claimed strength 3"):
+        execute_plan(plan)
+    # the seed, all 16 members, then the first weak member to name its tuples
+    assert counts == [(1, 8, 7, 2), (16, 8, 7, 3), (1, 8, 7, 3)]
+
+
+def test_leaf_root_is_counted_once(counts):
+    art = execute_plan(ConstructionPlan(leaf("q4t3", q=3, k=10), Claim(81, ((3, 10),), 3)))
+    assert art.t == 3 and counts == [(1, 81, 10, 3)]
+
+
 def test_claim_above_the_engine_verdict_is_counted_and_rejected(counts):
     # two strength-1 coset sets pair to strength 3; a claim of 4 is counted
     # (index 1 on 16 rows) and fails

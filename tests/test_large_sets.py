@@ -147,7 +147,7 @@ def test_verify_large_set_matches_per_member_reference(branch, name, kind, data)
 
 def test_stacked_count_spans_member_chunks(monkeypatch):
     """Members counted one kernel call at a time or many at once give the
-    same report, threads or not."""
+    same report."""
     ls = built("oa20")
     cells = ls.cells.copy()
     cells[37, 4, 8] = (cells[37, 4, 8] + 1) % 5
@@ -155,11 +155,10 @@ def test_stacked_count_spans_member_chunks(monkeypatch):
     want = reference_verify(bad, 2)
     for target in (1, 1 << 10, 1 << 24):
         monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", target)
-        for threads in (1, 2):
-            got = verify_large_set(bad, 2, threads=threads)
-            assert got.member_problems == want.member_problems == [(37, "strength")]
-            assert got.first_bad_report.failures == want.first_bad_report.failures
-            assert verify_large_set(ls, 2, threads=threads).ok
+        got = verify_large_set(bad, 2)
+        assert got.member_problems == want.member_problems == [(37, "strength")]
+        assert got.first_bad_report.failures == want.first_bad_report.failures
+        assert verify_large_set(ls, 2).ok
 
 
 def test_members_are_views_of_the_stacked_cells():
