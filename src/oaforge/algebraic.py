@@ -187,14 +187,13 @@ class GeneratorColumns:
 
     @cached_property
     def cells(self) -> np.ndarray:
-        """Read-only q^m x l array of the rows x . M, x in F_q^m ascending."""
-        q, m = self.field.q, self.m
-        digits = np.indices((q,) * m).reshape(m, -1).T
-        mat = np.asarray(self.columns, dtype=np.intp).reshape(-1, m).T
+        """Read-only q^m x l array of the rows x . M, x in F_q^m ascending,
+        built one digit at a time: x_i . M_i + each row over x_(i+1..m-1)."""
+        mat = np.asarray(self.columns, dtype=np.intp).reshape(-1, self.m).T
         add, mul = self.field.add_table, self.field.mul_table
-        cells = np.zeros((q**m, mat.shape[1]), dtype=np.int32)
-        for i in range(m):
-            cells = add[cells, mul[digits[:, i, None], mat[i]]]
+        cells = np.zeros((1, mat.shape[1]), dtype=np.int32)
+        for i in reversed(range(self.m)):
+            cells = add[mul[:, mat[i]][:, None], cells].reshape(-1, mat.shape[1])
         cells.setflags(write=False)
         return cells
 
@@ -231,10 +230,17 @@ def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvablePro
     if not gc.t <= m <= k <= len(gc.columns):
         raise ConstraintError(f"need t={gc.t} <= m={m} <= k={k} <= l={len(gc.columns)}")
     _check_work(field.q, m, k, gc.t)
-    # greedy basis in construction order, rotated to the front
+    # greedy basis in construction order, rotated to the front: each column
+    # is reduced once against the echelon rows (1 at their pivot) so far
     basis: list[int] = []
-    for j in range(len(gc.columns)):
-        if field_rank(field, [gc.columns[i] for i in basis + [j]]) == len(basis) + 1:
+    echelon: list[tuple[int, list[int]]] = []
+    for j, v in enumerate(gc.columns):
+        for pivot, row in echelon:
+            if f := v[pivot]:
+                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, [field.mul(field.inv(v[pivot]), x) for x in v]))
             basis.append(j)
             if len(basis) == m:
                 break

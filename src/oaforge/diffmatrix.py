@@ -26,7 +26,7 @@ from .errors import (
 )
 from .expand import ResolvableProjection, check_resolvable_projection
 from .formats import read_utf8
-from .gf import make_field, prime_power
+from .gf import digitwise, make_field, prime_power
 
 SEARCH_SIZE_CAP = 200  # v * k above this is out of search scope
 
@@ -67,24 +67,12 @@ class AbelianGroup:
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        v = self.order
-        t = np.empty((v, v), dtype=np.int32)
-        for a in range(v):
-            ea = self.element(a)
-            for b in range(v):
-                eb = self.element(b)
-                t[a, b] = self.index([(x + y) % z for x, y, z in
-                                      zip(ea, eb, self.factors)])
-        return t
+        x = np.arange(self.order, dtype=np.int32)
+        return digitwise(self.factors, x[:, None], x)
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        v = self.order
-        return np.array(
-            [self.index([(-x) % z for x, z in zip(self.element(a), self.factors)])
-             for a in range(v)],
-            dtype=np.int32,
-        )
+        return digitwise(self.factors, 0, np.arange(self.order, dtype=np.int32), -1)
 
     def sub(self, a, b):
         return self.add_table[a, self.neg_table[b]]

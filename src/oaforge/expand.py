@@ -38,15 +38,15 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
     for c in columns:
         if not 0 <= c < a.k:
             raise ConstraintError(f"column {c} out of range [0, {a.k})")
-    level_product = prod(a.profile.levels[c] for c in columns)
-    if level_product != a.n:
-        return False, f"level product {level_product} != N={a.n}"
-    sub = a.cells[:, columns]
-    order = np.lexsort(sub.T[::-1])
-    srt = sub[order]
-    dup = np.nonzero((srt[1:] == srt[:-1]).all(axis=1))[0]
+    levels = [a.profile.levels[c] for c in columns]
+    if prod(levels) != a.n:
+        return False, f"level product {prod(levels)} != N={a.n}"
+    # one mixed-radix code per row, first column most significant, so the
+    # smallest repeated code is the lexicographically smallest repeated tuple
+    code = np.ravel_multi_index([a.cells[:, c] for c in columns], levels)
+    dup = np.flatnonzero(np.bincount(code, minlength=a.n) > 1)
     if dup.size:
-        tup = tuple(int(x) for x in srt[dup[0]])
+        tup = tuple(int(x) for x in np.unravel_index(dup[0], levels))
         return False, f"tuple {tup} occurs more than once on columns {columns}"
     return True, None
 

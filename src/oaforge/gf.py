@@ -134,10 +134,24 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def digitwise(radices, a, b, sign: int = 1):
+    """a + sign * b digit by digit, each digit mod its radix, on mixed-radix
+    codes (first radix least significant).  a and b are ints, giving an int,
+    or integer arrays broadcast as in numpy, giving an array of their dtype."""
+    out, w = 0 * (a + b), 1  # of the broadcast shape, also for no radices
+    for r in radices:
+        out = out + (a // w % r + sign * (b // w % r)) % r * w
+        w *= r
+    return out
+
+
 class Field:
     """GF(p^e) with the canonical modulus from find_irreducible.
 
     Immutable; all operations are pure functions of integer encodings.
+    Addition, negation and their tables are digit arithmetic (`digitwise`);
+    mul, inv and pow are lookups in O(q) log/antilog tables built on first
+    use (Lidl & Niederreiter, Finite Fields, 1997, ch. 9).
     """
 
     def __init__(self, p: int, e: int = 1):
@@ -145,13 +159,9 @@ class Field:
         self.p = p
         self.e = e
         self.q = p**e
+        self._radices = (p,) * e
         if self.q > MAX_ORDER:
             raise ValueError(f"field order {self.q} exceeds cap {MAX_ORDER}")
-        # x^j mod modulus for j = e .. 2e-2, as coefficient tuples padded to e
-        self._red = []
-        for j in range(e, 2 * e - 1):
-            r = _poly_mod((0,) * j + (1,), self.modulus, p)
-            self._red.append(tuple(r) + (0,) * (e - len(r)))
 
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e})"
@@ -175,51 +185,60 @@ class Field:
         if not 0 <= a < self.q:
             raise ValueError(f"element {a} out of range [0, {self.q})")
 
+    @cached_property
+    def _logs(self) -> tuple[list[int], list[int]]:
+        """(log, exp) over the smallest primitive g: exp[j] = g^j for
+        j < 2(q - 1) and log[g^j] = j mod q - 1.  Listing the powers is the
+        one use of the modulus's polynomial multiply."""
+        p, q = self.p, self.q
+        for g in range(1, q):
+            powers, cg = [1], self.coeffs(g)
+            while len(powers) < q - 1:
+                x = _poly_mod(_poly_mul(self.coeffs(powers[-1]), cg, p), self.modulus, p)
+                if x == (1,):
+                    break
+                powers.append(self.encode(x + (0,) * (self.e - len(x))))
+            else:
+                break
+        log = [0] * q
+        for j, x in enumerate(powers):
+            log[x] = j
+        return log, powers * 2
+
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.encode(tuple((x + y) % self.p for x, y in zip(ca, cb)))
+        self._check(a)
+        self._check(b)
+        return digitwise(self._radices, a, b)
 
     def neg(self, a: int) -> int:
-        return self.encode(tuple((-x) % self.p for x in self.coeffs(a)))
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self._check(a)
+        self._check(b)
+        return digitwise(self._radices, a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.e == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        acc = [0] * self.e
-        for j, c in enumerate(prod):
-            if not c:
-                continue
-            if j < self.e:
-                acc[j] = (acc[j] + c) % self.p
-            else:
-                for i, r in enumerate(self._red[j - self.e]):
-                    acc[i] = (acc[i] + c * r) % self.p
-        return self.encode(tuple(acc))
+        if not a or not b:
+            return 0
+        log, exp = self._logs
+        return exp[log[a] + log[b]]
 
     def pow(self, a: int, n: int) -> int:
         self._check(a)
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        if not a:
+            return self.inv(a) if n < 0 else int(n == 0)
+        log, exp = self._logs
+        return exp[log[a] * n % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self.pow(a, self.q - 2)
+        log, exp = self._logs
+        return exp[-log[a] % (self.q - 1)]
 
     @property
     def minus_one(self) -> int:
@@ -229,23 +248,19 @@ class Field:
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        t = np.empty((self.q, self.q), dtype=np.int32)
-        for a in range(self.q):
-            for b in range(a, self.q):
-                t[a, b] = t[b, a] = self.add(a, b)
-        return t
+        x = np.arange(self.q, dtype=np.int32)
+        return digitwise(self._radices, x[:, None], x)
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        t = np.empty((self.q, self.q), dtype=np.int32)
-        for a in range(self.q):
-            for b in range(a, self.q):
-                t[a, b] = t[b, a] = self.mul(a, b)
+        log, exp = (np.array(t, dtype=np.int32) for t in self._logs)
+        t = exp[log[:, None] + log]
+        t[0] = t[:, 0] = 0
         return t
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        return np.array([self.neg(a) for a in range(self.q)], dtype=np.int32)
+        return digitwise(self._radices, 0, np.arange(self.q, dtype=np.int32), -1)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -285,6 +286,39 @@ def test_independence_check_matches_field_rank_reference(gc):
     assert verify_generator_columns(gc) == reference_dependent_subset(gc)
 
 
+def digit_table_cells(gc):
+    """The first row builder: an np.indices digit table of every x in F_q^m,
+    one full-size pass per digit, kept as the reference."""
+    q, m = gc.field.q, gc.m
+    digits = np.indices((q,) * m).reshape(m, -1).T
+    mat = np.asarray(gc.columns, dtype=np.intp).reshape(-1, m).T
+    add, mul = gc.field.add_table, gc.field.mul_table
+    cells = np.zeros((q**m, mat.shape[1]), dtype=np.int32)
+    for i in range(m):
+        cells = add[cells, mul[digits[:, i, None], mat[i]]]
+    return cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_rows_built_one_digit_at_a_time_match_the_digit_table(gc):
+    assert gc.cells.dtype == np.int32 and not gc.cells.flags.writeable
+    assert np.array_equal(gc.cells, digit_table_cells(gc))
+
+
+def test_row_builder_peaks_near_its_output():
+    gc = bush_columns(16, 5)
+    emitted = GeneratorColumns(gc.field, 5, gc.columns[:6], 5)  # bush q=16 t=5 k=6
+    tracemalloc.start()
+    try:
+        cells = emitted.cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.shape == (16**5, 6)
+    assert peak < 1.25 * cells.nbytes
+
+
 def test_more_than_m_columns_at_a_time_are_dependent(monkeypatch):
     gc = GeneratorColumns(make_field(3, 1), 2, ((1, 0), (0, 1), (1, 1), (1, 2)), 3)
     assert verify_generator_columns(gc) == (0, 1, 2) == reference_dependent_subset(gc)
@@ -313,7 +347,7 @@ def test_only_the_emitted_columns_are_counted(monkeypatch):
     assert counts == ranks == [] and "cells" not in vars(gc)  # the builder counts nothing
     linear_oa(gc, 6)
     linear_oa(gc, 8)
-    # each output's self-check, and the greedy basis's few ranks
+    # each output's self-check; the greedy basis takes no field_rank
     assert counts == [(256, 6, 3), (256, 8, 3)] and "cells" not in vars(gc)
     assert len(ranks) <= 2 * len(gc.columns)
     # the full width is counted only on demand, once

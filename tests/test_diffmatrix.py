@@ -29,6 +29,17 @@ from oaforge.errors import (
 from oaforge.expand import expand_shift
 
 
+@pytest.mark.parametrize("v", range(1, 33))
+def test_group_tables_match_the_per_element_definition(v):
+    for grp in abelian_groups(v):
+        elements = [grp.element(a) for a in range(v)]
+        add = [[grp.index([x + y for x, y in zip(ea, eb)]) for eb in elements]
+               for ea in elements]
+        neg = [grp.index([-x for x in ea]) for ea in elements]
+        assert grp.add_table.dtype == grp.neg_table.dtype == np.int32
+        assert grp.add_table.tolist() == add and grp.neg_table.tolist() == neg
+
+
 def test_group_encoding_roundtrip():
     g = AbelianGroup((2, 2, 5))
     assert g.order == 20

@@ -1,7 +1,11 @@
 """Resolvable projections and the shift expansion."""
 
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oaforge.arrays import (
     LevelProfile,
@@ -43,6 +47,50 @@ def test_check_resolvable_duplicate_tuple():
     a = SymbolMatrix(LevelProfile([2, 2]), cells)
     ok, why = check_resolvable_projection(a, (0, 1))
     assert not ok and "more than once" in why
+
+
+def lexsort_resolvable_projection(a, columns):
+    """The first check_resolvable_projection: sort the projected rows and
+    compare neighbours, kept as the reference."""
+    columns = tuple(columns)
+    level_product = prod(a.profile.levels[c] for c in columns)
+    if level_product != a.n:
+        return False, f"level product {level_product} != N={a.n}"
+    sub = a.cells[:, columns]
+    srt = sub[np.lexsort(sub.T[::-1])]
+    dup = np.nonzero((srt[1:] == srt[:-1]).all(axis=1))[0]
+    if dup.size:
+        tup = tuple(int(x) for x in srt[dup[0]])
+        return False, f"tuple {tup} occurs more than once on columns {columns}"
+    return True, None
+
+
+@st.composite
+def projected_arrays(draw):
+    """An array and 1..k distinct columns in any order: the projected rows
+    are every tuple once, maybe with some rows overwritten by copies of
+    others, or the row count misses the level product."""
+    levels = draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    columns = draw(st.permutations(range(len(levels))))
+    columns = columns[:draw(st.integers(1, len(columns)))]
+    n = prod(levels[c] for c in columns)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.stack([rng.integers(0, v, n) for v in levels], axis=1)
+    tuples = np.array(list(np.ndindex(*(levels[c] for c in columns))))
+    if len(tuples) == n:
+        cells[:, columns] = tuples[rng.permutation(n)]
+        for _ in range(draw(st.integers(0, 3))):
+            cells[rng.integers(n)] = cells[rng.integers(n)]
+    return SymbolMatrix(LevelProfile(levels), cells), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(projected_arrays())
+def test_resolvable_check_by_row_codes_matches_the_lexsort_reference(drawn):
+    a, columns = drawn
+    assert check_resolvable_projection(a, columns) == lexsort_resolvable_projection(a, columns)
 
 
 def test_find_resolvable_projection():

@@ -1,6 +1,7 @@
 """Field arithmetic: canonical moduli, encodings, and exhaustive field laws."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,73 @@ def test_tables_match_scalar_ops():
             assert f.add_table[a, b] == f.add(a, b)
             assert f.mul_table[a, b] == f.mul(a, b)
         assert f.neg_table[a] == f.neg(a)
+
+
+def _digits(x, p, e):
+    return [x // p**i % p for i in range(e)]
+
+
+def _number(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("q", SMALL_ORDERS)
+def test_scalar_ops_and_tables_match_the_polynomial_oracle(q):
+    f = field_of_order(q)
+    p, e, m = f.p, f.e, list(f.modulus)
+    mul = {(a, b): _number(poly_mul_mod(_digits(a, p, e), _digits(b, p, e), m, p), p)
+           for a in range(q) for b in range(q)}
+    inv = {a: b for (a, b), c in mul.items() if c == 1}
+    for a in range(q):
+        neg = _number([-d % p for d in _digits(a, p, e)], p)
+        assert f.neg(a) == f.neg_table[a] == neg
+        for b in range(q):
+            add = _number([(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
+            assert f.add(a, b) == f.add_table[a, b] == add
+            assert f.sub(add, b) == a
+            assert f.mul(a, b) == f.mul_table[a, b] == mul[a, b]
+        power = 1
+        for n in range(2 * q + 1):  # a^n by repeated multiplication
+            assert f.pow(a, n) == power
+            if a:
+                assert f.pow(a, -n) == inv[power]
+            power = mul[power, a]
+        if a:
+            assert f.inv(a) == inv[a]
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    for bad in (lambda: f.inv(0), lambda: f.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+    for op in (f.add, f.sub, f.mul):
+        for args in ((q, 0), (0, q), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                op(*args)
+    for op in (f.neg, f.inv, lambda a: f.pow(a, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            op(q)
+
+
+@pytest.mark.parametrize("p, e", [(4093, 1), (3, 7), (2, 8)])
+def test_scalar_ops_build_no_square_table(p, e):
+    # the largest prime field, the largest odd-characteristic extension and
+    # the largest binary field under MAX_DEGREE
+    f = Field(p, e)
+    tracemalloc.start()
+    try:
+        a, b = f.q - 2, f.q - 3
+        f.add(a, b), f.sub(a, b), f.neg(a), f.mul(a, b), f.inv(a), f.pow(a, -7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert not {"add_table", "mul_table", "neg_table"} & set(vars(f))
+
+
+def test_gf256_tables_build_fast():
+    f = Field(2, 8)
+    start = time.perf_counter()
+    f.add_table, f.mul_table, f.neg_table
+    assert time.perf_counter() - start < 0.1
 
 
 def test_parse_order():
