@@ -33,6 +33,7 @@ from .compose import (
     _counts,
     execute_plan,
     leaf,
+    parse_params,
     plan_theorem,
 )
 from .errors import VerificationError
@@ -398,12 +399,6 @@ _THEOREMS = (
 )
 
 
-def _theorem_plan(theorem: str, rep: str) -> ConstructionPlan:
-    from .cli import _params  # the parser of `theorem --params`
-
-    return plan_theorem(theorem, _params(rep))
-
-
 def _entries_table1() -> list[CatalogEntry]:
     return [
         CatalogEntry(
@@ -476,7 +471,7 @@ def _entries_table6() -> list[CatalogEntry]:
             source=f"table6 row {i + 1}", result=result,
             params=f"{constraints}; {subst}", status=status,
             command=f"oaforge theorem '{theorem}' --params {rep} -o out.oa",
-            note=note, runner=_theorem_plan(theorem, rep),
+            note=note, runner=plan_theorem(theorem, parse_params(rep)),
         ))
     return out
 
@@ -487,7 +482,7 @@ def _entries_theorems() -> list[CatalogEntry]:
             source=f"theorem {tid}", result=result, params=params,
             status="synthesizable",
             command=f"oaforge theorem '{tid}' --params {rep} -o out.oa",
-            note=note, runner=_theorem_plan(tid, rep),
+            note=note, runner=plan_theorem(tid, parse_params(rep)),
         )
         for tid, result, params, rep, note in _THEOREMS
     ]

@@ -26,12 +26,12 @@ from .errors import (
     DMUnavailableError,
     OAForgeError,
     ParseError,
+    VerificationError,
 )
 from .expand import (
     ResolvableProjection,
     expand_shift,
     find_resolvable_projection,
-    project_resolvable,
 )
 from .formats import read_array, write_array
 from .gf import parse_order
@@ -39,16 +39,6 @@ from .gf import parse_order
 
 def _columns(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
-
-
-def _params(text: str) -> dict[str, int]:
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        if not key or not value:
-            raise argparse.ArgumentTypeError(f"bad parameter {part!r}")
-        out[key.strip()] = int(value)
-    return out
 
 
 def _budget(text: str) -> int:
@@ -124,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("theorem", help="execute a composite recipe")
     t.add_argument("id", choices=list(compose.THEOREM_IDS))
-    t.add_argument("--params", type=_params, required=True,
+    t.add_argument("--params", required=True,
                    help="comma-separated name=value pairs, e.g. v=4,k=5")
     t.add_argument("-o", "--output", type=Path)
 
@@ -176,6 +166,11 @@ def _report_large_set(report) -> int:
     return 1
 
 
+def _label(obj) -> str:
+    label = f"({obj.n},{obj.profile.format()},{obj.t})"
+    return f"LOA{label} M={obj.m}" if isinstance(obj, LargeSet) else f"OA{label}"
+
+
 def _write(obj, path: Path | None, label: str):
     if path is None:
         print(f"{label} (no output file requested)")
@@ -185,63 +180,36 @@ def _write(obj, path: Path | None, label: str):
 
 
 def _cmd_construct(args) -> int:
-    recipe = args.recipe
-    takes = set(compose.LEAVES[recipe][0])
-    if recipe in ("chai1", "chai2"):
-        takes.add("dm_file")
-    stray = [f"--{name.replace('_', '-')}" for name in ("n", "k", "q", "t", "v", "dm_file")
-             if getattr(args, name) is not None and name not in takes]
-    if stray:
-        raise ConstraintError(f"{recipe} does not take {' '.join(stray)}")
-    if recipe == "chai2" or (recipe == "chai1" and args.dm_file is not None):
-        if args.v is None:
-            raise ConstraintError(f"{recipe} needs --v")
-        if args.dm_file is not None:
-            dm = diffmatrix.read_dm(args.dm_file)
-            report = diffmatrix.verify_dm(dm)
-            if not report.ok:
-                for fail in report.failures:
-                    _emit({"kind": "dm-pair", "columns": list(fail.columns),
-                           "missing": list(fail.missing),
-                           "repeated": list(fail.repeated)})
-                return 1
-            if dm.v != args.v:
-                raise ConstraintError(f"--v {args.v} but the file has v={dm.v}")
-        else:
-            dm = diffmatrix.dm_for(args.v)
-        if recipe == "chai1":
-            a, proj = diffmatrix.develop_chai1(dm)
-        else:
-            a, proj, report = diffmatrix.develop_chai2(dm)
-            if not report.ok:
-                print(f"self-check verdict: NOT an OA({a.n},"
-                      f"{a.profile.format()},2); failing column pairs below")
-                for failure in report.failures:
-                    _emit(failure.as_record())
-                _write(a.with_t(0), args.output,
-                       f"candidate array ({a.n} x {a.k}) emitted unverified")
-                return 1
-            print("self-check verdict: pass")
-    else:
-        params = {name: getattr(args, name) for name in compose.LEAVES[recipe][0]
-                  if getattr(args, name) is not None}
-        if "q" in params:  # parse_order gives (p, e)
-            params["q"] = params["q"][0] ** params["q"][1]
-        built = compose.run_leaf(compose.leaf(recipe, **params))
-        a, proj = built.matrix, built.projection
-
+    names = {name for keys, defaults, _ in compose.LEAVES.values()
+             for name in (*keys, *(defaults or ()))}
+    params = {name: value for name, value in vars(args).items()
+              if name in names and value is not None}
+    if "q" in params:  # parse_order gives (p, e)
+        params["q"] = params["q"][0] ** params["q"][1]
+    root = compose.leaf(args.recipe, **params)
     if args.keep:
-        a, proj = project_resolvable(a, proj, args.keep)
-    label = f"OA({a.n},{a.profile.format()},{a.t}), resolvable columns {proj.columns}"
+        root = compose.Project(root, args.keep)
     if args.expand:
-        ls = expand_shift(a, proj)
-        report = verify_large_set(ls, ls.t, budget=args.budget)
-        code = _report_large_set(report)
-        if code:
-            return code
-        _write(ls, args.output, f"LOA({ls.n},{ls.profile.format()},{ls.t}) M={ls.m}")
-        return 0
-    _write(a, args.output, label)
+        root = compose.Expand(root)
+    try:
+        out = compose.run_tree(root)
+    except VerificationError as exc:
+        a = getattr(exc, "candidate", None)
+        if a is None:
+            raise
+        print(f"self-check verdict: NOT an OA({a.n},{a.profile.format()},2);"
+              " failing column pairs below")
+        for failure in exc.report.failures:
+            _emit(failure.as_record())
+        _write(a.with_t(0), args.output, f"candidate array ({a.n} x {a.k}) emitted unverified")
+        return 1
+    if isinstance(out, LargeSet):
+        print(f"ok: large set verified (M={out.m}, N={out.n},"
+              f" universe={out.profile.universe_size}, strength {out.t})")
+        _write(out, args.output, _label(out))
+    else:
+        _write(out.matrix, args.output,
+               f"{_label(out.matrix)}, resolvable columns {out.projection.columns}")
     return 0
 
 
@@ -261,13 +229,11 @@ def _cmd_expand(args) -> int:
         print(f"using resolvable columns {found.columns}")
         proj = found
     ls = expand_shift(a, proj)
-    t = ls.t if ls.t is not None else 0
-    report = verify_large_set(ls, t, budget=args.budget)
+    report = verify_large_set(ls, ls.t, budget=args.budget)
     code = _report_large_set(report)
     if code:
         return code
-    write_array(ls, args.output)
-    print(f"LOA({ls.n},{ls.profile.format()},{t}) M={ls.m} -> {args.output}")
+    _write(ls, args.output, _label(ls))
     return 0
 
 
@@ -280,9 +246,7 @@ def _cmd_verify(args) -> int:
                   f" {dm.group.label()}")
             return 0
         for failure in report.failures:
-            _emit({"kind": "dm-pair", "columns": list(failure.columns),
-                   "missing": list(failure.missing),
-                   "repeated": list(failure.repeated)})
+            _emit(failure.as_record())
         return 1
     obj = read_array(args.file)
     if args.kind == "oa":
@@ -313,27 +277,16 @@ def _cmd_compose(args) -> int:
     second = read_array(args.second)
     if not isinstance(first, LargeSet) or not isinstance(second, LargeSet):
         raise OAForgeError("compose expects two large-set files")
-    if args.operation == "juxtapose":
-        ls = compose.juxtapose(first, second)
-        write_array(ls, args.output)
-        print(f"LOA({ls.n},{ls.profile.format()},{ls.t}) M={ls.m}"
-              f" -> {args.output}")
-        return 0
-    out = compose.kronecker(first, second)
-    write_array(out, args.output)
-    print(f"OA({out.n},{out.profile.format()},{out.t}) -> {args.output}")
+    engine = compose.juxtapose if args.operation == "juxtapose" else compose.kronecker
+    out = engine(first, second)
+    _write(out, args.output, _label(out))
     return 0
 
 
 def _cmd_theorem(args) -> int:
-    plan = compose.plan_theorem(args.id, args.params)
+    plan = compose.plan_theorem(args.id, compose.parse_params(args.params))
     artifact = compose.execute_plan(plan)
-    profile = artifact.profile.format()
-    if isinstance(artifact, LargeSet):
-        label = f"LOA({artifact.n},{profile},{artifact.t}) M={artifact.m}"
-    else:
-        label = f"OA({artifact.n},{profile},{artifact.t})"
-    _write(artifact, args.output, f"{label} verified")
+    _write(artifact, args.output, f"{_label(artifact)} verified")
     return 0
 
 

@@ -239,11 +239,24 @@ def _fullfact(v: int, k: int):
     return a, ResolvableProjection(tuple(range(a.k)), a.n)
 
 
-def _chai2(v: int):
-    a, proj, report = diffmatrix.develop_chai2(diffmatrix.dm_for(v))
+def _dm(v: int, dm_file):
+    """The (v, 4, 1)-DM a development starts from: the built-in one, or the
+    one read from dm_file, whose order must be v."""
+    if dm_file is None:
+        return diffmatrix.dm_for(v)
+    dm = diffmatrix.read_dm(dm_file)
+    if dm.v != v:
+        raise ConstraintError(f"v = {v} but {dm_file} holds a DM with v = {dm.v}")
+    return dm
+
+
+def _chai2(v: int, dm_file):
+    a, proj, report = diffmatrix.develop_chai2(_dm(v, dm_file))
     if not report.ok:
-        raise VerificationError("29-column development self-check failed on pairs "
-                                f"{report.failing_subsets()}", report)
+        failure = VerificationError("29-column development self-check failed on pairs "
+                                    f"{report.failing_subsets()}", report)
+        failure.candidate = a  # for a caller that reports the failure honestly
+        raise failure
     return a, proj
 
 
@@ -262,8 +275,9 @@ LEAVES = {
     "bush": (("q", "t", "k"), None, lambda q, t, k: algebraic.linear_oa(
         algebraic.bush_columns(q, t), k)),
     "q4t3": (("q", "k"), None, lambda q, k: algebraic.linear_oa(algebraic.q4_matrix(q), k)),
-    "chai1": (("v",), None, lambda v: diffmatrix.develop_chai1(diffmatrix.dm_for(v))),
-    "chai2": (("v",), None, _chai2),
+    "chai1": (("v",), {"dm_file": None},
+              lambda v, dm_file: diffmatrix.develop_chai1(_dm(v, dm_file))),
+    "chai2": (("v",), {"dm_file": None}, _chai2),
     "fixture": (("name",), {"lead_level": None, "width": None},
                 lambda **p: fixtures.fixture_loa(**p)),
 }
@@ -324,16 +338,39 @@ def _as_large_set(node: PlanNode, built: dict) -> LargeSet:
     return result
 
 
+def _confirm(root: PlanNode, result, verified_t: int | None, t: int):
+    """Raise VerificationError unless `result`, the artifact of `root`, has
+    strength t.  It is counted here unless the root has already passed a
+    count at verified_t >= t (strength t implies every lower one).  An Expand
+    root then gets only the large-set checks that its seed's count does not
+    cover: member count, occupancy and simplicity."""
+    covered = verified_t is not None and 0 <= t <= verified_t
+    if isinstance(root, Expand):
+        report = verify_large_set(result, 0 if covered else t)
+    elif covered:
+        return
+    elif isinstance(result, LargeSet):
+        report = verify_large_set(result, t)
+    else:
+        report = verify_strength(result, t)
+    if not report.ok:
+        raise VerificationError(f"claimed strength {t} failed verification", report)
+
+
+def run_tree(root: PlanNode) -> _OAWithProjection | LargeSet:
+    """Build a plan tree that has no claim, and verify its artifact at the
+    strength the artifact itself claims, by execute_plan's rule."""
+    result, verified_t = _execute(root, {})
+    artifact = getattr(result, "matrix", result)
+    _confirm(root, artifact, verified_t, artifact.t)
+    return result
+
+
 def execute_plan(plan: ConstructionPlan) -> SymbolMatrix | LargeSet:
     """Execute the tree and verify the claimed (N, profile, strength); any
-    mismatch is a hard error naming the failing check.  The strength is
-    counted here unless the root has already passed a count at t >= the
-    claimed t (strength t implies every lower one).  An Expand root then
-    gets only the large-set checks that its seed's count does not cover:
-    member count, occupancy and simplicity."""
+    mismatch is a hard error naming the failing check."""
     result, verified_t = _execute(plan.root, {})
-    if isinstance(result, _OAWithProjection):
-        result = result.matrix
+    result = getattr(result, "matrix", result)
     claim = plan.claim
     n = result.n
     counts = _counts((s, 1) for s in result.profile.levels)
@@ -343,19 +380,7 @@ def execute_plan(plan: ConstructionPlan) -> SymbolMatrix | LargeSet:
         raise VerificationError(
             f"claimed profile {claim.profile_counts}, produced {counts}"
         )
-    covered = verified_t is not None and 0 <= claim.t <= verified_t
-    if isinstance(plan.root, Expand):
-        report = verify_large_set(result, 0 if covered else claim.t)
-    elif covered:
-        return result
-    elif isinstance(result, LargeSet):
-        report = verify_large_set(result, claim.t)
-    else:
-        report = verify_strength(result, claim.t)
-    if not report.ok:
-        raise VerificationError(
-            f"claimed strength {claim.t} failed verification", report
-        )
+    _confirm(plan.root, result, verified_t, claim.t)
     return result
 
 
@@ -416,6 +441,17 @@ def _binary(n: int, k: int, b: int, theorem: str, name: str):
         return Expand(leaf("sylvester2", n=n, k=k)), 2**n, 2 ** (k - n), 2
     _check(n + 1 <= k <= 2**n, theorem, f"n + 1 <= {name} <= 2^n")
     return Expand(leaf("sylvester3", n=n, k=k)), 2 ** (n + 1), 2 ** (k - n - 1), 3
+
+
+def parse_params(text: str) -> dict[str, int]:
+    """A recipe's parameters written as 'v=4,k=5'."""
+    out = {}
+    for part in text.split(","):
+        key, _, value = (x.strip() for x in part.partition("="))
+        if not key or not value.removeprefix("-").isdecimal():
+            raise ConstraintError(f"bad parameter {part!r}")
+        out[key] = int(value)
+    return out
 
 
 def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:

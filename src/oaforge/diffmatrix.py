@@ -24,7 +24,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .expand import ResolvableProjection, check_resolvable_projection
+from .expand import MAX_MEMBER_CELLS, ResolvableProjection, check_resolvable_projection
 from .formats import read_utf8
 from .gf import digitwise, make_field, prime_power
 
@@ -161,6 +161,10 @@ class DMPairFailure:
     columns: tuple[int, int]
     missing: tuple[int, ...]
     repeated: tuple[int, ...]
+
+    def as_record(self) -> dict:
+        return {"kind": "dm-pair", "columns": list(self.columns),
+                "missing": list(self.missing), "repeated": list(self.repeated)}
 
 
 @dataclass
@@ -331,12 +335,19 @@ def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
 # -- developments into strength-2 arrays ---------------------------------------
 
 
-def _require_dm4(dm: DifferenceMatrix):
+def _require_dm4(dm: DifferenceMatrix, width: int, axes: int):
+    """Refuse, before anything is built, a DM that is not a verified
+    (v, 4, 1)-DM or a development of v^axes rows x width columns over the
+    expansion's cell cap."""
     if dm.k != 4:
-        raise ValueError(f"development needs a (v, 4, 1)-DM, got k = {dm.k}")
+        raise ConstraintError(f"development needs a (v, 4, 1)-DM, got k = {dm.k}")
+    cells = dm.v**axes * width
+    if cells > MAX_MEMBER_CELLS:
+        raise SizeCapError(f"{width}-column development would materialize {cells}"
+                           f" cells (cap {MAX_MEMBER_CELLS})")
     report = verify_dm(dm)
     if not report.ok:
-        raise VerificationError("input difference matrix failed verification")
+        raise VerificationError("input difference matrix failed verification", report)
 
 
 def develop_chai1(dm: DifferenceMatrix) -> tuple[SymbolMatrix, ResolvableProjection]:
@@ -344,7 +355,7 @@ def develop_chai1(dm: DifferenceMatrix) -> tuple[SymbolMatrix, ResolvableProject
     translated DM rows, the same translated by e, four difference columns, and
     e itself.  Columns {0, 1, 6} form a full factorial on v^3 rows.  The
     output is re-verified and never silently emitted."""
-    _require_dm4(dm)
+    _require_dm4(dm, 13, 3)
     v = dm.v
     add = dm.group.add_table
     neg = dm.group.neg_table
@@ -381,7 +392,7 @@ def develop_chai2(
     18, 1-indexed).  The strength-2 self-check result is returned rather than
     trusted: the caller gets the array, the full-factorial projection
     {0,1,2,3}, and the verdict naming every failing column pair."""
-    _require_dm4(dm)
+    _require_dm4(dm, 29, 4)
     v = dm.v
     add = dm.group.add_table
     neg = dm.group.neg_table

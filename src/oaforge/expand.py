@@ -41,6 +41,8 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
     levels = [a.profile.levels[c] for c in columns]
     if prod(levels) != a.n:
         return False, f"level product {prod(levels)} != N={a.n}"
+    if not columns:  # then N = 1, and the one row maps to the empty tuple
+        return True, None
     # one mixed-radix code per row, first column most significant, so the
     # smallest repeated code is the lexicographically smallest repeated tuple
     code = np.ravel_multi_index([a.cells[:, c] for c in columns], levels)

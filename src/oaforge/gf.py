@@ -14,7 +14,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-MAX_DEGREE = 8
+from .errors import ConstraintError
+
 MAX_ORDER = 4096
 
 
@@ -119,11 +120,14 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically smallest (by ascending encoding of the low-order
-    coefficients) monic irreducible polynomial of degree e over Z_p."""
+    coefficients) monic irreducible polynomial of degree e over Z_p.  Orders
+    p^e above MAX_ORDER are refused before any search."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not 1 <= e <= MAX_DEGREE:
-        raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {e}")
+    if e < 1:
+        raise ValueError(f"degree must be >= 1, got {e}")
+    if p**e > MAX_ORDER:
+        raise ConstraintError(f"field order {p**e} exceeds cap {MAX_ORDER}")
     if e == 1:
         return (0, 1)  # x itself; GF(p) needs no reduction
     for n in range(p**e):
@@ -160,8 +164,6 @@ class Field:
         self.e = e
         self.q = p**e
         self._radices = (p,) * e
-        if self.q > MAX_ORDER:
-            raise ValueError(f"field order {self.q} exceeds cap {MAX_ORDER}")
 
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e})"

@@ -10,6 +10,7 @@ import pytest
 from oaforge.algebraic import sylvester_oa2
 from oaforge.catalog import FIX, catalog
 from oaforge.cli import build_parser, main
+from oaforge.diffmatrix import DifferenceMatrix, dm_for, field_dm, write_dm
 from oaforge.expand import expand_shift
 from oaforge.fixtures import fixture_dir
 from oaforge.formats import write_array
@@ -151,6 +152,43 @@ def test_chai1_with_dm_file(capsys, tmp_path):
     assert code == 0 and "OA(125,5^13,2)" in out
 
 
+def test_dm_file_is_a_chai1_leaf_parameter(capsys, tmp_path):
+    dm = dm_for(5)
+    write_dm(dm, tmp_path / "d5.dm")
+    assert run(capsys, "construct", "chai1", "--v", "5", "-o", str(tmp_path / "a.oa"))[0] == 0
+    code, _ = run(capsys, "construct", "chai1", "--v", "5", "--dm-file",
+                  str(tmp_path / "d5.dm"), "-o", str(tmp_path / "b.oa"))
+    assert code == 0
+    assert (tmp_path / "a.oa").read_bytes() == (tmp_path / "b.oa").read_bytes()
+
+    entries = dm.entries.copy()
+    entries[1, 1] = entries[2, 1]  # column 1 repeats a symbol
+    write_dm(DifferenceMatrix(dm.group, entries), tmp_path / "bad.dm")
+    code, out = run(capsys, "construct", "chai1", "--v", "5", "--dm-file",
+                    str(tmp_path / "bad.dm"), "-o", str(tmp_path / "c.oa"))
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and not (tmp_path / "c.oa").exists()
+    assert {r["kind"] for r in records[:-1]} == {"dm-pair"}
+    assert {tuple(r["columns"]) for r in records[:-1]} == {(0, 1), (1, 2), (1, 3)}
+    assert records[-1]["kind"] == "VerificationError"
+
+    code, out = run(capsys, "construct", "chai1", "--v", "7", "--dm-file",
+                    str(tmp_path / "d5.dm"), "-o", str(tmp_path / "c.oa"))
+    assert code == 2 and out == "" and not (tmp_path / "c.oa").exists()
+
+
+def test_construct_expand_counts_only_its_seed(capsys, counts):
+    code, out = run(capsys, "construct", "q4t3", "--q", "3", "--k", "10", "--expand")
+    assert code == 0 and "LOA(81,3^10,3) M=729" in out
+    assert counts == [(1, 81, 10, 3)]
+
+
+def test_construct_expand_is_not_charged_to_the_budget(capsys):
+    # its members are not counted again, so 4096 x 256 rows fit the default
+    code, out = run(capsys, "construct", "q4t3", "--q", "4", "--k", "10", "--expand")
+    assert code == 0 and "LOA(256,4^10,3) M=4096" in out
+
+
 def test_search_dm_cli(capsys, tmp_path):
     code, out = run(capsys, "search", "dm", "--v", "5", "--k", "4",
                     "-o", str(tmp_path / "d.dm"))
@@ -285,6 +323,13 @@ CLI_ERRORS = [
     ("expand {oa} --columns 0,99 -o {out}", 2),
     ("expand {oa} --columns 0,0 -o {out}", 2),
     ("construct sylvester2 --n 3 --k 7 --q 5 --v 9 --dm-file nonexistent.dm -o {out}", 2),
+    ("construct chai1 --v 5 --dm-file {dm3} -o {out}", 2),
+    ("construct chai2 --v 5 --dm-file {dm3} -o {out}", 2),
+    ("construct chai1 --v 4099", 2),
+    ("construct chai1 --v 1000 -o {out}", 1),
+    ("construct chai2 --v 200 -o {out}", 1),
+    ("theorem doublev3-2 --params v=1000,k=5 -o {out}", 1),
+    ("theorem v1+v3-2 --params v=4,k -o {out}", 2),
 ]
 
 
@@ -295,9 +340,12 @@ def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv, exit_c
     loa4 = tmp_path / "l4.loa"  # and a 4-column one
     write_array(expand_shift(*sylvester_oa2(3, 4)), loa4)
     oa = fixture_dir() / "oa54_3e5_2e1.txt"
+    dm3 = tmp_path / "k3.dm"  # a (5, 3, 1)-DM, one column short of a development's
+    write_dm(field_dm(5, 3), dm3)
     out = tmp_path / "out.loa"
     try:
-        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, out=out) for arg in argv.split()])
+        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out)
+                     for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     captured = capsys.readouterr()
@@ -320,6 +368,16 @@ def test_linear_constructions_at_q16_verify(capsys, argv, label):
     code, out = run(capsys, *argv.split())
     assert code == 0 and out.startswith(label)
     assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("argv", [
+    "construct projective --q 512 --n 2 --k 3",
+    "construct bush --q 512 --t 2 --k 3",
+])
+def test_linear_constructions_over_gf512_verify(capsys, argv):
+    # GF(2^9): a binary field above degree 8, below the order cap
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and out.startswith("OA(262144,512^3,2)")
 
 
 def test_oversized_linear_construction_is_refused_at_once(capsys):

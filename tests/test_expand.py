@@ -100,6 +100,15 @@ def test_find_resolvable_projection():
     assert find_resolvable_projection(constant) is None
 
 
+def test_one_row_array_projects_onto_no_columns():
+    # the one row maps bijectively to the empty tuple, and the expansion is
+    # the full factorial in one-row members
+    one_row = SymbolMatrix(LevelProfile([2, 3]), [[0, 1]])
+    assert find_resolvable_projection(one_row) == ResolvableProjection((), 1)
+    ls = expand_shift(one_row, ResolvableProjection((), 1))
+    assert ls.m == 6 and verify_large_set(ls, 0).ok
+
+
 def test_find_resolvable_on_sylvester_array():
     from oaforge.algebraic import sylvester_oa2
 

@@ -58,8 +58,8 @@ def test_find_irreducible_rejects_bad_input():
         find_irreducible(4, 2)
     with pytest.raises(ValueError):
         find_irreducible(2, 0)
-    with pytest.raises(ValueError):
-        find_irreducible(2, 9)
+    with pytest.raises(ValueError, match="exceeds cap 4096"):
+        find_irreducible(2, 13)
 
 
 def test_make_field_examples():
@@ -191,10 +191,10 @@ def test_scalar_ops_and_tables_match_the_polynomial_oracle(q):
             op(q)
 
 
-@pytest.mark.parametrize("p, e", [(4093, 1), (3, 7), (2, 8)])
+@pytest.mark.parametrize("p, e", [(4093, 1), (3, 7), (2, 8), (2, 12)])
 def test_scalar_ops_build_no_square_table(p, e):
-    # the largest prime field, the largest odd-characteristic extension and
-    # the largest binary field under MAX_DEGREE
+    # the largest prime field, the largest odd-characteristic extension, a
+    # binary field of degree 8 and the largest binary field under MAX_ORDER
     f = Field(p, e)
     tracemalloc.start()
     try:
