@@ -41,6 +41,13 @@ def _columns(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _order(text: str) -> tuple[int, int]:
+    try:
+        return parse_order(text)
+    except ValueError as exc:  # argparse would drop the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _budget(text: str) -> int:
     ops = float(text)
     if not 0 <= ops < float("inf"):  # also refuses nan
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, help="exponent (sylvester: order 2^n;"
                                          " projective: dimension)")
     c.add_argument("--k", type=int, help="number of columns")
-    c.add_argument("--q", type=parse_order, help="field order, 'p^e' or a prime power")
+    c.add_argument("--q", type=_order, help="field order, 'p^e' or a prime power")
     c.add_argument("--t", type=int, help="strength (bush)")
     c.add_argument("--v", type=int, help="group order (chai1/chai2)")
     c.add_argument("--dm-file", type=Path, help="difference matrix to develop")

@@ -413,11 +413,14 @@ def _check(cond: bool, theorem: str, constraint: str):
 
 
 def _is_prime_power(q: int) -> bool:
+    """Whether q is a prime power; a q above gf.MAX_ORDER is refused."""
     try:
         prime_power(q)
-        return True
+    except ConstraintError:
+        raise
     except ValueError:
         return False
+    return True
 
 
 def _dev_node(v: int, cols: int) -> PlanNode:

@@ -16,12 +16,22 @@ A header's sizes are checked against the file before anything is allocated:
 most the file's length in bytes, since every symbol takes at least one byte.
 Every ParseError names its line.
 
-Rows are read in one of two ways with the same result.  Text that is exactly
-what the writers emit (one space between symbols, no signs or leading
-zeros, no comments inside a block) is parsed in one vectorised pass per run
-of blocks, and accepted only when encoding the parsed symbols again gives
-back the same bytes.  Any other block is parsed line by line, which is also
-where every row's ParseError comes from.
+A header's t must lie in [0, k]; the writers refuse an object whose t does
+not (or is None) before they open the file.
+
+Rows are read in one of three ways with the same result.  A file that is
+exactly what the writers emit for an object whose symbols are all single
+digits and whose members share one header has a fixed layout: the header,
+N rows of 2k bytes, one blank line.  It is read as one strided byte view,
+a chunk of whole members at a time, checking every byte against that
+layout; nothing else is scanned or re-encoded.  Any other file is read from
+the start as follows.  Text that is what the writers emit (one space between
+symbols, no signs or leading zeros, no comments inside a block) is parsed
+in one vectorised pass per run of blocks, and accepted only when encoding
+the parsed symbols again gives back the same bytes.  Any other block is
+parsed line by line, which is also where every row's ParseError comes from.
+The writers emit the fixed layout from a per-chunk template whenever all
+symbols are single digits and all members share one t.
 """
 
 from __future__ import annotations
@@ -29,11 +39,17 @@ from __future__ import annotations
 import io
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .arrays import LargeSet, LevelProfile, SymbolMatrix
 from .errors import ParseError
 
 CHUNK_CELLS = 1 << 16  # symbols encoded or decoded at once, to bound memory
+
+
+def _members_per_chunk(n: int, k: int) -> int:
+    """Members of N rows of k symbols taken at once: CHUNK_CELLS symbols, or one."""
+    return max(1, CHUNK_CELLS // max(1, n * k))
 
 
 class _Lines:
@@ -96,33 +112,59 @@ def _parse_kv(line: str, lineno: int, tag: str, keys: list[str]) -> dict[str, st
     return out
 
 
-def _parse_oa_header(lines: _Lines) -> tuple[int, int, LevelProfile, int]:
-    """The next OA header as (N, t, profile, line number)."""
-    first = lines.next_content()
-    if first is None:
-        raise ParseError("unexpected end of file, expected OA header", len(lines))
-    header, lineno = first
-    kv = _parse_kv(header, lineno, "OA", ["N", "t", "levels"])
+def _oa_header(n: int, t: int, levels: str) -> bytes:
+    """The writers' header line of a block, with its LF."""
+    return f"OA N={n} t={t} levels={levels}\n".encode()
+
+
+def _header_fields(line: str, lineno: int, left: int, size: int
+                   ) -> tuple[int, int, LevelProfile]:
+    """N, t and the profile of the OA header `line`, followed by `left` lines
+    in a file of `size` bytes."""
+    kv = _parse_kv(line, lineno, "OA", ["N", "t", "levels"])
     try:
         n = int(kv["N"])
         t = int(kv["t"])
         k = sum(max(0, int(g.partition("^")[2] or 1)) for g in kv["levels"].split(","))
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}", lineno) from None
-    left = len(lines) - lines.pos
     if not 0 <= n <= left:
         raise ParseError(f"N={n} is outside [0, {left}], the lines after the header",
                          lineno)
-    if max(n, 1) * k > len(lines.data):
+    if max(n, 1) * k > size:
         raise ParseError(
-            f"N={n} rows of {k} symbols cannot fit in a file of {len(lines.data)} bytes",
+            f"N={n} rows of {k} symbols cannot fit in a file of {size} bytes",
             lineno,
         )
     try:
         profile = LevelProfile.parse(kv["levels"])
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}", lineno) from None
-    return n, t, profile, lineno
+    if not 0 <= t <= profile.k:
+        raise ParseError(f"t={t} is outside [0, {profile.k}]", lineno)
+    return n, t, profile
+
+
+def _parse_oa_header(lines: _Lines) -> tuple[int, int, LevelProfile, int]:
+    """The next OA header as (N, t, profile, line number)."""
+    first = lines.next_content()
+    if first is None:
+        raise ParseError("unexpected end of file, expected OA header", len(lines))
+    header, lineno = first
+    left = len(lines) - lines.pos
+    return (*_header_fields(header, lineno, left, len(lines.data)), lineno)
+
+
+def _loa_members(line: str, lineno: int) -> int:
+    """M of the LOA header `line`."""
+    kv = _parse_kv(line, lineno, "LOA", ["M"])
+    try:
+        m = int(kv["M"])
+    except ValueError as exc:
+        raise ParseError(f"malformed header: {exc}", lineno) from None
+    if m < 1:
+        raise ParseError("M must be >= 1", lineno)
+    return m
 
 
 def _encode_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +276,7 @@ def _parse_blocks(lines: _Lines, m: int) -> tuple[LevelProfile, np.ndarray, list
                     f" member 0 has N={n} levels={profile.format()}",
                     lineno,
                 )
-        block = cells[i:i + max(1, CHUNK_CELLS // max(1, n * k))]
+        block = cells[i:i + _members_per_chunk(n, k)]
         if runs and len(block) > 1:
             runs = _fast_rows(lines, n, profile, block)
         if not runs or len(block) == 1:
@@ -245,7 +287,57 @@ def _parse_blocks(lines: _Lines, m: int) -> tuple[LevelProfile, np.ndarray, list
     return profile, cells, member_t
 
 
+def _read_strided(data: bytes) -> SymbolMatrix | LargeSet | None:
+    """The object whose writer text `data` is, if its symbols are all single
+    digits and its members share one header, read as one strided view of the
+    bytes; None for any other text."""
+    loa = data.startswith(b"LOA ")
+    m, start = 1, 0
+    if loa:
+        start = data.find(b"\n") + 1
+        m = _loa_members(data[:start].decode(), 1)
+        if data[:start] != f"LOA M={m}\n".encode():
+            return None
+    end = data.find(b"\n", start) + 1
+    if not end:
+        return None
+    # len(data) bounds the lines after the header; the length check below is exact
+    n, t, profile = _header_fields(data[start:end].decode(), 1, len(data), len(data))
+    header = _oa_header(n, t, profile.format())
+    h, k = len(header), profile.k
+    size = h + 2 * n * k + 1  # a member and the blank line after it
+    if data[start:end] != header or len(data) != start + m * size - 1:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    members = as_strided(body, (m, size - 1), (size, 1), writeable=False)
+    blanks = body[size - 1::size]
+    header = np.frombuffer(header, dtype=np.uint8)
+    # what follows each symbol of a member, and its bound; a byte below '0'
+    # wraps to 208 or more, so one compare also refuses every non-digit
+    separators = np.tile(np.array([ord(" ")] * (k - 1) + [ord("\n")], dtype=np.uint8), n)
+    tops = np.tile(np.minimum(profile.levels, 10).astype(np.uint8), n)
+    cells = np.empty((m, n * k), dtype=np.int32)
+    step = _members_per_chunk(n, k)
+    for lo in range(0, m, step):
+        chunk = members[lo:lo + step]
+        symbols = chunk[:, h::2] - ord("0")
+        if not ((chunk[:, :h] == header).all() and (chunk[:, h + 1::2] == separators).all()
+                and (blanks[lo:lo + step] == ord("\n")).all() and (symbols < tops).all()):
+            return None
+        cells[lo:lo + len(chunk)] = symbols
+    cells = cells.reshape(m, n, k)
+    if loa:
+        return LargeSet._stacked(profile, cells, (t,) * m, t)
+    return SymbolMatrix._trusted(profile, cells[0], t)
+
+
 def _load(data: bytes) -> SymbolMatrix | LargeSet:
+    try:
+        obj = _read_strided(data)
+    except ParseError:  # reported with its line by the reader below
+        obj = None
+    if obj is not None:
+        return obj
     lines = _Lines(data)
     first = lines.next_content()
     if first is None:
@@ -257,13 +349,7 @@ def _load(data: bytes) -> SymbolMatrix | LargeSet:
         profile, cells, (t,) = _parse_blocks(lines, 1)
         obj = SymbolMatrix._trusted(profile, cells[0], t)
     elif tag == "LOA":
-        kv = _parse_kv(header, lineno, "LOA", ["M"])
-        try:
-            m = int(kv["M"])
-        except ValueError as exc:
-            raise ParseError(f"malformed header: {exc}", lineno) from None
-        if m < 1:
-            raise ParseError("M must be >= 1", lineno)
+        m = _loa_members(header, lineno)
         profile, cells, member_t = _parse_blocks(lines, m)
         obj = LargeSet._stacked(profile, cells, member_t, min(member_t))
     else:
@@ -278,9 +364,9 @@ def loads(text: str) -> SymbolMatrix | LargeSet:
     return _load(text.encode("utf-8"))
 
 
-def _write(obj: SymbolMatrix | LargeSet, out) -> None:
-    """Write obj's text to the binary stream `out`, encoding up to
-    CHUNK_CELLS symbols at once."""
+def _writable(obj: SymbolMatrix | LargeSet) -> tuple[np.ndarray, tuple[int, ...]]:
+    """obj's cells as an (M, N, k) array and each member's t, or an error if
+    the text of obj would not read back as obj."""
     if isinstance(obj, SymbolMatrix):
         cells, member_t = obj.cells[None], (obj.t,)
     elif isinstance(obj, LargeSet):
@@ -289,11 +375,40 @@ def _write(obj: SymbolMatrix | LargeSet, out) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if None in member_t:
         raise ValueError("array has no claimed strength; set t before writing")
+    k = obj.profile.k
+    bad = [t for t in member_t if not 0 <= t <= k]
+    if bad:
+        raise ValueError(f"claimed strength {bad[0]} is outside [0, {k}]")
+    return cells, member_t
+
+
+def _write(obj: SymbolMatrix | LargeSet, out) -> None:
+    """Write obj's text to the binary stream `out`, encoding up to
+    CHUNK_CELLS symbols at once.  Single-digit symbols under one t go into a
+    template of the fixed layout, one write per chunk."""
+    cells, member_t = _writable(obj)
     if isinstance(obj, LargeSet):
         out.write(f"LOA M={obj.m}\n".encode())
     levels = obj.profile.format()
     m, n, k = cells.shape
-    step = max(1, CHUNK_CELLS // max(1, n * k))
+    step = _members_per_chunk(n, k)
+    if len(set(member_t)) == 1 and (max(obj.profile.levels) <= 10
+                                    or cells.max(initial=0) < 10):
+        header = _oa_header(n, member_t[0], levels)
+        h = len(header)
+        size = h + 2 * n * k + 1  # a member and the blank line after it
+        template = np.empty((min(step, m), size), dtype=np.uint8)
+        template[:, :h] = np.frombuffer(header, dtype=np.uint8)
+        rows = template[:, h:-1].reshape(len(template), n, k, 2)
+        rows[..., 1] = ord(" ")
+        rows[:, :, -1, 1] = ord("\n")
+        template[:, -1] = ord("\n")
+        text = template.reshape(-1)
+        for lo in range(0, m, step):
+            block = cells[lo:lo + step]
+            np.add(block, ord("0"), out=rows[:len(block), ..., 0], casting="unsafe")
+            out.write(text[:len(block) * size - (lo + step >= m)])
+        return
     for lo in range(0, m, step):
         block = cells[lo:lo + step]
         text, row_len = _encode_rows(block.reshape(-1, k))
@@ -302,7 +417,7 @@ def _write(obj: SymbolMatrix | LargeSet, out) -> None:
         for i, size in enumerate(row_len.reshape(len(block), n).sum(axis=1).tolist()):
             if lo + i:
                 out.write(b"\n")
-            out.write(f"OA N={n} t={member_t[lo + i]} levels={levels}\n".encode())
+            out.write(_oa_header(n, member_t[lo + i], levels))
             out.write(view[start:start + size])
             start += size
 
@@ -334,5 +449,6 @@ def read_array(path) -> SymbolMatrix | LargeSet:
 
 
 def write_array(obj: SymbolMatrix | LargeSet, path) -> None:
+    _writable(obj)  # refused before the file is opened, so it is left as it was
     with open(path, "wb") as f:
         _write(obj, f)

@@ -30,12 +30,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _over_cap(order: int | str) -> ConstraintError:
+    return ConstraintError(f"field order {order} exceeds cap {MAX_ORDER}")
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """Factor q as p^e with p prime, or raise ValueError.  The smallest
-    factor p is found by trial division up to sqrt(q); none there means q is
-    prime."""
+    """Factor q as p^e with p prime, or raise ValueError (a ConstraintError
+    naming the cap for q above MAX_ORDER, before any factoring).  The
+    smallest factor p is found by trial division up to sqrt(q); none there
+    means q is prime."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    if q > MAX_ORDER:
+        raise _over_cap(q)
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -54,10 +61,14 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 def parse_order(text: str) -> tuple[int, int]:
-    """Parse a field order given as 'p^e' or as a plain prime power."""
+    """Parse a field order given as 'p^e' or as a plain prime power.  An
+    order above MAX_ORDER is refused before p is tested or p^e computed:
+    e at or above the cap's bit length already gives 2^e > MAX_ORDER."""
     if "^" in text:
         base, _, exp = text.partition("^")
         p, e = int(base), int(exp)
+        if p > 1 and (p > MAX_ORDER or e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER):
+            raise _over_cap(f"{p}^{e}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1:
@@ -127,7 +138,7 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     if e < 1:
         raise ValueError(f"degree must be >= 1, got {e}")
     if p**e > MAX_ORDER:
-        raise ConstraintError(f"field order {p**e} exceeds cap {MAX_ORDER}")
+        raise _over_cap(p**e)
     if e == 1:
         return (0, 1)  # x itself; GF(p) needs no reduction
     for n in range(p**e):

@@ -276,6 +276,24 @@ def test_garbled_file_is_a_parse_error_record(capsys, tmp_path, kind, content, l
     assert record["kind"] == "parse-error" and record["line"] == line
 
 
+@pytest.mark.parametrize("t", ["-1", "9"])
+@pytest.mark.parametrize("command", ["verify oa {oa}", "verify loa {loa}", "expand {oa} -o {out}",
+                                     "oracle {oa}", "compose juxtapose {loa} {loa} -o {out}"])
+def test_header_strength_outside_zero_to_k_is_a_parse_error(capsys, tmp_path, command, t):
+    oa = tmp_path / "a.oa"
+    oa.write_text(f"OA N=2 t={t} levels=2^2\n0 1\n1 0\n")
+    loa = tmp_path / "l.loa"
+    loa.write_text("LOA M=2\nOA N=1 t=1 levels=2^2\n0 1\n\n"
+                   f"OA N=1 t={t} levels=2^2\n1 0\n")
+    out = tmp_path / "out.loa"
+    code, stdout = run(capsys, *command.format(oa=oa, loa=loa, out=out).split())
+    assert code == 1 and capsys.readouterr().err == ""
+    (record,) = [json.loads(line) for line in stdout.splitlines()]
+    assert record["kind"] == "parse-error" and f"t={t} is outside [0, 2]" in record["message"]
+    assert record["line"] == (5 if "{loa}" in command else 1)
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["construct", "nonsense"])
@@ -330,6 +348,11 @@ CLI_ERRORS = [
     ("construct chai2 --v 200 -o {out}", 1),
     ("theorem doublev3-2 --params v=1000,k=5 -o {out}", 1),
     ("theorem v1+v3-2 --params v=4,k -o {out}", 2),
+    ("construct projective --q 2^20000 --n 2 --k 3", 2),
+    ("construct projective --q 3^999999999 --n 2 --k 3", 2),
+    ("construct projective --q 1000000000000000003 --n 2 --k 3", 2),
+    ("construct projective --q 1000000000000000003^1 --n 2 --k 3", 2),
+    ("theorem v1+q4-3 --params v=2,k1=3,q=1000000000000000003,k2=4 -o {out}", 2),
 ]
 
 
@@ -343,11 +366,13 @@ def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv, exit_c
     dm3 = tmp_path / "k3.dm"  # a (5, 3, 1)-DM, one column short of a development's
     write_dm(field_dm(5, 3), dm3)
     out = tmp_path / "out.loa"
+    start = time.perf_counter()
     try:
         code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out)
                      for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert code == exit_code
     if exit_code == 2:

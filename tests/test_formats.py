@@ -1,10 +1,13 @@
 """Text format round trips and parse diagnostics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oaforge.formats as formats
 from oaforge.arrays import LargeSet, LevelProfile, SymbolMatrix, full_factorial
 from oaforge.errors import ParseError
 from oaforge.formats import dumps, loads, read_array, write_array
@@ -82,8 +85,40 @@ def test_comments_skipped_on_read():
 
 def test_write_requires_strength(tmp_path):
     a = SymbolMatrix(LevelProfile([2]), [[0]], t=None)
+    path = tmp_path / "x.oa"
     with pytest.raises(ValueError):
-        write_array(a, tmp_path / "x.oa")
+        write_array(a, path)
+    assert not path.exists()
+    path.write_text("hello")
+    with pytest.raises(ValueError):
+        write_array(a, path)
+    assert path.read_text() == "hello"
+
+
+@pytest.mark.parametrize("t", [-1, 3])
+def test_write_refuses_strength_outside_zero_to_k(tmp_path, t):
+    a = SymbolMatrix(LevelProfile([2, 2]), [[0, 1]], t=t)
+    ls = LargeSet(a.profile, [a.with_t(1), a], t=1)
+    for obj in (a, ls):
+        path = tmp_path / "x"
+        path.write_text("hello")
+        with pytest.raises(ValueError, match=f"strength {t} is outside"):
+            write_array(obj, path)
+        assert path.read_text() == "hello"
+        with pytest.raises(ValueError):
+            dumps(obj)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OA N=1 t=3 levels=2^2\n0 1\n", 1),
+    ("OA N=1 t=-1 levels=2^2\n0 1\n", 1),
+    ("# note\nOA N=1 t=2 levels=2^1,3^0\n0\n", 2),
+    ("LOA M=2\nOA N=1 t=1 levels=2^2\n0 1\n\nOA N=1 t=9 levels=2^2\n1 0\n", 5),
+])
+def test_header_strength_outside_zero_to_k_is_refused(text, line):
+    with pytest.raises(ParseError, match="is outside") as err:
+        loads(text)
+    assert err.value.line == line
 
 
 @st.composite
@@ -306,6 +341,183 @@ def test_large_set_in_several_runs_matches_reference(monkeypatch):
     same_result("\n".join(lines))
     lines[-6] = "0  1"
     same_result("\n".join(lines))
+
+
+# -- the fixed-stride reader and writer of single-digit writer text -----------------
+
+
+@st.composite
+def single_digit_objects(draw):
+    """A large set of 1-6 members (or, now and then, one array) whose symbols
+    are single digits, though a level may be above 10; its members share a t
+    unless `mixed_t` is drawn.  Returns it with a chunk size, in symbols,
+    that puts 1-3 whole members in each chunk."""
+    k = draw(st.integers(1, 4))
+    level = st.integers(2, 9) | st.sampled_from([10, 11, 12])
+    levels = draw(st.lists(level, min_size=k, max_size=k))
+    n = draw(st.integers(1, 8))
+    profile = LevelProfile(levels)
+    t = draw(st.integers(0, k))
+    mixed_t = draw(st.booleans()) and draw(st.booleans())
+
+    def matrix():
+        cells = [[draw(st.integers(0, min(s, 10) - 1)) for s in levels] for _ in range(n)]
+        return SymbolMatrix(profile, cells, draw(st.integers(0, k)) if mixed_t else t)
+
+    chunk = n * k * draw(st.integers(1, 3))
+    if draw(st.integers(0, 4)) == 0:
+        return matrix(), chunk
+    members = [matrix() for _ in range(draw(st.integers(1, 6)))]
+    return LargeSet(profile, members, min(a.t for a in members)), chunk
+
+
+STRIDE_FAULTS = ("member_t", "drop_blank", "double_blank", "blank_byte", "swap_space_lf",
+                 "drop_final_lf", "symbol_at_level", "slash", "colon", "loa_m_02",
+                 "trailing_blank", "trailing_comment", "crlf")
+
+
+def stride_fault(text, kind, draw):
+    """`text` with one byte-level fault of `kind`, aimed at one check of the
+    fixed-stride reader."""
+    lines = text.split("\n")
+    headers = [i for i, line in enumerate(lines) if line.startswith("OA ")]
+    rows = [i for i, line in enumerate(lines)
+            if line.strip() and not line.startswith(("OA ", "LOA ", "#"))]
+    if kind == "member_t":
+        i = draw(st.sampled_from(headers[1:] or headers))
+        kv = dict(part.split("=") for part in lines[i].split()[1:])
+        k = LevelProfile.parse(kv["levels"]).k
+        t = draw(st.integers(0, k).filter(lambda x: x != int(kv["t"])))
+        lines[i] = f"OA N={kv['N']} t={t} levels={kv['levels']}"
+    elif kind in ("drop_blank", "double_blank", "blank_byte"):
+        blanks = [i for i in range(1, len(lines) - 1)
+                  if not lines[i] and lines[i + 1].startswith("OA ")]
+        if not blanks:
+            return text + "\n"
+        i = draw(st.sampled_from(blanks))
+        if kind == "blank_byte":  # the blank line's LF becomes another byte
+            lines[i:i + 2] = [draw(st.sampled_from([" ", "#", "0"])) + lines[i + 1]]
+        else:
+            lines[i:i + 1] = [] if kind == "drop_blank" else ["", ""]
+    elif kind == "swap_space_lf":  # a space and an LF, both in rows
+        starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+        spaces = [starts[i] + j for i in rows for j, c in enumerate(lines[i]) if c == " "]
+        feeds = [starts[i] + len(lines[i]) for i in rows if starts[i + 1] <= len(text)]
+        if not spaces or not feeds:
+            return text[:-1]
+        a, b = draw(st.sampled_from(spaces)), draw(st.sampled_from(feeds))
+        chars = list(text)
+        chars[a], chars[b] = chars[b], chars[a]
+        return "".join(chars)
+    elif kind == "drop_final_lf":
+        return text[:-1]
+    elif kind in ("symbol_at_level", "slash", "colon"):
+        i = draw(st.sampled_from(rows))
+        header = lines[max(h for h in headers if h < i)]
+        levels = LevelProfile.parse(header.split("levels=")[1]).levels
+        fields = lines[i].split(" ")
+        j = draw(st.integers(0, min(len(fields), len(levels)) - 1))
+        fields[j] = {"symbol_at_level": str(levels[j]), "slash": "/", "colon": ":"}[kind]
+        lines[i] = " ".join(fields)
+    elif kind == "loa_m_02":
+        if not lines[0].startswith("LOA"):
+            return "LOA M=01\n" + text
+        lines[0] = lines[0].replace("M=", "M=0")
+    elif kind == "trailing_blank":
+        return text + "\n"
+    elif kind == "trailing_comment":
+        return text + "# end\n"
+    elif kind == "crlf":
+        return text.replace("\n", "\r\n")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_digit_objects(), st.lists(st.sampled_from(STRIDE_FAULTS), min_size=1, max_size=2),
+       st.data())
+def test_stride_reader_matches_reference_parser(obj_chunk, kinds, data):
+    obj, chunk = obj_chunk
+    text = reference_dumps(obj)
+    for kind in kinds:
+        text = stride_fault(text, kind, data.draw)
+    with mock.patch.object(formats, "CHUNK_CELLS", chunk):
+        same_result(text)
+
+
+STRIDE_TEXT = reference_dumps(LargeSet(LevelProfile([3, 2, 12]), [
+    SymbolMatrix(LevelProfile([3, 2, 12]), rows, t=1)
+    for rows in ([[0, 1, 9], [2, 0, 7]], [[1, 1, 0], [0, 0, 9]], [[2, 1, 3], [1, 0, 5]])
+], t=1))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("", ""),
+    ("t=1 levels=3^1,2^1,12^1\n2 1 3", "t=0 levels=3^1,2^1,12^1\n2 1 3"),  # a member's t
+    ("9\n\nOA", "9\nOA"),  # a blank line dropped,
+    ("9\n\nOA", "9\n\n\nOA"),  # doubled,
+    ("9\n\nOA", "9\n OA"),  # or its LF made another byte
+    ("9\n\nOA", "9\n#OA"),
+    ("9\n\nOA", "9\n0OA"),
+    ("0 1 9\n2", "0\n1 9 2"),  # a space swapped with an LF
+    ("2 0 7", "2 2 7"),  # a symbol equal to its level
+    ("2 0 7", "3 0 7"),
+    ("2 0 7", "2 / 7"),
+    ("2 0 7", "2 0 :"),  # ':' - '0' is 10, below the level 12
+    ("2 0 7", "2 0 10"),
+    ("LOA M=3", "LOA M=03"),
+    ("5\n", "5"),  # the final LF dropped
+    ("5\n", "5\n\n"),
+    ("5\n", "5\n# end\n"),
+    ("\n", "\r\n"),
+])
+def test_stride_faults_match_reference_parser(old, new):
+    text = STRIDE_TEXT.replace(old, new) if old == "\n" else STRIDE_TEXT.replace(old, new, 1)
+    assert text != STRIDE_TEXT or not old
+    with mock.patch.object(formats, "CHUNK_CELLS", 12):  # two members a chunk
+        same_result(text)
+
+
+class _Spy:
+    """Counts the calls of a wrapped function or class."""
+
+    def __init__(self, wrapped):
+        self.wrapped, self.calls = wrapped, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.wrapped(*args, **kwargs)
+
+
+def test_single_digit_writer_text_is_read_without_the_line_reader(monkeypatch, tmp_path):
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
+    profile = LevelProfile([3, 2, 12])
+    members = [SymbolMatrix(profile, [[i % 3, 0, 9], [(i + 1) % 3, 1, i]], t=2)
+               for i in range(7)]
+    ls = LargeSet(profile, members, t=2)
+    path = tmp_path / "l.loa"
+    write_array(ls, path)
+    lines, slow = _Spy(formats._Lines), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_Lines", lines)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    back = read_array(path)
+    assert (lines.calls, slow.calls) == (0, 0)
+    assert back.t == 2 and list(back.members) == members
+    assert not back.cells.flags.writeable
+    text = path.read_text().split("\n")
+    text[-2] = "0 2 6"  # a symbol equal to its level in the last row
+    path.write_text("\n".join(text))
+    with pytest.raises(ParseError) as err:
+        read_array(path)
+    assert err.value.line == len(text) - 1
+    assert (lines.calls, slow.calls) == (1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_digit_objects())
+def test_stride_writer_matches_reference_writer(obj_chunk):
+    obj, chunk = obj_chunk
+    with mock.patch.object(formats, "CHUNK_CELLS", chunk):
+        assert dumps(obj) == reference_dumps(obj)
 
 
 # -- header limits, trailing content and undecodable files ------------------------

@@ -1,11 +1,14 @@
 """Field arithmetic: canonical moduli, encodings, and exhaustive field laws."""
 
+import re
 import time
 import tracemalloc
 
 import pytest
 
-from oaforge.gf import Field, field_of_order, find_irreducible, make_field, parse_order, prime_power
+from oaforge.errors import ConstraintError
+from oaforge.gf import (MAX_ORDER, Field, field_of_order, find_irreducible, make_field,
+                        parse_order, prime_power)
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -250,6 +253,10 @@ def _prime_power_by_every_divisor(q):
 
 def test_prime_power_agrees_with_trial_division_by_every_divisor():
     for q in range(-2, 5000):
+        if q > MAX_ORDER:
+            with pytest.raises(ConstraintError, match=f"field order {q} exceeds cap 4096"):
+                prime_power(q)
+            continue
         try:
             want = _prime_power_by_every_divisor(q)
         except ValueError:
@@ -259,8 +266,19 @@ def test_prime_power_agrees_with_trial_division_by_every_divisor():
             assert prime_power(q) == want, q
 
 
-@pytest.mark.parametrize("q, factored", [(2**31 - 1, (2**31 - 1, 1)), (3**19, (3, 19))])
-def test_prime_power_stops_at_the_square_root(q, factored):
+@pytest.mark.parametrize("q", [2**31 - 1, 3**19, 10**18 + 3])
+def test_prime_power_refuses_orders_above_the_cap_at_once(q):
+    # 10^18 + 3 is prime: trial division would take 10^9 steps
     start = time.perf_counter()
-    assert prime_power(q) == factored
+    with pytest.raises(ConstraintError, match=f"field order {q} exceeds cap 4096"):
+        prime_power(q)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text", ["2^20000", "3^999999999", "3^8", "1000000000000000003",
+                                  "1000000000000000003^1", "4099"])
+def test_parse_order_refuses_orders_above_the_cap_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ConstraintError, match=rf"field order {re.escape(text)} exceeds cap 4096"):
+        parse_order(text)
     assert time.perf_counter() - start < 0.1
