@@ -11,9 +11,14 @@ depth-first from the largest column down: a node's row codes are its
 parent's times the column's level plus the column, starting from the member
 index, so a subset costs one multiply-add and one bincount (runs of small
 subsets share one), and the subsets come out in colexicographic order, which
-keeps reports deterministic.  brute_force_strength re-counts with
-deliberately naive nested loops and shares no kernels with the fast path; it
-is the oracle the fast path is tested against.
+keeps reports deterministic.  A large set's members are counted only where
+needed: a member that is member 0 with each column's symbols permuted, row
+for row, has member 0's tuple counts up to relabelling and so its verdict
+(Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 1); such members
+are certified cell by cell and only the others are counted with member 0.
+brute_force_strength re-counts with deliberately naive nested loops and
+shares no kernels with the fast path; it is the oracle the fast path is
+tested against.
 """
 
 from __future__ import annotations
@@ -585,7 +590,12 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     first: with no repeated row every member is simple and the members are
     disjoint, so verify_simple runs per member only to name the members that
     hold a repeat.  Strength is then counted by one walk (see the module doc)
-    over chunks of whole members, the member index leading every code."""
+    over chunks of whole members, the member index leading every code: the
+    walk takes member 0 and every member that _relabels does not certify as
+    member 0 with each column's symbols permuted; a certified member has
+    member 0's verdict, since such a relabelling keeps every tuple count.
+    The certificate is tried only when there are more t-subsets than
+    columns.  The budget charges every member's count, M * N * C(k, t)."""
     if not 0 <= t <= ls.profile.k:
         raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
     universe = ls.profile.universe_size
@@ -604,8 +614,13 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     if t > 0 and plan.uncounted:  # a non-integer index fails every member uncounted
         weak[:] = True
     elif t > 0:
-        for first, _, off in _off_walk(ls.cells, plan):
-            weak[first:first + len(off)] |= off.any(axis=1)
+        certified = _relabels(ls) if ls.m > 1 and len(plan.subsets) > ls.profile.k \
+            else np.zeros(ls.m, dtype=bool)
+        counted = np.flatnonzero(~certified)
+        cells = ls.cells if len(counted) == ls.m else ls.cells[counted]
+        for first, _, off in _off_walk(cells, plan):
+            weak[counted[first:first + len(off)]] |= off.any(axis=1)
+        weak[certified] = weak[0]
     simple = np.ones(ls.m, dtype=bool) if report.disjoint_ok else \
         np.array([verify_simple(m)[0] for m in ls.members])
     for idx in np.flatnonzero(weak | ~simple).tolist():
@@ -616,6 +631,40 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     if weak.any():
         report.first_bad_report = verify_strength(ls.members[np.argmax(weak)], t)
     return report
+
+
+def _relabels(ls: LargeSet) -> np.ndarray:
+    """Which members j > 0 are member 0 relabelled column by column: for
+    every column c some bijection f_c of c's symbols has
+    cells[j, r, c] == f_c(cells[0, r, c]) on every row r.  f_c is read off
+    member j at the first row of member 0 where each symbol occurs; every
+    cell is then compared with it (f_c is a function) and each column's
+    table must be a permutation of range(s_c) (f_c is a bijection).  If
+    member 0 lacks a symbol in some column, no member is certified.
+    Members are taken in chunks of about CHUNK_TARGET_CELLS cells."""
+    m, n, k = ls.cells.shape
+    certified = np.zeros(m, dtype=bool)
+    levels = np.asarray(ls.profile.levels, dtype=np.int64)
+    # slot offsets[c] + s stands for symbol s of column c
+    offsets = np.concatenate(([0], np.cumsum(levels[:-1])))
+    slots = int(levels.sum())
+    where = (ls.cells[0] + offsets).reshape(-1)  # the slot of each cell of member 0
+    held, first = np.unique(where, return_index=True)  # and the first cell holding each
+    if len(held) < slots:
+        return certified
+    slot_offsets = np.repeat(offsets, levels)
+    per = max(1, CHUNK_TARGET_CELLS // (n * k))
+    image = np.empty((min(per, m), n * k), dtype=np.int32)
+    same = np.empty(image.shape, dtype=bool)
+    for lo in range(1, m, per):
+        block = ls.cells[lo:lo + per].reshape(-1, n * k)
+        tables = np.take(block, first, axis=1)  # f_c(s) at slot offsets[c] + s
+        np.take(tables, where, axis=1, out=image[:len(block)])
+        function = np.equal(image[:len(block)], block, out=same[:len(block)]).all(axis=1)
+        # held is 0 .. slots - 1 here, so each column's table must be a permutation
+        bijection = (np.sort(tables + slot_offsets, axis=1) == held).all(axis=1)
+        certified[lo:lo + len(block)] = function & bijection
+    return certified
 
 
 def _smallest_repeat(ls: LargeSet) -> tuple[int, ...] | None:

@@ -239,10 +239,12 @@ def _fullfact(v: int, k: int):
     return a, ResolvableProjection(tuple(range(a.k)), a.n)
 
 
-def _dm(v: int, dm_file):
-    """The (v, 4, 1)-DM a development starts from: the built-in one, or the
-    one read from dm_file, whose order must be v."""
+def _dm(v: int, dm_file, width: int, axes: int):
+    """The (v, 4, 1)-DM a v^axes x width development starts from: the
+    built-in one, whose order and cells are checked before it is found, or
+    the one read from dm_file, whose order must be v."""
     if dm_file is None:
+        diffmatrix.require_development(v, width, axes)
         return diffmatrix.dm_for(v)
     dm = diffmatrix.read_dm(dm_file)
     if dm.v != v:
@@ -251,7 +253,7 @@ def _dm(v: int, dm_file):
 
 
 def _chai2(v: int, dm_file):
-    a, proj, report = diffmatrix.develop_chai2(_dm(v, dm_file))
+    a, proj, report = diffmatrix.develop_chai2(_dm(v, dm_file, 29, 4))
     if not report.ok:
         failure = VerificationError("29-column development self-check failed on pairs "
                                     f"{report.failing_subsets()}", report)
@@ -276,7 +278,7 @@ LEAVES = {
         algebraic.bush_columns(q, t), k)),
     "q4t3": (("q", "k"), None, lambda q, k: algebraic.linear_oa(algebraic.q4_matrix(q), k)),
     "chai1": (("v",), {"dm_file": None},
-              lambda v, dm_file: diffmatrix.develop_chai1(_dm(v, dm_file))),
+              lambda v, dm_file: diffmatrix.develop_chai1(_dm(v, dm_file, 13, 3))),
     "chai2": (("v",), {"dm_file": None}, _chai2),
     "fixture": (("name",), {"lead_level": None, "width": None},
                 lambda **p: fixtures.fixture_loa(**p)),

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .expand import MAX_MEMBER_CELLS, ResolvableProjection, check_resolvable_projection
 from .formats import read_utf8
-from .gf import digitwise, make_field, prime_power
+from .gf import MAX_ORDER, digitwise, make_field, prime_power
 
 SEARCH_SIZE_CAP = 200  # v * k above this is out of search scope
 
@@ -287,11 +287,12 @@ def search_dm(
     return dm
 
 
-def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
-    """A (v, 4, 1)-DM for v >= 4, v != 2 (mod 4): the product of field
-    matrices when every prime-power factor is >= 4, otherwise a backtracking
-    search over every abelian group of order v.  The result always passes
-    verify_dm; uncovered orders raise rather than guess."""
+def _dm_parts(v: int) -> list[int]:
+    """The prime-power factors of v, after refusing an order that dm_for
+    cannot serve: v < 4, v = 2 (mod 4), a field product (every factor at
+    least 4) with a factor above gf.MAX_ORDER, or a factor 3 with v over the
+    search's scope.  Trial division stops at MAX_ORDER; what is left above
+    it has only prime factors above the cap and is kept as one factor."""
     if v < 4:
         raise ConstraintError(f"v must be >= 4, got {v}")
     if v % 4 == 2:
@@ -299,7 +300,7 @@ def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
     parts = []
     m = v
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= MAX_ORDER:
         if m % p == 0:
             q = 1
             while m % p == 0:
@@ -309,30 +310,57 @@ def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
         p += 1
     if m > 1:
         parts.append(m)
+    over = [q for q in parts if q > MAX_ORDER]
+    if min(parts) >= 4 and over:  # a field product would need GF(q) for each factor q
+        prime_power(over[0])  # raises the field cap's usage error
+    if min(parts) < 4 and v * 4 > SEARCH_SIZE_CAP:
+        raise DMUnavailableError(
+            f"order v = {v} is not covered by built-in constructions"
+            " (a bare factor 3 strands the field product); supply one with --dm-file"
+        )
+    return parts
+
+
+def require_development(v: int, width: int, axes: int):
+    """Refuse, before any DM of order v is searched for or built, an order
+    dm_for cannot serve (see _dm_parts) or a development of v^axes rows x
+    width columns over the expansion's cell cap."""
+    _dm_parts(v)
+    _charge_cells(v, width, axes)
+
+
+def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
+    """A (v, 4, 1)-DM for v >= 4, v != 2 (mod 4): the product of field
+    matrices when every prime-power factor is >= 4, otherwise a backtracking
+    search over every abelian group of order v.  The result always passes
+    verify_dm; uncovered orders raise rather than guess."""
+    parts = _dm_parts(v)
     if all(q >= 4 for q in parts):
         dm = field_dm(parts[0], 4)
         for q in parts[1:]:
             dm = product_dm(dm, field_dm(q, 4))
         return dm
-    if v * 4 <= SEARCH_SIZE_CAP:
-        for grp in abelian_groups(v):
-            try:
-                found = search_dm(v, 4, budget=search_budget, group=grp)
-            except BudgetExceededError:
-                continue
-            if found is not None:
-                return found
-        raise DMUnavailableError(
-            f"no (v={v}, 4, 1) difference matrix found within the search budget;"
-            " supply one with --dm-file"
-        )
+    for grp in abelian_groups(v):
+        try:
+            found = search_dm(v, 4, budget=search_budget, group=grp)
+        except BudgetExceededError:
+            continue
+        if found is not None:
+            return found
     raise DMUnavailableError(
-        f"order v = {v} is not covered by built-in constructions"
-        " (a bare factor 3 strands the field product); supply one with --dm-file"
+        f"no (v={v}, 4, 1) difference matrix found within the search budget;"
+        " supply one with --dm-file"
     )
 
 
 # -- developments into strength-2 arrays ---------------------------------------
+
+
+def _charge_cells(v: int, width: int, axes: int):
+    cells = v**axes * width
+    if cells > MAX_MEMBER_CELLS:
+        raise SizeCapError(f"{width}-column development would materialize {cells}"
+                           f" cells (cap {MAX_MEMBER_CELLS})")
 
 
 def _require_dm4(dm: DifferenceMatrix, width: int, axes: int):
@@ -341,10 +369,7 @@ def _require_dm4(dm: DifferenceMatrix, width: int, axes: int):
     expansion's cell cap."""
     if dm.k != 4:
         raise ConstraintError(f"development needs a (v, 4, 1)-DM, got k = {dm.k}")
-    cells = dm.v**axes * width
-    if cells > MAX_MEMBER_CELLS:
-        raise SizeCapError(f"{width}-column development would materialize {cells}"
-                           f" cells (cap {MAX_MEMBER_CELLS})")
+    _charge_cells(dm.v, width, axes)
     report = verify_dm(dm)
     if not report.ok:
         raise VerificationError("input difference matrix failed verification", report)

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 from oaforge.algebraic import sylvester_oa2
+from oaforge.arrays import LargeSet, SymbolMatrix
 from oaforge.catalog import FIX, catalog
 from oaforge.cli import build_parser, main
 from oaforge.diffmatrix import DifferenceMatrix, dm_for, field_dm, write_dm
 from oaforge.expand import expand_shift
-from oaforge.fixtures import fixture_dir
+from oaforge.fixtures import fixture_dir, fixture_loa
 from oaforge.formats import write_array
 
 
@@ -53,6 +54,38 @@ def test_construct_expand_verify_roundtrip(capsys, tmp_path):
     assert code == 0
     code, out = run(capsys, "verify", "loa", str(out_file), "--strength", "2")
     assert code == 0 and "M=16" in out
+
+
+def _fixture_set_with_member_3(tmp_path, change):
+    """The oa20 fixture's large set, written with member 3 replaced by
+    change(member 3's cells, member 0's cells)."""
+    ls = fixture_loa("oa20_2e8_5e1")
+    members = list(ls.members)
+    members[3] = SymbolMatrix(ls.profile, change(ls.cells[3], ls.cells[0]), ls.member_t[3])
+    path = tmp_path / "l20.loa"
+    write_array(LargeSet(ls.profile, members, ls.t), path)
+    return path
+
+
+def test_verify_loa_accepts_a_member_with_its_rows_reversed(capsys, tmp_path):
+    # not a relabelling of member 0, so member 3 is counted, and it passes
+    path = _fixture_set_with_member_3(tmp_path, lambda mine, zero: mine[::-1])
+    code, out = run(capsys, "verify", "loa", str(path))
+    assert code == 0 and out.startswith("ok:")
+
+
+def test_verify_loa_rejects_a_non_injective_relabelling(capsys, tmp_path):
+    def collapse(mine, zero):  # member 0 with symbol 4 of the 5-level column sent to 3
+        cells = zero.copy()
+        cells[:, 2][cells[:, 2] == 4] = 3
+        return cells
+
+    path = _fixture_set_with_member_3(tmp_path, collapse)
+    code, out = run(capsys, "verify", "loa", str(path))
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert {"kind": "member-strength", "member": 3} in records
+    assert all(r.get("member", 3) == 3 for r in records)
 
 
 def test_expand_cli_with_explicit_columns(capsys, tmp_path):
@@ -346,6 +379,9 @@ CLI_ERRORS = [
     ("construct chai1 --v 4099", 2),
     ("construct chai1 --v 1000 -o {out}", 1),
     ("construct chai2 --v 200 -o {out}", 1),
+    ("construct chai1 --v 1000000000000000003", 2),
+    ("construct chai2 --v 1000000000000000003", 2),
+    ("construct chai1 --v 4096", 1),
     ("theorem doublev3-2 --params v=1000,k=5 -o {out}", 1),
     ("theorem v1+v3-2 --params v=4,k -o {out}", 2),
     ("construct projective --q 2^20000 --n 2 --k 3", 2),

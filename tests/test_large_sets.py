@@ -6,7 +6,9 @@ simplicity with verify_simple) and the union with a Counter over row tuples.
 It counts a row repeated inside one member as a union repeat, as the hashed
 branch of the per-member loop did; that loop's bitmap branch added
 `occupancy[codes] += 1`, a buffered fancy-index add that counts each code once
-per member, so it missed such repeats.
+per member, so it missed such repeats.  The relabelling certificate is checked
+against a naive per-column dictionary, and its count savings with the
+`counts` spy.
 """
 
 import contextlib
@@ -58,6 +60,25 @@ def reference_verify(ls: LargeSet, t: int) -> LargeSetReport:
     return report
 
 
+def reference_relabels(ls: LargeSet) -> list[bool]:
+    """Per member j > 0, whether every column of member j is member 0's under
+    a bijection of the column's symbols, row for row; nothing is certified
+    when member 0 lacks a symbol in some column."""
+    zero = ls.cells[0].tolist()
+    if any(len({row[c] for row in zero}) < s for c, s in enumerate(ls.profile.levels)):
+        return [False] * ls.m
+    out = [False]
+    for member in ls.cells[1:].tolist():
+        ok = True
+        for c, s in enumerate(ls.profile.levels):
+            f = {}
+            for r0, rj in zip(zero, member):
+                ok &= f.setdefault(r0[c], rj[c]) == rj[c]
+            ok &= len(set(f.values())) == s
+        out.append(ok)
+    return out
+
+
 def _chai1_v4_w6():
     keep = [0, 1, 6, 2, 3, 4]
     a, _ = develop_chai1(dm_for(4))
@@ -80,17 +101,51 @@ def built(name: str) -> LargeSet:
     return BUILDERS[name]()
 
 
+def _column_maps(ls: LargeSet, data) -> list[list[int]]:
+    return [data.draw(st.permutations(range(s)), label=f"map of column {c}")
+            for c, s in enumerate(ls.profile.levels)]
+
+
 def mutate(ls: LargeSet, kind: str, data) -> tuple[LargeSet, set[int]]:
-    """One fault of the given kind, and the members it puts at fault."""
+    """One fault of the given kind, and the members it puts at fault.  Kinds
+    past "dup_member" aim at the relabelling certificate: "relabel" makes a
+    member a column-by-column bijection of member 0 (sound, certified);
+    "collapse" maps two symbols of one column of member 0 to one (a member
+    at fault that only a bijection check refuses); "row_permute" shuffles a
+    member's rows (sound, counted); "weak_zero" puts a cell fault in member
+    0 and carries it, relabelled, into every member certified before it, so
+    that all of them fail with member 0."""
     cells = ls.cells.copy()
     member = data.draw(st.integers(0, ls.m - 1), label="member")
     row = data.draw(st.integers(0, ls.n - 1), label="row")
     touched = {member}
-    if kind == "cell":
+    if kind in ("cell", "weak_zero"):
         col = data.draw(st.integers(0, ls.profile.k - 1), label="column")
         s = ls.profile.levels[col]
-        cells[member, row, col] = (cells[member, row, col] + data.draw(
-            st.integers(1, s - 1), label="shift")) % s
+        shift = data.draw(st.integers(1, s - 1), label="shift")
+        if kind == "cell":
+            cells[member, row, col] = (cells[member, row, col] + shift) % s
+        else:
+            touched = {0} | {j for j, ok in enumerate(reference_relabels(ls)) if ok}
+            new = (cells[0, row, col] + shift) % s
+            for j in touched:  # member j under its column map from member 0
+                image = dict(zip(ls.cells[0, :, col].tolist(), ls.cells[j, :, col].tolist()))
+                cells[j, row, col] = image[new]
+    elif kind in ("relabel", "collapse"):
+        maps = _column_maps(ls, data)
+        if kind == "relabel":
+            touched = set()
+        else:
+            col = data.draw(st.integers(0, ls.profile.k - 1), label="column")
+            a, b = data.draw(st.lists(st.integers(0, ls.profile.levels[col] - 1),
+                                      min_size=2, max_size=2, unique=True), label="merged")
+            maps[col][b] = maps[col][a]
+        for c, f in enumerate(maps):
+            cells[member, :, c] = np.asarray(f)[ls.cells[0, :, c]]
+    elif kind == "row_permute":
+        order = data.draw(st.permutations(range(ls.n)), label="row order")
+        cells[member] = cells[member, order]
+        touched = set()
     elif kind == "swap_rows":
         other = data.draw(st.integers(0, ls.m - 1).filter(lambda i: i != member),
                           label="other member")
@@ -114,7 +169,8 @@ def mutate(ls: LargeSet, kind: str, data) -> tuple[LargeSet, set[int]]:
 
 def union_branch(branch: str):
     """Force one of the occupancy pass's three ways of finding a repeat; the
-    last two also in small chunks, so that chunk boundaries are crossed."""
+    last two also in small chunks, so that the occupancy pass, the
+    relabelling certificate and the count all cross chunk boundaries."""
     if branch == "sorted":
         return mock.patch.multiple(arrays_mod, OCCUPANCY_LIMIT=1, CHUNK_TARGET_CELLS=64)
     if branch == "lexsort":
@@ -126,13 +182,18 @@ def union_branch(branch: str):
 @pytest.mark.parametrize("branch", ["bitmap", "sorted", "lexsort"])
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(BUILDERS)),
-       kind=st.sampled_from(["clean", "cell", "swap_rows", "dup_row", "dup_member"]),
+       kind=st.sampled_from(["clean", "cell", "swap_rows", "dup_row", "dup_member",
+                             "relabel", "collapse", "row_permute", "weak_zero"]),
        data=st.data())
 def test_verify_large_set_matches_per_member_reference(branch, name, kind, data):
     ls, touched = mutate(built(name), kind, data)
     with union_branch(branch):
         got = verify_large_set(ls, ls.t)
+        certified = arrays_mod._relabels(ls).tolist()
     want = reference_verify(ls, ls.t)
+    assert certified == reference_relabels(ls)
+    if kind in ("clean", "relabel"):  # every built set is one relabelling class
+        assert all(certified[1:])
     assert json.loads(json.dumps(got.records())) == want.records()
     assert got.member_problems == want.member_problems
     assert (got.count_ok, got.disjoint_ok, got.collision) == \
@@ -141,7 +202,8 @@ def test_verify_large_set_matches_per_member_reference(branch, name, kind, data)
         assert got.first_bad_report is None
     else:
         assert got.first_bad_report.failures == want.first_bad_report.failures
-    assert got.ok == (kind == "clean")
+    if kind != "relabel":  # a relabelled member may repeat another's rows
+        assert got.ok == (kind in ("clean", "row_permute"))
     assert touched <= {idx for idx, _ in got.member_problems}
 
 
@@ -169,3 +231,49 @@ def test_members_are_views_of_the_stacked_cells():
     assert [m.t for m in ls.members] == list(ls.member_t)
     with pytest.raises(ValueError):
         ls.members[0].cells[0, 0] = 1
+
+
+def _with_cells(ls: LargeSet, cells) -> LargeSet:
+    return LargeSet._stacked(ls.profile, cells, ls.member_t, ls.t)
+
+
+def test_shift_expansion_counts_member_zero_only(counts):
+    ls = built("sylvester3 n=3 k=7")
+    assert verify_large_set(ls, ls.t).ok
+    assert counts == [(1, ls.n, ls.profile.k, ls.t)]
+
+
+def test_a_faulted_member_is_counted_with_member_zero(monkeypatch):
+    ls = built("sylvester3 n=3 k=7")
+    cells = ls.cells.copy()
+    cells[5, 3, 2] ^= 1
+    bad = _with_cells(ls, cells)
+    seen = []
+    kernel = arrays_mod._off_walk
+
+    def spy(cells, plan):
+        seen.append(cells.copy())
+        return kernel(cells, plan)
+
+    monkeypatch.setattr(arrays_mod, "_off_walk", spy)
+    report = verify_large_set(bad, bad.t)
+    assert report.member_problems[0] == (5, "strength")
+    assert [m for m, what in report.member_problems if what == "strength"] == [5]
+    # members 0 and 5 in one count, then member 5 alone to name its tuples
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], bad.cells[[0, 5]])
+    assert np.array_equal(seen[1], bad.cells[[5]])
+
+
+def test_member_zero_missing_a_symbol_certifies_nothing(counts):
+    # member 0 lacks symbol 1 in column 0; every other member maps its 0 to
+    # 1 there and relabels the other columns as before: injective, not onto
+    ls = built("sylvester3 n=3 k=7")
+    cells = ls.cells.copy()
+    cells[0, :, 0] = 0
+    cells[1:, :, 0] = 1
+    bad = _with_cells(ls, cells)
+    report = verify_large_set(bad, bad.t)
+    assert [m for m, what in report.member_problems if what == "strength"] == \
+        list(range(ls.m))
+    assert counts[0] == (ls.m, ls.n, ls.profile.k, ls.t)
