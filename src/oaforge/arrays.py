@@ -6,16 +6,20 @@ N x k members partitioning the full factorial, stored as one (M, N, k)
 array.
 
 The strength verifier counts every t-tuple in every t-subset of columns with
-one kernel for single arrays and stacked large sets.  It walks the subsets
-depth-first from the largest column down: a node's row codes are its
+one kernel for single arrays and stacked large sets.  It walks blocks of
+columns depth-first from the largest column down: a node's row codes are its
 parent's times the column's level plus the column, starting from the member
-index, so a subset costs one multiply-add and one bincount (runs of small
-subsets share one), and the subsets come out in colexicographic order, which
-keeps reports deterministic.  A large set's members are counted only where
-needed: a member that is member 0 with each column's symbols permuted, row
-for row, has member 0's tuple counts up to relabelling and so its verdict
-(Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 1); such members
-are certified cell by cell and only the others are counted with member 0.
+index, so a block costs one multiply-add and one bincount (runs of small
+blocks share one).  A block is one t-subset unless the array has many rows
+and a large index: then each t-subset is assigned to one wider block (see
+_cover) and read off its table as an exact marginal sum, as a data cube
+reads a group-by off a wider one (Gray et al., 1997).  Failures are
+reported in colexicographic subset order.  A large set's members are
+counted only where needed: a member that is member 0 with each column's
+symbols permuted, row for row, has member 0's tuple counts up to
+relabelling and so its verdict (Hedayat, Sloane & Stufken, Orthogonal
+Arrays, 1999, ch. 1); such members are certified cell by cell and only the
+others are counted with member 0.
 brute_force_strength re-counts with deliberately naive nested loops and
 shares no kernels with the fast path; it is the oracle the fast path is
 tested against.
@@ -28,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +41,8 @@ from .errors import BudgetExceededError, ConstraintError
 
 OCCUPANCY_LIMIT = 1 << 24  # bitmap of row codes up to this universe size, sorted codes above
 CHUNK_TARGET_CELLS = 1 << 16  # per-chunk code-buffer size for the counting kernel
+BLOCK_ROWS_PER_CELL = 16  # a block of columns counted for its t-subsets has <= N / this cells
+BLOCK_MIN_ROWS = 1 << 13  # and is counted only in arrays of at least this many rows
 
 
 class LevelProfile:
@@ -322,16 +328,20 @@ def colex_combinations(k: int, t: int):
 class _Plan(NamedTuple):
     """How to count one (levels, t, N).  A subset whose level product does
     not divide N has no integer index and fails without a count; the others
-    are the leaves of the walk, whose depth-d nodes fix the d largest columns."""
+    are read off the leaves of the walk, blocks of s >= t columns (see
+    _cover), whose depth-d nodes fix the d largest columns."""
 
+    t: int
     subsets: list[tuple[int, ...]]  # every t-subset, colex order
     prods: np.ndarray  # level product of each subset
     uncounted: list[int]  # indices of the subsets without an integer index
-    counted: np.ndarray  # indices of the others
-    down: np.ndarray  # counted subsets' columns, largest first
-    radix: np.ndarray  # the levels of those columns
-    spaces: np.ndarray  # level product of each counted subset
+    counted: np.ndarray  # indices of the others, leaf by leaf
     lams: np.ndarray  # index of each counted subset
+    down: np.ndarray  # leaves' columns, largest first
+    radix: np.ndarray  # the levels of those columns
+    spaces: np.ndarray  # level product of each leaf
+    bounds: np.ndarray  # leaf i holds counted[bounds[i]:bounds[i + 1]]
+    axes: list | None  # per counted subset, its leaf's table axes: the summed ones first
     tree: tuple  # root node; a node is (lo, hi, ((column, level, child), ...))
 
 
@@ -341,12 +351,51 @@ def _strength_plan(levels: tuple[int, ...], t: int, n: int) -> _Plan:
     cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
     lv = np.asarray(levels, dtype=np.int64)
     prods = np.prod(lv[cols], axis=1)
-    counted = np.flatnonzero(n % prods == 0)
-    down = cols[counted, ::-1]
+    counted, width, top = np.flatnonzero(n % prods == 0), t, sorted(levels, reverse=True)
+    while width < len(levels) and n >= max(BLOCK_MIN_ROWS,
+                                           BLOCK_ROWS_PER_CELL * prod(top[:width + 1])):
+        width += 1
+    down, bounds, axes = cols[counted, ::-1], np.arange(len(counted) + 1), None
+    if width > t:
+        down, owned = _cover(cols, n % prods == 0, width)
+        counted = np.fromiter(itertools.chain.from_iterable(owned), dtype=np.int64)
+        bounds = np.cumsum([0] + [len(own) for own in owned])
+        axes = [tuple(sorted(range(width + 1), key=lambda a: 1 if a == 0 else 2 * (
+            block[a - 1] in subsets[i]))) for block, own in zip(down.tolist(), owned) for i in own]
     radix = lv[down].astype(np.int32 if max(levels) < 1 << 31 else np.int64)
-    return _Plan(subsets, prods, np.flatnonzero(n % prods).tolist(), counted, down,
-                 radix, prods[counted], n // prods[counted],
-                 _node(down.tolist(), levels, 0, len(counted), 0))
+    return _Plan(t, subsets, prods, np.flatnonzero(n % prods).tolist(), counted,
+                 n // prods[counted], down, radix, np.prod(lv[down], axis=1), bounds, axes,
+                 _node(down.tolist(), levels, 0, len(down), 0))
+
+
+def _cover(cols: np.ndarray, need: np.ndarray, width: int):
+    """Blocks of `width` columns, largest first and in colex order, and the
+    counted t-subsets (rows of `cols`, marked in `need`) assigned to each,
+    every one to exactly one block holding it.  A greedy covering design
+    (Gordon, Kuperberg & Patashnik, 1995): a block starts from the first
+    subset still unassigned and takes, one at a time, the column that
+    completes the most unassigned subsets, the smallest on a tie."""
+    (m, t), k = cols.shape, int(cols.max()) + 1
+    binom = np.array([[comb(c, i) for i in range(1, t + 1)] for c in range(k)], dtype=np.int64)
+
+    def ranks(subs, size):  # colex ranks of ascending rows
+        return binom[np.asarray(subs, dtype=np.int64), np.arange(size)].sum(-1)
+
+    grow = np.full((comb(k, t - 1), k), m, dtype=np.int32)  # (t-1)-subset, column -> subset
+    for j in range(t):
+        grow[ranks(np.delete(cols, j, axis=1), t - 1), cols[:, j]] = np.arange(m)
+    need, found, first = np.append(need, False), {}, 0  # rank m is never needed
+    while need[first := first + int(np.argmax(need[first:]))]:
+        block = cols[first].tolist()
+        while len(block) < width:
+            gain = need[grow[ranks(list(itertools.combinations(block, t - 1)), t - 1)]].sum(0)
+            gain[block] = -1
+            block = sorted(block + [int(np.argmax(gain))])
+        inside = ranks(list(itertools.combinations(block, t)), t)
+        found[tuple(block[::-1])] = np.sort(inside[need[inside]]).tolist()
+        need[inside] = False
+    order = sorted(found)
+    return np.array(order, dtype=np.int64).reshape(len(order), width), [found[b] for b in order]
 
 
 def _node(down: list, levels, lo: int, hi: int, depth: int) -> tuple:
@@ -361,9 +410,9 @@ def _node(down: list, levels, lo: int, hi: int, depth: int) -> tuple:
 
 def _off_walk(cells: np.ndarray, plan: _Plan):
     """Count stacked (M, N, k) cells in chunks of about CHUNK_TARGET_CELLS
-    rows of whole members.  Yields, in colex order within each chunk, (first
-    member, first counted subset, off) with `off` the (members, subsets)
-    array of the tables that are off."""
+    rows of whole members.  Yields, leaf by leaf within each chunk, (first
+    member, position in plan.counted of the first subset, off) with `off`
+    the (members, subsets) array of the subsets that are off."""
     m, n, k = cells.shape
     per = max(1, CHUNK_TARGET_CELLS // max(n, 1))
     # codes stay below max(CHUNK_TARGET_CELLS, N): a batch of subsets shares
@@ -378,12 +427,12 @@ def _off_walk(cells: np.ndarray, plan: _Plan):
         fit = CHUNK_TARGET_CELLS // max(x.shape[1], 1)
         bufs = np.empty((plan.down.shape[1] + 2 * max(fit, 1), x.shape[1]), dtype=dtype)
         for lo, off in _walk(x, root, plan.tree, 0, plan, bufs, len(block)):
-            yield first, lo, off
+            yield first, plan.bounds[lo], off
 
 
 def _walk(x, code, node, depth, plan, bufs, members):
     """Depth-first over `node`, whose rows have the codes `code` (None for
-    zeros).  A run of two or more children whose subsets x rows fit in
+    zeros).  A run of two or more children whose leaves x rows fit in
     CHUNK_TARGET_CELLS is one batch from these codes; any other child gets
     its codes, code * level + its column, in bufs[depth] and is walked."""
     lo, hi, children = node
@@ -410,10 +459,11 @@ def _walk(x, code, node, depth, plan, bufs, members):
 
 
 def _off_batch(x, code, plan, lo, hi, depth, members, bufs) -> np.ndarray:
-    """Extend `code` by the remaining columns of counted subsets [lo, hi),
-    one gather per level, and count them all in one bincount, each subset in
-    `members` tables of its level product.  A table sums to N, so it is off
-    exactly when its largest count is not the index."""
+    """Extend `code` by the remaining columns of leaves [lo, hi), one
+    gather per level, and count them all in one bincount, each leaf in
+    `members` tables of its level product; a block's subsets get theirs by
+    summation.  A table sums to N, so it is off exactly when its largest
+    count is not the subset's index."""
     down, radix, spaces = plan.down[lo:hi, depth:], plan.radix[lo:hi, depth:], plan.spaces[lo:hi]
     codes = code
     if down.shape[1]:
@@ -430,9 +480,18 @@ def _off_batch(x, code, plan, lo, hi, depth, members, bufs) -> np.ndarray:
     if hi - lo > 1:
         codes += starts[:, None].astype(x.dtype)
     counts = np.bincount(codes.reshape(-1), minlength=int(starts[-1] + spaces[-1] * members))
+    first, last = plan.bounds[lo], plan.bounds[hi]
+    if plan.axes is not None:  # a subset's tables: its block's summed over the other columns
+        sizes, parts = plan.prods[plan.counted[first:last]], []
+        for leaf, start, space in zip(range(lo, hi), starts.tolist(), spaces.tolist()):
+            block = counts[start:start + space * members].reshape(-1, *plan.radix[leaf].tolist())
+            parts += [block.transpose(plan.axes[i]).reshape(-1, members * sizes[i - first]).sum(0)
+                      for i in range(plan.bounds[leaf], plan.bounds[leaf + 1])]
+        counts, spaces = np.concatenate(parts), sizes
+        starts = np.concatenate(([0], np.cumsum(spaces[:-1] * members)))
     tables = (starts[:, None] + spaces[:, None] * np.arange(members)).reshape(-1)
-    peaks = np.maximum.reduceat(counts, tables).reshape(hi - lo, members)
-    return (peaks != plan.lams[lo:hi, None]).T
+    peaks = np.maximum.reduceat(counts, tables).reshape(last - first, members)
+    return (peaks != plan.lams[first:last, None]).T
 
 
 def _subset_failures(a: SymbolMatrix, sub: tuple[int, ...]) -> list[StrengthFailure]:
@@ -454,11 +513,13 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
 
     t = 0 passes trivially.  Subsets whose level product does not divide N are
     reported as a structural non-integer-index failure, distinct from count
-    imbalance, and are not counted.  The others are met in colex order by the
-    walk (see the module doc), each compared as soon as it is counted, so a
-    fail-fast return stops the walk; only an off subset is recounted, to
-    name its tuples.  The budget counts N * (number of subsets) elementary
-    counting operations.
+    imbalance, and are not counted.  The others are counted by the walk (see
+    the module doc).  With one subset per block they come in colex order,
+    each compared as soon as it is counted, so a fail-fast return stops the
+    walk; wider blocks give them out of order, so the walk is finished and
+    the off subsets sorted first.  Only an off subset is recounted, to name
+    its tuples.  The budget counts N * (number of subsets) elementary
+    counting operations, those of counting each subset on its own.
     """
     if not 0 <= t <= a.k:
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
@@ -476,6 +537,8 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
     )
     failing = (plan.counted[lo + j] for _, lo, off in _off_walk(a.cells[None], plan)
                for j in np.flatnonzero(off[0]).tolist())
+    if plan.axes is not None:  # blocks give their subsets out of colex order
+        failing = iter(sorted(failing))
     for s in heapq.merge(plan.uncounted, failing) if plan.uncounted else failing:
         report.failures.extend(_subset_failures(a, plan.subsets[s]))
         if fail_fast:

@@ -14,7 +14,7 @@ def counts(monkeypatch):
     kernel = arrays._off_walk
 
     def spy(cells, plan):
-        calls.append((*cells.shape, plan.down.shape[1]))
+        calls.append((*cells.shape, plan.t))
         return kernel(cells, plan)
 
     monkeypatch.setattr(arrays, "_off_walk", spy)

@@ -408,6 +408,40 @@ def test_kernel_reports_do_not_depend_on_chunking(monkeypatch, name, t, mutant, 
             assert report.lambda_by_subset == oracle.lambda_by_subset
 
 
+@pytest.mark.parametrize("mutant", [False, True])
+@pytest.mark.parametrize("name, t, rows", [
+    ("oa54_3e5_2e1", 2, 54),
+    ("oa48_4e1_3e1_2e4", 2, 48),
+    ("oa48_4e1_3e1_2e4", 2, 36),  # 4 x 2 pairs have no integer index
+    ("oa24_2e13_3e1_4e1", 2, 24),
+    ("projective q=3 n=3", 2, 27),
+])
+def test_block_reports_match_the_oracle(monkeypatch, name, t, rows, mutant):
+    """Fixture arrays, or their first rows, with blocks forced (tables of up
+    to N, N / 2 or N / 4 cells): overlapping blocks on up to 15 columns,
+    next to subsets without an integer index, give the oracle's failures in
+    colex order, and the oracle's verdict to both members of a stack."""
+    import oaforge.arrays as arrays_mod
+
+    a = _chunking_array(name, mutant)
+    a = SymbolMatrix(a.profile, a.cells[:rows])
+    expected = sorted(brute_force_strength(a, t).failures, key=lambda f: f.columns[::-1])
+    first = [f for f in expected if f.columns == expected[0].columns] if expected else []
+    monkeypatch.setattr(arrays_mod, "BLOCK_MIN_ROWS", 1)
+    try:
+        for rows_per_cell in (1, 2, 4):
+            monkeypatch.setattr(arrays_mod, "BLOCK_ROWS_PER_CELL", rows_per_cell)
+            arrays_mod._strength_plan.cache_clear()
+            assert verify_strength(a, t).failures == expected
+            assert verify_strength(a, t, fail_fast=True).failures == first
+            # a second member, the rows reversed, is counted with the first
+            ls = LargeSet(a.profile, [a, SymbolMatrix(a.profile, a.cells[::-1])], t)
+            weak = [p for p in verify_large_set(ls, t).member_problems if p[1] == "strength"]
+            assert weak == ([(0, "strength"), (1, "strength")] if expected else [])
+    finally:
+        arrays_mod._strength_plan.cache_clear()
+
+
 def _drawn_cells(data, profile: LevelProfile, kind: str, n: int) -> np.ndarray:
     """Rows of one of three kinds, then maybe one mutation: whole copies of
     the full factorial (strength k), the same with one column made random
@@ -447,6 +481,106 @@ def test_kernel_matches_the_oracle(data):
     CHUNK_TARGET_CELLS is a few rows' worth, so that subsets are counted one
     at a time or in small batches and members in small chunks, or so large
     that everything is one batch."""
+    _check_the_kernel_against_the_oracle(data, {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_kernel_matches_the_oracle(data):
+    """The same with blocks forced onto the small arrays: block tables of up
+    to N, N / 2 or N / 4 cells, so each t-subset is read off a wider block's
+    table as a marginal, next to subsets without an integer index."""
+    import oaforge.arrays as arrays_mod
+
+    rows_per_cell = data.draw(st.sampled_from([1, 2, 4]), label="rows per cell")
+    arrays_mod._strength_plan.cache_clear()
+    try:
+        _check_the_kernel_against_the_oracle(
+            data, {"BLOCK_ROWS_PER_CELL": rows_per_cell, "BLOCK_MIN_ROWS": 1})
+    finally:
+        arrays_mod._strength_plan.cache_clear()
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels=st.lists(st.integers(2, 6), min_size=1, max_size=9), data=st.data())
+def test_block_plan_assigns_each_counted_subset_to_one_block(levels, data):
+    """Every t-subset with an integer index is assigned to exactly one block
+    holding it, the others to none; blocks are as wide as the bound lets
+    them be, and s = t whenever no (t + 1)-block fits it."""
+    from math import comb, prod
+
+    import oaforge.arrays as arrays_mod
+
+    t = data.draw(st.integers(1, len(levels)), label="t")
+    n = prod(data.draw(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=6, max_size=18),
+                        label="N"))
+    plan = arrays_mod._strength_plan.__wrapped__(tuple(levels), t, n)
+    counted = [i for i, sub in enumerate(plan.subsets)
+               if n % prod(levels[c] for c in sub) == 0]
+    assert sorted(plan.counted.tolist()) == counted
+    assert sorted(plan.uncounted + counted) == list(range(comb(len(levels), t)))
+    assert plan.t == t and plan.bounds[-1] == len(counted)
+    top = sorted(levels, reverse=True)
+
+    def fits(width):
+        return width <= len(levels) and n >= max(
+            arrays_mod.BLOCK_MIN_ROWS, arrays_mod.BLOCK_ROWS_PER_CELL * prod(top[:width]))
+
+    s = plan.down.shape[1]
+    assert (s == t and plan.axes is None) if not fits(t + 1) else (fits(s) and not fits(s + 1))
+    for leaf, block in enumerate(plan.down.tolist()):
+        assert block == sorted(set(block), reverse=True) and len(block) == s
+        assert plan.bounds[leaf] < plan.bounds[leaf + 1]
+        for i in plan.counted[plan.bounds[leaf]:plan.bounds[leaf + 1]]:
+            assert set(plan.subsets[i]) <= set(block)
+    assert plan.down.tolist() == sorted(plan.down.tolist())  # colex order
+
+
+def test_a_large_index_theorem_output_is_counted_by_blocks(monkeypatch):
+    """The 65,536 x 12, t = 4 output of v1+v3-2 at v=4, k=7 is counted with
+    at most 60 bincounts, not one per 4-subset (495)."""
+    from oaforge import compose
+
+    a = compose.execute_plan(compose.plan_theorem("v1+v3-2", compose.parse_params("v=4,k=7")))
+    assert (a.n, a.k, a.t) == (65536, 12, 4)
+    calls, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *args, **kw: calls.append(1) or bincount(*args, **kw))
+    assert verify_strength(a, 4).ok
+    assert 0 < len(calls) <= 60
+
+
+def test_a_small_index_linear_array_gets_one_table_per_subset():
+    """q4t3 at q = 9 (6,561 x 10, t = 3, index 9) has no (t + 1)-block small
+    enough, so each 3-subset keeps its own table."""
+    from math import comb
+
+    from oaforge import algebraic
+    from oaforge.arrays import _strength_plan
+
+    a, _ = algebraic.linear_oa(algebraic.q4_matrix(9), 10)
+    plan = _strength_plan(a.profile.levels, 3, a.n)
+    assert a.n == 6561 and plan.axes is None
+    assert plan.down.shape == (comb(10, 3), 3) and len(plan.counted) == comb(10, 3)
+
+
+def test_a_block_plan_builds_fast():
+    """A cold plan for 4^12 at t = 4 and N = 65,536, cover included, takes
+    well under a one-shot CLI run's count."""
+    import time
+
+    from oaforge.arrays import _strength_plan
+
+    def cold():
+        start = time.perf_counter()
+        plan = _strength_plan.__wrapped__((4,) * 12, 4, 65536)
+        return time.perf_counter() - start, plan
+
+    took, plan = min((cold() for _ in range(3)), key=lambda run: run[0])
+    assert plan.axes is not None and took < 0.05
+
+
+def _check_the_kernel_against_the_oracle(data, constants):
     from unittest import mock
 
     import oaforge.arrays as arrays_mod
@@ -465,7 +599,7 @@ def test_kernel_matches_the_oracle(data):
                for _ in range(data.draw(st.integers(1, 4), label="members"))]
     target = max(1, n * data.draw(st.integers(0, 12)) + data.draw(st.integers(-1, 1)))
     target = data.draw(st.sampled_from([target, 1 << 16]), label="chunk target")
-    with mock.patch.object(arrays_mod, "CHUNK_TARGET_CELLS", target):
+    with mock.patch.multiple(arrays_mod, CHUNK_TARGET_CELLS=target, **constants):
         a = members[0]
         want = _colex_oracle(a, t)
         assert verify_strength(a, t).failures == want

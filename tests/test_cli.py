@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from oaforge.algebraic import sylvester_oa2
+from oaforge import arrays
 from oaforge.arrays import LargeSet, SymbolMatrix
 from oaforge.catalog import FIX, catalog
 from oaforge.cli import build_parser, main
 from oaforge.diffmatrix import DifferenceMatrix, dm_for, field_dm, write_dm
 from oaforge.expand import expand_shift
 from oaforge.fixtures import fixture_dir, fixture_loa
-from oaforge.formats import write_array
+from oaforge.formats import read_array, write_array
 
 
 def run(capsys, *argv):
@@ -128,6 +129,27 @@ def test_theorem_cli(capsys, tmp_path):
     assert code == 0 and "OA(4096,4^8,4) verified" in out
     code, out = run(capsys, "verify", "oa", str(out_file), "--strength", "4")
     assert code == 0
+
+
+def test_verify_verdicts_on_a_block_counted_array_are_pinned(capsys, tmp_path):
+    """v1+v3-2 at v=4, k=6 (16,384 x 10, t = 4) is counted by blocks of
+    columns; with one cell changed, `verify oa` and `verify oa --fail-fast`
+    print what the one-table-per-subset kernel printed, byte for byte."""
+    out = tmp_path / "t.oa"
+    assert run(capsys, "theorem", "v1+v3-2", "--params", "v=4,k=6", "-o", str(out))[0] == 0
+    a = read_array(out)
+    assert arrays._strength_plan(a.profile.levels, 4, a.n).axes is not None
+    cells = a.cells.copy()
+    cells[1000, 7] = (cells[1000, 7] + 1) % 4
+    bad = tmp_path / "bad.oa"
+    write_array(SymbolMatrix(a.profile, cells, a.t), bad)
+    pinned = (Path(__file__).parent / "data" / "verify_oa_v1v3-2_k6_cell.txt").read_text()
+    assert run(capsys, "verify", "oa", str(bad)) == (1, pinned)
+    assert run(capsys, "verify", "oa", "--fail-fast", str(bad)) == (1, (
+        '{"columns": [0, 1, 2, 7], "expected": "64", "kind": "count-imbalance",'
+        ' "observed": 63, "tuple": [3, 3, 3, 1]}\n'
+        '{"columns": [0, 1, 2, 7], "expected": "64", "kind": "count-imbalance",'
+        ' "observed": 65, "tuple": [3, 3, 3, 2]}\n'))
 
 
 def test_theorem_constraint_violation_is_usage_error(capsys):
