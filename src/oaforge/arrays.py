@@ -148,9 +148,9 @@ class SymbolMatrix:
             raise ValueError(
                 f"cells have {cells.shape[1]} columns, profile has {profile.k}"
             )
-        lv = np.asarray(profile.levels, dtype=np.int32)
-        if cells.size and (cells.min() < 0 or (cells >= lv[None, :]).any()):
-            bad = np.argwhere((cells < 0) | (cells >= lv[None, :]))[0]
+        top = np.array([s - 1 for s in profile.levels], dtype=np.int32)  # a level may be 2^31
+        if cells.size and (cells.min() < 0 or (cells > top).any()):
+            bad = np.argwhere((cells < 0) | (cells > top))[0]
             raise ValueError(
                 f"symbol {cells[bad[0], bad[1]]} out of range in column {bad[1]}"
                 f" (row {bad[0]})"

@@ -22,21 +22,20 @@ not (or is None) before they open the file.
 Rows are read in one of three ways with the same result.  A file that is
 exactly what the writers emit for an object whose symbols are all single
 digits and whose members share one header has a fixed layout: the header,
-N rows of 2k bytes, one blank line.  It is read as one strided byte view,
-a chunk of whole members at a time, checking every byte against that
-layout; nothing else is scanned or re-encoded.  Any other file is read from
-the start as follows.  Text that is what the writers emit (one space between
-symbols, no signs or leading zeros, no comments inside a block) is parsed
-in one vectorised pass per run of blocks, and accepted only when encoding
-the parsed symbols again gives back the same bytes.  Any other block is
-parsed line by line, which is also where every row's ParseError comes from.
-The writers emit the fixed layout from a per-chunk template whenever all
-symbols are single digits and all members share one t.
+N rows of 2k bytes, one blank line.  It is read as one strided byte view, a
+chunk of whole members at a time, checking every byte against that layout.
+The rest of the file from the first chunk that fails the check, or any
+other file, is read by lines: writer text of any symbol width one run of
+blocks at a time, accepted only if the writers' template (`_text`) gives
+back the same bytes, and any other block line by line, which is also where
+every row's ParseError comes from.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -112,8 +111,8 @@ def _parse_kv(line: str, lineno: int, tag: str, keys: list[str]) -> dict[str, st
     return out
 
 
-def _oa_header(n: int, t: int, levels: str) -> bytes:
-    """The writers' header line of a block, with its LF."""
+def _oa_header(n: int, t: int | str, levels: str) -> bytes:
+    """The writers' header line of a block, with its LF; `t` may be a slot."""
     return f"OA N={n} t={t} levels={levels}\n".encode()
 
 
@@ -167,60 +166,90 @@ def _loa_members(line: str, lineno: int) -> int:
     return m
 
 
-def _encode_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The writer's text of the rows of `cells`: decimal symbols, one space
-    apart, each row ending in LF.  Returns the bytes as a uint8 array and the
-    length of each row."""
-    n, k = cells.shape
-    width = len(str(int(cells.max()))) if cells.size else 1
-    out = np.empty((n, k, width + 1), dtype=np.uint8)
-    rest = cells
+@functools.lru_cache(maxsize=64)
+def _layout(profile: LevelProfile) -> tuple[tuple[tuple[int, int, int, int], ...], bytes, str]:
+    """(first column, end column, digits, first byte) of each run of columns
+    whose largest symbols have equally many digits; the writer's template of
+    a row, per symbol that many NULs and then its space or LF; its levels."""
+    widths = [len(str(s - 1)) for s in profile.levels]
+    at = list(itertools.accumulate([w + 1 for w in widths], initial=0))
+    starts = [j for j in range(len(widths)) if j == 0 or widths[j] != widths[j - 1]]
+    runs = [(a, b, widths[a], at[a]) for a, b in zip(starts, starts[1:] + [len(widths)])]
+    return tuple(runs), b"".join(b"\0" * w + b" " for w in widths)[:-1] + b"\n", profile.format()
+
+
+def _digits(values: np.ndarray, slots: np.ndarray) -> None:
+    """Write `values` right-aligned in decimal into `slots` (..., width), NUL for leading zeros."""
+    width, rest = slots.shape[-1], values
     for d in range(width - 1, 0, -1):
-        rest, digit = np.divmod(rest, 10)
-        np.add(digit, ord("0"), out=out[..., d], casting="unsafe")
-    np.add(rest, ord("0"), out=out[..., 0], casting="unsafe")
-    out[..., width] = ord(" ")
-    out[:, -1, width] = ord("\n")
-    if width == 1:  # no zeros to drop
-        return out.reshape(-1), np.full(n, 2 * k)
-    keep = np.ones(out.shape, dtype=bool)
-    for d in range(width - 1):  # drop the zeros in front of each symbol
-        keep[..., d] = cells >= 10 ** (width - 1 - d)
-    return out[keep], np.count_nonzero(keep.reshape(n, -1), axis=1)
+        quot = rest // 10
+        np.add(rest - quot * 10, ord("0"), out=slots[..., d], casting="unsafe")
+        rest = quot
+    np.add(rest, ord("0"), out=slots[..., 0], casting="unsafe")
+    for d in range(width - 1):
+        slots[..., d] *= values >= 10 ** (width - 1 - d)
 
 
-def _fast_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> bool:
+def _text(cells: np.ndarray, member_t: tuple[int, ...], profile: LevelProfile):
+    """Yield the writer's text of the members `cells` (M, N, k) and their t's,
+    a chunk of up to CHUNK_CELLS symbols at a time, each valid until the next:
+    a template of whole members, each a header (with a slot for t if they
+    differ), N rows (see `_layout`) and a blank LF; `_digits` fills the slots."""
+    m, n, k = cells.shape
+    runs, row, levels = _layout(profile)
+    slot = len(set(member_t)) > 1  # then each header has a slot for its member's t
+    header = _oa_header(n, "\0" * len(str(max(member_t))) if slot else member_t[0], levels)
+    h, at_t, tw = len(header), header.find(b"\0"), header.count(b"\0")
+    step, size = min(m, _members_per_chunk(n, k)), h + n * len(row) + 1
+    buf = bytearray(header + row * n + b"\n") * step
+    text = np.frombuffer(buf, dtype=np.uint8).reshape(step, size)
+    rows = text[:, h:-1].reshape(step, n, len(row))
+    slots = [rows[:, :, at:at + (b - a) * (width + 1)].reshape(step, n, b - a, width + 1)
+             for a, b, width, at in runs]
+    strip = tw > 1 or max(width for _, _, width, _ in runs) > 1
+    for lo in range(0, m, step):
+        block = cells[lo:lo + step]
+        c = len(block)
+        if slot:
+            _digits(np.asarray(member_t[lo:lo + c]), text[:c, at_t:at_t + tw])
+        for (a, b, _, _), run in zip(runs, slots):
+            _digits(block[..., a:b], run[:c, ..., :-1])
+        chunk = memoryview(buf)[:c * size]
+        if strip:
+            chunk = (buf if c == step else chunk.tobytes()).translate(None, b"\0")
+        yield memoryview(chunk)[:-1] if lo + c == m else chunk
+
+
+def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile, out: np.ndarray) -> bool:
     """Fill `out`, a (count, n, k) int32 array, with the rows of count blocks
-    of n rows from lines.pos on, parsed in one vectorised pass.  False
-    (lines.pos unmoved) unless the text is exactly what the writer emits for
-    them.  Blocks after the first must each follow one blank line and a copy
-    of the header line before lines.pos."""
-    count = len(out)
-    first, step = lines.pos, n + 2
-    starts = range(first, first + count * step, step)
-    end = starts[-1] + n  # the line after the last row, which must end in LF
-    if end >= len(lines):
+    of n rows from lines.pos on, parsed in one vectorised pass; False (lines.pos
+    unmoved) unless `_text` gives back the same bytes, headers included."""
+    count, first, step = len(out), lines.pos, n + 2
+    end = first + count * step - 2  # the line after the last row, which must end in LF
+    header = _oa_header(n, t, _layout(profile)[2])
+    sizes = np.diff(lines.bounds[first - 1:end + 1])  # of each line, with its LF
+    if end >= len(lines) or not ((sizes[::step] == len(header)).all()
+                                 and (sizes[n + 1::step] == 1).all()):
         return False
-    header = lines.raw(first - 1)
-    if any(lines.raw(s - 2) or lines.raw(s - 1) != header for s in starts[1:]):
+    span = lines.span(first - 1, count * step - 1)
+    body = np.frombuffer(span, dtype=np.uint8)
+    gaps = body <= ord(" ")  # a header's 3 spaces and LF, after each symbol, blank lines
+    ends = np.flatnonzero(gaps)
+    if len(ends) != count * (4 + n * profile.k + 1) - 1:
         return False
-    body = np.frombuffer(b"".join([lines.span(s, n) for s in starts]), dtype=np.uint8)
-    ends = np.flatnonzero(body <= ord(" "))  # the space or LF after each symbol
-    if len(ends) != out.size:
+    ends = np.append(ends, len(body)).reshape(count, -1)
+    last = (ends[:, 4:-1] - 1).reshape(out.shape)  # each symbol's last byte
+    digits = (body - np.uint8(ord("0"))) * ~gaps
+    cells = digits[last].astype(np.int64)
+    # as many digits as the column's largest symbol has, none before its gap
+    for a, b, width, _ in _layout(profile)[0]:
+        for r in range(1, width):
+            at = np.maximum(last[..., a:b] - r, ends[:, 3:-2].reshape(out.shape)[..., a:b])
+            cells[..., a:b] += digits[at].astype(np.int64) * 10 ** r
+    if (cells >= np.array(profile.levels)).any():
         return False
-    begins = np.concatenate(([0], ends + 1))[:-1]
-    width = ends - begins
-    if width.size and not 1 <= width.min() <= width.max() <= 10:
-        return False
-    cells = body[begins].astype(np.int64) - ord("0")
-    for j in range(1, int(width.max(initial=0))):
-        more = width > j
-        cells[more] = cells[more] * 10 + body[begins[more] + j] - ord("0")
-    cells = cells.reshape(-1, profile.k)
-    if ((cells < 0) | (cells >= np.array(profile.levels))).any():
-        return False
-    out[...] = cells.reshape(out.shape)
-    if not np.array_equal(_encode_rows(out.reshape(-1, profile.k))[0], body):
+    out[...] = cells
+    if bytes(next(_text(out, (t,) * count, profile))) != span:
         return False
     lines.pos = end
     return True
@@ -252,16 +281,18 @@ def _slow_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) ->
             out[i, j] = v
 
 
-def _parse_blocks(lines: _Lines, m: int) -> tuple[LevelProfile, np.ndarray, list[int]]:
-    """The next m OA blocks as (profile, one (m, N, k) array, each block's t).
-    Runs of blocks are tried on the fast path together until one run fails;
-    then each block goes alone."""
-    n, t, profile, _ = _parse_oa_header(lines)
-    k = profile.k
-    # every symbol takes a byte, so the file holds fewer than `fit` blocks
-    fit = len(lines.data) // (n * k) + 1 if n else m
-    cells = np.empty((min(m, fit), n, k), dtype=np.int32)
-    member_t: list[int] = []
+def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.ndarray, list[int]]:
+    """The next m OA blocks as (profile, one (m, N, k) array, each block's t),
+    after those in `read`, such a triple with lines.pos at the blank line after
+    them.  A run of blocks the fast way refuses is halved until it passes or is
+    one block, read line by line; after one lone block, each block goes alone."""
+    if read is None:
+        n, t, profile, _ = _parse_oa_header(lines)
+        # every symbol takes a byte, so the file holds fewer than `fit` blocks
+        fit = len(lines.data) // (n * profile.k) + 1 if n else m
+        read = profile, np.empty((min(m, fit), n, profile.k), dtype=np.int32), []
+    profile, cells, member_t = read
+    n = cells.shape[1]
     runs = True
     while len(member_t) < m:
         i = len(member_t)
@@ -276,21 +307,22 @@ def _parse_blocks(lines: _Lines, m: int) -> tuple[LevelProfile, np.ndarray, list
                     f" member 0 has N={n} levels={profile.format()}",
                     lineno,
                 )
-        block = cells[i:i + _members_per_chunk(n, k)]
-        if runs and len(block) > 1:
-            runs = _fast_rows(lines, n, profile, block)
-        if not runs or len(block) == 1:
-            block = block[:1]
-            if not _fast_rows(lines, n, profile, block):
+        block = cells[i:i + (_members_per_chunk(n, profile.k) if runs else 1)]
+        while not _fast_rows(lines, n, t, profile, block):
+            if len(block) == 1:
                 _slow_rows(lines, n, profile, block[0])
+                break
+            block = block[:len(block) // 2]
+        runs = runs and len(block) > 1
         member_t += [t] * len(block)
     return profile, cells, member_t
 
 
-def _read_strided(data: bytes) -> SymbolMatrix | LargeSet | None:
-    """The object whose writer text `data` is, if its symbols are all single
-    digits and its members share one header, read as one strided view of the
-    bytes; None for any other text."""
+def _read_strided(data: bytes) -> tuple[LevelProfile, np.ndarray, list[int]] | None:
+    """The profile, (M, N, k) array and member t's of the object whose writer
+    text `data` is, if its symbols are all single digits and its members share
+    one header, read as one strided view of the bytes: the members before the
+    first chunk that fails, or None for other text or if it is the first."""
     loa = data.startswith(b"LOA ")
     m, start = 1, 0
     if loa:
@@ -323,41 +355,39 @@ def _read_strided(data: bytes) -> SymbolMatrix | LargeSet | None:
         symbols = chunk[:, h::2] - ord("0")
         if not ((chunk[:, :h] == header).all() and (chunk[:, h + 1::2] == separators).all()
                 and (blanks[lo:lo + step] == ord("\n")).all() and (symbols < tops).all()):
-            return None
+            return (profile, cells.reshape(m, n, k), [t] * lo) if lo else None
         cells[lo:lo + len(chunk)] = symbols
-    cells = cells.reshape(m, n, k)
-    if loa:
-        return LargeSet._stacked(profile, cells, (t,) * m, t)
-    return SymbolMatrix._trusted(profile, cells[0], t)
+    return profile, cells.reshape(m, n, k), [t] * m
 
 
 def _load(data: bytes) -> SymbolMatrix | LargeSet:
     try:
-        obj = _read_strided(data)
+        read = _read_strided(data)
     except ParseError:  # reported with its line by the reader below
-        obj = None
-    if obj is not None:
-        return obj
-    lines = _Lines(data)
-    first = lines.next_content()
-    if first is None:
-        raise ParseError("empty file", 1)
-    header, lineno = first
-    tag = header.split()[0]
-    if tag == "OA":
-        lines.pos = lineno - 1
-        profile, cells, (t,) = _parse_blocks(lines, 1)
-        obj = SymbolMatrix._trusted(profile, cells[0], t)
-    elif tag == "LOA":
-        m = _loa_members(header, lineno)
-        profile, cells, member_t = _parse_blocks(lines, m)
-        obj = LargeSet._stacked(profile, cells, member_t, min(member_t))
-    else:
-        raise ParseError(f"unknown header tag {tag!r}", lineno)
-    extra = lines.next_content()
-    if extra is not None:
-        raise ParseError(f"content after the last block: {extra[0][:40]!r}", extra[1])
-    return obj
+        read = None
+    loa = data.startswith(b"LOA ")
+    if read is None or len(read[2]) < len(read[1]):
+        lines = _Lines(data)
+        first = lines.next_content()
+        if first is None:
+            raise ParseError("empty file", 1)
+        header, lineno = first
+        tag = header.split()[0]
+        if tag not in ("OA", "LOA"):
+            raise ParseError(f"unknown header tag {tag!r}", lineno)
+        loa = tag == "LOA"
+        if not loa:
+            lines.pos = lineno - 1
+        elif read is not None:  # at the blank line before the first member not read
+            lines.pos = len(read[2]) * (read[1].shape[1] + 2)
+        read = _parse_blocks(lines, _loa_members(header, lineno) if loa else 1, read)
+        extra = lines.next_content()
+        if extra is not None:
+            raise ParseError(f"content after the last block: {extra[0][:40]!r}", extra[1])
+    profile, cells, member_t = read
+    if loa:
+        return LargeSet._stacked(profile, cells, member_t, min(member_t))
+    return SymbolMatrix._trusted(profile, cells[0], member_t[0])
 
 
 def loads(text: str) -> SymbolMatrix | LargeSet:
@@ -383,43 +413,12 @@ def _writable(obj: SymbolMatrix | LargeSet) -> tuple[np.ndarray, tuple[int, ...]
 
 
 def _write(obj: SymbolMatrix | LargeSet, out) -> None:
-    """Write obj's text to the binary stream `out`, encoding up to
-    CHUNK_CELLS symbols at once.  Single-digit symbols under one t go into a
-    template of the fixed layout, one write per chunk."""
+    """Write obj's text to the binary stream `out`, one write per chunk."""
     cells, member_t = _writable(obj)
     if isinstance(obj, LargeSet):
         out.write(f"LOA M={obj.m}\n".encode())
-    levels = obj.profile.format()
-    m, n, k = cells.shape
-    step = _members_per_chunk(n, k)
-    if len(set(member_t)) == 1 and (max(obj.profile.levels) <= 10
-                                    or cells.max(initial=0) < 10):
-        header = _oa_header(n, member_t[0], levels)
-        h = len(header)
-        size = h + 2 * n * k + 1  # a member and the blank line after it
-        template = np.empty((min(step, m), size), dtype=np.uint8)
-        template[:, :h] = np.frombuffer(header, dtype=np.uint8)
-        rows = template[:, h:-1].reshape(len(template), n, k, 2)
-        rows[..., 1] = ord(" ")
-        rows[:, :, -1, 1] = ord("\n")
-        template[:, -1] = ord("\n")
-        text = template.reshape(-1)
-        for lo in range(0, m, step):
-            block = cells[lo:lo + step]
-            np.add(block, ord("0"), out=rows[:len(block), ..., 0], casting="unsafe")
-            out.write(text[:len(block) * size - (lo + step >= m)])
-        return
-    for lo in range(0, m, step):
-        block = cells[lo:lo + step]
-        text, row_len = _encode_rows(block.reshape(-1, k))
-        view = memoryview(text)
-        start = 0
-        for i, size in enumerate(row_len.reshape(len(block), n).sum(axis=1).tolist()):
-            if lo + i:
-                out.write(b"\n")
-            out.write(_oa_header(n, member_t[lo + i], levels))
-            out.write(view[start:start + size])
-            start += size
+    for chunk in _text(cells, member_t, obj.profile):
+        out.write(chunk)
 
 
 def dumps(obj: SymbolMatrix | LargeSet) -> str:

@@ -1,5 +1,6 @@
 """Text format round trips and parse diagnostics."""
 
+import io
 from unittest import mock
 
 import numpy as np
@@ -171,6 +172,8 @@ def reference_loads(text):
 
     def block():
         header, lineno = content()
+        if header is None or header.split()[0] != "OA":  # a row or "0OA" read as a header
+            return lineno
         kv = dict(part.split("=") for part in header.split()[1:])
         n, profile = int(kv["N"]), LevelProfile.parse(kv["levels"])
         # header sizes are checked against the file before any row is read
@@ -227,22 +230,26 @@ def same_result(text):
 @st.composite
 def random_objects(draw):
     """A random array or large set; levels up to 13 and, now and then, up to
-    1200, so that symbols of one to four digits appear."""
-    k = draw(st.integers(1, 5))
-    top = draw(st.sampled_from([6, 13, 1200]))
+    1200 or 2^31, so that symbols of one to ten digits appear.  Its k is
+    1-5 or 10-12, where members' t of one and two digits give headers of
+    two lengths.  Returns it with a chunk size, in symbols, that puts 1-3
+    whole members in each chunk."""
+    k = draw(st.integers(1, 5) | st.integers(10, 12))
+    top = draw(st.sampled_from([6, 13, 1200, 2**31]))
     levels = draw(st.lists(st.integers(2, top), min_size=k, max_size=k))
     n = draw(st.integers(0, 8))
     profile = LevelProfile(levels)
 
     def matrix():
         cells = [[draw(st.integers(0, s - 1)) for s in levels] for _ in range(n)]
-        return SymbolMatrix(profile, np.array(cells, dtype=int).reshape(n, k),
+        return SymbolMatrix(profile, np.array(cells, dtype=np.int64).reshape(n, k),
                             t=draw(st.integers(0, k)))
 
+    chunk = n * k * draw(st.integers(1, 3))
     if draw(st.booleans()):
-        return matrix()
+        return matrix(), chunk
     members = [matrix() for _ in range(draw(st.integers(1, 4)))]
-    return LargeSet(profile, members, min(a.t for a in members))
+    return LargeSet(profile, members, min(a.t for a in members)), chunk
 
 
 PERTURBATIONS = ("spaces", "tab", "leading_zero", "plus", "comment", "blank",
@@ -289,11 +296,13 @@ def perturb(text, kind, draw):
 
 @settings(max_examples=300, deadline=None)
 @given(random_objects(), st.lists(st.sampled_from(PERTURBATIONS), max_size=2), st.data())
-def test_loads_matches_reference_parser(obj, kinds, data):
+def test_loads_matches_reference_parser(obj_chunk, kinds, data):
+    obj, chunk = obj_chunk
     text = reference_dumps(obj)
     for kind in kinds:
         text = perturb(text, kind, data.draw)
-    same_result(text)
+    with mock.patch.object(formats, "CHUNK_CELLS", chunk):
+        same_result(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -309,8 +318,10 @@ def test_loads_matches_reference_parser_on_near_writer_text(text):
 
 @settings(max_examples=100, deadline=None)
 @given(random_objects())
-def test_writer_matches_reference_writer(obj):
-    assert dumps(obj) == reference_dumps(obj)
+def test_writer_matches_reference_writer(obj_chunk):
+    obj, chunk = obj_chunk
+    with mock.patch.object(formats, "CHUNK_CELLS", chunk):
+        assert dumps(obj) == reference_dumps(obj)
 
 
 def test_writer_two_digit_and_mixed_levels(tmp_path):
@@ -324,6 +335,21 @@ def test_writer_two_digit_and_mixed_levels(tmp_path):
         same_result(reference_dumps(obj))
     assert dumps(a).split("\n")[1:4] == ["0 0 0 12", "1 3 1 11", "2 6 0 10"]
     assert dumps(a).split("\n")[11] == "10 4 0 2"
+
+
+def test_ten_digit_symbols_and_headers_of_two_widths(monkeypatch):
+    """Symbols up to 2^31 - 1 and members whose t has one or two digits, so
+    that the writer's template pads the shorter headers with NUL."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 2 * 2 * 11)  # two members a chunk
+    profile = LevelProfile([2**31, 1000] + [2] * 9)
+    rows = [[2**31 - 1, 999] + [1] * 9, [0, 0] + [0, 1] * 4 + [1]]
+    members = [SymbolMatrix(profile, rows[::-1 if t % 2 else 1], t=t) for t in (9, 10, 11, 2, 10)]
+    ls = LargeSet(profile, members, t=2)
+    for obj in (ls, members[1]):
+        assert dumps(obj) == reference_dumps(obj)
+        same_result(reference_dumps(obj))
+    assert dumps(members[1]).split("\n")[:2] == ["OA N=2 t=10 levels=2147483648^1,1000^1,2^9",
+                                                  "2147483647 999 1 1 1 1 1 1 1 1 1"]
 
 
 def test_large_set_in_several_runs_matches_reference(monkeypatch):
@@ -510,6 +536,54 @@ def test_single_digit_writer_text_is_read_without_the_line_reader(monkeypatch, t
         read_array(path)
     assert err.value.line == len(text) - 1
     assert (lines.calls, slow.calls) == (1, 1)
+
+
+def test_multi_digit_text_is_written_and_read_a_chunk_at_a_time(monkeypatch):
+    """Multi-digit writer text takes one write per chunk and is read one run
+    of members at a time, without the line-by-line parser."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 3 * 4 * 13)  # three members a chunk
+    profile = LevelProfile([18] + [2] * 12)
+    rng = np.random.default_rng(18)
+    members = [SymbolMatrix(profile, np.column_stack([rng.permutation(18)[:4],
+                                                      rng.integers(0, 2, (4, 12))]), t=2)
+               for _ in range(7)]
+    ls = LargeSet(profile, members, t=2)
+    sizes = []  # of each write
+
+    class Sink(io.BytesIO):
+        def write(self, data):
+            sizes.append(len(data))
+            return super().write(data)
+
+    sink = Sink()
+    formats._write(ls, sink)
+    text = sink.getvalue().decode()
+    assert text == reference_dumps(ls) and len(sizes) == 1 + 3  # the LOA line and 3 chunks
+    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_fast_rows", fast)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    back = loads(text)
+    assert (fast.calls, slow.calls) == (3, 0)  # one per run of three members
+    assert back.t == 2 and list(back.members) == members
+
+
+@pytest.mark.parametrize("bad_member", [0, 3, 6])
+def test_a_declined_chunk_is_read_again_from_its_first_member(monkeypatch, bad_member):
+    """A fault makes the stride reader decline the chunk it is in; the line
+    reader then starts at that chunk's first header and reads no member
+    before it again."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
+    profile = LevelProfile([3, 2, 12])
+    lines = reference_dumps(LargeSet(profile, [
+        SymbolMatrix(profile, [[i % 3, 0, 9], [(i + 1) % 3, 1, i]], t=2) for i in range(7)
+    ], t=2)).split("\n")
+    lines[4 * bad_member + 3] = "0 2 6"  # a symbol equal to its level in the member's last row
+    starts = []  # the 0-based line at which each header or run of rows is read
+    for name in ("_parse_oa_header", "_fast_rows", "_slow_rows"):
+        monkeypatch.setattr(formats, name, lambda lines, *args, fn=getattr(formats, name):
+                            starts.append(lines.pos) or fn(lines, *args))
+    same_result("\n".join(lines))
+    assert min(starts) == 1 + 4 * (bad_member // 2 * 2)  # the declined chunk's first header
 
 
 @settings(max_examples=100, deadline=None)
