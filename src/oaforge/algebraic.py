@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrays import LevelProfile, SymbolMatrix, verify_strength
 from .errors import BudgetExceededError, ConstraintError, VerificationError
-from .expand import ResolvableProjection, check_resolvable_projection
+from .expand import ResolvableProjection, require_resolvable
 from .gf import Field, make_field, prime_power
 
 SYLVESTER_MAX_N = 10
@@ -87,16 +87,12 @@ def sylvester_oa3(n: int, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
 
 def _self_check(a: SymbolMatrix, t: int, lead: int):
     """a and its projection onto the first `lead` columns, once both check."""
-    proj = ResolvableProjection(tuple(range(lead)), a.n)
     report = verify_strength(a, t)
     if not report.ok:
         raise VerificationError(
             f"constructed array failed its strength-{t} check", report
         )
-    ok, why = check_resolvable_projection(a, proj.columns)
-    if not ok:
-        raise VerificationError(f"projection {proj.columns} not resolvable: {why}")
-    return a, proj
+    return a, require_resolvable(a, range(lead))
 
 
 # -- linear algebra over a field ----------------------------------------------

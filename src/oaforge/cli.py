@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success / verified, 1 verification failure (one JSON record per
-failure on standard output), 2 usage error.
+failure on standard output), 2 usage error.  `construct` and `expand` run
+plan trees through compose.run_tree; `expand`'s leaf is the Seed it read.
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ from .errors import (
     ParseError,
     VerificationError,
 )
-from .expand import (
-    ResolvableProjection,
-    expand_shift,
-    find_resolvable_projection,
-)
+from .expand import find_resolvable_projection, require_resolvable
 from .formats import read_array, write_array
 from .gf import parse_order
 
@@ -160,11 +157,14 @@ def _report_strength(report) -> int:
     return 1
 
 
+def _large_set_ok(m: int, n: int, universe: int, t: int) -> int:
+    print(f"ok: large set verified (M={m}, N={n}, universe={universe}, strength {t})")
+    return 0
+
+
 def _report_large_set(report) -> int:
     if report.ok:
-        print(f"ok: large set verified (M={report.m}, N={report.n},"
-              f" universe={report.universe}, strength {report.t})")
-        return 0
+        return _large_set_ok(report.m, report.n, report.universe, report.t)
     for record in report.records():
         _emit(record)
     if report.first_bad_report is not None:
@@ -186,6 +186,18 @@ def _write(obj, path: Path | None, label: str):
         print(f"{label} -> {path}")
 
 
+def _run_tree(root, path: Path | None) -> int:
+    """Run a plan tree, print its ok line and write its artifact."""
+    out = compose.run_tree(root)
+    if isinstance(out, LargeSet):
+        _large_set_ok(out.m, out.n, out.profile.universe_size, out.t)
+        _write(out, path, _label(out))
+    else:
+        _write(out.matrix, path,
+               f"{_label(out.matrix)}, resolvable columns {out.projection.columns}")
+    return 0
+
+
 def _cmd_construct(args) -> int:
     names = {name for keys, defaults, _ in compose.LEAVES.values()
              for name in (*keys, *(defaults or ()))}
@@ -199,7 +211,7 @@ def _cmd_construct(args) -> int:
     if args.expand:
         root = compose.Expand(root)
     try:
-        out = compose.run_tree(root)
+        return _run_tree(root, args.output)
     except VerificationError as exc:
         a = getattr(exc, "candidate", None)
         if a is None:
@@ -210,14 +222,6 @@ def _cmd_construct(args) -> int:
             _emit(failure.as_record())
         _write(a.with_t(0), args.output, f"candidate array ({a.n} x {a.k}) emitted unverified")
         return 1
-    if isinstance(out, LargeSet):
-        print(f"ok: large set verified (M={out.m}, N={out.n},"
-              f" universe={out.profile.universe_size}, strength {out.t})")
-        _write(out, args.output, _label(out))
-    else:
-        _write(out.matrix, args.output,
-               f"{_label(out.matrix)}, resolvable columns {out.projection.columns}")
-    return 0
 
 
 def _cmd_expand(args) -> int:
@@ -227,21 +231,14 @@ def _cmd_expand(args) -> int:
     if args.keep:
         a = project_columns(a, args.keep)
     if args.columns:
-        proj = ResolvableProjection(args.columns, a.n)
+        proj = require_resolvable(a, args.columns)
     else:
-        found = find_resolvable_projection(a)
-        if found is None:
+        proj = find_resolvable_projection(a)
+        if proj is None:
             print("no resolvable projection exists")
             return 1
-        print(f"using resolvable columns {found.columns}")
-        proj = found
-    ls = expand_shift(a, proj)
-    report = verify_large_set(ls, ls.t, budget=args.budget)
-    code = _report_large_set(report)
-    if code:
-        return code
-    _write(ls, args.output, _label(ls))
-    return 0
+        print(f"using resolvable columns {proj.columns}")
+    return _run_tree(compose.Expand(compose.Seed(a, proj, args.budget)), args.output)
 
 
 def _cmd_verify(args) -> int:

@@ -1,13 +1,13 @@
 """Composition engines: strength-1 coset large sets, zero-sum index-1 arrays,
 juxtaposition of large sets with matching tails, cyclic Kronecker pairing of
-large sets (strengths add plus one), and recipe plans wiring the constructors
-into reproducible composite artifacts.
+large sets (strengths add plus one), and the plan trees that every building
+command runs: `construct`, `expand`, `theorem` and the catalog.
 
 The Kronecker pairing takes one block per s in [0, lcm(M1, M2)): the full row
 product of member (s mod M1) with member (s mod M2).  Strength verification of
 the result is mandatory, so a wrong pairing can never produce an accepted
-artifact.  Each engine counts its own output once; a plan hands that verdict
-to execute_plan, which recounts only a claim above it.
+artifact.  Each engine counts its output once and returns it with t set to the
+strength it passed at, or raises; a plan's executor recounts only a claim above.
 """
 
 from __future__ import annotations
@@ -79,23 +79,13 @@ def zero_sum_oa(s: int, t: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     return a, ResolvableProjection(tuple(range(t)), a.n)
 
 
-def zero_sum_large_set(s: int, t: int) -> LargeSet:
-    a, proj = zero_sum_oa(s, t)
-    return expand_shift(a, proj)
-
-
 # -- juxtaposition ----------------------------------------------------------------
 
 
 def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
     """Stack member i of l1 over member i of l2 with l2's column-0 symbols
     relabeled to a1..a1+b1-1; the tails (columns 1..k-1) must agree and
-    N1/a1 = N2/b1.  Output verified at the common strength."""
-    return _juxtapose(l1, l2)[0]
-
-
-def _juxtapose(l1: LargeSet, l2: LargeSet) -> tuple[LargeSet, int]:
-    """juxtapose, with the strength its large-set check passed at."""
+    N1/a1 = N2/b1.  Output verified at the common strength, its t."""
     if l1.profile.levels[1:] != l2.profile.levels[1:]:
         raise ConstraintError(
             f"profiles differ beyond column 0: {l1.profile.format()} vs"
@@ -119,7 +109,7 @@ def _juxtapose(l1: LargeSet, l2: LargeSet) -> tuple[LargeSet, int]:
     report = verify_large_set(ls, t)
     if not report.ok:
         raise VerificationError("juxtaposed large set failed verification", report)
-    return ls, t
+    return ls
 
 
 # -- Kronecker pairing -------------------------------------------------------------
@@ -138,12 +128,11 @@ def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
             raise VerificationError(
                 f"{name} input is not a verified large set", report
             )
-    return _kronecker(l1, l2)[0]
+    return _kronecker(l1, l2)
 
 
-def _kronecker(l1: LargeSet, l2: LargeSet) -> tuple[SymbolMatrix, int]:
-    """kronecker without the input checks, with the strength its output's
-    count passed at."""
+def _kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
+    """kronecker without the input checks; the output is verified at its t."""
     m1, m2 = l1.m, l2.m
     h = lcm(m1, m2)
     t = l1.t + l2.t + 1
@@ -164,7 +153,7 @@ def _kronecker(l1: LargeSet, l2: LargeSet) -> tuple[SymbolMatrix, int]:
             f"Kronecker pairing failed its strength-{t} check on subsets "
             f"{report.failing_subsets()[:4]}", report
         )
-    return out, t
+    return out
 
 
 # -- construction plans -------------------------------------------------------------
@@ -214,7 +203,16 @@ class Kronecker:
     right: "PlanNode"
 
 
-PlanNode = Leaf | Expand | Project | Juxtapose | Kronecker
+@dataclass(frozen=True, eq=False)
+class Seed:
+    """An array from outside the program with the resolvable projection chosen
+    for it, counted at its t within `budget` when built; equal only to itself."""
+    matrix: SymbolMatrix
+    projection: ResolvableProjection
+    budget: int | None = None
+
+
+PlanNode = Leaf | Seed | Expand | Project | Juxtapose | Kronecker
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def _execute(node: PlanNode, built: dict):
     """The node's artifact and the strength that an exhaustive count has
     passed it at, or None.  An Expand node passes on its seed's: shifted
     members are per-column symbol translations, and projections keep
-    strength; its large-set properties are left to execute_plan.  `built`
+    strength; its large-set properties are left to _confirm.  `built`
     holds the results of one plan, so equal subtrees are built once."""
     if node not in built:
         built[node] = _build(node, built)
@@ -311,9 +309,6 @@ def _execute(node: PlanNode, built: dict):
 
 
 def _build(node: PlanNode, built: dict):
-    if isinstance(node, Leaf):
-        out = run_leaf(node)
-        return out, getattr(out, "matrix", out).t if node.kind in COUNTED_LEAVES else None
     if isinstance(node, (Expand, Project)):
         child, verified_t = _execute(node.child, built)
         if not isinstance(child, _OAWithProjection):
@@ -324,11 +319,22 @@ def _build(node: PlanNode, built: dict):
         out = _OAWithProjection(*project_resolvable(child.matrix, child.projection,
                                                     node.columns))
         return out, None if verified_t is None else min(verified_t, len(node.columns))
-    if isinstance(node, Juxtapose):
-        return _juxtapose(_as_large_set(node.left, built), _as_large_set(node.right, built))
-    if isinstance(node, Kronecker):
-        return _kronecker(_as_large_set(node.left, built), _as_large_set(node.right, built))
-    raise TypeError(f"unknown plan node {node!r}")
+    if isinstance(node, Seed):
+        a = node.matrix
+        report = verify_strength(a, a.t, budget=node.budget)
+        if not report.ok:
+            raise VerificationError(f"input array failed its strength-{a.t} check", report)
+        out = _OAWithProjection(a, node.projection)
+    elif isinstance(node, Leaf):
+        out = run_leaf(node)
+        if node.kind not in COUNTED_LEAVES:
+            return out, None
+    elif isinstance(node, (Juxtapose, Kronecker)):
+        engine = juxtapose if isinstance(node, Juxtapose) else _kronecker
+        out = engine(_as_large_set(node.left, built), _as_large_set(node.right, built))
+    else:
+        raise TypeError(f"unknown plan node {node!r}")
+    return out, getattr(out, "matrix", out).t
 
 
 def _as_large_set(node: PlanNode, built: dict) -> LargeSet:

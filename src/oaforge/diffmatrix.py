@@ -24,7 +24,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .expand import MAX_MEMBER_CELLS, ResolvableProjection, check_resolvable_projection
+from .expand import MAX_MEMBER_CELLS, ResolvableProjection, require_resolvable
 from .formats import read_utf8
 from .gf import MAX_ORDER, digitwise, make_field, prime_power
 
@@ -402,11 +402,7 @@ def develop_chai1(dm: DifferenceMatrix) -> tuple[SymbolMatrix, ResolvableProject
             "13-column development failed its strength-2 check on pairs "
             f"{report.failing_subsets()}", report
         )
-    proj = ResolvableProjection((0, 1, 6), a.n)
-    ok, why = check_resolvable_projection(a, proj.columns)
-    if not ok:
-        raise VerificationError(f"columns (0, 1, 6) are not a full factorial: {why}")
-    return a, proj
+    return a, require_resolvable(a, (0, 1, 6))
 
 
 def develop_chai2(
@@ -466,11 +462,7 @@ def develop_chai2(
     ]
     a = SymbolMatrix(LevelProfile([v] * 29), np.stack(cols, axis=1), t=2)
     report = verify_strength(a, 2)
-    proj = ResolvableProjection((0, 1, 2, 3), a.n)
-    ok, why = check_resolvable_projection(a, proj.columns)
-    if not ok:
-        raise VerificationError(f"columns (0,1,2,3) are not a full factorial: {why}")
-    return a, proj, report
+    return a, require_resolvable(a, (0, 1, 2, 3)), report
 
 
 # -- file format ----------------------------------------------------------------

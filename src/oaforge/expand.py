@@ -53,6 +53,15 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
     return True, None
 
 
+def require_resolvable(a: SymbolMatrix, columns) -> ResolvableProjection:
+    """The projection onto `columns` if it is resolvable, else a VerificationError."""
+    columns = tuple(columns)
+    ok, why = check_resolvable_projection(a, columns)
+    if not ok:
+        raise VerificationError(f"projection {columns} is not resolvable: {why}")
+    return ResolvableProjection(columns, a.n)
+
+
 def project_resolvable(
     a: SymbolMatrix, proj: ResolvableProjection, columns
 ) -> tuple[SymbolMatrix, ResolvableProjection]:
@@ -99,9 +108,7 @@ def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
     """One member per shift vector over the complementary columns, in
     mixed-radix order of the shift (first complementary column most
     significant).  Member 0 is the seed array itself."""
-    ok, why = check_resolvable_projection(a, proj.columns)
-    if not ok:
-        raise VerificationError(f"projection {proj.columns} is not resolvable: {why}")
+    require_resolvable(a, proj.columns)
     complement = [j for j in range(a.k) if j not in set(proj.columns)]
     m = prod(a.profile.levels[j] for j in complement)
     if m * a.n * a.k > MAX_MEMBER_CELLS:

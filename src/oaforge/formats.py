@@ -52,29 +52,33 @@ def _members_per_chunk(n: int, k: int) -> int:
 
 
 class _Lines:
-    """The lines of a UTF-8 buffer, located by one vectorised search for LF.
+    """The lines of a UTF-8 buffer from byte `start` on, where line `base`
+    (0-based) begins, located by one vectorised search for LF.
 
     A line is decoded only when read on its own; numbers are 1-based."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, start: int = 0, base: int = 0):
         self.data = data
-        # line i (0-based) is data[bounds[i] + 1 : bounds[i + 1]], without its LF
-        newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-        self.bounds = np.concatenate(([-1], newlines, [len(data)]))
-        self.pos = 0
+        # line i (0-based) is data[bounds[i - base] + 1 : bounds[i - base + 1]], without its LF
+        newlines = np.flatnonzero(np.frombuffer(data, np.uint8, offset=start) == ord("\n"))
+        if start:  # in place, so a whole-file index costs what it did with no offset
+            newlines += start
+        self.bounds = np.concatenate(([start - 1], newlines, [len(data)]))
+        self.base = self.pos = base
 
     def __len__(self) -> int:
-        return len(self.bounds) - 1
+        return self.base + len(self.bounds) - 1
 
     def raw(self, i: int) -> bytes:
-        return self.data[self.bounds[i] + 1:self.bounds[i + 1]]
+        return self.data[self.bounds[i - self.base] + 1:self.bounds[i - self.base + 1]]
 
     def text(self, i: int) -> str:
         return self.raw(i).decode("utf-8")
 
     def span(self, first: int, count: int) -> bytes:
         """Lines first .. first + count - 1, each with its LF."""
-        return self.data[self.bounds[first] + 1:self.bounds[first + count] + 1]
+        lo = first - self.base
+        return self.data[self.bounds[lo] + 1:self.bounds[lo + count] + 1]
 
     def next_content(self) -> tuple[str, int] | None:
         """Next non-blank, non-comment line."""
@@ -227,7 +231,7 @@ def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile, out: np.nda
     count, first, step = len(out), lines.pos, n + 2
     end = first + count * step - 2  # the line after the last row, which must end in LF
     header = _oa_header(n, t, _layout(profile)[2])
-    sizes = np.diff(lines.bounds[first - 1:end + 1])  # of each line, with its LF
+    sizes = np.diff(lines.bounds[first - 1 - lines.base:end + 1 - lines.base])  # with each LF
     if end >= len(lines) or not ((sizes[::step] == len(header)).all()
                                  and (sizes[n + 1::step] == 1).all()):
         return False
@@ -367,20 +371,26 @@ def _load(data: bytes) -> SymbolMatrix | LargeSet:
         read = None
     loa = data.startswith(b"LOA ")
     if read is None or len(read[2]) < len(read[1]):
-        lines = _Lines(data)
-        first = lines.next_content()
-        if first is None:
-            raise ParseError("empty file", 1)
-        header, lineno = first
-        tag = header.split()[0]
-        if tag not in ("OA", "LOA"):
-            raise ParseError(f"unknown header tag {tag!r}", lineno)
-        loa = tag == "LOA"
-        if not loa:
-            lines.pos = lineno - 1
-        elif read is not None:  # at the blank line before the first member not read
-            lines.pos = len(read[2]) * (read[1].shape[1] + 2)
-        read = _parse_blocks(lines, _loa_members(header, lineno) if loa else 1, read)
+        if read is None:
+            lines = _Lines(data)
+            first = lines.next_content()
+            if first is None:
+                raise ParseError("empty file", 1)
+            header, lineno = first
+            tag = header.split()[0]
+            if tag not in ("OA", "LOA"):
+                raise ParseError(f"unknown header tag {tag!r}", lineno)
+            loa = tag == "LOA"
+            if not loa:
+                lines.pos = lineno - 1
+            m = _loa_members(header, lineno) if loa else 1
+        else:  # only the lines from the blank one before the first member not read
+            profile, cells, member_t = read
+            n, i = cells.shape[1], len(member_t)
+            size = len(_oa_header(n, member_t[0], profile.format())) + 2 * n * profile.k + 1
+            # it is line i (N + 2), and its LF ends i members of `size` bytes
+            lines, m = _Lines(data, data.find(b"\n") + i * size, i * (n + 2)), len(cells)
+        read = _parse_blocks(lines, m, read)
         extra = lines.next_content()
         if extra is not None:
             raise ParseError(f"content after the last block: {extra[0][:40]!r}", extra[1])

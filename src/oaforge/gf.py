@@ -253,10 +253,6 @@ class Field:
         log, exp = self._logs
         return exp[-log[a] % (self.q - 1)]
 
-    @property
-    def minus_one(self) -> int:
-        return self.neg(1)
-
     # -- lookup tables for vectorized row generation
 
     @cached_property
@@ -281,6 +277,3 @@ def make_field(p: int, e: int = 1) -> Field:
     """Shared immutable Field instances; same (p, e) always compares equal."""
     return Field(p, e)
 
-
-def field_of_order(q: int) -> Field:
-    return make_field(*prime_power(q))

@@ -19,3 +19,18 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(arrays, "_off_walk", spy)
     return calls
+
+
+@pytest.fixture
+def relabels(monkeypatch):
+    """The (M, N, k) of every large set that arrays._relabels, the relabelling
+    certificate of verify_large_set, is asked about while the test runs."""
+    calls = []
+    certify = arrays._relabels
+
+    def spy(ls):
+        calls.append(ls.cells.shape)
+        return certify(ls)
+
+    monkeypatch.setattr(arrays, "_relabels", spy)
+    return calls

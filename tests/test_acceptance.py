@@ -115,7 +115,7 @@ def test_criterion_04_quartic_strength3_q3():
     assert len(gc.columns) == 10
     anchor = [gc.columns[0], gc.columns[1], gc.columns[2], gc.columns[4]]
     det = field_det(gc.field, list(zip(*anchor)))
-    assert det == gc.field.minus_one  # -1 in GF(3)
+    assert det == gc.field.neg(1)  # -1 in GF(3)
     assert comb(10, 3) == 120
     assert verify_generator_columns(gc) is None
     for k in range(4, 11):

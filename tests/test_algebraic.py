@@ -218,7 +218,7 @@ def test_q4_matrix_q3():
     assert len(gc.columns) == 10
     anchor = [gc.columns[0], gc.columns[1], gc.columns[2], gc.columns[4]]
     det = field_det(gc.field, list(zip(*anchor)))
-    assert det == gc.field.minus_one
+    assert det == gc.field.neg(1)
     assert verify_generator_columns(gc) is None  # all 120 triples
 
 

@@ -1,6 +1,8 @@
 """CLI surface: exit codes, machine-readable failure records, file flows."""
 
+import hashlib
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -8,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from oaforge.algebraic import sylvester_oa2
-from oaforge import arrays
-from oaforge.arrays import LargeSet, SymbolMatrix
+from oaforge import arrays, compose
+from oaforge.arrays import LargeSet, LevelProfile, SymbolMatrix
 from oaforge.catalog import FIX, catalog
 from oaforge.cli import build_parser, main
 from oaforge.diffmatrix import DifferenceMatrix, dm_for, field_dm, write_dm
 from oaforge.expand import expand_shift
-from oaforge.fixtures import fixture_dir, fixture_loa
+from oaforge.fixtures import FIXTURES, fixture_dir, fixture_loa
 from oaforge.formats import read_array, write_array
 
 
@@ -244,6 +246,83 @@ def test_construct_expand_is_not_charged_to_the_budget(capsys):
     assert code == 0 and "LOA(256,4^10,3) M=4096" in out
 
 
+# what each `expand` and `construct ... --expand` command of the README's CLI
+# tour and of this file printed, returned and wrote (files by SHA-256) before
+# `expand` ran as a plan tree; "setup" holds input files made in the directory
+EXPAND_CAPTURES = json.loads((Path(__file__).parent / "data" / "expand_cli.json").read_text())
+
+
+@pytest.mark.parametrize("capture", EXPAND_CAPTURES, ids=lambda c: c["command"])
+def test_expand_commands_print_and_write_what_they_did_before(capsys, monkeypatch, tmp_path,
+                                                             capture):
+    monkeypatch.chdir(tmp_path)
+    for name, text in capture["setup"].items():
+        (tmp_path / name).write_text(text)
+    fix = str(fixture_dir())
+    try:
+        code = main([arg.replace("$FIX", fix) for arg in shlex.split(capture["command"])])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir()) if path.name not in capture["setup"]}
+    assert (code, out.replace(fix, "$FIX"), err.replace(fix, "$FIX"), written) == (
+        capture["exit"], capture["stdout"], capture["stderr"], capture["files"])
+
+
+def test_expand_counts_only_its_seed(capsys, counts, relabels, tmp_path):
+    # the 24-row seed is counted at its header t = 2; the 4096 members get
+    # the occupancy pass only, with no relabelling certificate
+    code, out = run(capsys, "expand", str(fixture_dir() / "oa24_2e13_3e1_4e1.txt"),
+                    "-o", str(tmp_path / "l24.loa"))
+    assert code == 0 and "LOA(24,2^13,3^1,4^1,2) M=4096" in out
+    assert counts == [(1, 24, 15, 2)] and relabels == []
+
+
+def test_expand_of_a_changed_seed_names_its_failing_columns(capsys, tmp_path):
+    a = read_array(fixture_dir() / "oa20_2e8_5e1.txt")
+    cells = a.cells.copy()
+    cells[0, 3] = 1 - cells[0, 3]
+    bad = tmp_path / "bad20.oa"
+    write_array(SymbolMatrix(a.profile, cells, a.t), bad)
+    out_file = tmp_path / "l20.loa"
+    code, out = run(capsys, "expand", str(bad), "-o", str(out_file))
+    assert code == 1 and not out_file.exists()
+    lines = out.splitlines()
+    assert lines[0] == "using resolvable columns (0, 1, 8)"
+    records = [json.loads(line) for line in lines[1:]]
+    assert records[0] == {"columns": [0, 3], "expected": "5", "kind": "count-imbalance",
+                          "observed": 4, "tuple": [0, 0]}
+    assert {tuple(r["columns"]) for r in records[:-1]} == {
+        tuple(sorted((j, 3))) for j in range(9) if j != 3}
+    assert records[-1] == {"kind": "VerificationError",
+                           "message": "input array failed its strength-2 check"}
+    # the seed's failures, as `verify oa` names them
+    assert run(capsys, "verify", "oa", str(bad)) == (1, "".join(
+        line + "\n" for line in lines[1:-1]))
+
+
+def test_expand_is_charged_its_seeds_count(capsys, monkeypatch, tmp_path):
+    oa24 = str(fixture_dir() / "oa24_2e13_3e1_4e1.txt")
+    # N x C(k, t) = 24 x 105 = 2520 counting operations, not M x N x C(k, t)
+    code, _ = run(capsys, "expand", oa24, "--budget", "1e4", "-o", str(tmp_path / "a.loa"))
+    assert code == 0 and (tmp_path / "a.loa").exists()
+    expansions = []
+    monkeypatch.setattr(compose, "expand_shift", lambda *args: expansions.append(args))
+    code, out = run(capsys, "expand", oa24, "--budget", "1000", "-o", str(tmp_path / "b.loa"))
+    assert code == 1 and not (tmp_path / "b.loa").exists() and expansions == []
+    assert out.splitlines() == ["using resolvable columns (1, 2, 8, 13)", json.dumps(
+        {"kind": "BudgetExceededError",
+         "message": "strength check needs 2520 counting ops, budget 1000"}, sort_keys=True)]
+
+
+def test_fixtures_counts_each_seed_once(capsys, counts, relabels):
+    code, out = run(capsys, "fixtures")
+    assert code == 0 and out.count(": ok") == 8
+    assert counts == [(1, fx.n, LevelProfile.parse(fx.profile).k, fx.t) for fx in FIXTURES]
+    assert relabels == []  # each expansion gets the occupancy pass only
+
+
 def test_search_dm_cli(capsys, tmp_path):
     code, out = run(capsys, "search", "dm", "--v", "5", "--k", "4",
                     "-o", str(tmp_path / "d.dm"))
@@ -415,7 +494,7 @@ CLI_ERRORS = [
 
 
 @pytest.mark.parametrize("argv, exit_code", [pytest.param(a, c, id=a) for a, c in CLI_ERRORS])
-def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv, exit_code):
+def test_linear_parameter_errors_are_usage_errors(capsys, counts, tmp_path, argv, exit_code):
     loa = tmp_path / "l5.loa"  # a 5-column large set
     write_array(expand_shift(*sylvester_oa2(3, 5)), loa)
     loa4 = tmp_path / "l4.loa"  # and a 4-column one
@@ -424,6 +503,7 @@ def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv, exit_c
     dm3 = tmp_path / "k3.dm"  # a (5, 3, 1)-DM, one column short of a development's
     write_dm(field_dm(5, 3), dm3)
     out = tmp_path / "out.loa"
+    counts.clear()  # those of building the inputs above
     start = time.perf_counter()
     try:
         code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out)
@@ -440,6 +520,8 @@ def test_linear_parameter_errors_are_usage_errors(capsys, tmp_path, argv, exit_c
         assert captured.err == "" and len(captured.out.splitlines()) == 1
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+    if argv.startswith("expand"):  # refused before its seed is counted
+        assert counts == []
 
 
 @pytest.mark.parametrize("argv, label", [
@@ -493,18 +575,29 @@ def test_verify_dm_reads_crlf_files(capsys, tmp_path):
     assert code == 0 and out.startswith("ok:")
 
 
+SUBCOMMANDS = ("construct", "expand", "verify", "oracle", "compose", "theorem", "catalog",
+               "search", "fixtures")
+
+
 def _documented_commands() -> list[str]:
-    """Each `oaforge ...` line of the README's CLI tour, and each distinct
-    catalog command."""
+    """Each `oaforge ...` line of the README's CLI tour, each distinct
+    catalog command, and each whole command quoted in the README's prose: a
+    subcommand, an argument and a flag, so not `construct --expand` or
+    `expand FILE`."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
     lines = [line for line in tour.splitlines() if line.startswith("oaforge ")]
     lines += [e.command.replace(FIX, "$FIX") for e in catalog("all") if e.command]
+    lines += ["oaforge " + " ".join(span.split()) for span in re.findall(
+        rf"`((?:{'|'.join(SUBCOMMANDS)}) [^`.\-][^`]* -[^`]*)`", readme)]
     return list(dict.fromkeys(lines))
 
 
 @pytest.mark.parametrize("command", _documented_commands())
-def test_documented_commands_parse(command):
+def test_documented_commands_parse(capsys, command):
     argv = shlex.split(command, comments=True)
     assert argv[0] == "oaforge"
-    build_parser().parse_args(argv[1:])
+    try:
+        build_parser().parse_args(argv[1:])
+    except SystemExit as exc:  # a usage error, named on standard error
+        pytest.fail(f"{command!r} exits {exc.code}: {capsys.readouterr().err.strip()}")

@@ -25,7 +25,6 @@ from oaforge.compose import (
     kronecker,
     leaf,
     plan_theorem,
-    zero_sum_large_set,
     zero_sum_oa,
 )
 from oaforge.errors import ConstraintError, VerificationError
@@ -72,7 +71,7 @@ def test_zero_sum_oa():
     assert verify_strength(a, 2).ok
     rows = {tuple(r) for r in a.cells.tolist()}
     assert rows == {(x, y, (-x - y) % 3) for x in range(3) for y in range(3)}
-    ls = zero_sum_large_set(2, 3)
+    ls = expand_shift(*zero_sum_oa(2, 3))
     assert (ls.n, ls.m) == (8, 2)
     assert verify_large_set(ls, 3).ok
 

@@ -586,6 +586,33 @@ def test_a_declined_chunk_is_read_again_from_its_first_member(monkeypatch, bad_m
     assert min(starts) == 1 + 4 * (bad_member // 2 * 2)  # the declined chunk's first header
 
 
+@pytest.mark.parametrize("bad_member", [0, 3, 6])
+def test_a_declined_chunk_indexes_only_the_lines_from_its_first_member(monkeypatch, bad_member):
+    """The line reader's index of LFs starts at the blank line before the
+    declined chunk's first member, numbered as that line of the file, so the
+    members the stride reader took are not indexed; a fault in the first
+    chunk leaves nothing taken, and the whole file is indexed."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
+    profile = LevelProfile([3, 2, 12])
+    lines = reference_dumps(LargeSet(profile, [
+        SymbolMatrix(profile, [[i % 3, 0, 9], [(i + 1) % 3, 1, i]], t=2) for i in range(7)
+    ], t=2)).split("\n")
+    lines[4 * bad_member + 3] = "0 2 6"  # a symbol equal to its level in the member's last row
+    text = "\n".join(lines)
+    indexed = []  # (first line, LFs before its first byte, lines indexed) per index
+
+    class Spy(formats._Lines):
+        def __init__(self, data, *args):
+            super().__init__(data, *args)
+            indexed.append((self.base, data.count(b"\n", 0, self.bounds[0] + 1),
+                            len(self.bounds) - 1))
+
+    monkeypatch.setattr(formats, "_Lines", Spy)
+    same_result(text)  # the same ParseError line as the reference parser
+    first = 4 * (bad_member // 2 * 2)  # the blank line before the chunk, or the LOA line
+    assert indexed == [(first, first, len(lines) - first)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(single_digit_objects())
 def test_stride_writer_matches_reference_writer(obj_chunk):

@@ -34,7 +34,7 @@ from oaforge.arrays import (
     verify_simple,
     verify_strength,
 )
-from oaforge.compose import cosets_strength1, zero_sum_large_set
+from oaforge.compose import cosets_strength1, zero_sum_oa
 from oaforge.diffmatrix import develop_chai1, dm_for
 from oaforge.expand import ResolvableProjection, expand_shift
 from oaforge.fixtures import fixture_loa
@@ -88,7 +88,7 @@ def _chai1_v4_w6():
 BUILDERS = {
     "sylvester2 n=3 k=6": lambda: expand_shift(*sylvester_oa2(3, 6)),
     "sylvester3 n=3 k=7": lambda: expand_shift(*sylvester_oa3(3, 7)),
-    "zero-sum s=3 t=2": lambda: zero_sum_large_set(3, 2),
+    "zero-sum s=3 t=2": lambda: expand_shift(*zero_sum_oa(3, 2)),
     "chai1 v=4 w=6": _chai1_v4_w6,
     "cosets 2^4": lambda: cosets_strength1(LevelProfile([2] * 4)),
     "oa20": lambda: fixture_loa("oa20_2e8_5e1"),
