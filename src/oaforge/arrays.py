@@ -20,6 +20,10 @@ symbols permuted, row for row, has member 0's tuple counts up to
 relabelling and so its verdict (Hedayat, Sloane & Stufken, Orthogonal
 Arrays, 1999, ch. 1); such members are certified cell by cell and only the
 others are counted with member 0.
+A large set's union is checked for repeated rows by one occupancy pass over
+its row codes, a chunk at a time; when M * N fills the universe, marking a
+boolean map of it and finding every slot marked proves the union
+repeat-free (see _smallest_repeat).
 brute_force_strength re-counts with deliberately naive nested loops and
 shares no kernels with the fast path; it is the oracle the fast path is
 tested against.
@@ -39,8 +43,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConstraintError
 
-OCCUPANCY_LIMIT = 1 << 24  # bitmap of row codes up to this universe size, sorted codes above
-CHUNK_TARGET_CELLS = 1 << 16  # per-chunk code-buffer size for the counting kernel
+OCCUPANCY_LIMIT = 1 << 24  # map or bincount of row codes up to this universe, sorted codes above
+CHUNK_TARGET_CELLS = 1 << 16  # cells per chunk: counting kernel, occupancy pass, shift expansion
 BLOCK_ROWS_PER_CELL = 16  # a block of columns counted for its t-subsets has <= N / this cells
 BLOCK_MIN_ROWS = 1 << 13  # and is counted only in arrays of at least this many rows
 
@@ -650,9 +654,11 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     """Check the three large-set properties: every member a simple OA of
     strength t, M * N = universe, and the union of all rows repeat-free
     (hence the full factorial).  One occupancy pass over all M * N rows comes
-    first: with no repeated row every member is simple and the members are
-    disjoint, so verify_simple runs per member only to name the members that
-    hold a repeat.  Strength is then counted by one walk (see the module doc)
+    first (see _smallest_repeat): when M * N is the universe it marks a map
+    of the universe and needs nothing more unless a slot stays empty.  With
+    no repeated row every member is simple and the members are disjoint, so
+    verify_simple runs per member only to name the members that hold a
+    repeat.  Strength is then counted by one walk (see the module doc)
     over chunks of whole members, the member index leading every code: the
     walk takes member 0 and every member that _relabels does not certify as
     member 0 with each column's symbols permuted; a certified member has
@@ -732,28 +738,48 @@ def _relabels(ls: LargeSet) -> np.ndarray:
 
 def _smallest_repeat(ls: LargeSet) -> tuple[int, ...] | None:
     """The smallest row that occurs more than once among all M * N rows, or
-    None.  Row codes, computed in chunks, are counted in a bincount bitmap up
-    to OCCUPANCY_LIMIT and sorted above it; rows whose codes would not fit in
-    int64 are lexsorted instead, by verify_simple."""
+    None.  Rows are read by their mixed-radix codes, computed a chunk at a
+    time.  When M * N is the universe and the universe is at most
+    OCCUPANCY_LIMIT, each chunk's codes mark a boolean map of the universe:
+    by pigeonhole the rows repeat exactly when some slot stays unmarked, a
+    repeat inside one chunk as well as across two.  Only then, or when M * N
+    is not the universe, are all the codes kept and the repeats named: by a
+    bincount of the universe up to OCCUPANCY_LIMIT, by sorting above it.
+    Rows whose codes would not fit in int64 are lexsorted instead, by
+    verify_simple."""
     levels, universe = ls.profile.levels, ls.profile.universe_size
     rows = ls.cells.reshape(-1, len(levels))
     if row_weights(ls.profile) is None:
         simple, pair = verify_simple(SymbolMatrix._trusted(ls.profile, rows, None))
         return None if simple else tuple(rows[pair[0]].tolist())
     step = max(1, CHUNK_TARGET_CELLS // len(levels))
-    codes = np.empty(len(rows), dtype=np.int32 if universe <= 1 << 31 else np.int64)
+    dtype = np.int32 if universe <= 1 << 31 else np.int64
+    if len(rows) == universe <= OCCUPANCY_LIMIT:
+        seen = np.zeros(universe, dtype=bool)
+        buf = np.empty(min(step, len(rows)), dtype=dtype)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            seen[_row_codes(block, levels, buf[:len(block)])] = True
+        if seen.all():
+            return None
+    codes = np.empty(len(rows), dtype=dtype)
     for lo in range(0, len(rows), step):
-        out = codes[lo:lo + step]
-        out[:] = rows[lo:lo + step, 0]
-        for j in range(1, len(levels)):
-            out *= levels[j]
-            out += rows[lo:lo + step, j]
+        _row_codes(rows[lo:lo + step], levels, codes[lo:lo + step])
     if universe <= OCCUPANCY_LIMIT:
         repeats = np.flatnonzero(np.bincount(codes, minlength=universe) > 1)
     else:
         codes.sort()
         repeats = codes[1:][codes[1:] == codes[:-1]]
     return tuple(int(x) for x in np.unravel_index(repeats[0], levels)) if repeats.size else None
+
+
+def _row_codes(rows: np.ndarray, levels, out: np.ndarray) -> np.ndarray:
+    """`out`, filled with the mixed-radix codes of `rows` (column 0 most significant)."""
+    out[:] = rows[:, 0]
+    for j in range(1, len(levels)):
+        out *= levels[j]
+        out += rows[:, j]
+    return out
 
 
 # -- projections and indices ---------------------------------------------------

@@ -16,6 +16,7 @@ from math import prod
 
 import numpy as np
 
+from . import arrays
 from .arrays import LargeSet, SymbolMatrix, project_columns, verify_strength
 from .errors import BudgetExceededError, ConstraintError, SizeCapError, VerificationError
 
@@ -107,25 +108,36 @@ def find_resolvable_projection(a: SymbolMatrix) -> ResolvableProjection | None:
 def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
     """One member per shift vector over the complementary columns, in
     mixed-radix order of the shift (first complementary column most
-    significant).  Member 0 is the seed array itself."""
+    significant).  Member 0 is the seed array itself.
+
+    Members are built a chunk of about CHUNK_TARGET_CELLS cells at a time,
+    so no pass runs over the whole (M, N, k) array.  Column j has a table
+    of s_j rows, row d the seed's column shifted by d (mod s_j), and one
+    row, the seed's column, if it is resolvable; member i's column j is row
+    digit_j(i) of it, digit_j(i) the shift's mixed-radix digit, so a chunk
+    is one gather from the stacked tables."""
     require_resolvable(a, proj.columns)
-    complement = [j for j in range(a.k) if j not in set(proj.columns)]
-    m = prod(a.profile.levels[j] for j in complement)
+    levels = a.profile.levels
+    shifts = [1 if j in proj.columns else s for j, s in enumerate(levels)]  # per column
+    m = prod(shifts)
     if m * a.n * a.k > MAX_MEMBER_CELLS:
         raise SizeCapError(
             f"expansion would materialize {m * a.n * a.k} cells"
             f" (cap {MAX_MEMBER_CELLS}); project to fewer columns first"
         )
+    radix = np.array(shifts)
+    first = np.cumsum(radix) - radix  # the table row of column j's shift 0
+    column = np.repeat(np.arange(a.k), radix)  # the column of each table row
+    shift = np.arange(len(column)) - first[column]
+    table = (a.cells.T[column] + shift[:, None]) % np.array(levels)[column, None]
+    table = table.astype(np.int32)
+    place = np.array([prod(shifts[j + 1:]) for j in range(a.k)])  # of digit j in a member's index
     cells = np.empty((m, a.n, a.k), dtype=np.int32)
-    cells[:] = a.cells
-    member = np.arange(m, dtype=np.int32)
-    stride = m
-    for j in complement:  # member i's shift vector is i in mixed radix
-        s = a.profile.levels[j]
-        stride //= s
-        column = cells[:, :, j]
-        column += (member // stride % s)[:, None]
-        column %= s
+    per = max(1, arrays.CHUNK_TARGET_CELLS // (a.n * a.k))
+    for lo in range(0, m, per):
+        rows = np.arange(lo, min(lo + per, m))[:, None] // place % radix + first
+        # (members, k, N) rows of the table, laid out as (members, N, k)
+        cells[lo:lo + per] = table[rows].transpose(0, 2, 1)
     return LargeSet._stacked(a.profile, cells, (a.t,) * m, a.t)
 
 

@@ -26,9 +26,10 @@ N rows of 2k bytes, one blank line.  It is read as one strided byte view, a
 chunk of whole members at a time, checking every byte against that layout.
 The rest of the file from the first chunk that fails the check, or any
 other file, is read by lines: writer text of any symbol width one run of
-blocks at a time, accepted only if the writers' template (`_text`) gives
-back the same bytes, and any other block line by line, which is also where
-every row's ParseError comes from.
+blocks at a time, whose headers may differ in t if not in its number of
+digits, accepted only if the writers' template (`_text`) gives back the
+same bytes, and any other block line by line, which is also where every
+row's ParseError comes from.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _digits(values: np.ndarray, slots: np.ndarray) -> None:
         slots[..., d] *= values >= 10 ** (width - 1 - d)
 
 
-def _text(cells: np.ndarray, member_t: tuple[int, ...], profile: LevelProfile):
+def _text(cells: np.ndarray, member_t: tuple[int, ...] | list[int], profile: LevelProfile):
     """Yield the writer's text of the members `cells` (M, N, k) and their t's,
     a chunk of up to CHUNK_CELLS symbols at a time, each valid until the next:
     a template of whole members, each a header (with a slot for t if they
@@ -224,23 +225,26 @@ def _text(cells: np.ndarray, member_t: tuple[int, ...], profile: LevelProfile):
         yield memoryview(chunk)[:-1] if lo + c == m else chunk
 
 
-def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile, out: np.ndarray) -> bool:
+def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile,
+               out: np.ndarray) -> list[int] | None:
     """Fill `out`, a (count, n, k) int32 array, with the rows of count blocks
-    of n rows from lines.pos on, parsed in one vectorised pass; False (lines.pos
-    unmoved) unless `_text` gives back the same bytes, headers included."""
+    of n rows from lines.pos on, parsed in one vectorised pass, and return
+    each block's t, read from its header with as many digits as `t`, the
+    first block's.  None (lines.pos unmoved) unless `_text` gives back the
+    same bytes, headers included."""
     count, first, step = len(out), lines.pos, n + 2
     end = first + count * step - 2  # the line after the last row, which must end in LF
     header = _oa_header(n, t, _layout(profile)[2])
     sizes = np.diff(lines.bounds[first - 1 - lines.base:end + 1 - lines.base])  # with each LF
     if end >= len(lines) or not ((sizes[::step] == len(header)).all()
                                  and (sizes[n + 1::step] == 1).all()):
-        return False
+        return None
     span = lines.span(first - 1, count * step - 1)
     body = np.frombuffer(span, dtype=np.uint8)
     gaps = body <= ord(" ")  # a header's 3 spaces and LF, after each symbol, blank lines
     ends = np.flatnonzero(gaps)
     if len(ends) != count * (4 + n * profile.k + 1) - 1:
-        return False
+        return None
     ends = np.append(ends, len(body)).reshape(count, -1)
     last = (ends[:, 4:-1] - 1).reshape(out.shape)  # each symbol's last byte
     digits = (body - np.uint8(ord("0"))) * ~gaps
@@ -251,12 +255,19 @@ def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile, out: np.nda
             at = np.maximum(last[..., a:b] - r, ends[:, 3:-2].reshape(out.shape)[..., a:b])
             cells[..., a:b] += digits[at].astype(np.int64) * 10 ** r
     if (cells >= np.array(profile.levels)).any():
-        return False
+        return None
+    at = ends[:, 2] - 1  # each header's t, as many digits as `t`, ends at its third gap
+    read = digits[at].astype(np.int64)
+    for r in range(1, len(str(t))):
+        read += digits[at - r].astype(np.int64) * 10 ** r
+    if read.max() > profile.k:
+        return None
     out[...] = cells
-    if bytes(next(_text(out, (t,) * count, profile))) != span:
-        return False
+    member_t = read.tolist()
+    if bytes(next(_text(out, member_t, profile))) != span:
+        return None
     lines.pos = end
-    return True
+    return member_t
 
 
 def _slow_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> None:
@@ -312,13 +323,14 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
                     lineno,
                 )
         block = cells[i:i + (_members_per_chunk(n, profile.k) if runs else 1)]
-        while not _fast_rows(lines, n, t, profile, block):
+        while (block_t := _fast_rows(lines, n, t, profile, block)) is None:
             if len(block) == 1:
                 _slow_rows(lines, n, profile, block[0])
+                block_t = [t]
                 break
             block = block[:len(block) // 2]
         runs = runs and len(block) > 1
-        member_t += [t] * len(block)
+        member_t += block_t
     return profile, cells, member_t
 
 

@@ -248,7 +248,9 @@ def test_construct_expand_is_not_charged_to_the_budget(capsys):
 
 # what each `expand` and `construct ... --expand` command of the README's CLI
 # tour and of this file printed, returned and wrote (files by SHA-256) before
-# `expand` ran as a plan tree; "setup" holds input files made in the directory
+# `expand` ran as a plan tree, and last the 21 MB q4t3 q=4 file as it was
+# written before expansions were built a chunk at a time; "setup" holds
+# input files made in the directory
 EXPAND_CAPTURES = json.loads((Path(__file__).parent / "data" / "expand_cli.json").read_text())
 
 

@@ -148,6 +148,56 @@ def test_expand_shift_rejects_bad_projection():
         expand_shift(a, ResolvableProjection((0,), 2))
 
 
+def reference_expand_shift(a, columns) -> np.ndarray:
+    """The (M, N, k) members of the shift expansion, built member by member:
+    member i's column j is (seed[:, j] + digit_j(i)) % s_j, digit_j(i) the
+    digit of i in the mixed radix of the complementary columns' levels
+    (first most significant) and 0 for a resolvable column."""
+    levels = a.profile.levels
+    radix = [1 if j in columns else s for j, s in enumerate(levels)]
+    members = []
+    for i in range(prod(radix)):
+        member = a.cells.astype(np.int64)
+        for j, s in enumerate(levels):
+            digit = i // prod(radix[j + 1:]) % radix[j]
+            member[:, j] = (member[:, j] + digit) % s
+        members.append(member)
+    return np.array(members)
+
+
+SHIFT_SEEDS = {
+    # mixed levels, 64 members of 20 rows, resolvable columns (0, 1, 8)
+    "oa20": lambda: load_fixture("oa20_2e8_5e1"),
+    # mixed levels, 9 members, the complementary columns between resolvable ones
+    "oa54": lambda: load_fixture("oa54_3e5_2e1"),
+    # every column resolvable: one member, the seed
+    "empty complement": lambda: (full_factorial(LevelProfile([3, 2])).with_t(2), (1, 0)),
+    # N = 1: no resolvable column, and 30 one-row members, one per tuple
+    "one row": lambda: (SymbolMatrix(LevelProfile([2, 3, 5]), [[1, 2, 4]], t=0), ()),
+}
+
+
+@pytest.mark.parametrize("chunk", ["default", "one cell", "a few rows", "seven members"])
+@pytest.mark.parametrize("name", sorted(SHIFT_SEEDS))
+def test_expand_shift_matches_the_member_by_member_reference(monkeypatch, name, chunk):
+    """The members built a chunk at a time equal the naive ones, whether a
+    chunk is one member, several, or the whole set; seven members a chunk
+    leaves a short last chunk in every seed with more than one member."""
+    import oaforge.arrays as arrays_mod
+
+    a, columns = SHIFT_SEEDS[name]()
+    target = {"default": arrays_mod.CHUNK_TARGET_CELLS, "one cell": 1,
+              "a few rows": 3 * a.k, "seven members": 7 * a.n * a.k}[chunk]
+    monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", target)
+    ls = expand_shift(a, ResolvableProjection(columns, a.n))
+    want = reference_expand_shift(a, columns)
+    assert ls.cells.shape == want.shape and np.array_equal(ls.cells, want)
+    assert ls.cells.dtype == np.int32 and ls.cells.flags.c_contiguous
+    assert not ls.cells.flags.writeable
+    assert ls.member_t == (a.t,) * ls.m and ls.t == a.t
+    assert ls.m * ls.n == a.profile.universe_size and verify_large_set(ls, a.t).ok
+
+
 def test_expand_then_project_commutes_with_project_then_expand():
     a, marked = load_fixture("oa48_3e1_2e9")
     keep = list(marked) + [3, 4]

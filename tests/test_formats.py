@@ -567,6 +567,42 @@ def test_multi_digit_text_is_written_and_read_a_chunk_at_a_time(monkeypatch):
     assert back.t == 2 and list(back.members) == members
 
 
+def _members_of_t(member_t, zeros=0) -> LargeSet:
+    """Members of 12 rows of 3^1,2^1,12^1 (two-digit symbols), then `zeros`
+    binary columns of zeros, with these t's."""
+    profile = LevelProfile([3, 2, 12] + [2] * zeros)
+    rows = np.array([[i % 3, i % 2, i] + [0] * zeros for i in range(12)])
+    return LargeSet(profile, [SymbolMatrix(profile, np.roll(rows, i, axis=0), t)
+                              for i, t in enumerate(member_t)], min(member_t))
+
+
+def test_members_of_different_t_are_read_a_run_at_a_time(monkeypatch, tmp_path):
+    """Each header's t is read from its slot, so a run of members whose t
+    differ (with as many digits) is one vectorised pass, not one per member."""
+    mixed = _members_of_t([1 + i % 2 for i in range(5000)])
+    write_array(mixed, tmp_path / "mixed")
+    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_fast_rows", fast)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 4 * 12 * 3)  # four members a run
+    back = read_array(tmp_path / "mixed")
+    assert back.member_t == mixed.member_t and back.t == 1
+    assert list(back.members) == list(mixed.members)
+    assert (fast.calls, slow.calls) == (1250, 0)
+
+
+def test_members_whose_t_differ_in_digits_read_back_equal(monkeypatch):
+    """t = 9 beside t = 10 gives headers of two lengths, which one run of
+    blocks cannot hold; they are read back equal all the same."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 4 * 12 * 11)  # four members a run
+    ls = _members_of_t([9, 10, 10, 9, 3, 3, 3, 3, 10, 9, 10], zeros=8)
+    text = dumps(ls)
+    assert text == reference_dumps(ls)
+    back = loads(text)
+    assert back.member_t == ls.member_t and list(back.members) == list(ls.members)
+    same_result(text)
+
+
 @pytest.mark.parametrize("bad_member", [0, 3, 6])
 def test_a_declined_chunk_is_read_again_from_its_first_member(monkeypatch, bad_member):
     """A fault makes the stride reader decline the chunk it is in; the line

@@ -168,9 +168,14 @@ def mutate(ls: LargeSet, kind: str, data) -> tuple[LargeSet, set[int]]:
 
 
 def union_branch(branch: str):
-    """Force one of the occupancy pass's three ways of finding a repeat; the
-    last two also in small chunks, so that the occupancy pass, the
-    relabelling certificate and the count all cross chunk boundaries."""
+    """Force one of the occupancy pass's ways of finding a repeat: "bitmap"
+    and "coverage" mark a map of the universe when M * N fills it and fall
+    back to a bincount on a repeat or a short set, "sorted" sorts the codes
+    and "lexsort" the rows.  All but "bitmap" run in small chunks, so that
+    the occupancy pass, the relabelling certificate and the count all cross
+    chunk boundaries."""
+    if branch == "coverage":
+        return mock.patch.multiple(arrays_mod, CHUNK_TARGET_CELLS=64)
     if branch == "sorted":
         return mock.patch.multiple(arrays_mod, OCCUPANCY_LIMIT=1, CHUNK_TARGET_CELLS=64)
     if branch == "lexsort":
@@ -179,7 +184,7 @@ def union_branch(branch: str):
     return contextlib.nullcontext()
 
 
-@pytest.mark.parametrize("branch", ["bitmap", "sorted", "lexsort"])
+@pytest.mark.parametrize("branch", ["bitmap", "coverage", "sorted", "lexsort"])
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(BUILDERS)),
        kind=st.sampled_from(["clean", "cell", "swap_rows", "dup_row", "dup_member",
@@ -277,3 +282,64 @@ def test_member_zero_missing_a_symbol_certifies_nothing(counts):
     assert [m for m, what in report.member_problems if what == "strength"] == \
         list(range(ls.m))
     assert counts[0] == (ls.m, ls.n, ls.profile.k, ls.t)
+
+
+def _planted(ls: LargeSet, source: int, target: int) -> LargeSet:
+    """ls with row `target` of all M * N, in member order, a copy of row `source`."""
+    cells = ls.cells.reshape(-1, ls.profile.k).copy()
+    cells[target] = cells[source]
+    return _with_cells(ls, cells.reshape(ls.cells.shape))
+
+
+@pytest.fixture
+def code_chunks(monkeypatch):
+    """The rows of each chunk whose codes the occupancy pass computes, with
+    CHUNK_TARGET_CELLS at 10 rows of 7 columns."""
+    monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", 70)
+    calls = []
+    codes = arrays_mod._row_codes
+
+    def spy(rows, levels, out):
+        calls.append(len(rows))
+        return codes(rows, levels, out)
+
+    monkeypatch.setattr(arrays_mod, "_row_codes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("source, target, records", [
+    # rows 20-29 are one chunk
+    (21, 27, [{"kind": "member-strength", "member": 1}, {"kind": "member-simple", "member": 1},
+              {"kind": "union-repeat", "tuple": [0, 1, 0, 1, 1, 0, 0]}]),
+    # rows 40-49 and 90-99 are two
+    (41, 95, [{"kind": "member-strength", "member": 5},
+              {"kind": "union-repeat", "tuple": [1, 0, 1, 1, 0, 1, 1]}]),
+])
+def test_a_repeat_inside_a_chunk_or_across_two_leaves_the_map_uncovered(code_chunks, source,
+                                                                         target, records):
+    """The 128 rows fill the universe, so the coverage map alone proves the
+    clean set repeat-free; a planted repeat leaves a slot unmarked, wherever
+    its two rows are, and the codes are computed again to name it as
+    before (the records are those the bincount of every code gave)."""
+    ls = built("sylvester3 n=3 k=7")
+    assert verify_large_set(ls, ls.t).ok
+    assert code_chunks == [10] * 12 + [8]
+    del code_chunks[:]
+    bad = _planted(ls, source, target)
+    report = verify_large_set(bad, bad.t)
+    assert report.records() == records == reference_verify(bad, bad.t).records()
+    assert code_chunks == ([10] * 12 + [8]) * 2
+
+
+def test_a_set_short_of_the_universe_still_names_its_repeat(code_chunks):
+    """M * N below the universe: no coverage map, every code is counted."""
+    ls = built("sylvester3 n=3 k=7")
+    short = LargeSet._stacked(ls.profile, ls.cells[:7], ls.member_t[:7], ls.t)
+    count = {"kind": "member-count", "m": 7, "n": 16, "universe": 128}
+    assert verify_large_set(short, short.t).records() == [count]
+    bad = _planted(short, 60, 33)
+    records = [count, {"kind": "member-strength", "member": 2},
+               {"kind": "union-repeat", "tuple": [1, 1, 1, 0, 1, 1, 1]}]
+    assert verify_large_set(bad, bad.t).records() == records == \
+        reference_verify(bad, bad.t).records()
+    assert code_chunks == ([10] * 11 + [2]) * 2
