@@ -20,6 +20,11 @@ symbols permuted, row for row, has member 0's tuple counts up to
 relabelling and so its verdict (Hedayat, Sloane & Stufken, Orthogonal
 Arrays, 1999, ch. 1); such members are certified cell by cell and only the
 others are counted with member 0.
+An array of h blocks of row products P_s x Q_s, the output of the Kronecker
+pairing, is counted through its two factors where the walk would count it
+in blocks wider than t (see _product_strength): its cells are first
+compared with the products, then each side is counted block by block and as
+a union, on h * N1 and h * N2 rows instead of h * N1 * N2.
 A large set's union is checked for repeated rows by one occupancy pass over
 its row codes, a chunk at a time; when M * N fills the universe, marking a
 boolean map of it and finding every slot marked proves the union
@@ -349,16 +354,25 @@ class _Plan(NamedTuple):
     tree: tuple  # root node; a node is (lo, hi, ((column, level, child), ...))
 
 
-@lru_cache(maxsize=64)
+def _block_width(levels: tuple[int, ...], t: int, n: int) -> int:
+    """How many columns the blocks have that the walk counts the t-subsets of
+    an N-row array in: t, or more when N is at least BLOCK_MIN_ROWS and
+    BLOCK_ROWS_PER_CELL times the cells of a block of the largest levels."""
+    width, top = t, sorted(levels, reverse=True)
+    while width < len(levels) and n >= max(BLOCK_MIN_ROWS,
+                                           BLOCK_ROWS_PER_CELL * prod(top[:width + 1])):
+        width += 1
+    return width
+
+
+# one compose_recipes benchmark deck, Kronecker factors included, makes about 70
+@lru_cache(maxsize=256)
 def _strength_plan(levels: tuple[int, ...], t: int, n: int) -> _Plan:
     subsets = list(colex_combinations(len(levels), t))
     cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
     lv = np.asarray(levels, dtype=np.int64)
     prods = np.prod(lv[cols], axis=1)
-    counted, width, top = np.flatnonzero(n % prods == 0), t, sorted(levels, reverse=True)
-    while width < len(levels) and n >= max(BLOCK_MIN_ROWS,
-                                           BLOCK_ROWS_PER_CELL * prod(top[:width + 1])):
-        width += 1
+    counted, width = np.flatnonzero(n % prods == 0), _block_width(levels, t, n)
     down, bounds, axes = cols[counted, ::-1], np.arange(len(counted) + 1), None
     if width > t:
         down, owned = _cover(cols, n % prods == 0, width)
@@ -547,6 +561,92 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
         report.failures.extend(_subset_failures(a, plan.subsets[s]))
         if fail_fast:
             break
+    return report
+
+
+def _by_factors(levels: tuple[int, ...], t: int, n: int) -> bool:
+    """Whether _product_strength counts an N-row product through its factors:
+    where the walk would count its t-subsets in blocks wider than t."""
+    return _block_width(levels, t, n) > t
+
+
+@lru_cache(maxsize=64)
+def _product_plan(levels: tuple[int, ...], k1: int, t: int):
+    """The t-subsets T of a product's columns in colex order, their level
+    products, and per side its levels, the colex rank of T's part among that
+    side's subsets of its size, and that size; T's first `size` columns are
+    A, on the first side's k1 columns, the others B."""
+    subsets = list(colex_combinations(len(levels), t))
+    cols = np.array(subsets, dtype=np.int64)
+    prods = np.prod(np.asarray(levels, dtype=np.int64)[cols], axis=1)
+    size, at = (cols < k1).sum(axis=1), np.arange(t)
+    binom = np.array([[comb(c, i) for i in range(t + 1)] for c in range(len(levels))],
+                     dtype=np.int64)
+    in_a = at < size[:, None]
+    rank_a = np.where(in_a, binom[cols, at + 1], 0).sum(axis=1)
+    rank_b = np.where(in_a, 0, binom[np.maximum(cols - k1, 0),
+                                     np.maximum(at - size[:, None] + 1, 0)]).sum(axis=1)
+    return subsets, prods, ((levels[:k1], rank_a, size), (levels[k1:], rank_b, t - size))
+
+
+def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> StrengthReport:
+    """verify_strength(a, t), the same report, for an array built as h blocks
+    of row products: row (s * N1 + i) * N2 + j holds row i of P_s beside row
+    j of Q_s, P_s of N1 rows and k1 columns, Q_s of N2 rows and the rest.
+
+    Where _by_factors holds, P_s and Q_s are read off a's first cells of each
+    block and every cell is compared with them; if one differs, or elsewhere,
+    a is counted by verify_strength.  Otherwise each side, as the stack of
+    its h blocks and as their union of h * N_X rows, is counted by the walk:
+    each[S] says every block's table on S is uniform, union[S] that the
+    union's is.  A t-subset T = A + B (A on P's columns, B on Q's) has the
+    table sum_s c_A,s(x) c_B,s(y), c the blocks' tables; if each[A], every
+    c_A,s is N1 / s_A, so T's table is N1 / s_A times the union's on B and T
+    is on exactly when union[B], and the same with the sides swapped.  So
+    each is counted on P for every T, on Q for the T that each[A] does not
+    settle, and union only where an each holds, at the sizes those T need.
+    A subset neither settles, which an array of strength t1 + t2 + 1 from
+    factors of strengths t1 and t2 has none of, is counted on a itself, as
+    are the off subsets, to name their tuples, and those without an integer
+    index fail uncounted."""
+    levels, k, n = a.profile.levels, a.k, a.n
+    if not _by_factors(levels, t, n):
+        return verify_strength(a, t)
+    cells = a.cells.reshape(h, n1, n // (h * n1), k)
+    p, q = np.ascontiguousarray(cells[:, :, 0, :k1]), np.ascontiguousarray(cells[:, 0, :, k1:])
+    per = max(1, CHUNK_TARGET_CELLS // (n // h * k))
+    for lo in range(0, h, per):
+        block = cells[lo:lo + per]
+        if not ((block[..., :k1] == p[lo:lo + per, :, None]).all()
+                and (block[..., k1:] == q[lo:lo + per, None]).all()):
+            return verify_strength(a, t)
+    subsets, prods, parts = _product_plan(levels, k1, t)
+    sides = [(stack, *part) for stack, part in zip((p, q), parts)]
+
+    def uniform(side, want, union):
+        """Per T, whether side's table on its part of T is uniform in every
+        block, or in the union of the blocks; counted only for T in `want`."""
+        stack, part, ranks, sizes = side
+        x = stack.reshape(1, -1, len(part)) if union else stack
+        out = np.zeros(len(subsets), dtype=bool)
+        for r in np.unique(sizes[want]).tolist():
+            on = np.ones(comb(len(part), r), dtype=bool)
+            if r:
+                plan = _strength_plan(part, r, x.shape[1])
+                on[plan.uncounted] = False
+                for _, lo, off in _off_walk(x, plan):
+                    on[plan.counted[lo:lo + off.shape[1]]] &= ~off.any(axis=0)
+            mine = want & (sizes == r)
+            out[mine] = on[ranks[mine]]
+        return out
+
+    each_a = uniform(sides[0], np.ones(len(subsets), dtype=bool), False)
+    each_b = uniform(sides[1], ~each_a, False)
+    on = each_a & uniform(sides[1], each_a, True) | each_b & uniform(sides[0], each_b, True)
+    report = StrengthReport(t=t, checked_subsets=len(subsets), _lazy_lambda=(subsets, prods, n))
+    # a subset that neither side settles has on False
+    for i in np.flatnonzero((n % prods != 0) | ~on).tolist():
+        report.failures.extend(_subset_failures(a, subsets[i]))
     return report
 
 

@@ -6,8 +6,10 @@ command runs: `construct`, `expand`, `theorem` and the catalog.
 The Kronecker pairing takes one block per s in [0, lcm(M1, M2)): the full row
 product of member (s mod M1) with member (s mod M2).  Strength verification of
 the result is mandatory, so a wrong pairing can never produce an accepted
-artifact.  Each engine counts its output once and returns it with t set to the
-strength it passed at, or raises; a plan's executor recounts only a claim above.
+artifact; a large output is counted through its two factors once its cells
+are certified to be their row products (arrays._product_strength).  Each
+engine counts its output once and returns it with t set to the strength it
+passed at, or raises; a plan's executor recounts only a claim above.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .arrays import (
     LargeSet,
     LevelProfile,
     SymbolMatrix,
+    _product_strength,
     full_factorial,
     verify_large_set,
     verify_strength,
@@ -147,7 +150,7 @@ def _kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     cells.reshape(h // m2, m2, l1.n, l2.n, -1)[..., k1:] = l2.cells[None, :, None, :, :]
     profile = LevelProfile(l1.profile.levels + l2.profile.levels)
     out = SymbolMatrix._trusted(profile, cells.reshape(n_out, -1), t)
-    report = verify_strength(out, t)
+    report = _product_strength(out, h, l1.n, k1, t)
     if not report.ok:
         raise VerificationError(
             f"Kronecker pairing failed its strength-{t} check on subsets "

@@ -12,6 +12,7 @@ bijective projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -105,6 +106,24 @@ def find_resolvable_projection(a: SymbolMatrix) -> ResolvableProjection | None:
     return None
 
 
+@lru_cache(maxsize=64)
+def _shift_index(levels: tuple[int, ...], columns: tuple[int, ...]):
+    """The index arrays of expand_shift over `levels` with the resolvable
+    `columns`: each column's number of shifts (its level, or 1 if
+    resolvable) and the table row of its shift 0; each table row's column,
+    shift and level; and each column's digit place in a member's index."""
+    shifts = [1 if j in columns else s for j, s in enumerate(levels)]
+    radix = np.array(shifts)
+    first = np.cumsum(radix) - radix
+    column = np.repeat(np.arange(len(levels)), radix)
+    shift = (np.arange(len(column)) - first[column])[:, None]
+    level = np.array(levels)[column, None]
+    place = np.array([prod(shifts[j + 1:]) for j in range(len(levels))])
+    for index in (radix, first, column, shift, level, place):
+        index.setflags(write=False)
+    return radix, first, column, shift, level, place
+
+
 def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
     """One member per shift vector over the complementary columns, in
     mixed-radix order of the shift (first complementary column most
@@ -117,21 +136,15 @@ def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
     digit_j(i) of it, digit_j(i) the shift's mixed-radix digit, so a chunk
     is one gather from the stacked tables."""
     require_resolvable(a, proj.columns)
-    levels = a.profile.levels
-    shifts = [1 if j in proj.columns else s for j, s in enumerate(levels)]  # per column
-    m = prod(shifts)
+    m = prod(s for j, s in enumerate(a.profile.levels) if j not in proj.columns)
     if m * a.n * a.k > MAX_MEMBER_CELLS:
         raise SizeCapError(
             f"expansion would materialize {m * a.n * a.k} cells"
             f" (cap {MAX_MEMBER_CELLS}); project to fewer columns first"
         )
-    radix = np.array(shifts)
-    first = np.cumsum(radix) - radix  # the table row of column j's shift 0
-    column = np.repeat(np.arange(a.k), radix)  # the column of each table row
-    shift = np.arange(len(column)) - first[column]
-    table = (a.cells.T[column] + shift[:, None]) % np.array(levels)[column, None]
-    table = table.astype(np.int32)
-    place = np.array([prod(shifts[j + 1:]) for j in range(a.k)])  # of digit j in a member's index
+    radix, first, column, shift, level, place = _shift_index(a.profile.levels,
+                                                             tuple(proj.columns))
+    table = ((a.cells.T[column] + shift) % level).astype(np.int32)
     cells = np.empty((m, a.n, a.k), dtype=np.int32)
     per = max(1, arrays.CHUNK_TARGET_CELLS // (a.n * a.k))
     for lo in range(0, m, per):

@@ -26,10 +26,10 @@ N rows of 2k bytes, one blank line.  It is read as one strided byte view, a
 chunk of whole members at a time, checking every byte against that layout.
 The rest of the file from the first chunk that fails the check, or any
 other file, is read by lines: writer text of any symbol width one run of
-blocks at a time, whose headers may differ in t if not in its number of
-digits, accepted only if the writers' template (`_text`) gives back the
-same bytes, and any other block line by line, which is also where every
-row's ParseError comes from.
+blocks at a time, whose headers may differ in t, accepted only if the
+writers' template (`_text`) gives back the same bytes, and any other block
+line by line, which is also where every row's ParseError comes from; the
+runs after such a block grow back to a chunk by doubling.
 """
 
 from __future__ import annotations
@@ -225,18 +225,18 @@ def _text(cells: np.ndarray, member_t: tuple[int, ...] | list[int], profile: Lev
         yield memoryview(chunk)[:-1] if lo + c == m else chunk
 
 
-def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile,
+def _fast_rows(lines: _Lines, n: int, profile: LevelProfile,
                out: np.ndarray) -> list[int] | None:
     """Fill `out`, a (count, n, k) int32 array, with the rows of count blocks
     of n rows from lines.pos on, parsed in one vectorised pass, and return
-    each block's t, read from its header with as many digits as `t`, the
-    first block's.  None (lines.pos unmoved) unless `_text` gives back the
-    same bytes, headers included."""
+    each block's t, read from its header.  None (lines.pos unmoved) unless
+    `_text` gives back the same bytes, headers included."""
     count, first, step = len(out), lines.pos, n + 2
     end = first + count * step - 2  # the line after the last row, which must end in LF
-    header = _oa_header(n, t, _layout(profile)[2])
+    bare = len(_oa_header(n, "", _layout(profile)[2]))  # a header's bytes but t's digits
     sizes = np.diff(lines.bounds[first - 1 - lines.base:end + 1 - lines.base])  # with each LF
-    if end >= len(lines) or not ((sizes[::step] == len(header)).all()
+    if end >= len(lines) or not ((sizes[::step] > bare).all()
+                                 and (sizes[::step] <= bare + len(str(profile.k))).all()
                                  and (sizes[n + 1::step] == 1).all()):
         return None
     span = lines.span(first - 1, count * step - 1)
@@ -256,10 +256,10 @@ def _fast_rows(lines: _Lines, n: int, t: int, profile: LevelProfile,
             cells[..., a:b] += digits[at].astype(np.int64) * 10 ** r
     if (cells >= np.array(profile.levels)).any():
         return None
-    at = ends[:, 2] - 1  # each header's t, as many digits as `t`, ends at its third gap
+    at = ends[:, 2] - 1  # each header's t ends at its third gap, after "t=" at its second
     read = digits[at].astype(np.int64)
-    for r in range(1, len(str(t))):
-        read += digits[at - r].astype(np.int64) * 10 ** r
+    for r in range(1, len(str(profile.k))):
+        read += np.where(at - r > ends[:, 1] + 2, digits[at - r], 0).astype(np.int64) * 10 ** r
     if read.max() > profile.k:
         return None
     out[...] = cells
@@ -300,7 +300,8 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
     """The next m OA blocks as (profile, one (m, N, k) array, each block's t),
     after those in `read`, such a triple with lines.pos at the blank line after
     them.  A run of blocks the fast way refuses is halved until it passes or is
-    one block, read line by line; after one lone block, each block goes alone."""
+    one block, read line by line; the run after it is twice as long as the
+    one read, up to a chunk."""
     if read is None:
         n, t, profile, _ = _parse_oa_header(lines)
         # every symbol takes a byte, so the file holds fewer than `fit` blocks
@@ -308,7 +309,7 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
         read = profile, np.empty((min(m, fit), n, profile.k), dtype=np.int32), []
     profile, cells, member_t = read
     n = cells.shape[1]
-    runs = True
+    chunk = size = _members_per_chunk(n, profile.k)
     while len(member_t) < m:
         i = len(member_t)
         if i:
@@ -322,14 +323,14 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
                     f" member 0 has N={n} levels={profile.format()}",
                     lineno,
                 )
-        block = cells[i:i + (_members_per_chunk(n, profile.k) if runs else 1)]
-        while (block_t := _fast_rows(lines, n, t, profile, block)) is None:
+        block = cells[i:i + size]
+        while (block_t := _fast_rows(lines, n, profile, block)) is None:
             if len(block) == 1:
                 _slow_rows(lines, n, profile, block[0])
                 block_t = [t]
                 break
             block = block[:len(block) // 2]
-        runs = runs and len(block) > 1
+        size = min(chunk, 2 * len(block))
         member_t += block_t
     return profile, cells, member_t
 

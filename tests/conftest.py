@@ -8,8 +8,10 @@ from oaforge import arrays
 @pytest.fixture
 def counts(monkeypatch):
     """Every strength count made while the test runs, as (M, N, k, t) per
-    call of arrays._off_walk, the kernel that verify_strength (M = 1) and
-    verify_large_set both count through."""
+    call of arrays._off_walk, the kernel that verify_strength (M = 1),
+    verify_large_set and the Kronecker output's count through its factors
+    (each side's stack of h blocks, and their union as M = 1) all count
+    through."""
     calls = []
     kernel = arrays._off_walk
 

@@ -646,3 +646,57 @@ def test_non_integer_index_subsets_get_no_count_table():
     assert all(f.kind == "non-integer-index" for f in want)
     assert large.member_problems == [(0, "strength"), (1, "strength")]
     assert large.first_bad_report.failures == want
+
+
+def _product_blocks(data, h: int, side: str) -> tuple[LevelProfile, np.ndarray]:
+    """h blocks of one side of a row product, on 1 to 3 columns of 2 to 5
+    levels: each a full factorial in a shuffled row order (every table of
+    the block uniform) or random rows (most tables off, many without an
+    integer index), then maybe one mutated cell or row; or the h blocks
+    split h copies of a full factorial in a shuffled row order (every table
+    of their union uniform, few of a block's)."""
+    profile = LevelProfile(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3),
+                                     label=f"{side} levels"))
+    kind = data.draw(st.sampled_from(["factorial", "random", "split"]), label=f"{side} kind")
+    if profile.universe_size > 12:
+        kind = "random"
+    n = data.draw(st.integers(1, 12), label=f"{side} rows") if kind == "random" \
+        else profile.universe_size
+    if kind == "split":
+        return profile, _drawn_cells(data, profile, "factorial", h * n).reshape(h, n, -1)
+    return profile, np.stack([_drawn_cells(data, profile, kind, n) for _ in range(h)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_product_count_matches_verify_strength(data):
+    """_product_strength against verify_strength on random row-product
+    stacks, with the block-mode rule patched to always apply: h blocks of P
+    and of Q with and without strength, so that a t-subset is settled by
+    each[A], by each[B] or counted on the array, next to subsets without an
+    integer index; and maybe one changed cell, which the certificate must
+    catch.  The failures, subsets and index map are verify_strength's at
+    every t, and the verdict is the oracle's."""
+    from unittest import mock
+
+    import oaforge.arrays as arrays_mod
+
+    h = data.draw(st.integers(1, 4), label="h")
+    (left, p), (right, q) = _product_blocks(data, h, "P"), _product_blocks(data, h, "Q")
+    (n1, k1), n2 = p.shape[1:], q.shape[1]
+    cells = np.empty((h, n1, n2, left.k + right.k), dtype=np.int32)
+    cells[..., :k1], cells[..., k1:] = p[:, :, None], q[:, None]
+    profile = LevelProfile(left.levels + right.levels)
+    cells = cells.reshape(-1, profile.k)
+    if data.draw(st.booleans(), label="changed cell"):
+        row = data.draw(st.integers(0, len(cells) - 1), label="row")
+        col = data.draw(st.integers(0, profile.k - 1), label="column")
+        cells[row, col] = (cells[row, col] + 1) % profile.levels[col]
+    a = SymbolMatrix(profile, cells)
+    with mock.patch.object(arrays_mod, "_by_factors", lambda levels, t, n: True):
+        for t in range(1, profile.k + 1):
+            got, want = arrays_mod._product_strength(a, h, n1, k1, t), verify_strength(a, t)
+            assert got.failures == want.failures
+            assert got.checked_subsets == want.checked_subsets
+            assert got.lambda_by_subset == want.lambda_by_subset
+            assert got.ok == brute_force_strength(a, t).ok

@@ -172,6 +172,36 @@ def test_kronecker_block_structure():
     assert np.array_equal(first_block, expected)
 
 
+@pytest.mark.parametrize("pairing, changed", [
+    ("cyclic", None), ("member 0", None), ("cyclic", (0, 0)), ("cyclic", (9, 0)),
+    ("cyclic", (11, 4)),
+])
+def test_a_product_of_large_sets_is_counted_through_its_factors(monkeypatch, pairing, changed):
+    """The 4 Kronecker blocks of the coset large set 2 x 2^3 with itself,
+    or with its member 0 in every block, counted with the block-mode rule
+    patched to always apply.  A member has strength 1 and the members'
+    union strength 3, so per-block and union facts differ; at every t the
+    report is verify_strength's and the verdict the oracle's.  A changed
+    cell fails the certificate: one that P_s and Q_s are read from, a P cell
+    in row (i, 1) of a block, or a Q cell in row (1, j)."""
+    from oaforge import arrays
+
+    ls = cosets_strength1(LevelProfile([2] * 3))
+    right = ls.cells if pairing == "cyclic" else ls.cells[[0, 0, 0, 0]]
+    cells = np.vstack([np.hstack([np.repeat(ls.cells[s], 2, axis=0), np.tile(right[s], (2, 1))])
+                       for s in range(4)])
+    if changed is not None:
+        cells[changed] ^= 1
+    a = SymbolMatrix(LevelProfile([2] * 6), cells)
+    monkeypatch.setattr(arrays, "_by_factors", lambda levels, t, n: True)
+    for t in range(1, 7):
+        got, want = arrays._product_strength(a, 4, 2, 3, t), verify_strength(a, t)
+        assert got.failures == want.failures and got.checked_subsets == want.checked_subsets
+        assert got.lambda_by_subset == want.lambda_by_subset
+        assert got.ok == brute_force_strength(a, t).ok
+    assert verify_strength(a, 3).ok == (pairing == "cyclic" and changed is None)
+
+
 def test_kronecker_with_full_factorial_singleton():
     # pairing with a one-member full factorial adds its column count to the
     # effective balance; on toy sizes the output is itself a full factorial
@@ -322,22 +352,40 @@ def test_kronecker_fills_the_block_formula_rows():
     assert np.array_equal(out.cells, expected)
 
 
+# every count of the plan: the inputs', then each side's stack of h blocks
+# and union of h * N rows at the sizes the settling asks for; the output is
+# never counted itself
+PLAN_COUNTS = {
+    "doublev3-2": [(1, 64, 13, 2), (16, 64, 5, 1), (16, 64, 5, 2), (16, 64, 5, 3),
+                   (16, 64, 5, 4), (16, 64, 5, 5), (16, 64, 5, 1), (16, 64, 5, 2),
+                   (1, 1024, 5, 2), (1, 1024, 5, 3), (1, 1024, 5, 4), (1, 1024, 5, 5),
+                   (1, 1024, 5, 3), (1, 1024, 5, 4), (1, 1024, 5, 5)],
+    "v1+v3-2": [(64, 4, 4, 1), (1, 64, 13, 2), (64, 4, 4, 1), (64, 4, 4, 2), (64, 4, 4, 3),
+                (64, 4, 4, 4), (64, 64, 6, 1), (64, 64, 6, 2), (1, 4096, 6, 3),
+                (1, 4096, 6, 4), (1, 256, 4, 2), (1, 256, 4, 3), (1, 256, 4, 4)],
+}
+
+
 @pytest.mark.parametrize("theorem, params, n, k, t", [
     ("doublev3-2", {"v": 4, "k": 5}, 4**8, 10, 5),
     ("v1+v3-2", {"v": 4, "k": 6}, 4**7, 10, 4),
 ])
 def test_composite_output_is_counted_once(counts, theorem, params, n, k, t):
+    """A Kronecker output of N >= 8192 rows is counted through its factors,
+    and the output array itself never goes to the kernel."""
     art = execute_plan(plan_theorem(theorem, params))
     assert (art.n, art.k, art.t) == (n, k, t)
-    assert [c for c in counts if c[1:3] == (n, k)] == [(1, n, k, t)]
+    assert counts == PLAN_COUNTS[theorem]
+    assert not [c for c in counts if c[0] * c[1] == n and c[2] == k]
 
 
 def test_equal_subtrees_are_built_and_counted_once(counts):
     # doublev3-2 pairs the projected chai1 large set with itself; its
-    # 64 x 13 development is built and self-checked once
+    # 64 x 13 development is built and self-checked once, and the output is
+    # counted through its two (equal) factors
     execute_plan(plan_theorem("doublev3-2", {"v": 4, "k": 5}))
     assert [c for c in counts if c[2] == 13] == [(1, 64, 13, 2)]
-    assert len(counts) == 2
+    assert counts == PLAN_COUNTS["doublev3-2"]
 
 
 def test_juxtaposed_catalog_row_is_counted_once(counts):
@@ -416,3 +464,37 @@ def test_oracle_agrees_with_the_verdict_on_the_smallest_composite():
     art = execute_plan(plan)
     assert art.n == 16 and plan.claim.t == 4
     assert brute_force_strength(art, plan.claim.t).ok
+
+
+def test_the_plan_cache_holds_the_benchmark_deck():
+    """The operations of the compose_recipes benchmark workload, run twice:
+    its 14 theorem recipes, two juxtapositions and two Kronecker pairings
+    of fixture and coset large sets.  The second pass makes no strength
+    plan, and no product plan, that the first did not, so the plan caches
+    hold a whole deck."""
+    from oaforge import algebraic, arrays
+
+    deck = [("doublev3-2", "v=4,k=5"), ("v1+v3-2", "v=4,k=5"), ("v1+v3-2", "v=4,k=6"),
+            ("v1+v3-2", "v=4,k=7"), ("v1+v3-2", "v=5,k=6"),
+            ("qn3q43=7", "p=3,k1=4,q=3,k2=3"), ("qn3q43=7", "p=3,k1=5,q=4,k2=3"),
+            ("q3323=7", "q=2,k1=3,n=2,k2=3"), ("q3323=7", "q=4,k1=3,n=2,k2=3"),
+            ("q3323=7", "q=2,k1=4,n=3,k2=4"), ("t-1q43=t+3", "s=2,t=2,q=3,k=4"),
+            ("t-1q43=t+3", "s=2,t=3,q=3,k=5"), ("v1+q4-3", "v=2,k1=3,q=3,k2=4"),
+            ("v1+q4-3", "v=2,k1=4,q=3,k2=5")]
+    cosets = cosets_strength1(LevelProfile([2] * 4))
+    oa40 = fixture_loa("oa40_5e1_2e6")
+    pairs = [(juxtapose, fixture_loa("oa20_2e8_5e1", lead_level=5),
+              fixture_loa("oa28_2e12_7e1", lead_level=7, width=9)),
+             (juxtapose, fixture_loa("oa28_2e12_7e1", lead_level=7),
+              fixture_loa("oa44_2e16_11e1", lead_level=11, width=13)),
+             (kronecker, cosets, oa40),
+             (kronecker, cosets, juxtapose(expand_shift(*algebraic.sylvester_oa3(3, 7)), oa40))]
+    misses = []
+    for _ in range(2):
+        for theorem, params in deck:
+            execute_plan(plan_theorem(theorem, compose.parse_params(params)))
+        for engine, first, second in pairs:
+            engine(first, second)
+        misses.append((arrays._strength_plan.cache_info().misses,
+                       arrays._product_plan.cache_info().misses))
+    assert misses[1] == misses[0]

@@ -1,6 +1,7 @@
 """Text format round trips and parse diagnostics."""
 
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -601,6 +602,59 @@ def test_members_whose_t_differ_in_digits_read_back_equal(monkeypatch):
     back = loads(text)
     assert back.member_t == ls.member_t and list(back.members) == list(ls.members)
     same_result(text)
+
+
+def test_headers_whose_t_differ_in_digits_are_read_a_run_at_a_time(monkeypatch):
+    """5000 members of 3^1,2^1,12^1,2^8 with t alternating 9 and 10: each
+    header's t is read with its own number of digits, so a run of members
+    is one vectorised pass whatever their t, a chunk (496 members) at a
+    time, and no member goes line by line."""
+    ls = _members_of_t([9 + i % 2 for i in range(5000)], zeros=8)
+    text = dumps(ls)
+    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_fast_rows", fast)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    back = loads(text)
+    assert back.member_t == ls.member_t and list(back.members) == list(ls.members)
+    assert formats._members_per_chunk(12, 11) == 496
+    assert (fast.calls, slow.calls) == (11, 0)
+
+
+def test_runs_grow_back_after_a_block_read_line_by_line(monkeypatch):
+    """One early fault the fast way refuses (a double space in member 1 of
+    5000) sends that member line by line; the runs after it double back to
+    a chunk, so the rest of the file takes 18 passes, not one per member."""
+    ls = _members_of_t([10] * 5000, zeros=8)
+    lines = dumps(ls).split("\n")
+    lines[19] = lines[19].replace(" ", "  ", 1)  # member 1, row 3
+    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_fast_rows", fast)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    back = loads("\n".join(lines))
+    assert list(back.members) == list(ls.members)
+    # runs of 496, 248, ..., 1 down to member 0; [1, 2] and [1]; then 2, 4,
+    # ..., 256 and runs of 496
+    assert (fast.calls, slow.calls) == (29, 1)
+
+
+@pytest.mark.parametrize("line, old, new, error", [
+    (20, "0 1 3", "0 2 3", "symbol 2 out of range [0, 2) in column 1"),
+    (7005, "1 1 7", "1 2 7", "symbol 2 out of range [0, 2) in column 1"),
+    (7001, "t=10", "t=12", "t=12 is outside [0, 11]"),
+    (7001, "N=12", "N=11", "member 500 has N=11 levels=3^1,2^1,12^1,2^8, member 0 has N=12"),
+])
+def test_errors_after_a_block_read_line_by_line_keep_their_lines(line, old, new, error):
+    """After member 1 of 600 goes line by line (a double space), a fault in
+    a row of it or of member 500, or in member 500's header, is refused
+    with the error and on the line it had when every later member went
+    alone."""
+    lines = dumps(_members_of_t([10] * 600, zeros=8)).split("\n")
+    lines[19] = lines[19].replace(" ", "  ", 1)
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    with pytest.raises(ParseError, match=re.escape(error)) as err:
+        loads("\n".join(lines))
+    assert err.value.line == line + 1
 
 
 @pytest.mark.parametrize("bad_member", [0, 3, 6])
