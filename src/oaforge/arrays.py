@@ -629,7 +629,7 @@ def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> Stre
         stack, part, ranks, sizes = side
         x = stack.reshape(1, -1, len(part)) if union else stack
         out = np.zeros(len(subsets), dtype=bool)
-        for r in np.unique(sizes[want]).tolist():
+        for r in sorted(set(sizes[want].tolist())):  # np.unique would import numpy.ma
             on = np.ones(comb(len(part), r), dtype=bool)
             if r:
                 plan = _strength_plan(part, r, x.shape[1])

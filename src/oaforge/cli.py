@@ -380,7 +380,7 @@ def main(argv=None) -> int:
                 _emit(failure.as_record())
         _emit(record)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be opened, read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

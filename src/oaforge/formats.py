@@ -22,10 +22,14 @@ not (or is None) before they open the file.
 Rows are read in one of three ways with the same result.  A file that is
 exactly what the writers emit for an object whose symbols are all single
 digits and whose members share one header has a fixed layout: the header,
-N rows of 2k bytes, one blank line.  It is read as one strided byte view, a
-chunk of whole members at a time, checking every byte against that layout.
-The rest of the file from the first chunk that fails the check, or any
-other file, is read by lines: writer text of any symbol width one run of
+N rows of 2k bytes, one blank line.  Its members are decoded a chunk at a
+time as 2-byte (symbol, separator) records, one subtraction and one
+comparison per symbol checking every byte against that layout
+(`_read_records`).  A file of more than one chunk is read that way a chunk
+at a time into one reused buffer, so its bytes are never held whole.  The
+rest of the file from the first chunk that fails the check, or any other
+file, is read whole and by lines (`read_utf8`'s CR and UTF-8 handling
+applies to that part only): writer text of any symbol width one run of
 blocks at a time, whose headers may differ in t, accepted only if the
 writers' template (`_text`) gives back the same bytes, and any other block
 line by line, which is also where every row's ParseError comes from; the
@@ -37,6 +41,9 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import os
+import stat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -45,6 +52,8 @@ from .arrays import LargeSet, LevelProfile, SymbolMatrix
 from .errors import ParseError
 
 CHUNK_CELLS = 1 << 16  # symbols encoded or decoded at once, to bound memory
+# a file's first bytes, read for its layout; one whose first header ends later is read whole
+HEAD_BYTES = 1 << 12
 
 
 def _members_per_chunk(n: int, k: int) -> int:
@@ -54,12 +63,13 @@ def _members_per_chunk(n: int, k: int) -> int:
 
 class _Lines:
     """The lines of a UTF-8 buffer from byte `start` on, where line `base`
-    (0-based) begins, located by one vectorised search for LF.
+    (0-based) begins, located by one vectorised search for LF; `before` is
+    how many bytes of the file come before the buffer.
 
     A line is decoded only when read on its own; numbers are 1-based."""
 
-    def __init__(self, data: bytes, start: int = 0, base: int = 0):
-        self.data = data
+    def __init__(self, data: bytes, start: int = 0, base: int = 0, before: int = 0):
+        self.data, self.size = data, before + len(data)  # the file's length in bytes
         # line i (0-based) is data[bounds[i - base] + 1 : bounds[i - base + 1]], without its LF
         newlines = np.flatnonzero(np.frombuffer(data, np.uint8, offset=start) == ord("\n"))
         if start:  # in place, so a whole-file index costs what it did with no offset
@@ -156,7 +166,7 @@ def _parse_oa_header(lines: _Lines) -> tuple[int, int, LevelProfile, int]:
         raise ParseError("unexpected end of file, expected OA header", len(lines))
     header, lineno = first
     left = len(lines) - lines.pos
-    return (*_header_fields(header, lineno, left, len(lines.data)), lineno)
+    return (*_header_fields(header, lineno, left, lines.size), lineno)
 
 
 def _loa_members(line: str, lineno: int) -> int:
@@ -305,7 +315,7 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
     if read is None:
         n, t, profile, _ = _parse_oa_header(lines)
         # every symbol takes a byte, so the file holds fewer than `fit` blocks
-        fit = len(lines.data) // (n * profile.k) + 1 if n else m
+        fit = lines.size // (n * profile.k) + 1 if n else m
         read = profile, np.empty((min(m, fit), n, profile.k), dtype=np.int32), []
     profile, cells, member_t = read
     n = cells.shape[1]
@@ -335,82 +345,152 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
     return profile, cells, member_t
 
 
-def _read_strided(data: bytes) -> tuple[LevelProfile, np.ndarray, list[int]] | None:
-    """The profile, (M, N, k) array and member t's of the object whose writer
-    text `data` is, if its symbols are all single digits and its members share
-    one header, read as one strided view of the bytes: the members before the
-    first chunk that fails, or None for other text or if it is the first."""
-    loa = data.startswith(b"LOA ")
-    m, start = 1, 0
-    if loa:
-        start = data.find(b"\n") + 1
-        m = _loa_members(data[:start].decode(), 1)
-        if data[:start] != f"LOA M={m}\n".encode():
-            return None
-    end = data.find(b"\n", start) + 1
-    if not end:
-        return None
-    # len(data) bounds the lines after the header; the length check below is exact
-    n, t, profile = _header_fields(data[start:end].decode(), 1, len(data), len(data))
-    header = _oa_header(n, t, profile.format())
-    h, k = len(header), profile.k
-    size = h + 2 * n * k + 1  # a member and the blank line after it
-    if data[start:end] != header or len(data) != start + m * size - 1:
-        return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=start)
-    members = as_strided(body, (m, size - 1), (size, 1), writeable=False)
-    blanks = body[size - 1::size]
-    header = np.frombuffer(header, dtype=np.uint8)
-    # what follows each symbol of a member, and its bound; a byte below '0'
-    # wraps to 208 or more, so one compare also refuses every non-digit
-    separators = np.tile(np.array([ord(" ")] * (k - 1) + [ord("\n")], dtype=np.uint8), n)
-    tops = np.tile(np.minimum(profile.levels, 10).astype(np.uint8), n)
-    cells = np.empty((m, n * k), dtype=np.int32)
-    step = _members_per_chunk(n, k)
-    for lo in range(0, m, step):
-        chunk = members[lo:lo + step]
-        symbols = chunk[:, h::2] - ord("0")
-        if not ((chunk[:, :h] == header).all() and (chunk[:, h + 1::2] == separators).all()
-                and (blanks[lo:lo + step] == ord("\n")).all() and (symbols < tops).all()):
-            return (profile, cells.reshape(m, n, k), [t] * lo) if lo else None
-        cells[lo:lo + len(chunk)] = symbols
-    return profile, cells.reshape(m, n, k), [t] * m
+class _Form(NamedTuple):
+    """The layout of single-digit writer text: whether it is an LOA file, its
+    M, the byte at which its first member starts, the header every member
+    has, and that header's N, t and profile."""
+
+    loa: bool
+    m: int
+    start: int
+    header: bytes
+    n: int
+    t: int
+    profile: LevelProfile
+
+    @property
+    def size(self) -> int:
+        """The bytes of a member and of the blank line after it."""
+        return len(self.header) + 2 * self.n * self.profile.k + 1
+
+    @property
+    def step(self) -> int:
+        """The members decoded at once."""
+        return _members_per_chunk(self.n, self.profile.k)
 
 
-def _load(data: bytes) -> SymbolMatrix | LargeSet:
+def _form(head: bytes, size: int) -> _Form | None:
+    """The layout of the file of `size` bytes that begins with `head`, if it
+    can be what the writers emit for an object whose symbols are all single
+    digits and whose members share one header; None otherwise."""
+    loa, m, start = head.startswith(b"LOA "), 1, 0
     try:
-        read = _read_strided(data)
-    except ParseError:  # reported with its line by the reader below
-        read = None
-    loa = data.startswith(b"LOA ")
-    if read is None or len(read[2]) < len(read[1]):
-        if read is None:
-            lines = _Lines(data)
-            first = lines.next_content()
-            if first is None:
-                raise ParseError("empty file", 1)
-            header, lineno = first
-            tag = header.split()[0]
-            if tag not in ("OA", "LOA"):
-                raise ParseError(f"unknown header tag {tag!r}", lineno)
-            loa = tag == "LOA"
-            if not loa:
-                lines.pos = lineno - 1
-            m = _loa_members(header, lineno) if loa else 1
-        else:  # only the lines from the blank one before the first member not read
-            profile, cells, member_t = read
-            n, i = cells.shape[1], len(member_t)
-            size = len(_oa_header(n, member_t[0], profile.format())) + 2 * n * profile.k + 1
-            # it is line i (N + 2), and its LF ends i members of `size` bytes
-            lines, m = _Lines(data, data.find(b"\n") + i * size, i * (n + 2)), len(cells)
-        read = _parse_blocks(lines, m, read)
-        extra = lines.next_content()
-        if extra is not None:
-            raise ParseError(f"content after the last block: {extra[0][:40]!r}", extra[1])
+        if loa:
+            start = head.find(b"\n") + 1
+            m = _loa_members(head[:start].decode(), 1)
+        end = head.find(b"\n", start) + 1
+        # the size bounds the lines after the header; the length check below is exact
+        n, t, profile = _header_fields(head[start:end].decode(), 1, size, size)
+    except (ParseError, UnicodeDecodeError):  # reported by the line reader
+        return None
+    form = _Form(loa, m, start, _oa_header(n, t, profile.format()), n, t, profile)
+    if (head[:start] != (f"LOA M={m}\n".encode() if loa else b"")
+            or head[start:end] != form.header or size != start + m * form.size - 1):
+        return None
+    return form
+
+
+@functools.lru_cache(maxsize=64)
+def _records(n: int, profile: LevelProfile) -> tuple[np.ndarray, np.ndarray | int]:
+    """A member's n rows as 2-byte (symbol, separator) records, each read as
+    a little-endian uint16: the record of '0' followed by its separator (a
+    space, or LF at the end of a row), and the bound of its symbol (its
+    column's level, at most 10), one int if every column has the same.  A
+    record minus its '0' is below the bound only if its symbol is a digit
+    below it and its separator is the right one: any other byte wraps to 208
+    or more in one of the two bytes."""
+    separators = np.array([ord(" ")] * (profile.k - 1) + [ord("\n")], dtype=np.uint16)
+    zero = np.tile(ord("0") | separators << 8, n)
+    zero.flags.writeable = False
+    tops = np.minimum(profile.levels, 10)
+    if len(set(tops.tolist())) == 1:
+        return zero, int(tops[0])
+    tops = np.tile(tops.astype(np.int32), n)
+    tops.flags.writeable = False
+    return zero, tops
+
+
+def _read_records(form: _Form, chunks) -> tuple[LevelProfile, np.ndarray, list[int]] | None:
+    """The profile, (M, N, k) array and member t's of the text laid out as
+    `form`, decoded a chunk of members at a time: the members before the first
+    chunk that is not exactly the writers' text, or None if it is the first.
+    chunks(lo, c) gives members lo .. lo + c - 1 as a (c, size - 1) byte
+    array and the blank lines after them as bytes (none after the last
+    member), or None if the file ends before them."""
+    n, profile, h, m = form.n, form.profile, len(form.header), form.m
+    zero, tops = _records(n, profile)
+    header = np.frombuffer(form.header, dtype=np.uint8)
+    cells = np.empty((m, n * profile.k), dtype=np.int32)
+    lo, step = 0, form.step
+    while lo < m and (chunk := chunks(lo, min(step, m - lo))) is not None:
+        members, blanks = chunk
+        symbols = cells[lo:lo + len(members)]
+        np.subtract(members[:, h:].view("<u2"), zero, out=symbols, dtype=np.uint16,
+                    casting="unsafe")
+        below = symbols.max(initial=0) < tops if isinstance(tops, int) else (symbols < tops).all()
+        if not (below and (members[:, :h] == header).all() and (blanks == ord("\n")).all()):
+            break
+        lo += len(members)
+    return (profile, cells.reshape(m, n, profile.k), [form.t] * lo) if lo else None
+
+
+def _memory_chunks(data: bytes, form: _Form):
+    """The chunks of `data` for `_read_records`, as views of its bytes."""
+    body = np.frombuffer(data, dtype=np.uint8, offset=form.start)
+    members = as_strided(body, (form.m, form.size - 1), (form.size, 1), writeable=False)
+    blanks = body[form.size - 1::form.size]
+    return lambda lo, c: (members[lo:lo + c], blanks[lo:lo + c])
+
+
+def _finish(read, loa: bool, lines: _Lines | None = None) -> SymbolMatrix | LargeSet:
+    """The object of a read (profile, cells, member t's); with `lines`, only
+    blank and comment lines may be left in them."""
+    extra = lines.next_content() if lines is not None else None
+    if extra is not None:
+        raise ParseError(f"content after the last block: {extra[0][:40]!r}", extra[1])
     profile, cells, member_t = read
     if loa:
         return LargeSet._stacked(profile, cells, member_t, min(member_t))
     return SymbolMatrix._trusted(profile, cells[0], member_t[0])
+
+
+def _resume(data: bytes, at: int, read, raw: bool = False) -> LargeSet:
+    """The large set whose first members are in `read`, the rest parsed by
+    lines from byte `at` of the file, the LF of the blank line before the
+    first member not read.  `data` is the file's text or, if `raw`, its bytes
+    from `at` on as read, which get `read_utf8`'s CR and UTF-8 handling."""
+    profile, cells, member_t = read
+    base = len(member_t) * (cells.shape[1] + 2)
+    lines = _Lines(_utf8(data, base), 0, base, at) if raw else _Lines(data, at, base)
+    return _finish(_parse_blocks(lines, len(cells), read), True, lines)
+
+
+def _load(data: bytes, raw: bool = False) -> SymbolMatrix | LargeSet:
+    """The object whose text `data` is: the members `_read_records` takes,
+    the rest by lines.  `raw` bytes are a file's as read, whose part not
+    taken gets `read_utf8`'s CR and UTF-8 handling first."""
+    form = _form(data, len(data))
+    read = form and _read_records(form, _memory_chunks(data, form))
+    if read:
+        taken = len(read[2])
+        if taken == form.m:
+            return _finish(read, form.loa)
+        at = form.start - 1 + taken * form.size
+        return _resume(data[at:], at, read, raw=True) if raw else _resume(data, at, read)
+    if raw and (clean := _utf8(data)) is not data:
+        return _load(clean)
+    lines = _Lines(data)
+    first = lines.next_content()
+    if first is None:
+        raise ParseError("empty file", 1)
+    header, lineno = first
+    tag = header.split()[0]
+    if tag not in ("OA", "LOA"):
+        raise ParseError(f"unknown header tag {tag!r}", lineno)
+    if tag == "OA":
+        lines.pos = lineno - 1
+    m = _loa_members(header, lineno) if tag == "LOA" else 1
+    return _finish(_parse_blocks(lines, m), tag == "LOA", lines)
 
 
 def loads(text: str) -> SymbolMatrix | LargeSet:
@@ -450,11 +530,9 @@ def dumps(obj: SymbolMatrix | LargeSet) -> str:
     return buf.getvalue().decode("ascii")
 
 
-def read_utf8(path) -> bytes:
-    """The bytes of a text file, with CR LF and CR line ends read as LF; a
-    ParseError names the line of the first byte that is not UTF-8."""
-    with open(path, "rb") as f:
-        data = f.read()
+def _utf8(data: bytes, base: int = 0) -> bytes:
+    """`data` with CR LF and CR line ends read as LF; a ParseError names the
+    line of the first byte that is not UTF-8, after `base` lines before data."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.isascii():
@@ -462,12 +540,59 @@ def read_utf8(path) -> bytes:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason}",
-                             data.count(b"\n", 0, exc.start) + 1) from None
+                             base + data.count(b"\n", 0, exc.start) + 1) from None
     return data
 
 
+def read_utf8(path) -> bytes:
+    """The bytes of a text file, with CR LF and CR line ends read as LF; a
+    ParseError names the line of the first byte that is not UTF-8."""
+    with open(path, "rb") as f:
+        return _utf8(f.read())
+
+
+def _stream(f, form: _Form) -> SymbolMatrix | LargeSet:
+    """The object in the open file `f` laid out as `form`, its members read a
+    chunk at a time into one reused buffer.  From the first chunk the
+    decoder declines on, only the rest of the file is read, and parsed by
+    lines; the whole file is, if that is the first chunk or if the file goes
+    on after its last member."""
+    m, size = form.m, form.size
+    buf = bytearray(min(m, form.step) * size)
+    grid = np.frombuffer(buf, dtype=np.uint8).reshape(-1, size)
+    f.seek(form.start)
+
+    def chunks(lo, c):
+        last = lo + c == m  # no blank line after the last member
+        if f.readinto(memoryview(buf)[:c * size - last]) != c * size - last:
+            return None
+        return grid[:c, :-1], grid[:c - last, -1]
+
+    read = _read_records(form, chunks)
+    taken = len(read[2]) if read else 0
+    if 0 < taken < m:
+        at = form.start - 1 + taken * size
+        f.seek(at)
+        return _resume(f.read(), at, read, raw=True)
+    if taken and not f.read(1):
+        return _finish(read, form.loa)
+    f.seek(0)
+    return _load(f.read(), raw=True)
+
+
 def read_array(path) -> SymbolMatrix | LargeSet:
-    return _load(read_utf8(path))
+    """The array or large set in the file `path`.  A regular file of
+    single-digit writer text longer than one chunk is read a chunk at a time
+    (`_stream`); any other file is read whole."""
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        # a file of at most 2 CHUNK_CELLS bytes holds at most one chunk's symbols
+        if stat.S_ISREG(info.st_mode) and info.st_size > 2 * CHUNK_CELLS:
+            form = _form(f.read(HEAD_BYTES), info.st_size)
+            if form is not None and form.m > form.step:
+                return _stream(f, form)
+            f.seek(0)
+        return _load(f.read(), raw=True)
 
 
 def write_array(obj: SymbolMatrix | LargeSet, path) -> None:

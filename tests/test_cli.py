@@ -492,6 +492,14 @@ CLI_ERRORS = [
     ("construct projective --q 1000000000000000003 --n 2 --k 3", 2),
     ("construct projective --q 1000000000000000003^1 --n 2 --k 3", 2),
     ("theorem v1+q4-3 --params v=2,k1=3,q=1000000000000000003,k2=4 -o {out}", 2),
+    # a path that is a directory, or below a file, cannot be opened
+    ("verify loa {dir}", 2),
+    ("verify oa {oa}/x", 2),
+    ("oracle {dir}", 2),
+    ("verify dm {dir}", 2),
+    ("expand {dir} -o {out}", 2),
+    ("compose juxtapose {dir} {loa} -o {out}", 2),
+    ("theorem v1+v3-2 --params v=4,k=5 -o {dir}", 2),
 ]
 
 
@@ -508,7 +516,7 @@ def test_linear_parameter_errors_are_usage_errors(capsys, counts, tmp_path, argv
     counts.clear()  # those of building the inputs above
     start = time.perf_counter()
     try:
-        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out)
+        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out, dir=tmp_path)
                      for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code

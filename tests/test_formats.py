@@ -1,7 +1,11 @@
 """Text format round trips and parse diagnostics."""
 
 import io
+import os
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -213,19 +217,35 @@ def reference_loads(text):
     return LargeSet(members[0].profile, members, min(a.t for a in members))
 
 
-def same_result(text):
-    expected = reference_loads(text)
+def _agrees(expected, read):
+    """read() gives `expected`, the reference parser's object, or raises a
+    ParseError on the line `expected` names."""
     if isinstance(expected, int):
         with pytest.raises(ParseError) as err:
-            loads(text)
+            read()
         assert err.value.line == expected
         return
-    got = loads(text)
+    got = read()
     if isinstance(expected, SymbolMatrix):
         assert got == expected
     else:
         assert isinstance(got, LargeSet) and got.t == expected.t
         assert list(got.members) == list(expected.members)
+
+
+def same_result(text):
+    _agrees(reference_loads(text), lambda: loads(text))
+
+
+def same_file_result(text):
+    """The twin of same_result through a file: read_array of `text` written
+    as UTF-8 gives what the reference parser gives for the text with CR LF
+    and CR read as LF."""
+    expected = reference_loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "x.loa"
+        path.write_bytes(text.encode("utf-8"))
+        _agrees(expected, lambda: read_array(path))
 
 
 @st.composite
@@ -304,6 +324,7 @@ def test_loads_matches_reference_parser(obj_chunk, kinds, data):
         text = perturb(text, kind, data.draw)
     with mock.patch.object(formats, "CHUNK_CELLS", chunk):
         same_result(text)
+        same_file_result(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -469,6 +490,7 @@ def test_stride_reader_matches_reference_parser(obj_chunk, kinds, data):
         text = stride_fault(text, kind, data.draw)
     with mock.patch.object(formats, "CHUNK_CELLS", chunk):
         same_result(text)
+        same_file_result(text)
 
 
 STRIDE_TEXT = reference_dumps(LargeSet(LevelProfile([3, 2, 12]), [
@@ -502,6 +524,82 @@ def test_stride_faults_match_reference_parser(old, new):
     assert text != STRIDE_TEXT or not old
     with mock.patch.object(formats, "CHUNK_CELLS", 12):  # two members a chunk
         same_result(text)
+        same_file_result(text)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("2 1 3\n", "2 1 3\r\n", None),  # a CR LF line end: the file is read whole
+    ("2 1 3\n", "2 1 3\r", None),  # a CR line end, as long as the LF
+    ("2 1 3", "2 \xff 3", 11),  # a byte that is not UTF-8
+    ("2 1 3", "2 2 3", 11),  # a symbol equal to its level
+])
+def test_faults_after_the_first_chunk_of_a_file(monkeypatch, tmp_path, old, new, line):
+    """A fault in member 2 (lines 10-12), after the first chunk of two
+    members: the file gives the object or the ParseError line it gave when
+    it was read whole."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
+    path = tmp_path / "l.loa"
+    path.write_bytes(STRIDE_TEXT.replace(old, new).encode("latin-1"))
+    if line is None:
+        back, expected = read_array(path), loads(STRIDE_TEXT)
+        assert back.t == expected.t and list(back.members) == list(expected.members)
+        return
+    with pytest.raises(ParseError) as err:
+        read_array(path)
+    assert err.value.line == line
+
+
+def test_a_header_after_the_first_chunk_is_bounded_by_the_whole_file(monkeypatch, tmp_path):
+    """Member 2's N raised from 12 to 60 and its rows made as many blank
+    lines: 60 rows of 3 symbols fit in the file, though not in the part of
+    it read after the first chunk, so the header is refused for its N, as
+    when the file is read whole."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 2 * 12 * 3)  # two members a chunk
+    profile = LevelProfile([3, 2, 12])
+    member = SymbolMatrix(profile, [[i % 3, i % 2, 9 - i % 10] for i in range(12)], t=1)
+    lines = reference_dumps(LargeSet(profile, [member] * 3, t=1)).split("\n")
+    lines[29] = lines[29].replace("N=12", "N=60")
+    lines[30:] = [""] * (6 * 12 + 1)  # an LF for each byte of the rows
+    path = tmp_path / "l.loa"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match="member 2 has N=60") as err:
+        read_array(path)
+    assert err.value.line == 30
+
+
+def test_a_file_longer_than_it_was_when_opened_is_read_whole(monkeypatch, tmp_path):
+    """A file that goes on after its last member (here, as if it grew after
+    its size was taken) is read again whole and refused as it is."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
+    path = tmp_path / "l.loa"
+    path.write_text(STRIDE_TEXT + "1 0 5\n")
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        (*real(fd)[:6], len(STRIDE_TEXT), *real(fd)[7:10])))
+    with pytest.raises(ParseError, match="content after the last block") as err:
+        read_array(path)
+    assert err.value.line == 13
+
+
+def test_a_file_is_read_in_chunks_without_holding_its_bytes(tmp_path):
+    """A 3 MB single-digit large set of 23 chunks: reading it holds its cells
+    and about one chunk of text, not the whole file's bytes."""
+    profile = LevelProfile([10, 7, 2, 9, 10, 3, 10, 5, 10, 10])
+    cells = np.random.default_rng(23).integers(0, profile.levels, (500, 300, 10), dtype=np.int32)
+    ls = LargeSet._stacked(profile, cells, [1] * 500, 1)
+    path = tmp_path / "big.loa"
+    write_array(ls, path)
+    size = path.stat().st_size
+    assert size >= 3_000_000 and cells.size > 20 * formats.CHUNK_CELLS
+    tracemalloc.start()
+    try:
+        back = read_array(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cells.nbytes + size // 4
+    assert list(back.members) == list(loads(path.read_text()).members)
+    assert np.array_equal(back.cells, cells)
 
 
 class _Spy:

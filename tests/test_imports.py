@@ -21,3 +21,22 @@ def test_import_loads_only_the_core_modules():
         "oaforge", "oaforge.arrays", "oaforge.errors", "oaforge.expand", "oaforge.formats",
         "oaforge.gf"]
     assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
+
+
+def test_theorem_and_large_set_checks_leave_numpy_ma_unloaded():
+    """A plain `np.unique` imports numpy.ma on first use, which costs a fresh
+    process more than a small theorem's whole run; the Kronecker count and
+    the relabelling certificate of `verify_large_set` must not pull it in."""
+    code = (
+        "import sys\n"
+        "from oaforge import algebraic, arrays, compose, expand\n"
+        "out = compose.execute_plan(compose.plan_theorem('v1+v3-2', {'v': 4, 'k': 6}))\n"
+        "ls = expand.expand_shift(*algebraic.sylvester_oa2(3, 5))\n"
+        "assert arrays._relabels(ls)[1:].all()\n"
+        "assert arrays.verify_large_set(ls, 2).ok\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(oaforge.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
