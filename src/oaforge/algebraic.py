@@ -64,8 +64,9 @@ def sylvester_oa2(n: int, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
         raise ConstraintError(f"k must be in [{n}, {(1 << n) - 1}], got {k}")
     s = sylvester(n)
     labels = _label_order(n, include_zero=False)[:k]
-    cells = ((1 - s[:, labels]) // 2).astype(np.int32)
-    a = SymbolMatrix(LevelProfile([2] * k), cells, t=2)
+    profile = LevelProfile([2] * k)
+    cells = ((1 - s[:, labels]) // 2).astype(profile.dtype)
+    a = SymbolMatrix(profile, cells, t=2)
     return _self_check(a, 2, n)
 
 
@@ -80,8 +81,9 @@ def sylvester_oa3(n: int, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     s = sylvester(n)
     labels = _label_order(n, include_zero=True)[:k]
     top = (1 - s[:, labels]) // 2
-    cells = np.vstack([top, 1 - top]).astype(np.int32)
-    a = SymbolMatrix(LevelProfile([2] * k), cells, t=3)
+    profile = LevelProfile([2] * k)
+    cells = np.vstack([top, 1 - top]).astype(profile.dtype)
+    a = SymbolMatrix(profile, cells, t=3)
     return _self_check(a, 3, n + 1)
 
 
@@ -184,10 +186,12 @@ class GeneratorColumns:
     @cached_property
     def cells(self) -> np.ndarray:
         """Read-only q^m x l array of the rows x . M, x in F_q^m ascending,
-        built one digit at a time: x_i . M_i + each row over x_(i+1..m-1)."""
+        built one digit at a time: x_i . M_i + each row over x_(i+1..m-1),
+        looked up in field tables of the cells' dtype (uint8 for q <= 256)."""
         mat = np.asarray(self.columns, dtype=np.intp).reshape(-1, self.m).T
-        add, mul = self.field.add_table, self.field.mul_table
-        cells = np.zeros((1, mat.shape[1]), dtype=np.int32)
+        dtype = LevelProfile([self.field.q]).dtype
+        add, mul = self.field.add_table.astype(dtype), self.field.mul_table.astype(dtype)
+        cells = np.zeros((1, mat.shape[1]), dtype=dtype)
         for i in reversed(range(self.m)):
             cells = add[mul[:, mat[i]][:, None], cells].reshape(-1, mat.shape[1])
         cells.setflags(write=False)

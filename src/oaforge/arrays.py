@@ -3,7 +3,9 @@
 Symbols are column-local integers 0..s-1.  A SymbolMatrix is an immutable
 N x k run matrix; a LargeSet is an ordered list of M row-disjoint simple
 N x k members partitioning the full factorial, stored as one (M, N, k)
-array.
+array.  Cells are stored in their profile's dtype: one byte a symbol
+(uint8) when every level is at most 256, int32 otherwise.  The counting
+kernels widen what they count a chunk at a time.
 
 The strength verifier counts every t-tuple in every t-subset of columns with
 one kernel for single arrays and stacked large sets.  It walks blocks of
@@ -55,9 +57,11 @@ BLOCK_MIN_ROWS = 1 << 13  # and is counted only in arrays of at least this many 
 
 
 class LevelProfile:
-    """Per-column symbol cardinalities; column order is significant."""
+    """Per-column symbol cardinalities; column order is significant.  `dtype`
+    is the dtype of the cells over the profile, whose symbols are 0 .. s - 1:
+    uint8 when every level is at most 256, int32 otherwise."""
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "dtype")
 
     def __init__(self, levels):
         levels = tuple(int(s) for s in levels)
@@ -68,6 +72,7 @@ class LevelProfile:
         if any(s > 2**31 for s in levels):
             raise ValueError("every column needs at most 2^31 levels (symbols are int32)")
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "dtype", np.dtype(np.uint8 if max(levels) <= 256 else np.int32))
 
     def __setattr__(self, name, value):
         raise AttributeError("LevelProfile is immutable")
@@ -135,8 +140,12 @@ class LevelProfile:
 
 
 def _freeze(obj, **fields):
-    """Set the fields of an immutable object; its cells become read-only."""
-    fields["cells"].setflags(write=False)
+    """Set the fields of an immutable object; its cells, which must be in
+    its profile's dtype, become read-only."""
+    cells, dtype = fields["cells"], fields["profile"].dtype
+    if cells.dtype != dtype:
+        raise TypeError(f"cells are {cells.dtype}, the profile's dtype is {dtype}")
+    cells.setflags(write=False)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
 
@@ -144,32 +153,36 @@ def _freeze(obj, **fields):
 class SymbolMatrix:
     """An N x k run matrix over a LevelProfile, with an optional claimed
     strength t carried for file round-trips and verification defaults.  A
-    C-contiguous int32 `cells` is taken over without a copy and made
-    read-only, so the caller's array is frozen too; other input is copied."""
+    C-contiguous `cells` in the profile's dtype is taken over without a copy
+    and made read-only, so the caller's array is frozen too; other input is
+    range-checked as given and then copied into that dtype."""
 
     __slots__ = ("profile", "cells", "t")
 
     def __init__(self, profile: LevelProfile, cells, t: int | None = None):
-        cells = np.ascontiguousarray(cells, dtype=np.int32)
+        cells = np.asarray(cells)
         if cells.ndim != 2:
             raise ValueError("cells must be a 2-D matrix")
         if cells.shape[1] != profile.k:
             raise ValueError(
                 f"cells have {cells.shape[1]} columns, profile has {profile.k}"
             )
-        top = np.array([s - 1 for s in profile.levels], dtype=np.int32)  # a level may be 2^31
+        # checked before narrowing, which would wrap 257 or -255 to 1
+        top = np.array([s - 1 for s in profile.levels], dtype=profile.dtype)
         if cells.size and (cells.min() < 0 or (cells > top).any()):
             bad = np.argwhere((cells < 0) | (cells > top))[0]
             raise ValueError(
                 f"symbol {cells[bad[0], bad[1]]} out of range in column {bad[1]}"
                 f" (row {bad[0]})"
             )
-        _freeze(self, profile=profile, cells=cells, t=t)
+        _freeze(self, profile=profile, cells=np.ascontiguousarray(cells, dtype=profile.dtype),
+                t=t)
 
     @classmethod
     def _trusted(cls, profile: LevelProfile, cells: np.ndarray, t: int | None):
-        """A matrix over int32 cells whose symbols are already known to be in
-        range: no copy and no second check; the cells are made read-only."""
+        """A matrix over cells in the profile's dtype whose symbols are already
+        known to be in range: no copy and no second check; the cells are made
+        read-only."""
         a = object.__new__(cls)
         _freeze(a, profile=profile, cells=cells, t=t)
         return a
@@ -202,7 +215,8 @@ class SymbolMatrix:
 
 class LargeSet:
     """M members sharing one profile and N, stored as one read-only
-    C-contiguous (M, N, k) int32 array `cells`; `member_t` holds each member's
+    C-contiguous (M, N, k) array `cells` in the profile's dtype (its members'
+    dtype, so stacking them does not convert); `member_t` holds each member's
     claimed strength and `t` the set's.  `members` gives the members as
     SymbolMatrix views into `cells`, built on first use."""
 
@@ -222,8 +236,9 @@ class LargeSet:
 
     @classmethod
     def _stacked(cls, profile: LevelProfile, cells: np.ndarray, member_t, t: int | None):
-        """A large set over an (M, N, k) int32 array whose symbols are already
-        known to be in range; the array is made read-only, not copied."""
+        """A large set over an (M, N, k) array in the profile's dtype whose
+        symbols are already known to be in range; the array is made
+        read-only, not copied."""
         ls = object.__new__(cls)
         _freeze(ls, profile=profile, cells=cells, member_t=tuple(member_t), t=t,
                 _members=None)
@@ -258,9 +273,9 @@ class LargeSet:
 def full_factorial(profile: LevelProfile, t: int | None = None) -> SymbolMatrix:
     """All k-tuples exactly once, in mixed-radix row order (column 0 most
     significant)."""
-    grids = np.indices(profile.levels)
+    grids = np.indices(profile.levels, dtype=profile.dtype)
     cells = np.stack([g.ravel() for g in grids], axis=1)
-    return SymbolMatrix(profile, cells, t if t is not None else profile.k)
+    return SymbolMatrix._trusted(profile, cells, t if t is not None else profile.k)
 
 
 # -- strength verification ---------------------------------------------------
@@ -823,7 +838,7 @@ def _relabels(ls: LargeSet) -> np.ndarray:
         return certified
     slot_offsets = np.repeat(offsets, levels)
     per = max(1, CHUNK_TARGET_CELLS // (n * k))
-    image = np.empty((min(per, m), n * k), dtype=np.int32)
+    image = np.empty((min(per, m), n * k), dtype=ls.cells.dtype)
     same = np.empty(image.shape, dtype=bool)
     for lo in range(1, m, per):
         block = ls.cells[lo:lo + per].reshape(-1, n * k)
@@ -886,8 +901,10 @@ def _row_codes(rows: np.ndarray, levels, out: np.ndarray) -> np.ndarray:
 
 
 def project_columns(a: SymbolMatrix, columns) -> SymbolMatrix:
-    """Restrict (and possibly reorder) to the given distinct columns.  Strength
-    t is preserved whenever at least t columns remain."""
+    """Restrict (and possibly reorder) to the given distinct columns, in the
+    projected profile's dtype (narrower if the columns dropped held every
+    level above 256).  Strength t is preserved whenever at least t columns
+    remain."""
     columns = [int(c) for c in columns]
     if not columns:
         raise ConstraintError("projection needs at least one column")
@@ -898,7 +915,9 @@ def project_columns(a: SymbolMatrix, columns) -> SymbolMatrix:
             raise ConstraintError(f"column {c} out of range [0, {a.k})")
     profile = LevelProfile(a.profile.levels[c] for c in columns)
     t = None if a.t is None else min(a.t, len(columns))
-    return SymbolMatrix(profile, a.cells[:, columns], t)
+    # a's symbols are in range, so they narrow safely
+    cells = np.ascontiguousarray(a.cells[:, columns], dtype=profile.dtype)
+    return SymbolMatrix._trusted(profile, cells, t)
 
 
 def lambda_of(a: SymbolMatrix, subset) -> Fraction:

@@ -54,11 +54,12 @@ def cosets_strength1(profile: LevelProfile) -> LargeSet:
     for s in levels:
         bounds.append(gcd(n, s))
         n = lcm(n, s)
-    firsts = np.indices(bounds, dtype=np.int32).reshape(profile.k, -1).T
-    cells = np.empty((len(firsts), n, profile.k), dtype=np.int32)
-    np.add(firsts[:, None, :], np.arange(n, dtype=np.int32)[None, :, None], out=cells)
-    cells %= np.asarray(levels, dtype=np.int32)
-    ls = LargeSet._stacked(profile, cells, (1,) * len(firsts), 1)
+    firsts = np.indices(bounds, dtype=np.int32).reshape(profile.k, -1)
+    cells = np.empty((firsts.shape[1], n, profile.k), dtype=profile.dtype)
+    step = np.arange(n, dtype=np.int32)
+    for j, s in enumerate(levels):  # summed in int32 a column at a time, then narrowed
+        cells[:, :, j] = (firsts[j, :, None] + step) % s
+    ls = LargeSet._stacked(profile, cells, (1,) * len(cells), 1)
     report = verify_large_set(ls, 1)
     if not report.ok:
         raise VerificationError("coset large set failed verification", report)
@@ -106,7 +107,8 @@ def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
         raise ConstraintError("both large sets need a claimed strength")
     t = min(l1.t, l2.t)
     profile = LevelProfile((a1 + b1,) + l1.profile.levels[1:])
-    cells = np.concatenate([l1.cells, l2.cells], axis=1)
+    # widened first where a1 + b1 passes 256, so the relabelling cannot wrap
+    cells = np.concatenate([l1.cells, l2.cells], axis=1, dtype=profile.dtype)
     cells[:, l1.n:, 0] += a1
     ls = LargeSet._stacked(profile, cells, (t,) * l1.m, t)
     report = verify_large_set(ls, t)
@@ -145,10 +147,10 @@ def _kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
         raise SizeCapError(f"output with {n_out} rows too large to materialize")
     # block s holds row i of member s mod M1 beside row j of member s mod M2
     # at row i * N2 + j; s mod M runs over h / M copies of range(M)
-    cells = np.empty((h, l1.n, l2.n, k1 + l2.profile.k), dtype=np.int32)
+    profile = LevelProfile(l1.profile.levels + l2.profile.levels)
+    cells = np.empty((h, l1.n, l2.n, k1 + l2.profile.k), dtype=profile.dtype)
     cells.reshape(h // m1, m1, l1.n, l2.n, -1)[..., :k1] = l1.cells[None, :, :, None, :]
     cells.reshape(h // m2, m2, l1.n, l2.n, -1)[..., k1:] = l2.cells[None, :, None, :, :]
-    profile = LevelProfile(l1.profile.levels + l2.profile.levels)
     out = SymbolMatrix._trusted(profile, cells.reshape(n_out, -1), t)
     report = _product_strength(out, h, l1.n, k1, t)
     if not report.ok:

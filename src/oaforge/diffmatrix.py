@@ -375,6 +375,12 @@ def _require_dm4(dm: DifferenceMatrix, width: int, axes: int):
         raise VerificationError("input difference matrix failed verification", report)
 
 
+def _narrowed(dm: DifferenceMatrix, profile: LevelProfile):
+    """dm's group addition and negation tables and its entries in the dtype
+    of the cells over `profile`, so a development's columns are built in it."""
+    return (x.astype(profile.dtype) for x in (dm.group.add_table, dm.group.neg_table, dm.entries))
+
+
 def develop_chai1(dm: DifferenceMatrix) -> tuple[SymbolMatrix, ResolvableProjection]:
     """13-column development with one row per (i, u, e), i outermost: the four
     translated DM rows, the same translated by e, four difference columns, and
@@ -382,10 +388,10 @@ def develop_chai1(dm: DifferenceMatrix) -> tuple[SymbolMatrix, ResolvableProject
     output is re-verified and never silently emitted."""
     _require_dm4(dm, 13, 3)
     v = dm.v
-    add = dm.group.add_table
-    neg = dm.group.neg_table
-    i_idx, u, e = (x.ravel() for x in np.indices((v, v, v)))
-    d = [dm.entries[i_idx, j] for j in range(4)]
+    profile = LevelProfile([v] * 13)
+    add, neg, entries = _narrowed(dm, profile)
+    i_idx, u, e = (x.ravel() for x in np.indices((v, v, v), dtype=profile.dtype))
+    d = [entries[i_idx, j] for j in range(4)]
     cols = []
     cols.extend(add[d[j], u] for j in range(4))
     cols.extend(add[add[d[j], u], e] for j in range(4))
@@ -395,7 +401,7 @@ def develop_chai1(dm: DifferenceMatrix) -> tuple[SymbolMatrix, ResolvableProject
     cols.append(add[add[d[0], neg[d[2]]], e])
     cols.append(add[add[d[0], neg[d[3]]], e])
     cols.append(e)
-    a = SymbolMatrix(LevelProfile([v] * 13), np.stack(cols, axis=1), t=2)
+    a = SymbolMatrix(profile, np.stack(cols, axis=1), t=2)
     report = verify_strength(a, 2)
     if not report.ok:
         raise VerificationError(
@@ -415,10 +421,10 @@ def develop_chai2(
     {0,1,2,3}, and the verdict naming every failing column pair."""
     _require_dm4(dm, 29, 4)
     v = dm.v
-    add = dm.group.add_table
-    neg = dm.group.neg_table
-    i_idx, u, e, w = (x.ravel() for x in np.indices((v, v, v, v)))
-    d = [dm.entries[i_idx, j] for j in range(4)]
+    profile = LevelProfile([v] * 29)
+    add, neg, entries = _narrowed(dm, profile)
+    i_idx, u, e, w = (x.ravel() for x in np.indices((v, v, v, v), dtype=profile.dtype))
+    d = [entries[i_idx, j] for j in range(4)]
 
     def plus(*xs):
         acc = xs[0]
@@ -460,7 +466,7 @@ def develop_chai2(
         plus(d14, w),
         e,
     ]
-    a = SymbolMatrix(LevelProfile([v] * 29), np.stack(cols, axis=1), t=2)
+    a = SymbolMatrix(profile, np.stack(cols, axis=1), t=2)
     report = verify_strength(a, 2)
     return a, require_resolvable(a, (0, 1, 2, 3)), report
 

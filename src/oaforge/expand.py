@@ -144,8 +144,9 @@ def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
         )
     radix, first, column, shift, level, place = _shift_index(a.profile.levels,
                                                              tuple(proj.columns))
-    table = ((a.cells.T[column] + shift) % level).astype(np.int32)
-    cells = np.empty((m, a.n, a.k), dtype=np.int32)
+    # the sums are taken in int64 (shift's dtype) before narrowing
+    table = ((a.cells.T[column] + shift) % level).astype(a.profile.dtype)
+    cells = np.empty((m, a.n, a.k), dtype=a.profile.dtype)
     per = max(1, arrays.CHUNK_TARGET_CELLS // (a.n * a.k))
     for lo in range(0, m, per):
         rows = np.arange(lo, min(lo + per, m))[:, None] // place % radix + first

@@ -34,6 +34,10 @@ blocks at a time, whose headers may differ in t, accepted only if the
 writers' template (`_text`) gives back the same bytes, and any other block
 line by line, which is also where every row's ParseError comes from; the
 runs after such a block grow back to a chunk by doubling.
+
+Every way stores the cells in the profile's dtype (uint8 when every level
+is at most 256) and checks each symbol against its level before it is
+narrowed into them.
 """
 
 from __future__ import annotations
@@ -237,10 +241,11 @@ def _text(cells: np.ndarray, member_t: tuple[int, ...] | list[int], profile: Lev
 
 def _fast_rows(lines: _Lines, n: int, profile: LevelProfile,
                out: np.ndarray) -> list[int] | None:
-    """Fill `out`, a (count, n, k) int32 array, with the rows of count blocks
-    of n rows from lines.pos on, parsed in one vectorised pass, and return
-    each block's t, read from its header.  None (lines.pos unmoved) unless
-    `_text` gives back the same bytes, headers included."""
+    """Fill `out`, a (count, n, k) array in the profile's dtype, with the
+    rows of count blocks of n rows from lines.pos on, parsed in one
+    vectorised pass, and return each block's t, read from its header.  None
+    (lines.pos unmoved) unless `_text` gives back the same bytes, headers
+    included."""
     count, first, step = len(out), lines.pos, n + 2
     end = first + count * step - 2  # the line after the last row, which must end in LF
     bare = len(_oa_header(n, "", _layout(profile)[2]))  # a header's bytes but t's digits
@@ -316,7 +321,7 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
         n, t, profile, _ = _parse_oa_header(lines)
         # every symbol takes a byte, so the file holds fewer than `fit` blocks
         fit = lines.size // (n * profile.k) + 1 if n else m
-        read = profile, np.empty((min(m, fit), n, profile.k), dtype=np.int32), []
+        read = profile, np.empty((min(m, fit), n, profile.k), dtype=profile.dtype), []
     profile, cells, member_t = read
     n = cells.shape[1]
     chunk = size = _members_per_chunk(n, profile.k)
@@ -405,7 +410,7 @@ def _records(n: int, profile: LevelProfile) -> tuple[np.ndarray, np.ndarray | in
     tops = np.minimum(profile.levels, 10)
     if len(set(tops.tolist())) == 1:
         return zero, int(tops[0])
-    tops = np.tile(tops.astype(np.int32), n)
+    tops = np.tile(tops.astype(np.uint16), n)
     tops.flags.writeable = False
     return zero, tops
 
@@ -420,16 +425,18 @@ def _read_records(form: _Form, chunks) -> tuple[LevelProfile, np.ndarray, list[i
     n, profile, h, m = form.n, form.profile, len(form.header), form.m
     zero, tops = _records(n, profile)
     header = np.frombuffer(form.header, dtype=np.uint8)
-    cells = np.empty((m, n * profile.k), dtype=np.int32)
+    cells = np.empty((m, n * profile.k), dtype=profile.dtype)
     lo, step = 0, form.step
+    # the whole 2-byte differences, whose high byte checks the separator, are
+    # checked here before their symbols are copied into the cells
+    records = np.empty((min(step, m), n * profile.k), dtype=np.uint16)
     while lo < m and (chunk := chunks(lo, min(step, m - lo))) is not None:
         members, blanks = chunk
-        symbols = cells[lo:lo + len(members)]
-        np.subtract(members[:, h:].view("<u2"), zero, out=symbols, dtype=np.uint16,
-                    casting="unsafe")
+        symbols = np.subtract(members[:, h:].view("<u2"), zero, out=records[:len(members)])
         below = symbols.max(initial=0) < tops if isinstance(tops, int) else (symbols < tops).all()
         if not (below and (members[:, :h] == header).all() and (blanks == ord("\n")).all()):
             break
+        cells[lo:lo + len(members)] = symbols
         lo += len(members)
     return (profile, cells.reshape(m, n, profile.k), [form.t] * lo) if lo else None
 

@@ -26,7 +26,7 @@ from oaforge.algebraic import (
     sylvester_oa3,
     verify_generator_columns,
 )
-from oaforge.arrays import brute_force_strength, verify_strength
+from oaforge.arrays import LevelProfile, brute_force_strength, verify_strength
 from oaforge.errors import BudgetExceededError, ConstraintError, VerificationError
 from oaforge.expand import check_resolvable_projection, expand_shift
 from oaforge.gf import make_field
@@ -302,7 +302,7 @@ def digit_table_cells(gc):
 @settings(max_examples=200, deadline=None)
 @given(generator_sets())
 def test_rows_built_one_digit_at_a_time_match_the_digit_table(gc):
-    assert gc.cells.dtype == np.int32 and not gc.cells.flags.writeable
+    assert gc.cells.dtype == LevelProfile([gc.field.q]).dtype and not gc.cells.flags.writeable
     assert np.array_equal(gc.cells, digit_table_cells(gc))
 
 

@@ -55,10 +55,10 @@ def test_symbol_matrix_validation():
         a.cells[0, 0] = 1  # read-only
 
 
-def test_symbol_matrix_takes_over_a_contiguous_int32_array():
+def test_symbol_matrix_takes_over_a_contiguous_array_of_its_dtype():
     # no copy: linear_oa hands over its freshly built cells, and a copy
     # would add a second output-sized array to its peak memory
-    cells = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    cells = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     a = SymbolMatrix(LevelProfile([2, 2]), cells)
     assert np.shares_memory(a.cells, cells)
     assert not cells.flags.writeable
@@ -66,11 +66,13 @@ def test_symbol_matrix_takes_over_a_contiguous_int32_array():
 
 @pytest.mark.parametrize("cells", [
     np.array([[0, 1], [1, 0]], dtype=np.int64),
-    np.array([[0, 1], [1, 0]], dtype=np.int32).T,  # not C-contiguous
+    np.array([[0, 1], [1, 0]], dtype=np.int32),  # wider than a 2-level profile's uint8
+    np.array([[0, 1], [1, 0]], dtype=np.uint8).T,  # not C-contiguous
 ])
 def test_symbol_matrix_copies_other_input(cells):
     a = SymbolMatrix(LevelProfile([2, 2]), cells)
     assert not np.shares_memory(a.cells, cells)
+    assert a.cells.dtype == np.uint8 and a.cells.flags.c_contiguous
     assert cells.flags.writeable and not a.cells.flags.writeable
     cells[0, 0] = 1
     assert a.cells[0, 0] == 0

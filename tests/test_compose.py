@@ -348,7 +348,7 @@ def test_kronecker_fills_the_block_formula_rows():
                    np.tile(l2.cells[s % l2.m], (l1.n, 1))])
         for s in range(h)])
     assert out.n == 640
-    assert out.cells.dtype == np.int32 and not out.cells.flags.writeable
+    assert out.cells.dtype == out.profile.dtype == np.uint8 and not out.cells.flags.writeable
     assert np.array_equal(out.cells, expected)
 
 

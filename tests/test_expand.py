@@ -192,7 +192,7 @@ def test_expand_shift_matches_the_member_by_member_reference(monkeypatch, name, 
     ls = expand_shift(a, ResolvableProjection(columns, a.n))
     want = reference_expand_shift(a, columns)
     assert ls.cells.shape == want.shape and np.array_equal(ls.cells, want)
-    assert ls.cells.dtype == np.int32 and ls.cells.flags.c_contiguous
+    assert ls.cells.dtype == a.profile.dtype and ls.cells.flags.c_contiguous
     assert not ls.cells.flags.writeable
     assert ls.member_t == (a.t,) * ls.m and ls.t == a.t
     assert ls.m * ls.n == a.profile.universe_size and verify_large_set(ls, a.t).ok

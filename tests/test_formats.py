@@ -585,7 +585,8 @@ def test_a_file_is_read_in_chunks_without_holding_its_bytes(tmp_path):
     """A 3 MB single-digit large set of 23 chunks: reading it holds its cells
     and about one chunk of text, not the whole file's bytes."""
     profile = LevelProfile([10, 7, 2, 9, 10, 3, 10, 5, 10, 10])
-    cells = np.random.default_rng(23).integers(0, profile.levels, (500, 300, 10), dtype=np.int32)
+    cells = np.random.default_rng(23).integers(0, profile.levels, (500, 300, 10),
+                                               dtype=profile.dtype)
     ls = LargeSet._stacked(profile, cells, [1] * 500, 1)
     path = tmp_path / "big.loa"
     write_array(ls, path)

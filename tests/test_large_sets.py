@@ -231,7 +231,7 @@ def test_stacked_count_spans_member_chunks(monkeypatch):
 def test_members_are_views_of_the_stacked_cells():
     ls = built("chai1 v=4 w=6")
     assert ls.cells.flags.c_contiguous and not ls.cells.flags.writeable
-    assert ls.cells.dtype == np.int32 and ls.cells.shape == (ls.m, ls.n, ls.profile.k)
+    assert ls.cells.dtype == ls.profile.dtype and ls.cells.shape == (ls.m, ls.n, ls.profile.k)
     assert all(np.shares_memory(m.cells, ls.cells) for m in ls.members)
     assert [m.t for m in ls.members] == list(ls.member_t)
     with pytest.raises(ValueError):
