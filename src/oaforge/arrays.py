@@ -26,7 +26,10 @@ An array of h blocks of row products P_s x Q_s, the output of the Kronecker
 pairing, is counted through its two factors where the walk would count it
 in blocks wider than t (see _product_strength): its cells are first
 compared with the products, then each side is counted block by block and as
-a union, on h * N1 and h * N2 rows instead of h * N1 * N2.
+a union, on h * N1 and h * N2 rows instead of h * N1 * N2.  The block by
+block count takes the same certificate as a large set's members
+(_relabels): a block that is block 0 relabelled column by column has block
+0's verdict, so only block 0 and the blocks not certified are counted.
 A large set's union is checked for repeated rows by one occupancy pass over
 its row codes, a chunk at a time; when M * N fills the universe, marking a
 boolean map of it and finding every slot marked proves the union
@@ -614,10 +617,14 @@ def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> Stre
     a is counted by verify_strength.  Otherwise each side, as the stack of
     its h blocks and as their union of h * N_X rows, is counted by the walk:
     each[S] says every block's table on S is uniform, union[S] that the
-    union's is.  A t-subset T = A + B (A on P's columns, B on Q's) has the
-    table sum_s c_A,s(x) c_B,s(y), c the blocks' tables; if each[A], every
-    c_A,s is N1 / s_A, so T's table is N1 / s_A times the union's on B and T
-    is on exactly when union[B], and the same with the sides swapped.  So
+    union's is.  For each, the stack holds block 0 and only the blocks that
+    _relabels does not certify as block 0 with each column's symbols
+    permuted: a certified block's tables are block 0's relabelled, uniform
+    exactly where block 0's are.  A t-subset T = A + B (A on P's columns, B
+    on Q's) has the table sum_s c_A,s(x) c_B,s(y), c the blocks' tables; if
+    each[A], every c_A,s is N1 / s_A, so T's table is N1 / s_A times the
+    union's on B and T is on exactly when union[B], and the same with the
+    sides swapped.  So
     each is counted on P for every T, on Q for the T that each[A] does not
     settle, and union only where an each holds, at the sizes those T need.
     A subset neither settles, which an array of strength t1 + t2 + 1 from
@@ -640,17 +647,24 @@ def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> Stre
 
     def uniform(side, want, union):
         """Per T, whether side's table on its part of T is uniform in every
-        block, or in the union of the blocks; counted only for T in `want`."""
+        block, or in the union of the blocks; counted only for T in `want`.
+        Of the blocks, block 0 and those _relabels does not certify are
+        counted: a certified block's tables are block 0's with its symbols
+        permuted, so they are uniform exactly where block 0's are."""
         stack, part, ranks, sizes = side
-        x = stack.reshape(1, -1, len(part)) if union else stack
-        out = np.zeros(len(subsets), dtype=bool)
-        for r in sorted(set(sizes[want].tolist())):  # np.unique would import numpy.ma
+        out = want & (sizes == 0)  # no columns: one cell holds every row
+        wanted = sorted(set(sizes[want & (sizes > 0)].tolist()))  # np.unique imports numpy.ma
+        if wanted and union:
+            stack = stack.reshape(1, -1, len(part))
+        elif wanted and len(stack) > 1:
+            counted = np.flatnonzero(~_relabels(stack, part))
+            stack = stack if len(counted) == len(stack) else stack[counted]
+        for r in wanted:
+            plan = _strength_plan(part, r, stack.shape[1])
             on = np.ones(comb(len(part), r), dtype=bool)
-            if r:
-                plan = _strength_plan(part, r, x.shape[1])
-                on[plan.uncounted] = False
-                for _, lo, off in _off_walk(x, plan):
-                    on[plan.counted[lo:lo + off.shape[1]]] &= ~off.any(axis=0)
+            on[plan.uncounted] = False
+            for _, lo, off in _off_walk(stack, plan):
+                on[plan.counted[lo:lo + off.shape[1]]] &= ~off.any(axis=0)
             mine = want & (sizes == r)
             out[mine] = on[ranks[mine]]
         return out
@@ -798,8 +812,8 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     if t > 0 and plan.uncounted:  # a non-integer index fails every member uncounted
         weak[:] = True
     elif t > 0:
-        certified = _relabels(ls) if ls.m > 1 and len(plan.subsets) > ls.profile.k \
-            else np.zeros(ls.m, dtype=bool)
+        certified = _relabels(ls.cells, ls.profile.levels) \
+            if ls.m > 1 and len(plan.subsets) > ls.profile.k else np.zeros(ls.m, dtype=bool)
         counted = np.flatnonzero(~certified)
         cells = ls.cells if len(counted) == ls.m else ls.cells[counted]
         for first, _, off in _off_walk(cells, plan):
@@ -817,31 +831,34 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     return report
 
 
-def _relabels(ls: LargeSet) -> np.ndarray:
-    """Which members j > 0 are member 0 relabelled column by column: for
-    every column c some bijection f_c of c's symbols has
-    cells[j, r, c] == f_c(cells[0, r, c]) on every row r.  f_c is read off
-    member j at the first row of member 0 where each symbol occurs; every
-    cell is then compared with it (f_c is a function) and each column's
-    table must be a permutation of range(s_c) (f_c is a bijection).  If
-    member 0 lacks a symbol in some column, no member is certified.
-    Members are taken in chunks of about CHUNK_TARGET_CELLS cells."""
-    m, n, k = ls.cells.shape
+def _relabels(cells: np.ndarray, levels) -> np.ndarray:
+    """Which members j > 0 of the stack `cells` (M, N, k) over `levels` are
+    member 0 relabelled column by column: for every column c some bijection
+    f_c of c's symbols has cells[j, r, c] == f_c(cells[0, r, c]) on every
+    row r.  Such a member has member 0's tuple counts up to relabelling, on
+    every subset of columns, so its tables are uniform exactly where member
+    0's are.  f_c is read off member j at the first row of member 0 where
+    each symbol occurs; every cell is then compared with it (f_c is a
+    function) and each column's table must be a permutation of range(s_c)
+    (f_c is a bijection).  If member 0 lacks a symbol in some column, no
+    member is certified.  Members are taken in chunks of about
+    CHUNK_TARGET_CELLS cells."""
+    m, n, k = cells.shape
     certified = np.zeros(m, dtype=bool)
-    levels = np.asarray(ls.profile.levels, dtype=np.int64)
+    levels = np.asarray(levels, dtype=np.int64)
     # slot offsets[c] + s stands for symbol s of column c
     offsets = np.concatenate(([0], np.cumsum(levels[:-1])))
     slots = int(levels.sum())
-    where = (ls.cells[0] + offsets).reshape(-1)  # the slot of each cell of member 0
+    where = (cells[0] + offsets).reshape(-1)  # the slot of each cell of member 0
     held, first = np.unique(where, return_index=True)  # and the first cell holding each
     if len(held) < slots:
         return certified
     slot_offsets = np.repeat(offsets, levels)
     per = max(1, CHUNK_TARGET_CELLS // (n * k))
-    image = np.empty((min(per, m), n * k), dtype=ls.cells.dtype)
+    image = np.empty((min(per, m), n * k), dtype=cells.dtype)
     same = np.empty(image.shape, dtype=bool)
     for lo in range(1, m, per):
-        block = ls.cells[lo:lo + per].reshape(-1, n * k)
+        block = cells[lo:lo + per].reshape(-1, n * k)
         tables = np.take(block, first, axis=1)  # f_c(s) at slot offsets[c] + s
         np.take(tables, where, axis=1, out=image[:len(block)])
         function = np.equal(image[:len(block)], block, out=same[:len(block)]).all(axis=1)

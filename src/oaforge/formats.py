@@ -31,9 +31,17 @@ rest of the file from the first chunk that fails the check, or any other
 file, is read whole and by lines (`read_utf8`'s CR and UTF-8 handling
 applies to that part only): writer text of any symbol width one run of
 blocks at a time, whose headers may differ in t, accepted only if the
-writers' template (`_text`) gives back the same bytes, and any other block
-line by line, which is also where every row's ParseError comes from; the
-runs after such a block grow back to a chunk by doubling.
+writers' template (`_text`) gives back the same bytes, a member of more
+than a chunk a chunk of rows at a time, each accepted only if the writer
+gives back its bytes (`_member_rows`), and any other block line by line,
+which is also where every row's ParseError comes from; the runs after such
+a block grow back to a chunk by doubling.
+
+The writers emit a chunk of about CHUNK_CELLS symbols at a time: whole
+members from one template, or a member of more than a chunk as its header,
+its rows a chunk at a time from one template of rows, and its blank line,
+so that neither writing nor reading makes a temporary as large as a
+member of more than a chunk.
 
 Every way stores the cells in the profile's dtype (uint8 when every level
 is at most 256) and checks each symbol against its level before it is
@@ -209,13 +217,49 @@ def _digits(values: np.ndarray, slots: np.ndarray) -> None:
         slots[..., d] *= values >= 10 ** (width - 1 - d)
 
 
+def _fill(rows: np.ndarray, block: np.ndarray, runs) -> None:
+    """Write the symbols of `block` (..., k) into the row templates `rows`
+    (..., bytes of a row) laid out as `runs` (see `_layout`)."""
+    for a, b, width, at in runs:
+        slots = rows[..., at:at + (b - a) * (width + 1)]
+        _digits(block[..., a:b], slots.reshape(*rows.shape[:-1], b - a, width + 1)[..., :-1])
+
+
+def _row_text(rows: np.ndarray, profile: LevelProfile):
+    """Yield the writer's text of `rows` (N, k), a chunk of about
+    CHUNK_CELLS symbols at a time from one reused template of rows, each
+    valid until the next.  A chunk's rows are read only when it is made, so
+    a reader may fill `rows` a chunk ahead of it."""
+    n, k = rows.shape
+    runs, row, _ = _layout(profile)
+    step = min(n, max(1, CHUNK_CELLS // k))
+    buf = bytearray(row * step)
+    text = np.frombuffer(buf, dtype=np.uint8).reshape(step, len(row))
+    strip = max(width for _, _, width, _ in runs) > 1
+    for lo in range(0, n, step):
+        c = len(block := rows[lo:lo + step])
+        _fill(text[:c], block, runs)
+        chunk = memoryview(buf)[:c * len(row)]
+        yield (buf if c == step else chunk.tobytes()).translate(None, b"\0") if strip else chunk
+
+
 def _text(cells: np.ndarray, member_t: tuple[int, ...] | list[int], profile: LevelProfile):
     """Yield the writer's text of the members `cells` (M, N, k) and their t's,
-    a chunk of up to CHUNK_CELLS symbols at a time, each valid until the next:
-    a template of whole members, each a header (with a slot for t if they
-    differ), N rows (see `_layout`) and a blank LF; `_digits` fills the slots."""
+    a chunk of about CHUNK_CELLS symbols at a time, each valid until the
+    next.  Members that fit in a chunk are filled into a template of whole
+    members, each a header (with a slot for t if they differ), N rows (see
+    `_layout`) and a blank LF; `_digits` fills the slots.  A larger member
+    is written as its header, its rows a chunk at a time (`_row_text`) and
+    its blank LF, so no chunk holds more than about CHUNK_CELLS symbols."""
     m, n, k = cells.shape
     runs, row, levels = _layout(profile)
+    if n * k > CHUNK_CELLS:
+        for i, t in enumerate(member_t):
+            yield _oa_header(n, t, levels)
+            yield from _row_text(cells[i], profile)
+            if i < m - 1:
+                yield b"\n"
+        return
     slot = len(set(member_t)) > 1  # then each header has a slot for its member's t
     header = _oa_header(n, "\0" * len(str(max(member_t))) if slot else member_t[0], levels)
     h, at_t, tw = len(header), header.find(b"\0"), header.count(b"\0")
@@ -223,16 +267,13 @@ def _text(cells: np.ndarray, member_t: tuple[int, ...] | list[int], profile: Lev
     buf = bytearray(header + row * n + b"\n") * step
     text = np.frombuffer(buf, dtype=np.uint8).reshape(step, size)
     rows = text[:, h:-1].reshape(step, n, len(row))
-    slots = [rows[:, :, at:at + (b - a) * (width + 1)].reshape(step, n, b - a, width + 1)
-             for a, b, width, at in runs]
     strip = tw > 1 or max(width for _, _, width, _ in runs) > 1
     for lo in range(0, m, step):
         block = cells[lo:lo + step]
         c = len(block)
         if slot:
             _digits(np.asarray(member_t[lo:lo + c]), text[:c, at_t:at_t + tw])
-        for (a, b, _, _), run in zip(runs, slots):
-            _digits(block[..., a:b], run[:c, ..., :-1])
+        _fill(rows[:c], block, runs)
         chunk = memoryview(buf)[:c * size]
         if strip:
             chunk = (buf if c == step else chunk.tobytes()).translate(None, b"\0")
@@ -261,15 +302,9 @@ def _fast_rows(lines: _Lines, n: int, profile: LevelProfile,
     if len(ends) != count * (4 + n * profile.k + 1) - 1:
         return None
     ends = np.append(ends, len(body)).reshape(count, -1)
-    last = (ends[:, 4:-1] - 1).reshape(out.shape)  # each symbol's last byte
     digits = (body - np.uint8(ord("0"))) * ~gaps
-    cells = digits[last].astype(np.int64)
-    # as many digits as the column's largest symbol has, none before its gap
-    for a, b, width, _ in _layout(profile)[0]:
-        for r in range(1, width):
-            at = np.maximum(last[..., a:b] - r, ends[:, 3:-2].reshape(out.shape)[..., a:b])
-            cells[..., a:b] += digits[at].astype(np.int64) * 10 ** r
-    if (cells >= np.array(profile.levels)).any():
+    cells = _symbols(digits, ends[:, 3:-1], profile)
+    if cells is None:
         return None
     at = ends[:, 2] - 1  # each header's t ends at its third gap, after "t=" at its second
     read = digits[at].astype(np.int64)
@@ -279,10 +314,61 @@ def _fast_rows(lines: _Lines, n: int, profile: LevelProfile,
         return None
     out[...] = cells
     member_t = read.tolist()
-    if bytes(next(_text(out, member_t, profile))) != span:
+    done = 0  # bytes.startswith is a memcmp, unlike comparing memoryviews
+    for chunk in _text(out, member_t, profile):
+        if not span.startswith(chunk, done):
+            return None
+        done += len(chunk)
+    if done != len(span):
         return None
     lines.pos = end
     return member_t
+
+
+def _symbols(digits: np.ndarray, ends: np.ndarray, profile: LevelProfile) -> np.ndarray | None:
+    """The (..., rows, k) symbols, as int64, of rows of text whose bytes less
+    '0' are `digits`, 0 at the gaps: `ends` (..., rows * k + 1) holds the gap
+    before the first symbol and then the gap after each.  Each symbol is read
+    with as many digits as its column's largest symbol has, none before the
+    gap before it.  None if one is not below its level."""
+    shape = (*ends.shape[:-1], -1, profile.k)
+    last, before = (ends[..., 1:] - 1).reshape(shape), ends[..., :-1].reshape(shape)
+    cells = digits[last].astype(np.int64)
+    for a, b, width, _ in _layout(profile)[0]:
+        for r in range(1, width):
+            at = np.maximum(last[..., a:b] - r, before[..., a:b])
+            cells[..., a:b] += digits[at].astype(np.int64) * 10 ** r
+    return None if (cells >= np.array(profile.levels)).any() else cells
+
+
+def _member_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> bool:
+    """Fill `out`, the (n, k) cells of a member of more than a chunk, with
+    the n rows from lines.pos on, parsed a chunk of rows at a time, each
+    chunk accepted only if `_row_text` gives back its bytes, so that no
+    temporary is as large as the member.  False (lines.pos unmoved) at the
+    first chunk that differs, or if the last row does not end in LF."""
+    first, k, data = lines.pos - lines.base, profile.k, lines.data
+    if lines.pos + n >= len(lines):
+        return False
+    step = max(1, CHUNK_CELLS // k)
+    texts = _row_text(out, profile)  # each chunk is made after its rows are parsed below
+    for lo in range(0, n, step):
+        # the bytes from the LF before the chunk's first row to the LF ending its last
+        start, end = lines.bounds[first + lo], lines.bounds[first + min(lo + step, n)] + 1
+        body = np.frombuffer(data, np.uint8, end - start, start)
+        gaps = body <= ord(" ")
+        ends = np.flatnonzero(gaps)
+        if len(ends) != min(step, n - lo) * k + 1:
+            return False
+        cells = _symbols((body - np.uint8(ord("0"))) * ~gaps, ends, profile)
+        if cells is None:
+            return False
+        out[lo:lo + len(cells)] = cells
+        chunk = next(texts)
+        if len(chunk) != end - start - 1 or not data.startswith(chunk, start + 1):
+            return False
+    lines.pos += n
+    return True
 
 
 def _slow_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> None:
@@ -316,7 +402,8 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
     after those in `read`, such a triple with lines.pos at the blank line after
     them.  A run of blocks the fast way refuses is halved until it passes or is
     one block, read line by line; the run after it is twice as long as the
-    one read, up to a chunk."""
+    one read, up to a chunk.  A member of more than a chunk is read by
+    `_member_rows`, or line by line if it refuses."""
     if read is None:
         n, t, profile, _ = _parse_oa_header(lines)
         # every symbol takes a byte, so the file holds fewer than `fit` blocks
@@ -338,6 +425,11 @@ def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.nd
                     f" member 0 has N={n} levels={profile.format()}",
                     lineno,
                 )
+        if n * profile.k > CHUNK_CELLS:  # a member of more than a chunk
+            if not _member_rows(lines, n, profile, cells[i]):
+                _slow_rows(lines, n, profile, cells[i])
+            member_t.append(t)
+            continue
         block = cells[i:i + size]
         while (block_t := _fast_rows(lines, n, profile, block)) is None:
             if len(block) == 1:

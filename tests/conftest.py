@@ -10,8 +10,8 @@ def counts(monkeypatch):
     """Every strength count made while the test runs, as (M, N, k, t) per
     call of arrays._off_walk, the kernel that verify_strength (M = 1),
     verify_large_set and the Kronecker output's count through its factors
-    (each side's stack of h blocks, and their union as M = 1) all count
-    through."""
+    (each side's stack of the blocks _relabels does not certify, and their
+    union as M = 1) all count through."""
     calls = []
     kernel = arrays._off_walk
 
@@ -25,14 +25,16 @@ def counts(monkeypatch):
 
 @pytest.fixture
 def relabels(monkeypatch):
-    """The (M, N, k) of every large set that arrays._relabels, the relabelling
-    certificate of verify_large_set, is asked about while the test runs."""
+    """The (M, N, k) of every stack that arrays._relabels, the relabelling
+    certificate, is asked about while the test runs: a large set's members
+    in verify_large_set, or one side's blocks in the Kronecker output's
+    count through its factors."""
     calls = []
     certify = arrays._relabels
 
-    def spy(ls):
-        calls.append(ls.cells.shape)
-        return certify(ls)
+    def spy(cells, levels):
+        calls.append(cells.shape)
+        return certify(cells, levels)
 
     monkeypatch.setattr(arrays, "_relabels", spy)
     return calls

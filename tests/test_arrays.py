@@ -656,17 +656,37 @@ def _product_blocks(data, h: int, side: str) -> tuple[LevelProfile, np.ndarray]:
     the block uniform) or random rows (most tables off, many without an
     integer index), then maybe one mutated cell or row; or the h blocks
     split h copies of a full factorial in a shuffled row order (every table
-    of their union uniform, few of a block's)."""
+    of their union uniform, few of a block's); or every block is block 0
+    (of either of the first two kinds) with each column's symbols permuted,
+    which the relabelling certificate spares from the per-block count, then
+    maybe one changed cell in any block."""
     profile = LevelProfile(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3),
                                      label=f"{side} levels"))
-    kind = data.draw(st.sampled_from(["factorial", "random", "split"]), label=f"{side} kind")
-    if profile.universe_size > 12:
+    kind = data.draw(st.sampled_from(["factorial", "random", "split", "relabelled"]),
+                     label=f"{side} kind")
+    small = profile.universe_size <= 12
+    if not small and kind != "relabelled":
         kind = "random"
-    n = data.draw(st.integers(1, 12), label=f"{side} rows") if kind == "random" \
-        else profile.universe_size
+    n = profile.universe_size if small and kind != "random" \
+        else data.draw(st.integers(1, 12), label=f"{side} rows")
     if kind == "split":
         return profile, _drawn_cells(data, profile, "factorial", h * n).reshape(h, n, -1)
-    return profile, np.stack([_drawn_cells(data, profile, kind, n) for _ in range(h)])
+    if kind != "relabelled":
+        return profile, np.stack([_drawn_cells(data, profile, kind, n) for _ in range(h)])
+    base = _drawn_cells(data, profile, "factorial" if small else "random", n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{side} relabelling"))
+    # block i's symbols shifted by i, so that the union of s blocks is
+    # uniform on a column of s levels whatever block 0 is, or permuted at random
+    shifted = data.draw(st.booleans(), label=f"{side} shifted")
+    blocks = np.stack([base] + [
+        np.column_stack([((np.arange(s) + i) % s if shifted else rng.permutation(s))[base[:, c]]
+                         for c, s in enumerate(profile.levels)])
+        for i in range(1, h)])
+    if data.draw(st.booleans(), label=f"{side} changed cell"):
+        at = tuple(data.draw(st.integers(0, size - 1), label=f"{side} cell")
+                   for size in blocks.shape)
+        blocks[at] = (blocks[at] + 1) % profile.levels[at[2]]
+    return profile, blocks
 
 
 @settings(max_examples=80, deadline=None)
@@ -676,8 +696,9 @@ def test_product_count_matches_verify_strength(data):
     stacks, with the block-mode rule patched to always apply: h blocks of P
     and of Q with and without strength, so that a t-subset is settled by
     each[A], by each[B] or counted on the array, next to subsets without an
-    integer index; and maybe one changed cell, which the certificate must
-    catch.  The failures, subsets and index map are verify_strength's at
+    integer index; blocks certified as block 0 relabelled and blocks
+    counted beside them; and maybe one changed cell, which the comparison
+    with the row products must catch.  The failures, subsets and index map are verify_strength's at
     every t, and the verdict is the oracle's."""
     from unittest import mock
 
@@ -702,3 +723,24 @@ def test_product_count_matches_verify_strength(data):
             assert got.checked_subsets == want.checked_subsets
             assert got.lambda_by_subset == want.lambda_by_subset
             assert got.ok == brute_force_strength(a, t).ok
+
+
+def test_a_certified_block_is_not_counted_alone_but_stays_in_the_union(counts):
+    """P's three blocks are equal, so the certificate spares blocks 1 and 2
+    from P's per-block count.  Q's blocks are [0, 0, 0, 1], [0, 1, 1, 1]
+    and block 0 again, which is certified too, yet Q's union must hold it:
+    blocks 0 and 1 alone are balanced, all three are not, so the product
+    fails at strength 2, as a direct count says."""
+    from unittest import mock
+
+    import oaforge.arrays as arrays_mod
+
+    p = np.tile([[0], [1]], (3, 1, 1))
+    q = np.array([[0, 0, 0, 1], [0, 1, 1, 1], [0, 0, 0, 1]])[..., None]
+    cells = np.concatenate([np.repeat(p, 4, axis=1), np.tile(q, (1, 2, 1))], axis=2)
+    a = SymbolMatrix(LevelProfile([2, 2]), cells.reshape(-1, 2))
+    with mock.patch.object(arrays_mod, "_by_factors", lambda levels, t, n: True):
+        got = arrays_mod._product_strength(a, 3, 2, 1, 2)
+    assert counts == [(1, 2, 1, 1), (1, 12, 1, 1)]  # P's block 0, Q's union of 3 x 4 rows
+    assert got.failures == verify_strength(a, 2).failures and not got.ok
+    assert not brute_force_strength(a, 2).ok

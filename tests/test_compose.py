@@ -352,16 +352,16 @@ def test_kronecker_fills_the_block_formula_rows():
     assert np.array_equal(out.cells, expected)
 
 
-# every count of the plan: the inputs', then each side's stack of h blocks
-# and union of h * N rows at the sizes the settling asks for; the output is
-# never counted itself
+# every count of the plan: the inputs', then each side's block 0 (the other
+# blocks are certified as block 0 relabelled) and union of h * N rows at the
+# sizes the settling asks for; the output is never counted itself
 PLAN_COUNTS = {
-    "doublev3-2": [(1, 64, 13, 2), (16, 64, 5, 1), (16, 64, 5, 2), (16, 64, 5, 3),
-                   (16, 64, 5, 4), (16, 64, 5, 5), (16, 64, 5, 1), (16, 64, 5, 2),
+    "doublev3-2": [(1, 64, 13, 2), (1, 64, 5, 1), (1, 64, 5, 2), (1, 64, 5, 3),
+                   (1, 64, 5, 4), (1, 64, 5, 5), (1, 64, 5, 1), (1, 64, 5, 2),
                    (1, 1024, 5, 2), (1, 1024, 5, 3), (1, 1024, 5, 4), (1, 1024, 5, 5),
                    (1, 1024, 5, 3), (1, 1024, 5, 4), (1, 1024, 5, 5)],
-    "v1+v3-2": [(64, 4, 4, 1), (1, 64, 13, 2), (64, 4, 4, 1), (64, 4, 4, 2), (64, 4, 4, 3),
-                (64, 4, 4, 4), (64, 64, 6, 1), (64, 64, 6, 2), (1, 4096, 6, 3),
+    "v1+v3-2": [(64, 4, 4, 1), (1, 64, 13, 2), (1, 4, 4, 1), (1, 4, 4, 2), (1, 4, 4, 3),
+                (1, 4, 4, 4), (1, 64, 6, 1), (1, 64, 6, 2), (1, 4096, 6, 3),
                 (1, 4096, 6, 4), (1, 256, 4, 2), (1, 256, 4, 3), (1, 256, 4, 4)],
 }
 

@@ -254,7 +254,9 @@ def random_objects(draw):
     1200 or 2^31, so that symbols of one to ten digits appear.  Its k is
     1-5 or 10-12, where members' t of one and two digits give headers of
     two lengths.  Returns it with a chunk size, in symbols, that puts 1-3
-    whole members in each chunk."""
+    whole members in each chunk or, half the time, less than one member (1
+    to N * k - 1 symbols), so that each member is written and read a chunk
+    of rows at a time."""
     k = draw(st.integers(1, 5) | st.integers(10, 12))
     top = draw(st.sampled_from([6, 13, 1200, 2**31]))
     levels = draw(st.lists(st.integers(2, top), min_size=k, max_size=k))
@@ -267,6 +269,8 @@ def random_objects(draw):
                             t=draw(st.integers(0, k)))
 
     chunk = n * k * draw(st.integers(1, 3))
+    if n * k > 1 and draw(st.booleans()):
+        chunk = draw(st.integers(1, n * k - 1))
     if draw(st.booleans()):
         return matrix(), chunk
     members = [matrix() for _ in range(draw(st.integers(1, 4)))]
@@ -601,6 +605,52 @@ def test_a_file_is_read_in_chunks_without_holding_its_bytes(tmp_path):
     assert peak < cells.nbytes + size // 4
     assert list(back.members) == list(loads(path.read_text()).members)
     assert np.array_equal(back.cells, cells)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of memory traced while it runs, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("level", [4, 12])
+def test_a_member_of_more_than_a_chunk_is_written_a_chunk_of_rows_at_a_time(tmp_path, level):
+    """One 65,536 x 12 array, 1.57 MB of single-digit text (1.70 MB with two
+    digits): the writer fills a template of about one chunk of rows, not of
+    the whole member, and gives the bytes a whole-member template gives."""
+    profile = LevelProfile([level] * 12)
+    cells = np.random.default_rng(level).integers(0, level, (65536, 12), dtype=profile.dtype)
+    a = SymbolMatrix._trusted(profile, cells, 3)
+    path = tmp_path / "a.oa"
+    _, peak = _traced_peak(lambda: write_array(a, path))
+    assert peak < 1 << 20
+    with mock.patch.object(formats, "CHUNK_CELLS", cells.size):  # the member fits in a chunk
+        assert path.read_bytes() == dumps(a).encode()
+
+
+def test_a_multi_digit_member_of_more_than_a_chunk_is_read_a_chunk_of_rows_at_a_time(tmp_path):
+    """A 131,072 x 6 array of two-digit symbols (1.9 MB of text) is parsed
+    a chunk of rows at a time: reading it holds its cells, the file's bytes
+    and their index of lines (a byte and 8 bytes a line), and temporaries
+    of one chunk, not int64 temporaries for every symbol.  A fault in its
+    last chunk is still refused on its line."""
+    profile = LevelProfile([16] * 6)
+    cells = np.random.default_rng(16).integers(0, 16, (1 << 17, 6), dtype=profile.dtype)
+    path = tmp_path / "a.oa"
+    write_array(SymbolMatrix._trusted(profile, cells, 2), path)
+    size = path.stat().st_size
+    back, peak = _traced_peak(lambda: read_array(path))
+    assert np.array_equal(back.cells, cells) and back.t == 2
+    assert peak < cells.nbytes + 2 * size + 8 * len(cells) + 64 * formats.CHUNK_CELLS
+    lines = path.read_text().split("\n")
+    lines[-3] = "16" + lines[-3][lines[-3].index(" "):]  # a symbol equal to its level
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match="out of range") as err:
+        read_array(path)
+    assert err.value.line == len(lines) - 2
 
 
 class _Spy:

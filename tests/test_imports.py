@@ -32,7 +32,7 @@ def test_theorem_and_large_set_checks_leave_numpy_ma_unloaded():
         "from oaforge import algebraic, arrays, compose, expand\n"
         "out = compose.execute_plan(compose.plan_theorem('v1+v3-2', {'v': 4, 'k': 6}))\n"
         "ls = expand.expand_shift(*algebraic.sylvester_oa2(3, 5))\n"
-        "assert arrays._relabels(ls)[1:].all()\n"
+        "assert arrays._relabels(ls.cells, ls.profile.levels)[1:].all()\n"
         "assert arrays.verify_large_set(ls, 2).ok\n"
         "print('numpy.ma' in sys.modules)\n"
     )

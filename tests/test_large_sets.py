@@ -194,7 +194,7 @@ def test_verify_large_set_matches_per_member_reference(branch, name, kind, data)
     ls, touched = mutate(built(name), kind, data)
     with union_branch(branch):
         got = verify_large_set(ls, ls.t)
-        certified = arrays_mod._relabels(ls).tolist()
+        certified = arrays_mod._relabels(ls.cells, ls.profile.levels).tolist()
     want = reference_verify(ls, ls.t)
     assert certified == reference_relabels(ls)
     if kind in ("clean", "relabel"):  # every built set is one relabelling class
