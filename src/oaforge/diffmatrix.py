@@ -240,6 +240,8 @@ def search_dm(
     proof for the given group).  Raises BudgetExceededError when the node
     budget runs out first.
     """
+    if v < 1 or k < 1:
+        raise ConstraintError(f"v and k must be >= 1, got v = {v}, k = {k}")
     if v * k > SEARCH_SIZE_CAP:
         raise SizeCapError(f"v*k = {v * k} exceeds search cap {SEARCH_SIZE_CAP}")
     grp = group if group is not None else AbelianGroup((v,))

@@ -23,19 +23,20 @@ Rows are read in one of three ways with the same result.  A file that is
 exactly what the writers emit for an object whose symbols are all single
 digits and whose members share one header has a fixed layout: the header,
 N rows of 2k bytes, one blank line.  Its members are decoded a chunk at a
-time as 2-byte (symbol, separator) records, one subtraction and one
-comparison per symbol checking every byte against that layout
-(`_read_records`).  A file of more than one chunk is read that way a chunk
-at a time into one reused buffer, so its bytes are never held whole.  The
-rest of the file from the first chunk that fails the check, or any other
-file, is read whole and by lines (`read_utf8`'s CR and UTF-8 handling
-applies to that part only): writer text of any symbol width one run of
-blocks at a time, whose headers may differ in t, accepted only if the
-writers' template (`_text`) gives back the same bytes, a member of more
-than a chunk a chunk of rows at a time, each accepted only if the writer
-gives back its bytes (`_member_rows`), and any other block line by line,
-which is also where every row's ParseError comes from; the runs after such
-a block grow back to a chunk by doubling.
+time (a member of more than a chunk, a chunk of rows at a time) as 2-byte
+(symbol, separator) records, one subtraction and one comparison per symbol
+checking every byte against that layout (`_read_records`).  A file of more
+than one chunk is read that way a chunk at a time into one reused buffer,
+so its bytes are never held whole.  The rest of the file from the first
+chunk that fails the check, or any other file, is read whole and indexed
+by lines (`read_utf8`'s CR and UTF-8 handling applies to that part only).
+There one decoder (`_decode`) takes a chunk of whole members, or of the
+rows of a member of more than a chunk, and checks each line directly: a
+row is k tokens joined by single spaces and ended by LF, each 1 to `width`
+ASCII digits (as many as its column's largest symbol has) and below its
+level; a header is the writers' header, its t its own digits; a blank
+line is empty.  The member of the first line that fails goes line by line,
+where every ParseError comes from, and the decoder starts again after it.
 
 The writers emit a chunk of about CHUNK_CELLS symbols at a time: whole
 members from one template, or a member of more than a chunk as its header,
@@ -97,11 +98,6 @@ class _Lines:
 
     def text(self, i: int) -> str:
         return self.raw(i).decode("utf-8")
-
-    def span(self, first: int, count: int) -> bytes:
-        """Lines first .. first + count - 1, each with its LF."""
-        lo = first - self.base
-        return self.data[self.bounds[lo] + 1:self.bounds[lo + count] + 1]
 
     def next_content(self) -> tuple[str, int] | None:
         """Next non-blank, non-comment line."""
@@ -280,95 +276,87 @@ def _text(cells: np.ndarray, member_t: tuple[int, ...] | list[int], profile: Lev
         yield memoryview(chunk)[:-1] if lo + c == m else chunk
 
 
-def _fast_rows(lines: _Lines, n: int, profile: LevelProfile,
-               out: np.ndarray) -> list[int] | None:
-    """Fill `out`, a (count, n, k) array in the profile's dtype, with the
-    rows of count blocks of n rows from lines.pos on, parsed in one
-    vectorised pass, and return each block's t, read from its header.  None
-    (lines.pos unmoved) unless `_text` gives back the same bytes, headers
-    included."""
-    count, first, step = len(out), lines.pos, n + 2
-    end = first + count * step - 2  # the line after the last row, which must end in LF
-    bare = len(_oa_header(n, "", _layout(profile)[2]))  # a header's bytes but t's digits
-    sizes = np.diff(lines.bounds[first - 1 - lines.base:end + 1 - lines.base])  # with each LF
-    if end >= len(lines) or not ((sizes[::step] > bare).all()
-                                 and (sizes[::step] <= bare + len(str(profile.k))).all()
-                                 and (sizes[n + 1::step] == 1).all()):
-        return None
-    span = lines.span(first - 1, count * step - 1)
-    body = np.frombuffer(span, dtype=np.uint8)
-    gaps = body <= ord(" ")  # a header's 3 spaces and LF, after each symbol, blank lines
-    ends = np.flatnonzero(gaps)
-    if len(ends) != count * (4 + n * profile.k + 1) - 1:
-        return None
-    ends = np.append(ends, len(body)).reshape(count, -1)
-    digits = (body - np.uint8(ord("0"))) * ~gaps
-    cells = _symbols(digits, ends[:, 3:-1], profile)
-    if cells is None:
-        return None
-    at = ends[:, 2] - 1  # each header's t ends at its third gap, after "t=" at its second
-    read = digits[at].astype(np.int64)
-    for r in range(1, len(str(profile.k))):
-        read += np.where(at - r > ends[:, 1] + 2, digits[at - r], 0).astype(np.int64) * 10 ** r
-    if read.max() > profile.k:
-        return None
-    out[...] = cells
-    member_t = read.tolist()
-    done = 0  # bytes.startswith is a memcmp, unlike comparing memoryviews
-    for chunk in _text(out, member_t, profile):
-        if not span.startswith(chunk, done):
-            return None
-        done += len(chunk)
-    if done != len(span):
-        return None
-    lines.pos = end
-    return member_t
+def _header_t(data: np.ndarray, starts: np.ndarray, stops: np.ndarray, n: int,
+              profile: LevelProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each line data[starts[i]:stops[i]] is the writers' header of a
+    member of n rows of the profile, with a t of its own digits, no leading
+    zero and at most k; and each line's t."""
+    bare = _oa_header(n, "", _layout(profile)[2])
+    cut, most = bare.index(b" levels="), len(str(profile.k))  # t's place and most digits
+    digits = stops + 1 - starts - len(bare)
+    fixed = np.concatenate((starts[:, None] + np.arange(cut),
+                            stops[:, None] + np.arange(cut - len(bare) + 1, 1)), axis=1)
+    slot = data.take(starts[:, None] + cut + np.arange(most), mode="clip") - np.uint8(ord("0"))
+    inside = np.arange(most) < digits[:, None]
+    power = 10 ** np.maximum(digits[:, None] - 1 - np.arange(most), 0)
+    t = (np.where(inside, slot, 0) * power).sum(axis=1)
+    ok = ((data.take(fixed, mode="clip") == np.frombuffer(bare, np.uint8)).all(axis=1)
+          & (digits >= 1) & (digits <= most) & ((slot < 10) | ~inside).all(axis=1)
+          & ((slot[:, 0] > 0) | (digits == 1)) & (t <= profile.k))
+    return ok, t
 
 
-def _symbols(digits: np.ndarray, ends: np.ndarray, profile: LevelProfile) -> np.ndarray | None:
-    """The (..., rows, k) symbols, as int64, of rows of text whose bytes less
-    '0' are `digits`, 0 at the gaps: `ends` (..., rows * k + 1) holds the gap
-    before the first symbol and then the gap after each.  Each symbol is read
-    with as many digits as its column's largest symbol has, none before the
-    gap before it.  None if one is not below its level."""
-    shape = (*ends.shape[:-1], -1, profile.k)
-    last, before = (ends[..., 1:] - 1).reshape(shape), ends[..., :-1].reshape(shape)
-    cells = digits[last].astype(np.int64)
-    for a, b, width, _ in _layout(profile)[0]:
-        for r in range(1, width):
-            at = np.maximum(last[..., a:b] - r, before[..., a:b])
-            cells[..., a:b] += digits[at].astype(np.int64) * 10 ** r
-    return None if (cells >= np.array(profile.levels)).any() else cells
-
-
-def _member_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> bool:
-    """Fill `out`, the (n, k) cells of a member of more than a chunk, with
-    the n rows from lines.pos on, parsed a chunk of rows at a time, each
-    chunk accepted only if `_row_text` gives back its bytes, so that no
-    temporary is as large as the member.  False (lines.pos unmoved) at the
-    first chunk that differs, or if the last row does not end in LF."""
-    first, k, data = lines.pos - lines.base, profile.k, lines.data
-    if lines.pos + n >= len(lines):
-        return False
-    step = max(1, CHUNK_CELLS // k)
-    texts = _row_text(out, profile)  # each chunk is made after its rows are parsed below
-    for lo in range(0, n, step):
-        # the bytes from the LF before the chunk's first row to the LF ending its last
-        start, end = lines.bounds[first + lo], lines.bounds[first + min(lo + step, n)] + 1
-        body = np.frombuffer(data, np.uint8, end - start, start)
-        gaps = body <= ord(" ")
-        ends = np.flatnonzero(gaps)
-        if len(ends) != min(step, n - lo) * k + 1:
-            return False
-        cells = _symbols((body - np.uint8(ord("0"))) * ~gaps, ends, profile)
-        if cells is None:
-            return False
-        out[lo:lo + len(cells)] = cells
-        chunk = next(texts)
-        if len(chunk) != end - start - 1 or not data.startswith(chunk, start + 1):
-            return False
-    lines.pos += n
-    return True
+def _decode(lines: _Lines, first: int, out: np.ndarray, profile: LevelProfile,
+            headed: bool = True) -> list[int]:
+    """Decode into `out` (c, r, k) the lines from `first` on: c members, each
+    its header and r rows, a blank line between members, or, not `headed`,
+    one group of r rows, each line checked as the module docstring says.
+    Return the t of each member (0 without headers) before the first line
+    that fails; only those are written into `out`."""
+    c, r, k = out.shape
+    head = int(headed)
+    period = r + 2 * head  # lines a member takes, with the blank line after it
+    c = min(c, max(0, (len(lines) - 1 - first - r - head) // period + 1))  # last rows end in LF
+    if not c:
+        return []
+    # b[j] and b[j + 1] are the LFs before and after line first + j
+    b = lines.bounds[first - lines.base:first - lines.base + c * period + 1]
+    data = np.frombuffer(lines.data, np.uint8)
+    # from the first header, or the LF before the first row, to the last row's LF
+    start, stop = b[0] + head, b[len(b) - 1 - head] + 1
+    text = np.empty(stop - start + 2, np.uint8)
+    text[:-2], text[-2:] = data[start:stop], (ord("0"), ord("\n"))  # and one more gap
+    ok, t = np.ones(c, bool), np.zeros(c, np.int64)
+    if headed:
+        starts, stops = b[:-1:period] + 1, b[1::period]
+        ok, t = _header_t(data, starts, stops, r, profile)
+        ok[1:] &= np.diff(b)[period - 1:-1:period] == 1  # the blank line before each member
+        # from here on, each header and the blank line before it read as digits and an LF
+        longest = len(_oa_header(r, k, _layout(profile)[2])) - 1
+        heads = np.minimum(starts[:, None] + np.arange(longest), stops[:, None] - 1)
+        text.put(heads - start, ord("0"), mode="clip")
+        text[b[period:-1:period] - start] = ord("0")
+    # every byte is a digit or a gap (a space or an LF), and no two gaps are adjacent
+    digit = np.empty(len(text) + 1, np.uint8)  # digit[i] is byte i - 1 less '0'
+    np.subtract(text, np.uint8(ord("0")), out=digit[1:])
+    gap = (text == ord(" ")) | (text == ord("\n"))
+    other = (digit[1:] >= 10) & ~gap
+    other[1:] |= gap[1:] & gap[:-1]
+    bad = int(np.searchsorted(b - start, other.argmax())) - 1 if other.any() else len(b)
+    # each member's gaps from the LF before its first row: each row's LF k gaps on
+    gaps = np.flatnonzero(gap)
+    per = r * k + 1
+    at = np.arange(c)[:, None] * per + np.arange(k * (1 - head), per, k)
+    lfs = b[1:].reshape(c, period)[:, :r + head] - start  # each header's and row's LF
+    found = ((at < len(gaps)) & (gaps.take(at, mode="clip") == lfs)).all(axis=1)
+    # the members before the first with a bad line
+    good = min((bad + head) // period, c if found.all() else int(found.argmin()))
+    # each token's gap after it, its last digit and its length plus one
+    ends = gaps[:good * per].reshape(good, per)[:, 1:].reshape(good, r, k)
+    kind = np.uint16 if profile.dtype == np.uint8 else np.int64  # for 3 digits, or 10
+    cells = digit.take(gaps[:good * per]).reshape(good, per)[:, 1:].reshape(good, r, k).astype(kind)
+    size = np.diff(gaps[:good * per + 1]).reshape(good, per)
+    runs = _layout(profile)[0]
+    for a, e, width, _ in runs:
+        for d in range(1, width):  # the digit d places left of the last, if the token has it
+            more = size[:, :-1].reshape(good, r, k)[..., a:e] > d + 1
+            cells[..., a:e] += np.where(more, digit.take(ends[..., a:e] - d), kind(0)) * 10**d
+    widths = np.repeat([w + 1 for _, _, w, _ in runs], [e - a for a, e, _, _ in runs])
+    ok[:good] &= ((size <= np.append(np.tile(widths, r), len(text))).all(axis=1)
+                  & (cells < np.array(profile.levels, dtype=kind)).all(axis=(1, 2)))
+    taken = good if ok[:good].all() else int(ok.argmin())
+    out[:taken] = cells[:taken]
+    return t[:taken].tolist()
 
 
 def _slow_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) -> None:
@@ -397,48 +385,48 @@ def _slow_rows(lines: _Lines, n: int, profile: LevelProfile, out: np.ndarray) ->
             out[i, j] = v
 
 
+def _next_header(lines: _Lines, i: int, n: int, profile: LevelProfile) -> int:
+    """The t of member i's header, after its blank line; it must have member 0's N and levels."""
+    if not lines.peek_is_blank_separator():
+        raise ParseError(f"expected a blank line before member {i + 1}", lines.pos + 1)
+    n_i, t, profile_i, lineno = _parse_oa_header(lines)
+    if (n_i, profile_i) != (n, profile):
+        raise ParseError(f"member {i} has N={n_i} levels={profile_i.format()},"
+                         f" member 0 has N={n} levels={profile.format()}", lineno)
+    return t
+
+
 def _parse_blocks(lines: _Lines, m: int, read=None) -> tuple[LevelProfile, np.ndarray, list[int]]:
     """The next m OA blocks as (profile, one (m, N, k) array, each block's t),
     after those in `read`, such a triple with lines.pos at the blank line after
-    them.  A run of blocks the fast way refuses is halved until it passes or is
-    one block, read line by line; the run after it is twice as long as the
-    one read, up to a chunk.  A member of more than a chunk is read by
-    `_member_rows`, or line by line if it refuses."""
+    them, decoded a chunk at a time; the member the decoder fails on goes
+    line by line, and the next chunk starts after it."""
     if read is None:
         n, t, profile, _ = _parse_oa_header(lines)
-        # every symbol takes a byte, so the file holds fewer than `fit` blocks
-        fit = lines.size // (n * profile.k) + 1 if n else m
+        # every symbol takes a byte and every member a line, so the file holds fewer than `fit`
+        fit = lines.size // (n * profile.k) + 1 if n else len(lines) - lines.pos + 1
         read = profile, np.empty((min(m, fit), n, profile.k), dtype=profile.dtype), []
     profile, cells, member_t = read
-    n = cells.shape[1]
-    chunk = size = _members_per_chunk(n, profile.k)
-    while len(member_t) < m:
-        i = len(member_t)
+    n, k = cells.shape[1:]
+    step = max(1, CHUNK_CELLS // k)  # rows of a member of more than a chunk decoded at once
+    while (i := len(member_t)) < m:
         if i:
-            if not lines.peek_is_blank_separator():
-                raise ParseError(f"expected a blank line before member {i + 1}",
-                                 lines.pos + 1)
-            n_i, t, profile_i, lineno = _parse_oa_header(lines)
-            if (n_i, profile_i) != (n, profile):
-                raise ParseError(
-                    f"member {i} has N={n_i} levels={profile_i.format()},"
-                    f" member 0 has N={n} levels={profile.format()}",
-                    lineno,
-                )
-        if n * profile.k > CHUNK_CELLS:  # a member of more than a chunk
-            if not _member_rows(lines, n, profile, cells[i]):
-                _slow_rows(lines, n, profile, cells[i])
-            member_t.append(t)
-            continue
-        block = cells[i:i + size]
-        while (block_t := _fast_rows(lines, n, profile, block)) is None:
-            if len(block) == 1:
-                _slow_rows(lines, n, profile, block[0])
-                block_t = [t]
-                break
-            block = block[:len(block) // 2]
-        size = min(chunk, 2 * len(block))
-        member_t += block_t
+            t = _next_header(lines, i, n, profile)
+        if n * k > CHUNK_CELLS:  # a chunk of rows at a time, its t read above
+            block = cells[i:i + 1]
+            got = [t] if all(_decode(lines, lines.pos + lo, block[:, lo:lo + step], profile, False)
+                             for lo in range(0, n, step)) else []
+        else:
+            block = cells[i:i + _members_per_chunk(n, k)]
+            got = _decode(lines, lines.pos - 1, block, profile)  # from member i's header
+        if got:
+            lines.pos += len(got) * (n + 2) - 2
+            member_t += got
+            if len(got) == len(block):
+                continue
+            t = _next_header(lines, len(member_t), n, profile)
+        _slow_rows(lines, n, profile, cells[len(member_t)])
+        member_t.append(t)
     return profile, cells, member_t
 
 
@@ -489,8 +477,8 @@ def _form(head: bytes, size: int) -> _Form | None:
 
 @functools.lru_cache(maxsize=64)
 def _records(n: int, profile: LevelProfile) -> tuple[np.ndarray, np.ndarray | int]:
-    """A member's n rows as 2-byte (symbol, separator) records, each read as
-    a little-endian uint16: the record of '0' followed by its separator (a
+    """n rows as 2-byte (symbol, separator) records, each read as a
+    little-endian uint16: the record of '0' followed by its separator (a
     space, or LF at the end of a row), and the bound of its symbol (its
     column's level, at most 10), one int if every column has the same.  A
     record minus its '0' is below the bound only if its symbol is a digit
@@ -509,27 +497,36 @@ def _records(n: int, profile: LevelProfile) -> tuple[np.ndarray, np.ndarray | in
 
 def _read_records(form: _Form, chunks) -> tuple[LevelProfile, np.ndarray, list[int]] | None:
     """The profile, (M, N, k) array and member t's of the text laid out as
-    `form`, decoded a chunk of members at a time: the members before the first
+    `form`, decoded a chunk of members at a time, or a chunk of rows at a
+    time for a member of more than a chunk: the members before the first
     chunk that is not exactly the writers' text, or None if it is the first.
     chunks(lo, c) gives members lo .. lo + c - 1 as a (c, size - 1) byte
     array and the blank lines after them as bytes (none after the last
     member), or None if the file ends before them."""
     n, profile, h, m = form.n, form.profile, len(form.header), form.m
-    zero, tops = _records(n, profile)
+    rows = max(1, min(n, CHUNK_CELLS // profile.k))  # rows checked at once
+    zero, tops = _records(rows, profile)
     header = np.frombuffer(form.header, dtype=np.uint8)
     cells = np.empty((m, n * profile.k), dtype=profile.dtype)
     lo, step = 0, form.step
     # the whole 2-byte differences, whose high byte checks the separator, are
     # checked here before their symbols are copied into the cells
-    records = np.empty((min(step, m), n * profile.k), dtype=np.uint16)
+    records = np.empty((min(step, m), len(zero)), dtype=np.uint16)
     while lo < m and (chunk := chunks(lo, min(step, m - lo))) is not None:
         members, blanks = chunk
-        symbols = np.subtract(members[:, h:].view("<u2"), zero, out=records[:len(members)])
-        below = symbols.max(initial=0) < tops if isinstance(tops, int) else (symbols < tops).all()
-        if not (below and (members[:, :h] == header).all() and (blanks == ord("\n")).all()):
+        text, c = members[:, h:].view("<u2"), len(members)
+        ok = True
+        for a in range(0, text.shape[1], len(zero)):  # a chunk of rows at a time
+            w = min(len(zero), text.shape[1] - a)
+            symbols = np.subtract(text[:, a:a + w], zero[:w], out=records[:c, :w])
+            ok = (symbols.max(initial=0) < tops if isinstance(tops, int)
+                  else (symbols < tops[:w]).all())
+            if not ok:
+                break
+            cells[lo:lo + c, a:a + w] = symbols
+        if not (ok and (members[:, :h] == header).all() and (blanks == ord("\n")).all()):
             break
-        cells[lo:lo + len(members)] = symbols
-        lo += len(members)
+        lo += c
     return (profile, cells.reshape(m, n, profile.k), [form.t] * lo) if lo else None
 
 

@@ -186,8 +186,8 @@ PRODUCERS = {
     "leaf cosets v=300 (int32)": lambda: _leaf("cosets", v=300, k=1),
     "records": _read(_records_text([3, 2, 12])),
     "records (int32)": _read(_records_text([3, 2, 300])),
-    "_fast_rows": _read(_records_text([3, 2, 12]).replace("9\n", "11\n")),
-    "_fast_rows (int32)": _read(_records_text([3, 2, 300]).replace("9\n", "299\n")),
+    "_decode": _read(_records_text([3, 2, 12]).replace("9\n", "11\n")),
+    "_decode (int32)": _read(_records_text([3, 2, 300]).replace("9\n", "299\n")),
     "_slow_rows": _read(_records_text([3, 2, 12]).replace("0 1 9", "0  1 9")),
     "_slow_rows (int32)": _read(_records_text([3, 2, 300]).replace("0 1 9", "0  1 299")),
     "expand_shift": lambda: expand_shift(*_leaf_with_projection("sylvester3", n=2, k=3)),

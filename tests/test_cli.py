@@ -412,6 +412,18 @@ def test_garbled_file_is_a_parse_error_record(capsys, tmp_path, kind, content, l
     assert record["kind"] == "parse-error" and record["line"] == line
 
 
+def test_huge_member_count_of_empty_members_is_a_parse_error_record(capsys, tmp_path):
+    """M far beyond the file's lines, with N = 0 members: the members are
+    bounded by the lines left, and the file is refused where it ends."""
+    bad = tmp_path / "bad.loa"
+    bad.write_text("LOA M=9999999999999999999993\n" + "OA N=0 t=0 levels=2^2\n\n" * 2)
+    code, out = run(capsys, "verify", "loa", str(bad))
+    assert code == 1 and capsys.readouterr().err == ""
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["kind"] == "parse-error" and record["line"] == 6
+    assert "Traceback" not in out
+
+
 @pytest.mark.parametrize("t", ["-1", "9"])
 @pytest.mark.parametrize("command", ["verify oa {oa}", "verify loa {loa}", "expand {oa} -o {out}",
                                      "oracle {oa}", "compose juxtapose {loa} {loa} -o {out}"])
@@ -460,6 +472,10 @@ CLI_ERRORS = [
     ("construct chai1 --v 6", 2),
     ("search dm --v 4 --k 4 --group Z2xQ", 2),
     ("search dm --v 4 --k 4 --group Z2xZ3", 2),
+    ("search dm --v 0 --k 0", 2),
+    ("search dm --v -3 --k 3", 2),
+    ("search dm --v 3 --k -1", 2),
+    ("search dm --v 3 --k 0 -o {dir}/k0.dm", 2),
     ("verify oa {oa} --strength 99", 2),
     ("verify loa {loa} --strength 99", 2),
     ("oracle {oa} --strength 99", 2),

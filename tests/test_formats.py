@@ -175,7 +175,7 @@ def reference_loads(text):
                 return line, pos
         return None, len(lines)
 
-    def block():
+    def block(first=None):
         header, lineno = content()
         if header is None or header.split()[0] != "OA":  # a row or "0OA" read as a header
             return lineno
@@ -184,6 +184,8 @@ def reference_loads(text):
         # header sizes are checked against the file before any row is read
         if n > len(lines) - pos or max(n, 1) * profile.k > len(text.encode()):
             return lineno
+        if first is not None and (n, profile) != (first.n, first.profile):
+            return lineno  # every member has member 0's N and levels
         rows = []
         for _ in range(n):
             line, lineno = content()
@@ -198,10 +200,14 @@ def reference_loads(text):
             rows.append(row)
         return SymbolMatrix(profile, np.array(rows).reshape(n, profile.k), int(kv["t"]))
 
+    def end(obj):  # only blank and comment lines may follow the last block
+        extra, lineno = content()
+        return obj if extra is None or isinstance(obj, int) else lineno
+
     header, _ = content()
     if header.startswith("OA"):
         pos = 0
-        return block()
+        return end(block())
     members = []
     for i in range(int(header.split("=")[1])):
         if i:
@@ -210,11 +216,11 @@ def reference_loads(text):
             if lines[pos].strip():
                 return pos + 1
             pos += 1
-        member = block()
+        member = block(members[0] if members else None)
         if isinstance(member, int):
             return member
         members.append(member)
-    return LargeSet(members[0].profile, members, min(a.t for a in members))
+    return end(LargeSet(members[0].profile, members, min(a.t for a in members)))
 
 
 def _agrees(expected, read):
@@ -278,16 +284,32 @@ def random_objects(draw):
 
 
 PERTURBATIONS = ("spaces", "tab", "leading_zero", "plus", "comment", "blank",
-                 "short_row", "out_of_range", "overlong", "joined_rows", "non_digit")
+                 "short_row", "out_of_range", "overlong", "joined_rows", "non_digit",
+                 "header_t_zero", "header_space", "header_n", "deleted_row")
 
 
 def perturb(text, kind, draw):
-    """Apply one perturbation of `kind` to a random row of `text`."""
+    """Apply one perturbation of `kind` to a random row of `text`, or to a
+    random header for the header_* kinds."""
     lines = text.split("\n")
+    if kind.startswith("header"):
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("OA ")]))
+        if kind == "header_t_zero":
+            lines[i] = lines[i].replace(" t=", " t=0")
+        elif kind == "header_space":
+            lines[i] = lines[i].replace(" ", "  ", draw(st.integers(1, 3)))
+        else:
+            n = int(lines[i].split()[1][2:])
+            other = draw(st.integers(0, n + 2).filter(lambda x: x != n))
+            lines[i] = lines[i].replace(f"N={n}", f"N={other}")
+        return "\n".join(lines)
     rows = [i for i, line in enumerate(lines) if line and line[0].isdigit()]
     if not rows:
         return text
     i = draw(st.sampled_from(rows))
+    if kind == "deleted_row":
+        del lines[i]
+        return "\n".join(lines)
     fields = lines[i].split()
     j = draw(st.integers(0, len(fields) - 1))
     if kind == "spaces":
@@ -337,6 +359,10 @@ def test_loads_matches_reference_parser(obj_chunk, kinds, data):
     "OA N=1 t=1 levels=13^2\n: 1\n",  # decodes to 10 digit by digit
     "OA N=1 t=1 levels=13^2\n1\x0c 1\n",
     "OA N=1 t=1 levels=13^2\n\u0663 12\n",  # int() reads Arabic-Indic digits
+    "OA N=1 t=1 levels=6^2\n1234 1\n",  # more digits than its column's largest symbol
+    "OA N=1 t=1 levels=1000^2\n5 \n",  # an empty token where 3 digits may stand
+    "OA N=1 t=1 levels=1000^2\n 5\n",
+    "LOA M=2\nOA N=1 t=1 levels=2^2\n0 1\n5\nOA N=1 t=1 levels=2^2\n1 0\n",  # no blank line
 ])
 def test_loads_matches_reference_parser_on_near_writer_text(text):
     same_result(text)
@@ -380,7 +406,7 @@ def test_ten_digit_symbols_and_headers_of_two_widths(monkeypatch):
 
 def test_large_set_in_several_runs_matches_reference(monkeypatch):
     """Runs of members are parsed together; a fault in one run is still found
-    on its line, and the members before it are read the fast way."""
+    on its line, and the members before it are decoded."""
     import oaforge.formats as formats
 
     monkeypatch.setattr(formats, "CHUNK_CELLS", 6)
@@ -653,6 +679,30 @@ def test_a_multi_digit_member_of_more_than_a_chunk_is_read_a_chunk_of_rows_at_a_
     assert err.value.line == len(lines) - 2
 
 
+def test_a_single_digit_member_of_more_than_a_chunk_is_read_a_chunk_of_rows_at_a_time(tmp_path):
+    """A 49,000 x 16 array of 7 levels (1.57 MB of text, 0.78 MB of cells)
+    is checked as 2-byte records a chunk of rows at a time: reading it holds
+    the file's bytes, its cells and temporaries of one chunk, not records
+    for the whole member.  A fault in its first or last chunk declines the
+    member, which is then refused on the fault's line."""
+    profile = LevelProfile([7] * 16)
+    cells = np.random.default_rng(7).integers(0, 7, (49000, 16), dtype=profile.dtype)
+    path = tmp_path / "a.oa"
+    write_array(SymbolMatrix._trusted(profile, cells, 2), path)
+    size = path.stat().st_size
+    back, peak = _traced_peak(lambda: read_array(path))
+    assert np.array_equal(back.cells, cells) and back.t == 2
+    assert peak < size + cells.nbytes + (1 << 19)
+    text = path.read_text().split("\n")
+    for row in (11, len(text) - 3):
+        lines = list(text)
+        lines[row] = "7" + lines[row][1:]  # a symbol equal to its level
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match="out of range") as err:
+            read_array(path)
+        assert err.value.line == row + 1
+
+
 class _Spy:
     """Counts the calls of a wrapped function or class."""
 
@@ -709,11 +759,11 @@ def test_multi_digit_text_is_written_and_read_a_chunk_at_a_time(monkeypatch):
     formats._write(ls, sink)
     text = sink.getvalue().decode()
     assert text == reference_dumps(ls) and len(sizes) == 1 + 3  # the LOA line and 3 chunks
-    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
-    monkeypatch.setattr(formats, "_fast_rows", fast)
+    decode, slow = _Spy(formats._decode), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_decode", decode)
     monkeypatch.setattr(formats, "_slow_rows", slow)
     back = loads(text)
-    assert (fast.calls, slow.calls) == (3, 0)  # one per run of three members
+    assert (decode.calls, slow.calls) == (3, 0)  # one per run of three members
     assert back.t == 2 and list(back.members) == members
 
 
@@ -731,14 +781,29 @@ def test_members_of_different_t_are_read_a_run_at_a_time(monkeypatch, tmp_path):
     differ (with as many digits) is one vectorised pass, not one per member."""
     mixed = _members_of_t([1 + i % 2 for i in range(5000)])
     write_array(mixed, tmp_path / "mixed")
-    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
-    monkeypatch.setattr(formats, "_fast_rows", fast)
+    decode, slow = _Spy(formats._decode), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_decode", decode)
     monkeypatch.setattr(formats, "_slow_rows", slow)
     monkeypatch.setattr(formats, "CHUNK_CELLS", 4 * 12 * 3)  # four members a run
     back = read_array(tmp_path / "mixed")
     assert back.member_t == mixed.member_t and back.t == 1
     assert list(back.members) == list(mixed.members)
-    assert (fast.calls, slow.calls) == (1250, 0)
+    assert (decode.calls, slow.calls) == (1250, 0)
+
+
+def test_a_member_of_more_than_a_chunk_is_decoded_a_chunk_of_rows_at_a_time(monkeypatch):
+    """12 rows of 3 symbols, two rows a chunk: six decoder calls and no row
+    line by line.  A fault the decoder refuses (a double space in row 8)
+    ends the decoding at its chunk, and the member goes line by line."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 6)
+    a = _members_of_t([1]).members[0]
+    decode, slow = _Spy(formats._decode), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_decode", decode)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    lines = dumps(a).split("\n")
+    assert loads("\n".join(lines)) == a and (decode.calls, slow.calls) == (6, 0)
+    lines[8] = lines[8].replace(" ", "  ", 1)
+    assert loads("\n".join(lines)) == a and (decode.calls, slow.calls) == (6 + 4, 1)
 
 
 def test_members_whose_t_differ_in_digits_read_back_equal(monkeypatch):
@@ -760,30 +825,60 @@ def test_headers_whose_t_differ_in_digits_are_read_a_run_at_a_time(monkeypatch):
     time, and no member goes line by line."""
     ls = _members_of_t([9 + i % 2 for i in range(5000)], zeros=8)
     text = dumps(ls)
-    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
-    monkeypatch.setattr(formats, "_fast_rows", fast)
+    decode, slow = _Spy(formats._decode), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_decode", decode)
     monkeypatch.setattr(formats, "_slow_rows", slow)
     back = loads(text)
     assert back.member_t == ls.member_t and list(back.members) == list(ls.members)
     assert formats._members_per_chunk(12, 11) == 496
-    assert (fast.calls, slow.calls) == (11, 0)
+    assert (decode.calls, slow.calls) == (11, 0)
 
 
 def test_runs_grow_back_after_a_block_read_line_by_line(monkeypatch):
-    """One early fault the fast way refuses (a double space in member 1 of
-    5000) sends that member line by line; the runs after it double back to
-    a chunk, so the rest of the file takes 18 passes, not one per member."""
+    """One early fault the decoder refuses (a double space in member 1 of
+    5000) sends that member line by line; the run after it starts again at
+    a chunk, so the rest of the file takes 11 passes, not one per member."""
     ls = _members_of_t([10] * 5000, zeros=8)
     lines = dumps(ls).split("\n")
     lines[19] = lines[19].replace(" ", "  ", 1)  # member 1, row 3
-    fast, slow = _Spy(formats._fast_rows), _Spy(formats._slow_rows)
-    monkeypatch.setattr(formats, "_fast_rows", fast)
+    decode, slow = _Spy(formats._decode), _Spy(formats._slow_rows)
+    monkeypatch.setattr(formats, "_decode", decode)
     monkeypatch.setattr(formats, "_slow_rows", slow)
     back = loads("\n".join(lines))
     assert list(back.members) == list(ls.members)
-    # runs of 496, 248, ..., 1 down to member 0; [1, 2] and [1]; then 2, 4,
-    # ..., 256 and runs of 496
-    assert (fast.calls, slow.calls) == (29, 1)
+    # member 0 before the fault, then runs of 496 from member 2
+    assert (decode.calls, slow.calls) == (12, 1)
+
+
+@pytest.mark.parametrize("bad_member", [0, 3, 5])
+def test_a_fault_sends_only_its_member_to_the_line_reader(monkeypatch, bad_member):
+    """A fault the decoder refuses (a double space) in member j of a run of
+    six whole members: one decoder call takes the members before j, member
+    j alone goes line by line, and the next decoder call starts at the
+    header after it, with a whole run."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 6 * 12 * 3)  # six members a run
+    ls = _members_of_t([1] * 12)
+    text = dumps(ls).split("\n")
+    header = 1 + 14 * bad_member  # the LOA line, then 14 lines a member
+    text[header + 3] = text[header + 3].replace(" ", "  ", 1)
+    calls = []
+
+    def decode(lines, first, out, *args, fn=formats._decode):
+        got = fn(lines, first, out, *args)
+        calls.append(("decode", first, len(got)))
+        return got
+
+    def slow(lines, *args, fn=formats._slow_rows):
+        calls.append(("slow", lines.pos))
+        return fn(lines, *args)
+
+    monkeypatch.setattr(formats, "_decode", decode)
+    monkeypatch.setattr(formats, "_slow_rows", slow)
+    back = loads("\n".join(text))
+    assert list(back.members) == list(ls.members)
+    assert calls[:3] == [("decode", 1, bad_member), ("slow", header + 1),
+                         ("decode", header + 14, min(6, 11 - bad_member))]
+    assert [call for call in calls if call[0] == "slow"] == [("slow", header + 1)]
 
 
 @pytest.mark.parametrize("line, old, new, error", [
@@ -818,7 +913,7 @@ def test_a_declined_chunk_is_read_again_from_its_first_member(monkeypatch, bad_m
     ], t=2)).split("\n")
     lines[4 * bad_member + 3] = "0 2 6"  # a symbol equal to its level in the member's last row
     starts = []  # the 0-based line at which each header or run of rows is read
-    for name in ("_parse_oa_header", "_fast_rows", "_slow_rows"):
+    for name in ("_parse_oa_header", "_decode", "_slow_rows"):
         monkeypatch.setattr(formats, name, lambda lines, *args, fn=getattr(formats, name):
                             starts.append(lines.pos) or fn(lines, *args))
     same_result("\n".join(lines))
@@ -871,6 +966,7 @@ def test_stride_writer_matches_reference_writer(obj_chunk):
     ("OA N=3 t=1 levels=2^100000\n0 1\n\n\n", 1),
     ("OA N=1 t=1 levels=3000000000^1\n5\n", 1),
     ("LOA M=1000000000000\nOA N=1 t=1 levels=2^2\n0 1\n", 4),
+    ("LOA M=9999999999999999999993\nOA N=0 t=0 levels=2^2\n\nOA N=0 t=0 levels=2^2\n", 5),
 ])
 def test_header_sizes_checked_before_allocating(text, line):
     with pytest.raises(ParseError) as err:
