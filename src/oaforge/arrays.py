@@ -69,11 +69,11 @@ class LevelProfile:
     def __init__(self, levels):
         levels = tuple(int(s) for s in levels)
         if not levels:
-            raise ValueError("a profile needs at least one column")
+            raise ConstraintError("a profile needs at least one column")
         if any(s < 2 for s in levels):
-            raise ValueError("every column needs at least 2 levels")
+            raise ConstraintError("every column needs at least 2 levels")
         if any(s > 2**31 for s in levels):
-            raise ValueError("every column needs at most 2^31 levels (symbols are int32)")
+            raise ConstraintError("every column needs at most 2^31 levels (symbols are int32)")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "dtype", np.dtype(np.uint8 if max(levels) <= 256 else np.int32))
 

@@ -7,9 +7,11 @@ The Kronecker pairing takes one block per s in [0, lcm(M1, M2)): the full row
 product of member (s mod M1) with member (s mod M2).  Strength verification of
 the result is mandatory, so a wrong pairing can never produce an accepted
 artifact; a large output is counted through its two factors once its cells
-are certified to be their row products (arrays._product_strength).  Each
-engine counts its output once and returns it with t set to the strength it
-passed at, or raises; a plan's executor recounts only a claim above.
+are certified to be their row products (arrays._product_strength).  That
+count proves the output whatever the inputs are, so `kronecker` does not
+count its inputs.  Each engine counts its output once and returns it with
+t set to the strength it passed at, or raises; a plan's executor recounts
+only a claim above.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def cosets_strength1(profile: LevelProfile) -> LargeSet:
     N = lcm of the levels, members ordered by their smallest row."""
     levels = profile.levels
     if profile.universe_size * profile.k > MAX_MATERIALIZED:
-        raise SizeCapError(f"universe {profile.universe_size} too large to materialize")
+        raise SizeCapError(f"universe of {profile.universe_size.bit_length()} bits"
+                           " too large to materialize")
     # Adding i * (1, ..., 1) keeps columns 0..j-1 fixed iff lcm(l_0..l_{j-1})
     # divides i, which moves column j in steps of g_j = gcd(that lcm, l_j).
     # So a row is the smallest of its coset iff every symbol y_j < g_j, and
@@ -71,8 +74,8 @@ def zero_sum_oa(s: int, t: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     coordinate sum mod s.  The first t columns project bijectively."""
     if s < 2 or t < 1:
         raise ValueError("need s >= 2 and t >= 1")
-    if s**t > MAX_MATERIALIZED:
-        raise SizeCapError(f"s^t = {s**t} too large to materialize")
+    if t * (s.bit_length() - 1) >= MAX_MATERIALIZED.bit_length() or s**t > MAX_MATERIALIZED:
+        raise SizeCapError(f"s^t = {s}^{t} too large to materialize")
     x = np.indices((s,) * t).reshape(t, -1).T
     last = (-x.sum(axis=1)) % s
     cells = np.hstack([x, last[:, None]])
@@ -122,22 +125,12 @@ def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
 
 def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     """Union over s < lcm(M1, M2) of the row products of member (s mod M1)
-    with member (s mod M2): an array on k1 + k2 columns with
-    h * N1 * N2 rows and strength t1 + t2 + 1, verified before returning.
-    Both inputs are first verified as large sets at their claimed strengths."""
+    with member (s mod M2): an array on k1 + k2 columns with h * N1 * N2
+    rows and strength t1 + t2 + 1, verified at that t before returning.
+    That count proves the output whatever the inputs are, so the inputs are
+    not counted; a failure names the output's failing subsets."""
     if l1.t is None or l2.t is None:
-        raise ValueError("both large sets need a claimed strength")
-    for ls, name in ((l1, "first"), (l2, "second")):
-        report = verify_large_set(ls, ls.t)
-        if not report.ok:
-            raise VerificationError(
-                f"{name} input is not a verified large set", report
-            )
-    return _kronecker(l1, l2)
-
-
-def _kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
-    """kronecker without the input checks; the output is verified at its t."""
+        raise ConstraintError("both large sets need a claimed strength")
     m1, m2 = l1.m, l2.m
     h = lcm(m1, m2)
     t = l1.t + l2.t + 1
@@ -335,7 +328,7 @@ def _build(node: PlanNode, built: dict):
         if node.kind not in COUNTED_LEAVES:
             return out, None
     elif isinstance(node, (Juxtapose, Kronecker)):
-        engine = juxtapose if isinstance(node, Juxtapose) else _kronecker
+        engine = juxtapose if isinstance(node, Juxtapose) else kronecker
         out = engine(_as_large_set(node.left, built), _as_large_set(node.right, built))
     else:
         raise TypeError(f"unknown plan node {node!r}")
@@ -449,14 +442,24 @@ def _dev_node(v: int, cols: int) -> PlanNode:
     return Expand(Project(base, tuple(keep[:cols])))
 
 
+def _power(base: int, exp: int) -> int:
+    """base ** exp, which divides the rows of a recipe's output, or, before
+    it is computed, a SizeCapError if it alone passes the Kronecker output's
+    cap of cells."""
+    cap = (MAX_MATERIALIZED * 8).bit_length() - 1  # the cap is 2^cap cells
+    if exp * (base.bit_length() - 1) > cap:
+        raise SizeCapError(f"output of over 2^{cap} cells too large to materialize")
+    return base**exp
+
+
 def _binary(n: int, k: int, b: int, theorem: str, name: str):
     """The binary large set of strength b on k columns (the recipe's parameter
     `name`), checked against n, as (node, N, M, b)."""
     if b == 2:
-        _check(n <= k <= 2**n - 1, theorem, f"n <= {name} <= 2^n - 1")
-        return Expand(leaf("sylvester2", n=n, k=k)), 2**n, 2 ** (k - n), 2
-    _check(n + 1 <= k <= 2**n, theorem, f"n + 1 <= {name} <= 2^n")
-    return Expand(leaf("sylvester3", n=n, k=k)), 2 ** (n + 1), 2 ** (k - n - 1), 3
+        _check(n <= k <= _power(2, n) - 1, theorem, f"n <= {name} <= 2^n - 1")
+        return Expand(leaf("sylvester2", n=n, k=k)), _power(2, n), _power(2, k - n), 2
+    _check(n + 1 <= k <= _power(2, n), theorem, f"n + 1 <= {name} <= 2^n")
+    return Expand(leaf("sylvester3", n=n, k=k)), _power(2, n + 1), _power(2, k - n - 1), 3
 
 
 def parse_params(text: str) -> dict[str, int]:
@@ -466,6 +469,8 @@ def parse_params(text: str) -> dict[str, int]:
         key, _, value = (x.strip() for x in part.partition("="))
         if not key or not value.removeprefix("-").isdecimal():
             raise ConstraintError(f"bad parameter {part!r}")
+        if key in out:
+            raise ConstraintError(f"parameter {key!r} given twice")
         out[key] = int(value)
     return out
 
@@ -486,9 +491,9 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(v >= 4 and v % 4 != 2, theorem, "v >= 4 and v != 2 (mod 4)")
         _check(5 <= k <= 28, theorem, "5 <= k <= 13 (cube) or 14 <= k <= 28")
         left = Kronecker(leaf("cosets", v=v, k=k - 2), _dev_node(v, k if k <= 13 else k + 1))
-        power = k + 1 if k <= 13 else k + 2
+        rows = _power(v, k + 1 if k <= 13 else k + 2)
         width = 2 * k - 2 if k <= 13 else 2 * k - 1
-        return ConstructionPlan(left, Claim(v**power, _counts([(v, width)]), 4), theorem)
+        return ConstructionPlan(left, Claim(rows, _counts([(v, width)]), 4), theorem)
 
     if theorem == "doublev3-2":
         p = _need(p, ["v", "k"], theorem)
@@ -496,8 +501,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(v >= 4 and v % 4 != 2, theorem, "v >= 4 and v != 2 (mod 4)")
         _check(5 <= k <= 29, theorem, "5 <= k <= 13 (cube) or 14 <= k <= 29")
         node = Kronecker(_dev_node(v, k), _dev_node(v, k))
-        power = k + 3 if k <= 13 else k + 4
-        return ConstructionPlan(node, Claim(v**power, _counts([(v, 2 * k)]), 5), theorem)
+        rows = _power(v, k + 3 if k <= 13 else k + 4)
+        return ConstructionPlan(node, Claim(rows, _counts([(v, 2 * k)]), 5), theorem)
 
     if theorem == "v1+q4-3":
         p = _need(p, ["v", "k1", "q", "k2"], theorem)
@@ -506,8 +511,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(_is_prime_power(q) and q >= 3, theorem, "q a prime power >= 3")
         _check(4 <= k2 <= q * q + 1, theorem, "4 <= k2 <= q^2 + 1")
         node = Kronecker(leaf("cosets", v=v, k=k1 - 2), Expand(leaf("q4t3", q=q, k=k2)))
-        h = lcm(v ** (k1 - 3), q ** (k2 - 4))
-        claim = Claim(v * q**4 * h, _counts([(v, k1 - 2), (q, k2)]), 5)
+        h = lcm(_power(v, k1 - 3), _power(q, k2 - 4))
+        claim = Claim(v * _power(q, 4) * h, _counts([(v, k1 - 2), (q, k2)]), 5)
         return ConstructionPlan(node, claim, theorem)
 
     if theorem == "v12n-4":
@@ -516,7 +521,7 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(v >= 2 and k1 >= 3, theorem, "v >= 2 and k1 >= 3")
         _check(n >= 2 and b in (2, 3), theorem, "n >= 2 and b in {2, 3}")
         binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
-        h = lcm(v ** (k1 - 3), m2)
+        h = lcm(_power(v, k1 - 3), m2)
         claim = Claim(n2 * v * h, _counts([(v, k1 - 2), (2, k2)]), t2 + 2)
         node = Kronecker(leaf("cosets", v=v, k=k1 - 2), binary)
         return ConstructionPlan(node, claim, theorem)
@@ -525,12 +530,12 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         p = _need(p, ["q", "m", "k1", "n", "k2"], theorem, {"b": 2})
         q, m, k1, n, k2, b = p["q"], p["m"], p["k1"], p["n"], p["k2"], p["b"]
         _check(_is_prime_power(q), theorem, "q a prime power")
-        _check(2 <= m <= k1 <= (q**m - 1) // (q - 1), theorem,
+        _check(2 <= m <= k1 <= (_power(q, m) - 1) // (q - 1), theorem,
                "2 <= m <= k1 <= (q^m - 1)/(q - 1)")
         _check(n >= 2 and b in (2, 3), theorem, "n >= 2 and b in {2, 3}")
         binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
-        h = lcm(q ** (k1 - m), m2)
-        claim = Claim(n2 * q**m * h, _counts([(q, k1), (2, k2)]), t2 + 3)
+        h = lcm(_power(q, k1 - m), m2)
+        claim = Claim(n2 * _power(q, m) * h, _counts([(q, k1), (2, k2)]), t2 + 3)
         node = Kronecker(Expand(leaf("projective", q=q, n=m, k=k1)), binary)
         return ConstructionPlan(node, claim, theorem)
 
@@ -538,14 +543,14 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         p = _need(p, ["q", "m", "k1", "v", "k2"], theorem, {"w": 3})
         q, m, k1, v, k2, w = p["q"], p["m"], p["k1"], p["v"], p["k2"], p["w"]
         _check(_is_prime_power(q), theorem, "q a prime power")
-        _check(2 <= m <= k1 <= (q**m - 1) // (q - 1), theorem,
+        _check(2 <= m <= k1 <= (_power(q, m) - 1) // (q - 1), theorem,
                "2 <= m <= k1 <= (q^m - 1)/(q - 1)")
         _check(v >= 4 and v % 4 != 2, theorem, "v >= 4 and v != 2 (mod 4)")
         _check(w in (3, 4), theorem, "w in {3, 4}")
         top = 13 if w == 3 else 29
         _check(4 <= k2 <= top, theorem, f"4 <= k2 <= {top}")
-        h = lcm(q ** (k1 - m), v ** (k2 - w))
-        claim = Claim(q**m * v**w * h, _counts([(q, k1), (v, k2)]), 5)
+        h = lcm(_power(q, k1 - m), _power(v, k2 - w))
+        claim = Claim(_power(q, m) * _power(v, w) * h, _counts([(q, k1), (v, k2)]), 5)
         node = Kronecker(
             Expand(leaf("projective", q=q, n=m, k=k1)),
             _dev_node(v, k2) if w == 3 else Expand(
@@ -561,10 +566,10 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(_is_prime_power(pp) and pp >= 3, theorem, "p a prime power >= 3")
         _check(_is_prime_power(q) and q >= 3, theorem, "q a prime power >= 3")
         _check(4 <= k1 <= pp * pp + 1, theorem, "4 <= k1 <= p^2 + 1")
-        _check(2 <= n <= k2 <= (q**n - 1) // (q - 1), theorem,
+        _check(2 <= n <= k2 <= (_power(q, n) - 1) // (q - 1), theorem,
                "2 <= n <= k2 <= (q^n - 1)/(q - 1)")
-        h = lcm(pp ** (k1 - 4), q ** (k2 - n))
-        claim = Claim(pp**4 * q**n * h, _counts([(pp, k1), (q, k2)]), 6)
+        h = lcm(_power(pp, k1 - 4), _power(q, k2 - n))
+        claim = Claim(_power(pp, 4) * _power(q, n) * h, _counts([(pp, k1), (q, k2)]), 6)
         node = Kronecker(
             Expand(leaf("q4t3", q=pp, k=k1)),
             Expand(leaf("projective", q=q, n=n, k=k2)),
@@ -578,8 +583,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(_is_prime_power(q) and q >= 3, theorem, "q a prime power >= 3")
         _check(4 <= k1 <= pp * pp + 1, theorem, "4 <= k1 <= p^2 + 1")
         _check(3 <= k2 <= q + 1, theorem, "3 <= k2 <= q + 1")
-        h = lcm(pp ** (k1 - 4), q ** (k2 - 3))
-        claim = Claim(pp**4 * q**3 * h, _counts([(pp, k1), (q, k2)]), 7)
+        h = lcm(_power(pp, k1 - 4), _power(q, k2 - 3))
+        claim = Claim(_power(pp, 4) * _power(q, 3) * h, _counts([(pp, k1), (q, k2)]), 7)
         node = Kronecker(
             Expand(leaf("q4t3", q=pp, k=k1)),
             Expand(leaf("bush", q=q, t=3, k=k2)),
@@ -593,8 +598,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(3 <= k1 <= q + 2, theorem, "3 <= k1 <= q + 2")
         _check(n >= 2 and b in (2, 3), theorem, "n >= 2 and b in {2, 3}")
         binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
-        h = lcm(q ** (k1 - 3), m2)
-        claim = Claim(n2 * q**3 * h, _counts([(q, k1), (2, k2)]), t2 + 4)
+        h = lcm(_power(q, k1 - 3), m2)
+        claim = Claim(n2 * _power(q, 3) * h, _counts([(q, k1), (2, k2)]), t2 + 4)
         node = Kronecker(Expand(leaf("bush", q=q, t=3, k=k1)), binary)
         return ConstructionPlan(node, claim, theorem)
 
@@ -604,8 +609,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(s >= 2 and t >= 2, theorem, "s >= 2 and t >= 2")
         _check(_is_prime_power(q) and q >= 3, theorem, "q a prime power >= 3")
         _check(4 <= k <= q * q + 1, theorem, "4 <= k <= q^2 + 1")
-        h = lcm(s, q ** (k - 4))
-        claim = Claim(q**4 * s ** (t - 1) * h, _counts([(q, k), (s, t)]), t + 3)
+        h = lcm(s, _power(q, k - 4))
+        claim = Claim(_power(q, 4) * _power(s, t - 1) * h, _counts([(q, k), (s, t)]), t + 3)
         node = Kronecker(
             Expand(leaf("zerosum", s=s, t=t - 1)),
             Expand(leaf("q4t3", q=q, k=k)),
@@ -623,8 +628,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         else:
             level_part = Expand(leaf("bush", q=q, t=t, k=k1))
         binary, n2, m2, t2 = _binary(n, k2, b, theorem, "k2")
-        h = lcm(q ** (k1 - t), m2)
-        claim = Claim(n2 * q**t * h, _counts([(q, k1), (2, k2)]), t + t2 + 1)
+        h = lcm(_power(q, k1 - t), m2)
+        claim = Claim(n2 * _power(q, t) * h, _counts([(q, k1), (2, k2)]), t + t2 + 1)
         node = Kronecker(level_part, binary)
         return ConstructionPlan(node, claim, theorem)
 
@@ -635,7 +640,7 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(b in (2, 3), theorem, "b in {2, 3}")
         binary, n2, m2, t2 = _binary(n, k1, b, theorem, "k1")
         h = lcm(s, m2)
-        claim = Claim(n2 * s ** (t - 1) * h, _counts([(2, k1), (s, t)]), t + t2)
+        claim = Claim(n2 * _power(s, t - 1) * h, _counts([(2, k1), (s, t)]), t + t2)
         node = Kronecker(Expand(leaf("zerosum", s=s, t=t - 1)), binary)
         return ConstructionPlan(node, claim, theorem)
 
@@ -646,8 +651,8 @@ def plan_theorem(theorem: str, params: dict) -> ConstructionPlan:
         _check(_is_prime_power(q) and q >= 3, theorem, "q a prime power >= 3")
         _check(4 <= k1 <= pp * pp + 1, theorem, "4 <= k1 <= p^2 + 1")
         _check(2 <= t <= k2 <= q + 1, theorem, "2 <= t <= k2 <= q + 1")
-        h = lcm(pp ** (k1 - 4), q ** (k2 - t))
-        claim = Claim(pp**4 * q**t * h, _counts([(pp, k1), (q, k2)]), t + 4)
+        h = lcm(_power(pp, k1 - 4), _power(q, k2 - t))
+        claim = Claim(_power(pp, 4) * _power(q, t) * h, _counts([(pp, k1), (q, k2)]), t + 4)
         node = Kronecker(
             Expand(leaf("q4t3", q=pp, k=k1)),
             Expand(leaf("bush", q=q, t=t, k=k2)),

@@ -19,24 +19,26 @@ Every ParseError names its line.
 A header's t must lie in [0, k]; the writers refuse an object whose t does
 not (or is None) before they open the file.
 
-Rows are read in one of three ways with the same result.  A file that is
-exactly what the writers emit for an object whose symbols are all single
-digits and whose members share one header has a fixed layout: the header,
-N rows of 2k bytes, one blank line.  Its members are decoded a chunk at a
-time (a member of more than a chunk, a chunk of rows at a time) as 2-byte
-(symbol, separator) records, one subtraction and one comparison per symbol
-checking every byte against that layout (`_read_records`).  A file of more
-than one chunk is read that way a chunk at a time into one reused buffer,
-so its bytes are never held whole.  The rest of the file from the first
-chunk that fails the check, or any other file, is read whole and indexed
-by lines (`read_utf8`'s CR and UTF-8 handling applies to that part only).
-There one decoder (`_decode`) takes a chunk of whole members, or of the
-rows of a member of more than a chunk, and checks each line directly: a
-row is k tokens joined by single spaces and ended by LF, each 1 to `width`
-ASCII digits (as many as its column's largest symbol has) and below its
-level; a header is the writers' header, its t its own digits; a blank
-line is empty.  The member of the first line that fails goes line by line,
-where every ParseError comes from, and the decoder starts again after it.
+Every text, a file's or a string's, is read by one function over a binary
+file (`_read`).  Text that is exactly what the writers emit for an object
+whose symbols are all single digits and whose members share one header has
+a fixed layout: the header, N rows of 2k bytes, one blank line.  Its members
+are read a chunk (or one member of more than a chunk) at a time into one
+reused buffer, and decoded a chunk of rows at a time as 2-byte (symbol,
+separator) records, one subtraction and one comparison per symbol checking
+every byte against that layout (`_read_records`).  From the first chunk
+that fails the check, only the rest of the file is read, and indexed by
+lines; any other text is read whole and indexed by lines.  Either gets
+`read_utf8`'s CR and UTF-8 handling first; a whole text whose bytes that
+changes is read again from the changed bytes, so that a CR LF file of
+single digits still goes to `_read_records`.  There one decoder
+(`_decode`) takes a chunk of whole members, or of the rows of a member of
+more than a chunk, and checks each line directly: a row is k tokens joined
+by single spaces and ended by LF, each 1 to `width` ASCII digits (as many
+as its column's largest symbol has) and below its level; a header is the
+writers' header, its t its own digits; a blank line is empty.  The member
+of the first line that fails goes line by line, where every ParseError
+comes from, and the decoder starts again after it.
 
 The writers emit a chunk of about CHUNK_CELLS symbols at a time: whole
 members from one template, or a member of more than a chunk as its header,
@@ -59,7 +61,6 @@ import stat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .arrays import LargeSet, LevelProfile, SymbolMatrix
 from .errors import ParseError
@@ -75,19 +76,17 @@ def _members_per_chunk(n: int, k: int) -> int:
 
 
 class _Lines:
-    """The lines of a UTF-8 buffer from byte `start` on, where line `base`
-    (0-based) begins, located by one vectorised search for LF; `before` is
-    how many bytes of the file come before the buffer.
+    """The lines of a UTF-8 buffer whose first is line `base` (0-based) of
+    the file, located by one vectorised search for LF; `before` is how many
+    bytes of the file come before the buffer.
 
     A line is decoded only when read on its own; numbers are 1-based."""
 
-    def __init__(self, data: bytes, start: int = 0, base: int = 0, before: int = 0):
+    def __init__(self, data: bytes, base: int = 0, before: int = 0):
         self.data, self.size = data, before + len(data)  # the file's length in bytes
         # line i (0-based) is data[bounds[i - base] + 1 : bounds[i - base + 1]], without its LF
-        newlines = np.flatnonzero(np.frombuffer(data, np.uint8, offset=start) == ord("\n"))
-        if start:  # in place, so a whole-file index costs what it did with no offset
-            newlines += start
-        self.bounds = np.concatenate(([start - 1], newlines, [len(data)]))
+        newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+        self.bounds = np.concatenate(([-1], newlines, [len(data)]))
         self.base = self.pos = base
 
     def __len__(self) -> int:
@@ -450,7 +449,7 @@ class _Form(NamedTuple):
 
     @property
     def step(self) -> int:
-        """The members decoded at once."""
+        """The members read at once."""
         return _members_per_chunk(self.n, self.profile.k)
 
 
@@ -495,26 +494,31 @@ def _records(n: int, profile: LevelProfile) -> tuple[np.ndarray, np.ndarray | in
     return zero, tops
 
 
-def _read_records(form: _Form, chunks) -> tuple[LevelProfile, np.ndarray, list[int]] | None:
+def _read_records(form: _Form, f) -> tuple[LevelProfile, np.ndarray, list[int]] | None:
     """The profile, (M, N, k) array and member t's of the text laid out as
-    `form`, decoded a chunk of members at a time, or a chunk of rows at a
-    time for a member of more than a chunk: the members before the first
-    chunk that is not exactly the writers' text, or None if it is the first.
-    chunks(lo, c) gives members lo .. lo + c - 1 as a (c, size - 1) byte
-    array and the blank lines after them as bytes (none after the last
-    member), or None if the file ends before them."""
-    n, profile, h, m = form.n, form.profile, len(form.header), form.m
+    `form` in the binary file `f`, read a chunk of members at a time into
+    one reused buffer and decoded a chunk of rows at a time: the members
+    before the first chunk that is not exactly the writers' text, or that
+    the file ends in, or None if it is the first."""
+    n, profile, h, m, size = form.n, form.profile, len(form.header), form.m, form.size
     rows = max(1, min(n, CHUNK_CELLS // profile.k))  # rows checked at once
     zero, tops = _records(rows, profile)
     header = np.frombuffer(form.header, dtype=np.uint8)
     cells = np.empty((m, n * profile.k), dtype=profile.dtype)
-    lo, step = 0, form.step
+    lo, step = 0, min(m, form.step)
+    buf = bytearray(step * size)  # members, each with the blank line after it
+    grid = np.frombuffer(buf, dtype=np.uint8).reshape(step, size)
     # the whole 2-byte differences, whose high byte checks the separator, are
     # checked here before their symbols are copied into the cells
-    records = np.empty((min(step, m), len(zero)), dtype=np.uint16)
-    while lo < m and (chunk := chunks(lo, min(step, m - lo))) is not None:
-        members, blanks = chunk
-        text, c = members[:, h:].view("<u2"), len(members)
+    records = np.empty((step, len(zero)), dtype=np.uint16)
+    f.seek(form.start)
+    while lo < m:
+        c = min(step, m - lo)
+        last = lo + c == m  # no blank line after the last member
+        if f.readinto(memoryview(buf)[:c * size - last]) != c * size - last:
+            break
+        members, blanks = grid[:c, :-1], grid[:c - last, -1]
+        text = members[:, h:].view("<u2")
         ok = True
         for a in range(0, text.shape[1], len(zero)):  # a chunk of rows at a time
             w = min(len(zero), text.shape[1] - a)
@@ -530,14 +534,6 @@ def _read_records(form: _Form, chunks) -> tuple[LevelProfile, np.ndarray, list[i
     return (profile, cells.reshape(m, n, profile.k), [form.t] * lo) if lo else None
 
 
-def _memory_chunks(data: bytes, form: _Form):
-    """The chunks of `data` for `_read_records`, as views of its bytes."""
-    body = np.frombuffer(data, dtype=np.uint8, offset=form.start)
-    members = as_strided(body, (form.m, form.size - 1), (form.size, 1), writeable=False)
-    blanks = body[form.size - 1::form.size]
-    return lambda lo, c: (members[lo:lo + c], blanks[lo:lo + c])
-
-
 def _finish(read, loa: bool, lines: _Lines | None = None) -> SymbolMatrix | LargeSet:
     """The object of a read (profile, cells, member t's); with `lines`, only
     blank and comment lines may be left in them."""
@@ -550,31 +546,27 @@ def _finish(read, loa: bool, lines: _Lines | None = None) -> SymbolMatrix | Larg
     return SymbolMatrix._trusted(profile, cells[0], member_t[0])
 
 
-def _resume(data: bytes, at: int, read, raw: bool = False) -> LargeSet:
-    """The large set whose first members are in `read`, the rest parsed by
-    lines from byte `at` of the file, the LF of the blank line before the
-    first member not read.  `data` is the file's text or, if `raw`, its bytes
-    from `at` on as read, which get `read_utf8`'s CR and UTF-8 handling."""
-    profile, cells, member_t = read
-    base = len(member_t) * (cells.shape[1] + 2)
-    lines = _Lines(_utf8(data, base), 0, base, at) if raw else _Lines(data, at, base)
-    return _finish(_parse_blocks(lines, len(cells), read), True, lines)
-
-
-def _load(data: bytes, raw: bool = False) -> SymbolMatrix | LargeSet:
-    """The object whose text `data` is: the members `_read_records` takes,
-    the rest by lines.  `raw` bytes are a file's as read, whose part not
-    taken gets `read_utf8`'s CR and UTF-8 handling first."""
-    form = _form(data, len(data))
-    read = form and _read_records(form, _memory_chunks(data, form))
-    if read:
-        taken = len(read[2])
-        if taken == form.m:
-            return _finish(read, form.loa)
-        at = form.start - 1 + taken * form.size
-        return _resume(data[at:], at, read, raw=True) if raw else _resume(data, at, read)
-    if raw and (clean := _utf8(data)) is not data:
-        return _load(clean)
+def _read(f, size: int) -> SymbolMatrix | LargeSet:
+    """The object whose text is the binary file `f` of `size` bytes.  Text
+    in single-digit writer form goes to `_read_records`; from the first
+    chunk it declines, only the rest of the file is read, and parsed by
+    lines.  Any other text, or a file that goes on after its last member,
+    is read whole, and read again from its bytes if `_utf8` changed them."""
+    form = _form(f.read(HEAD_BYTES), size)
+    read = form and _read_records(form, f)
+    taken = len(read[2]) if read else 0
+    if 0 < taken < form.m:
+        base = taken * (form.n + 2)  # the blank line before the first member not taken
+        at = form.start - 1 + taken * form.size  # and its LF
+        f.seek(at)
+        lines = _Lines(_utf8(f.read(), base), base, at)
+        return _finish(_parse_blocks(lines, form.m, read), True, lines)
+    if taken and not f.read(1):
+        return _finish(read, form.loa)
+    f.seek(0)
+    data = f.read()
+    if (clean := _utf8(data)) is not data:
+        return _read(io.BytesIO(clean), len(clean))
     lines = _Lines(data)
     first = lines.next_content()
     if first is None:
@@ -590,7 +582,8 @@ def _load(data: bytes, raw: bool = False) -> SymbolMatrix | LargeSet:
 
 
 def loads(text: str) -> SymbolMatrix | LargeSet:
-    return _load(text.encode("utf-8"))
+    data = text.encode("utf-8")
+    return _read(io.BytesIO(data), len(data))
 
 
 def _writable(obj: SymbolMatrix | LargeSet) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -647,48 +640,15 @@ def read_utf8(path) -> bytes:
         return _utf8(f.read())
 
 
-def _stream(f, form: _Form) -> SymbolMatrix | LargeSet:
-    """The object in the open file `f` laid out as `form`, its members read a
-    chunk at a time into one reused buffer.  From the first chunk the
-    decoder declines on, only the rest of the file is read, and parsed by
-    lines; the whole file is, if that is the first chunk or if the file goes
-    on after its last member."""
-    m, size = form.m, form.size
-    buf = bytearray(min(m, form.step) * size)
-    grid = np.frombuffer(buf, dtype=np.uint8).reshape(-1, size)
-    f.seek(form.start)
-
-    def chunks(lo, c):
-        last = lo + c == m  # no blank line after the last member
-        if f.readinto(memoryview(buf)[:c * size - last]) != c * size - last:
-            return None
-        return grid[:c, :-1], grid[:c - last, -1]
-
-    read = _read_records(form, chunks)
-    taken = len(read[2]) if read else 0
-    if 0 < taken < m:
-        at = form.start - 1 + taken * size
-        f.seek(at)
-        return _resume(f.read(), at, read, raw=True)
-    if taken and not f.read(1):
-        return _finish(read, form.loa)
-    f.seek(0)
-    return _load(f.read(), raw=True)
-
-
 def read_array(path) -> SymbolMatrix | LargeSet:
-    """The array or large set in the file `path`.  A regular file of
-    single-digit writer text longer than one chunk is read a chunk at a time
-    (`_stream`); any other file is read whole."""
+    """The array or large set in the file `path`: a regular file is read
+    through `_read` as it is, any other (a pipe) whole first."""
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
-        # a file of at most 2 CHUNK_CELLS bytes holds at most one chunk's symbols
-        if stat.S_ISREG(info.st_mode) and info.st_size > 2 * CHUNK_CELLS:
-            form = _form(f.read(HEAD_BYTES), info.st_size)
-            if form is not None and form.m > form.step:
-                return _stream(f, form)
-            f.seek(0)
-        return _load(f.read(), raw=True)
+        if stat.S_ISREG(info.st_mode):
+            return _read(f, info.st_size)
+        data = f.read()
+    return _read(io.BytesIO(data), len(data))
 
 
 def write_array(obj: SymbolMatrix | LargeSet, path) -> None:

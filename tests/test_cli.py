@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import signal
 import time
 from pathlib import Path
 
@@ -122,6 +123,37 @@ def test_compose_kronecker_cli(capsys, tmp_path):
     code, out = run(capsys, "compose", "kronecker", str(a), str(a),
                     "-o", str(out_file))
     assert code == 0 and "OA(32,2^6,5)" in out
+
+
+def test_compose_kronecker_counts_its_output_once_and_no_input(capsys, counts, tmp_path):
+    """The output's count at t1 + t2 + 1 proves it whatever the inputs are,
+    so neither input is counted as a large set."""
+    a = tmp_path / "a.loa"
+    assert run(capsys, "construct", "sylvester2", "--n", "2", "--k", "3",
+               "--expand", "-o", str(a))[0] == 0
+    counts.clear()
+    code, out = run(capsys, "compose", "kronecker", str(a), str(a), "-o", str(tmp_path / "k.oa"))
+    assert code == 0 and counts == [(1, 32, 6, 5)]
+
+
+def test_compose_kronecker_of_a_set_that_is_not_a_large_set_names_the_output_subsets(
+        capsys, tmp_path):
+    """Members whose column 1 is constant have no strength 1; the pairing's
+    output is refused with its own failing subsets, and nothing is written."""
+    profile = LevelProfile([2, 2])
+    bad = tmp_path / "bad.loa"
+    write_array(LargeSet(profile, [SymbolMatrix(profile, [[0, 0], [1, 0]], t=1),
+                                   SymbolMatrix(profile, [[0, 1], [1, 1]], t=1)], t=1), bad)
+    out_file = tmp_path / "k.oa"
+    code, out = run(capsys, "compose", "kronecker", str(bad), str(bad), "-o", str(out_file))
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and not out_file.exists()
+    assert records[-1]["kind"] == "VerificationError"
+    assert records[-1]["message"].startswith("Kronecker pairing failed its strength-3 check"
+                                             " on subsets [(")
+    failures = records[:-1]  # one record per failing tuple of the output
+    assert failures and all(r["kind"] == "count-imbalance" for r in failures)
+    assert str(tuple(failures[0]["columns"])) in records[-1]["message"]
 
 
 def test_theorem_cli(capsys, tmp_path):
@@ -516,7 +548,30 @@ CLI_ERRORS = [
     ("expand {dir} -o {out}", 2),
     ("compose juxtapose {dir} {loa} -o {out}", 2),
     ("theorem v1+v3-2 --params v=4,k=5 -o {dir}", 2),
+    # recipe outputs that cannot fit (refused before a power is computed), a level
+    # above 2^31, and a parameter given twice
+    ("theorem v1+v3-2 --params v=99999999999,k=5 -o {out}", 1),
+    ("theorem v1+q4-3 --params v=99999999999,k1=3,q=3,k2=4 -o {out}", 2),
+    ("theorem v12n-4 --params v=2,k1=20000,n=2,k2=3 -o {out}", 1),
+    ("theorem tt-1n2-3 --params s=2,t=99999,n=2,k1=3 -o {out}", 1),
+    ("theorem tt-1n2-3 --params s=3,t=100000000,n=2,k1=3 -o {out}", 1),
+    ("theorem v1+q4-3 --params v=3,k1=100000000,q=3,k2=4 -o {out}", 1),
+    ("theorem v1+q4-3 --params v=2,k1=3,q=4093,k2=16752650 -o {out}", 1),
+    ("theorem qn2n-com --params q=3,m=100000000,k1=100000000,n=2,k2=3 -o {out}", 1),
+    ("theorem v12n-4 --params v=2,k1=3,n=1000000000000,k2=1000000000000 -o {out}", 1),
+    ("theorem v1+v3-2 --params v=4,k=5,k=6 -o {out}", 2),
 ]
+
+CLI_TIME_BOUND = 5.0  # seconds of wall time a CLI_ERRORS row may run before it is stopped
+
+
+class _Expired(BaseException):
+    """Raised by SIGALRM in a row still running after CLI_TIME_BOUND; not an
+    Exception, so that no handler of the program catches it."""
+
+
+def _expire(signum, frame):
+    raise _Expired(f"still running after {CLI_TIME_BOUND} s")
 
 
 @pytest.mark.parametrize("argv, exit_code", [pytest.param(a, c, id=a) for a, c in CLI_ERRORS])
@@ -530,12 +585,19 @@ def test_linear_parameter_errors_are_usage_errors(capsys, counts, tmp_path, argv
     write_dm(field_dm(5, 3), dm3)
     out = tmp_path / "out.loa"
     counts.clear()  # those of building the inputs above
+    # a row that hangs is stopped by SIGALRM in this thread, which starts no
+    # thread or process
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, CLI_TIME_BOUND)
     start = time.perf_counter()
     try:
         code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out, dir=tmp_path)
                      for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert code == exit_code

@@ -447,14 +447,14 @@ def test_claim_above_the_engine_verdict_is_counted_and_rejected(counts):
 
 
 def test_wrong_pairing_is_rejected_through_execute_plan(monkeypatch):
-    engine = compose._kronecker
+    engine = compose.kronecker
 
     def member_zero_only(l1, l2):  # pair every member s with member 0 of l2
         zeros = LargeSet._stacked(l2.profile, np.repeat(l2.cells[:1], l2.m, axis=0),
                                   l2.member_t, l2.t)
         return engine(l1, zeros)
 
-    monkeypatch.setattr(compose, "_kronecker", member_zero_only)
+    monkeypatch.setattr(compose, "kronecker", member_zero_only)
     with pytest.raises(VerificationError, match="Kronecker pairing failed"):
         execute_plan(plan_theorem("v12n-4", {"v": 2, "k1": 4, "n": 2, "k2": 3}))
 

@@ -285,7 +285,7 @@ def random_objects(draw):
 
 PERTURBATIONS = ("spaces", "tab", "leading_zero", "plus", "comment", "blank",
                  "short_row", "out_of_range", "overlong", "joined_rows", "non_digit",
-                 "header_t_zero", "header_space", "header_n", "deleted_row")
+                 "header_t_zero", "header_space", "header_n", "deleted_row", "wide_token")
 
 
 def perturb(text, kind, draw):
@@ -333,6 +333,8 @@ def perturb(text, kind, draw):
         return "\n".join(lines)
     elif kind == "non_digit":
         fields[j] = draw(st.sampled_from([":", "1:", "\u0663", "1\x01"]))
+    elif kind == "wide_token":  # more digits than any column's width, ending in the symbol
+        fields[j] = "1" + fields[j].zfill(10)
     elif kind == "overlong":
         fields[j] = draw(st.sampled_from(["4294967296", "18446744073709551617",
                                           "00000000000000000001"]))
@@ -597,6 +599,26 @@ def test_a_header_after_the_first_chunk_is_bounded_by_the_whole_file(monkeypatch
     assert err.value.line == 30
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_whole_and_then_like_a_file(monkeypatch):
+    """Text from a pipe, which has no size to lay out, is read whole and
+    then read as a regular file is: single-digit writer text still goes to
+    the record decoder, a chunk of two members at a time."""
+    monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
+    lines = _Spy(formats._Lines)
+    monkeypatch.setattr(formats, "_Lines", lines)
+    read, write = os.pipe()
+    try:
+        os.write(write, STRIDE_TEXT.encode())  # far below a pipe's buffer
+        os.close(write)
+        back = read_array(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    expected = loads(STRIDE_TEXT)
+    assert back.t == expected.t and list(back.members) == list(expected.members)
+    assert lines.calls == 0
+
+
 def test_a_file_longer_than_it_was_when_opened_is_read_whole(monkeypatch, tmp_path):
     """A file that goes on after its last member (here, as if it grew after
     its size was taken) is read again whole and refused as it is."""
@@ -725,17 +747,19 @@ def test_single_digit_writer_text_is_read_without_the_line_reader(monkeypatch, t
     lines, slow = _Spy(formats._Lines), _Spy(formats._slow_rows)
     monkeypatch.setattr(formats, "_Lines", lines)
     monkeypatch.setattr(formats, "_slow_rows", slow)
-    back = read_array(path)
-    assert (lines.calls, slow.calls) == (0, 0)
-    assert back.t == 2 and list(back.members) == members
-    assert not back.cells.flags.writeable
+    for read in (lambda: read_array(path), lambda: loads(path.read_text())):
+        back = read()
+        assert (lines.calls, slow.calls) == (0, 0)
+        assert back.t == 2 and list(back.members) == members
+        assert not back.cells.flags.writeable
     text = path.read_text().split("\n")
     text[-2] = "0 2 6"  # a symbol equal to its level in the last row
     path.write_text("\n".join(text))
-    with pytest.raises(ParseError) as err:
-        read_array(path)
-    assert err.value.line == len(text) - 1
-    assert (lines.calls, slow.calls) == (1, 1)
+    for calls, read in enumerate((lambda: read_array(path), lambda: loads(path.read_text())), 1):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert err.value.line == len(text) - 1
+        assert (lines.calls, slow.calls) == (calls, calls)
 
 
 def test_multi_digit_text_is_written_and_read_a_chunk_at_a_time(monkeypatch):
@@ -922,10 +946,10 @@ def test_a_declined_chunk_is_read_again_from_its_first_member(monkeypatch, bad_m
 
 @pytest.mark.parametrize("bad_member", [0, 3, 6])
 def test_a_declined_chunk_indexes_only_the_lines_from_its_first_member(monkeypatch, bad_member):
-    """The line reader's index of LFs starts at the blank line before the
-    declined chunk's first member, numbered as that line of the file, so the
-    members the stride reader took are not indexed; a fault in the first
-    chunk leaves nothing taken, and the whole file is indexed."""
+    """The line reader is handed the text from the blank line before the
+    declined chunk's first member on, numbered as that line of the file, so
+    the members the record decoder took are not indexed; a fault in the
+    first chunk leaves nothing taken, and the whole file is indexed."""
     monkeypatch.setattr(formats, "CHUNK_CELLS", 12)  # two members a chunk
     profile = LevelProfile([3, 2, 12])
     lines = reference_dumps(LargeSet(profile, [
@@ -933,18 +957,17 @@ def test_a_declined_chunk_indexes_only_the_lines_from_its_first_member(monkeypat
     ], t=2)).split("\n")
     lines[4 * bad_member + 3] = "0 2 6"  # a symbol equal to its level in the member's last row
     text = "\n".join(lines)
-    indexed = []  # (first line, LFs before its first byte, lines indexed) per index
+    indexed = []  # (first line, text) per index
 
     class Spy(formats._Lines):
         def __init__(self, data, *args):
             super().__init__(data, *args)
-            indexed.append((self.base, data.count(b"\n", 0, self.bounds[0] + 1),
-                            len(self.bounds) - 1))
+            indexed.append((self.base, bytes(data)))
 
     monkeypatch.setattr(formats, "_Lines", Spy)
     same_result(text)  # the same ParseError line as the reference parser
     first = 4 * (bad_member // 2 * 2)  # the blank line before the chunk, or the LOA line
-    assert indexed == [(first, first, len(lines) - first)]
+    assert indexed == [(first, "\n".join(lines[first:]).encode())]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1003,8 +1026,10 @@ def test_cr_lf_and_cr_read_as_lf(tmp_path):
     for newline in ("\r\n", "\r"):
         path = tmp_path / "a.oa"
         path.write_bytes(text.replace("\n", newline).encode())
-        assert read_array(path) == loads(text)
-    path.write_bytes(b"OA N=2 t=1 levels=2^2\r\n0 1\r7 0\r\n")
-    with pytest.raises(ParseError) as err:
-        read_array(path)
-    assert err.value.line == 3
+        assert read_array(path) == loads(text) == loads(text.replace("\n", newline))
+    bad = "OA N=2 t=1 levels=2^2\r\n0 1\r7 0\r\n"
+    path.write_bytes(bad.encode())
+    for read in (lambda: read_array(path), lambda: loads(bad)):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert err.value.line == 3
