@@ -25,8 +25,9 @@ others are counted with member 0.
 An array of h blocks of row products P_s x Q_s, the output of the Kronecker
 pairing, is counted through its two factors where the walk would count it
 in blocks wider than t (see _product_strength): its cells are first
-compared with the products, then each side is counted block by block and as
-a union, on h * N1 and h * N2 rows instead of h * N1 * N2.  The block by
+compared, a chunk of blocks at a time, with the row products of P_s and Q_s
+read off its own first cells, then each side is counted block by block and
+as a union, on h * N1 and h * N2 rows instead of h * N1 * N2.  The block by
 block count takes the same certificate as a large set's members
 (_relabels): a block that is block 0 relabelled column by column has block
 0's verdict, so only block 0 and the blocks not certified are counted.
@@ -613,14 +614,16 @@ def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> Stre
     j of Q_s, P_s of N1 rows and k1 columns, Q_s of N2 rows and the rest.
 
     Where _by_factors holds, P_s and Q_s are read off a's first cells of each
-    block and every cell is compared with them; if one differs, or elsewhere,
-    a is counted by verify_strength.  Otherwise each side, as the stack of
-    its h blocks and as their union of h * N_X rows, is counted by the walk:
-    each[S] says every block's table on S is uniform, union[S] that the
-    union's is.  For each, the stack holds block 0 and only the blocks that
-    _relabels does not certify as block 0 with each column's symbols
-    permuted: a certified block's tables are block 0's relabelled, uniform
-    exactly where block 0's are.  A t-subset T = A + B (A on P's columns, B
+    block, and every cell is compared with them: a chunk of blocks' row
+    products, a row of P_s and of Q_s copied as one item each, is written
+    into one reused buffer and compared with a's chunk whole.  If a cell
+    differs, or elsewhere, a is counted by verify_strength.  Otherwise each
+    side, as the stack of its h blocks and as their union of h * N_X rows,
+    is counted by the walk: each[S] says every block's table on S is
+    uniform, union[S] that the union's is.  For each, the stack holds block
+    0 and only the blocks that _relabels does not certify as block 0 with
+    each column's symbols permuted: a certified block's tables are block
+    0's relabelled, uniform exactly where block 0's are.  A t-subset T = A + B (A on P's columns, B
     on Q's) has the table sum_s c_A,s(x) c_B,s(y), c the blocks' tables; if
     each[A], every c_A,s is N1 / s_A, so T's table is N1 / s_A times the
     union's on B and T is on exactly when union[B], and the same with the
@@ -636,11 +639,15 @@ def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> Stre
         return verify_strength(a, t)
     cells = a.cells.reshape(h, n1, n // (h * n1), k)
     p, q = np.ascontiguousarray(cells[:, :, 0, :k1]), np.ascontiguousarray(cells[:, 0, :, k1:])
-    per = max(1, CHUNK_TARGET_CELLS // (n // h * k))
+    per = min(h, max(1, CHUNK_TARGET_CELLS // (n // h * k)))
+    # a chunk of blocks' row products: an output row is the record of two np.void rows
+    products = np.empty((per, *cells.shape[1:]), dtype=cells.dtype)
+    rows = products.view([("p", f"V{p[0, 0].nbytes}"), ("q", f"V{q[0, 0].nbytes}")])[..., 0]
     for lo in range(0, h, per):
-        block = cells[lo:lo + per]
-        if not ((block[..., :k1] == p[lo:lo + per, :, None]).all()
-                and (block[..., k1:] == q[lo:lo + per, None]).all()):
+        m = min(per, h - lo)
+        rows["p"][:m] = p[lo:lo + m].view(rows.dtype["p"])
+        rows["q"][:m] = q[lo:lo + m].view(rows.dtype["q"])[..., 0][:, None]
+        if not np.array_equal(products[:m], cells[lo:lo + m]):
             return verify_strength(a, t)
     subsets, prods, parts = _product_plan(levels, k1, t)
     sides = [(stack, *part) for stack, part in zip((p, q), parts)]

@@ -126,9 +126,10 @@ def juxtapose(l1: LargeSet, l2: LargeSet) -> LargeSet:
 def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     """Union over s < lcm(M1, M2) of the row products of member (s mod M1)
     with member (s mod M2): an array on k1 + k2 columns with h * N1 * N2
-    rows and strength t1 + t2 + 1, verified at that t before returning.
-    That count proves the output whatever the inputs are, so the inputs are
-    not counted; a failure names the output's failing subsets."""
+    rows and strength t1 + t2 + 1, written a member row at a time and
+    verified at that t before returning.  That count proves the output
+    whatever the inputs are, so the inputs are not counted; a failure names
+    the output's failing subsets."""
     if l1.t is None or l2.t is None:
         raise ConstraintError("both large sets need a claimed strength")
     m1, m2 = l1.m, l2.m
@@ -139,11 +140,15 @@ def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     if n_out * (k1 + l2.profile.k) > MAX_MATERIALIZED * 8:
         raise SizeCapError(f"output with {n_out} rows too large to materialize")
     # block s holds row i of member s mod M1 beside row j of member s mod M2
-    # at row i * N2 + j; s mod M runs over h / M copies of range(M)
+    # at row i * N2 + j; s mod M runs over h / M copies of range(M).  A member
+    # row is one np.void item, an output row the record (p, q) of two
     profile = LevelProfile(l1.profile.levels + l2.profile.levels)
+    p, q = (np.ascontiguousarray(x.cells, dtype=profile.dtype)
+            .view(f"V{x.profile.k * profile.dtype.itemsize}")[..., 0] for x in (l1, l2))
     cells = np.empty((h, l1.n, l2.n, k1 + l2.profile.k), dtype=profile.dtype)
-    cells.reshape(h // m1, m1, l1.n, l2.n, -1)[..., :k1] = l1.cells[None, :, :, None, :]
-    cells.reshape(h // m2, m2, l1.n, l2.n, -1)[..., k1:] = l2.cells[None, :, None, :, :]
+    rows = cells.view([("p", p.dtype), ("q", q.dtype)])  # (h, N1, N2, 1), split before a field
+    rows.reshape(h // m1, m1, l1.n, l2.n)["p"][...] = p[None, :, :, None]
+    rows.reshape(h // m2, m2, l1.n, l2.n)["q"][...] = q[None, :, None, :]
     out = SymbolMatrix._trusted(profile, cells.reshape(n_out, -1), t)
     report = _product_strength(out, h, l1.n, k1, t)
     if not report.ok:
@@ -471,7 +476,10 @@ def parse_params(text: str) -> dict[str, int]:
             raise ConstraintError(f"bad parameter {part!r}")
         if key in out:
             raise ConstraintError(f"parameter {key!r} given twice")
-        out[key] = int(value)
+        try:
+            out[key] = int(value)
+        except ValueError:  # more digits than Python converts to an int
+            raise ConstraintError(f"parameter {key!r} has too many digits ({len(value)})") from None
     return out
 
 

@@ -744,3 +744,45 @@ def test_a_certified_block_is_not_counted_alone_but_stays_in_the_union(counts):
     assert counts == [(1, 2, 1, 1), (1, 12, 1, 1)]  # P's block 0, Q's union of 3 x 4 rows
     assert got.failures == verify_strength(a, 2).failures and not got.ok
     assert not brute_force_strength(a, 2).ok
+
+
+@pytest.mark.parametrize("levels", [(2, 3, 2, 3), (300, 2, 2, 3)], ids=["uint8", "int32"])
+@pytest.mark.parametrize("block", ["first", "last"])
+@pytest.mark.parametrize("column", [0, 3], ids=["P", "Q"])
+def test_a_changed_cell_in_the_last_chunk_of_blocks_fails_the_certificate(
+        monkeypatch, levels, block, column):
+    """40 blocks of 16 x 32 row products on 2 + 2 columns span two chunks of
+    32 blocks.  One cell at i > 0 and j > 0 of the first or last block of
+    the last, shorter chunk, in a P or a Q column, is changed: the product,
+    counted through its factors before, is then counted by verify_strength,
+    whose report it returns."""
+    import oaforge.arrays as arrays_mod
+
+    h, n1, n2, k1 = 40, 16, 32, 2
+    profile = LevelProfile(levels)
+    per = arrays_mod.CHUNK_TARGET_CELLS // (n1 * n2 * profile.k)
+    assert per < h < 2 * per
+    rng = np.random.default_rng(7)
+    p = rng.integers(0, levels[:k1], size=(h, n1, k1))
+    q = rng.integers(0, levels[k1:], size=(h, n2, profile.k - k1))
+    cells = np.concatenate([np.repeat(p, n2, axis=1).reshape(h, n1, n2, k1),
+                            np.tile(q, (1, n1, 1)).reshape(h, n1, n2, -1)], axis=3)
+    monkeypatch.setattr(arrays_mod, "_by_factors", lambda levels, t, n: True)
+    counted = []
+
+    def spy(a, t, **kwargs):
+        counted.append(a)
+        return verify_strength(a, t, **kwargs)
+
+    monkeypatch.setattr(arrays_mod, "verify_strength", spy)
+    arrays_mod._product_strength(SymbolMatrix(profile, cells.reshape(-1, profile.k)), h, n1, k1, 2)
+    assert counted == []  # unchanged, it is counted through its factors
+    s = per if block == "first" else h - 1
+    cells[s, 5, 7, column] = (cells[s, 5, 7, column] + 1) % levels[column]
+    a = SymbolMatrix(profile, cells.reshape(-1, profile.k))
+    assert a.cells.dtype == profile.dtype
+    got = arrays_mod._product_strength(a, h, n1, k1, 2)
+    want = verify_strength(a, 2)
+    assert len(counted) == 1 and counted[0] is a
+    assert got.failures == want.failures and got.checked_subsets == want.checked_subsets
+    assert got.lambda_by_subset == want.lambda_by_subset

@@ -560,6 +560,8 @@ CLI_ERRORS = [
     ("theorem qn2n-com --params q=3,m=100000000,k1=100000000,n=2,k2=3 -o {out}", 1),
     ("theorem v12n-4 --params v=2,k1=3,n=1000000000000,k2=1000000000000 -o {out}", 1),
     ("theorem v1+v3-2 --params v=4,k=5,k=6 -o {out}", 2),
+    # a parameter of more digits than Python converts to an int
+    ("theorem v1+v3-2 --params v={nines},k=5 -o {out}", 2),
 ]
 
 CLI_TIME_BOUND = 5.0  # seconds of wall time a CLI_ERRORS row may run before it is stopped
@@ -591,8 +593,8 @@ def test_linear_parameter_errors_are_usage_errors(capsys, counts, tmp_path, argv
     signal.setitimer(signal.ITIMER_REAL, CLI_TIME_BOUND)
     start = time.perf_counter()
     try:
-        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out, dir=tmp_path)
-                     for arg in argv.split()])
+        code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out, dir=tmp_path,
+                                nines="9" * 5000) for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     finally:

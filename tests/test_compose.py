@@ -336,20 +336,67 @@ def test_all_theorem_ids_have_runnable_smallest_instance():
         assert plan.claim.n >= 1
 
 
-def test_kronecker_fills_the_block_formula_rows():
-    # compose kronecker t4_640: block s is member s mod M1 (each row repeated
-    # N2 times) beside member s mod M2 (tiled N1 times), blocks stacked
-    l1 = cosets_strength1(LevelProfile([2] * 4))
-    l2 = fixture_loa("oa40_5e1_2e6")
+def _theorem_pairing(theorem, params):
+    """The inputs of the last Kronecker pairing a theorem plan makes."""
+    from unittest import mock
+
+    calls = []
+    engine = compose.kronecker
+
+    def spy(l1, l2):
+        calls.append((l1, l2))
+        return engine(l1, l2)
+
+    with mock.patch.object(compose, "kronecker", spy):
+        execute_plan(plan_theorem(theorem, params))
+    return calls[-1]
+
+
+KRONECKER_INPUTS = {
+    # compose kronecker t4_640
+    "t4_640": lambda: (cosets_strength1(LevelProfile([2] * 4)), fixture_loa("oa40_5e1_2e6")),
+    # M1 = 4, M2 = 3: h = 12 is above both, so a pairing on one M for both sides differs
+    "M1=4 M2=3": lambda: (cosets_strength1(LevelProfile([2] * 3)),
+                         cosets_strength1(LevelProfile([3, 3]))),
+    # a uint8 side beside an int32 side (300 levels), on either side
+    "uint8|int32": lambda: (cosets_strength1(LevelProfile([2] * 3)),
+                            cosets_strength1(LevelProfile([300]))),
+    "int32|uint8": lambda: (cosets_strength1(LevelProfile([300])),
+                            cosets_strength1(LevelProfile([3, 3]))),
+    # counted through its factors: 16,384 rows
+    "v1+v3-2 v=4,k=6": lambda: _theorem_pairing("v1+v3-2", {"v": 4, "k": 6}),
+}
+
+
+@pytest.mark.parametrize("case", KRONECKER_INPUTS)
+def test_kronecker_fills_the_block_formula_rows(case):
+    """Block s is member s mod M1 (each row repeated N2 times) beside member
+    s mod M2 (tiled N1 times), blocks stacked, against a nested-loop
+    reference; the cells are C-contiguous, read-only and in the profile's dtype."""
+    from math import lcm
+
+    from oaforge.arrays import _by_factors
+
+    l1, l2 = KRONECKER_INPUTS[case]()
     out = kronecker(l1, l2)
-    h = np.lcm(l1.m, l2.m)
-    expected = np.vstack([
-        np.hstack([np.repeat(l1.cells[s % l1.m], l2.n, axis=0),
-                   np.tile(l2.cells[s % l2.m], (l1.n, 1))])
-        for s in range(h)])
-    assert out.n == 640
-    assert out.cells.dtype == out.profile.dtype == np.uint8 and not out.cells.flags.writeable
+    h = lcm(l1.m, l2.m)
+    expected = np.zeros((h * l1.n * l2.n, l1.profile.k + l2.profile.k), dtype=np.int64)
+    for s in range(h):
+        for i in range(l1.n):
+            for j in range(l2.n):
+                row = (s * l1.n + i) * l2.n + j
+                expected[row, :l1.profile.k] = l1.cells[s % l1.m, i]
+                expected[row, l1.profile.k:] = l2.cells[s % l2.m, j]
+    assert out.n == len(expected) and out.profile.levels == l1.profile.levels + l2.profile.levels
+    assert out.cells.dtype == out.profile.dtype == (
+        np.int32 if max(out.profile.levels) > 256 else np.uint8)
+    assert out.cells.flags.c_contiguous and not out.cells.flags.writeable
     assert np.array_equal(out.cells, expected)
+    assert _by_factors(out.profile.levels, out.t, out.n) == (case == "v1+v3-2 v=4,k=6")
+    if case == "t4_640":
+        assert out.n == 640
+    if case == "M1=4 M2=3":
+        assert (l1.m, l2.m, h) == (4, 3, 12)
 
 
 # every count of the plan: the inputs', then each side's block 0 (the other
