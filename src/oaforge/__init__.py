@@ -8,7 +8,6 @@ from .arrays import (
     SymbolMatrix,
     brute_force_strength,
     full_factorial,
-    lambda_of,
     project_columns,
     verify_large_set,
     verify_simple,
@@ -17,7 +16,6 @@ from .arrays import (
 from .expand import (
     ResolvableProjection,
     check_resolvable_projection,
-    expand_full_strength,
     expand_shift,
     find_resolvable_projection,
 )
@@ -33,12 +31,10 @@ __all__ = [
     "SymbolMatrix",
     "brute_force_strength",
     "check_resolvable_projection",
-    "expand_full_strength",
     "expand_shift",
     "find_irreducible",
     "find_resolvable_projection",
     "full_factorial",
-    "lambda_of",
     "make_field",
     "project_columns",
     "read_array",

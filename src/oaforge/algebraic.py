@@ -100,29 +100,6 @@ def _self_check(a: SymbolMatrix, t: int, lead: int):
 # -- linear algebra over a field ----------------------------------------------
 
 
-def field_rank(field: Field, vectors) -> int:
-    """Rank of a list of equal-length column vectors over the field."""
-    rows = [list(v) for v in zip(*vectors)]  # to row-major
-    n_cols = len(vectors)
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def field_det(field: Field, matrix) -> int:
     """Determinant of a square matrix (list of rows) over the field."""
     m = [list(row) for row in matrix]
@@ -150,7 +127,9 @@ def field_det(field: Field, matrix) -> int:
 def _check_work(q: int, m: int, l: int, t: int | None = None):
     """Refuse q^m rows times l columns (the row table) or, given t, times
     C(l, t) subsets (the --budget unit) above LINEAR_WORK_CAP, before any of
-    it is built.  Once m reaches the cap's bit length, q^m alone is over it."""
+    it is built.  The builders' q^m x l charge also bounds the Python
+    enumeration of their l columns, which runs before linear_oa's.  Once m
+    reaches the cap's bit length, q^m alone is over it."""
     width, what = (l, f"{l} columns") if t is None else (comb(l, t), f"C({l},{t}) subsets")
     if m >= LINEAR_WORK_CAP.bit_length():
         need = f"{q}^{m} rows"
@@ -168,8 +147,8 @@ def _check_work(q: int, m: int, l: int, t: int | None = None):
 class GeneratorColumns:
     """l column vectors in F_q^m, claimed any t independent and some m
     spanning.  Construction checks the vectors and the q^m x l size, but
-    builds and counts nothing: linear_oa proves the k columns it emits, and
-    verify_generator_columns counts all l on demand."""
+    builds and counts nothing: linear_oa proves the k columns it emits (all
+    l when k = l) by counting the rows it builds through `cells`."""
 
     field: Field
     m: int
@@ -196,27 +175,6 @@ class GeneratorColumns:
             cells = add[mul[:, mat[i]][:, None], cells].reshape(-1, mat.shape[1])
         cells.setflags(write=False)
         return cells
-
-    @cached_property
-    def dependent_subset(self) -> tuple[int, ...] | None:
-        """First dependent t-subset in colex order, or None.  The rows x . M
-        have strength t exactly when any t columns of M are independent
-        (Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 3)."""
-        l = len(self.columns)
-        if self.t > l:
-            return None
-        if self.t > self.m:  # more than m vectors of F_q^m are dependent
-            return tuple(range(self.t))
-        _check_work(self.field.q, self.m, l, self.t)
-        a = SymbolMatrix(LevelProfile([self.field.q] * l), self.cells)
-        report = verify_strength(a, self.t, fail_fast=True)
-        return report.failures[0].columns if report.failures else None
-
-
-def verify_generator_columns(gc: GeneratorColumns) -> tuple[int, ...] | None:
-    """First dependent t-subset of all l columns in colex order, or None when
-    all are independent (one exhaustive count, cached on gc)."""
-    return gc.dependent_subset
 
 
 def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:

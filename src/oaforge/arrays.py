@@ -31,10 +31,11 @@ as a union, on h * N1 and h * N2 rows instead of h * N1 * N2.  The block by
 block count takes the same certificate as a large set's members
 (_relabels): a block that is block 0 relabelled column by column has block
 0's verdict, so only block 0 and the blocks not certified are counted.
-A large set's union is checked for repeated rows by one occupancy pass over
-its row codes, a chunk at a time; when M * N fills the universe, marking a
-boolean map of it and finding every slot marked proves the union
-repeat-free (see _smallest_repeat).
+Repeated rows are found by one occupancy pass over the row codes, a chunk
+at a time (see _smallest_repeat); when the rows fill the universe, marking
+a boolean map of it and finding every slot marked proves them repeat-free.
+It has two callers: a large set's union of M * N rows, and
+expand.check_resolvable_projection's N rows projected onto a universe of N.
 brute_force_strength re-counts with deliberately naive nested loops and
 shares no kernels with the fast path; it is the oracle the fast path is
 tested against.
@@ -55,6 +56,7 @@ import numpy as np
 from .errors import BudgetExceededError, ConstraintError
 
 OCCUPANCY_LIMIT = 1 << 24  # map or bincount of row codes up to this universe, sorted codes above
+CODE_LIMIT = 1 << 62  # int64 row codes below this universe, lexsorted rows from it on
 CHUNK_TARGET_CELLS = 1 << 16  # cells per chunk: counting kernel, occupancy pass, shift expansion
 BLOCK_ROWS_PER_CELL = 16  # a block of columns counted for its t-subsets has <= N / this cells
 BLOCK_MIN_ROWS = 1 << 13  # and is counted only in arrays of at least this many rows
@@ -747,14 +749,6 @@ def verify_simple(a: SymbolMatrix) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def row_weights(profile: LevelProfile) -> np.ndarray | None:
-    """Mixed-radix weights encoding a full row to an integer in
-    [0, universe_size); None when the universe exceeds int64."""
-    if profile.universe_size >= 1 << 62:
-        return None
-    return np.array([prod(profile.levels[j + 1:]) for j in range(profile.k)], dtype=np.int64)
-
-
 @dataclass
 class LargeSetReport:
     m: int
@@ -813,7 +807,7 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
                 f"large-set check needs {ls.m * ls.n * len(plan.subsets)} counting ops,"
                 f" budget {budget}"
             )
-    report.collision = _smallest_repeat(ls)
+    report.collision = _smallest_repeat(ls.cells.reshape(-1, ls.profile.k), ls.profile.levels)
     report.disjoint_ok = report.collision is None
     weak = np.zeros(ls.m, dtype=bool)
     if t > 0 and plan.uncounted:  # a non-integer index fails every member uncounted
@@ -875,21 +869,23 @@ def _relabels(cells: np.ndarray, levels) -> np.ndarray:
     return certified
 
 
-def _smallest_repeat(ls: LargeSet) -> tuple[int, ...] | None:
-    """The smallest row that occurs more than once among all M * N rows, or
-    None.  Rows are read by their mixed-radix codes, computed a chunk at a
-    time.  When M * N is the universe and the universe is at most
+def _smallest_repeat(rows: np.ndarray, levels) -> tuple[int, ...] | None:
+    """The lexicographically smallest of the N x k `rows` over `levels` that
+    occurs more than once, or None.  Rows are read by their mixed-radix
+    codes (column 0 most significant, so codes order as rows do), computed a
+    chunk at a time.  When N is the universe and the universe is at most
     OCCUPANCY_LIMIT, each chunk's codes mark a boolean map of the universe:
     by pigeonhole the rows repeat exactly when some slot stays unmarked, a
-    repeat inside one chunk as well as across two.  Only then, or when M * N
-    is not the universe, are all the codes kept and the repeats named: by a
+    repeat inside one chunk as well as across two.  Only then, or when N is
+    not the universe, are all the codes kept and the repeats named: by a
     bincount of the universe up to OCCUPANCY_LIMIT, by sorting above it.
-    Rows whose codes would not fit in int64 are lexsorted instead, by
-    verify_simple."""
-    levels, universe = ls.profile.levels, ls.profile.universe_size
-    rows = ls.cells.reshape(-1, len(levels))
-    if row_weights(ls.profile) is None:
-        simple, pair = verify_simple(SymbolMatrix._trusted(ls.profile, rows, None))
+    Rows over a universe of CODE_LIMIT or more, whose codes int64 may not
+    hold, are lexsorted instead, by verify_simple.  Two verdicts rest on
+    it: a large set's union (M * N rows) and a resolvable projection (N
+    rows onto a universe of N)."""
+    universe = prod(levels)
+    if universe >= CODE_LIMIT:
+        simple, pair = verify_simple(SymbolMatrix._trusted(LevelProfile(levels), rows, None))
         return None if simple else tuple(rows[pair[0]].tolist())
     step = max(1, CHUNK_TARGET_CELLS // len(levels))
     dtype = np.int32 if universe <= 1 << 31 else np.int64
@@ -942,12 +938,3 @@ def project_columns(a: SymbolMatrix, columns) -> SymbolMatrix:
     # a's symbols are in range, so they narrow safely
     cells = np.ascontiguousarray(a.cells[:, columns], dtype=profile.dtype)
     return SymbolMatrix._trusted(profile, cells, t)
-
-
-def lambda_of(a: SymbolMatrix, subset) -> Fraction:
-    """Exact index N / (product of the chosen columns' levels)."""
-    subset = list(subset)
-    for c in subset:
-        if not 0 <= c < a.k:
-            raise ValueError(f"column {c} out of range [0, {a.k})")
-    return Fraction(a.n, prod(a.profile.levels[c] for c in subset))

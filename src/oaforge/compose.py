@@ -149,7 +149,7 @@ def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     rows = cells.view([("p", p.dtype), ("q", q.dtype)])  # (h, N1, N2, 1), split before a field
     rows.reshape(h // m1, m1, l1.n, l2.n)["p"][...] = p[None, :, :, None]
     rows.reshape(h // m2, m2, l1.n, l2.n)["q"][...] = q[None, :, None, :]
-    out = SymbolMatrix._trusted(profile, cells.reshape(n_out, -1), t)
+    out = SymbolMatrix._trusted(profile, cells.reshape(n_out, k1 + l2.profile.k), t)
     report = _product_strength(out, h, l1.n, k1, t)
     if not report.ok:
         raise VerificationError(

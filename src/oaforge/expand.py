@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from . import arrays
-from .arrays import LargeSet, SymbolMatrix, project_columns, verify_strength
+from .arrays import LargeSet, SymbolMatrix, project_columns
 from .errors import BudgetExceededError, ConstraintError, SizeCapError, VerificationError
 
 SUBSET_SEARCH_CAP = 10**6
@@ -45,12 +45,9 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
         return False, f"level product {prod(levels)} != N={a.n}"
     if not columns:  # then N = 1, and the one row maps to the empty tuple
         return True, None
-    # one mixed-radix code per row, first column most significant, so the
-    # smallest repeated code is the lexicographically smallest repeated tuple
-    code = np.ravel_multi_index([a.cells[:, c] for c in columns], levels)
-    dup = np.flatnonzero(np.bincount(code, minlength=a.n) > 1)
-    if dup.size:
-        tup = tuple(int(x) for x in np.unravel_index(dup[0], levels))
+    # N rows onto a universe of N: the occupancy pass's marked map decides
+    tup = arrays._smallest_repeat(a.cells[:, columns], levels)
+    if tup is not None:
         return False, f"tuple {tup} occurs more than once on columns {columns}"
     return True, None
 
@@ -153,26 +150,3 @@ def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
         # (members, k, N) rows of the table, laid out as (members, N, k)
         cells[lo:lo + per] = table[rows].transpose(0, 2, 1)
     return LargeSet._stacked(a.profile, cells, (a.t,) * m, a.t)
-
-
-def expand_full_strength(a: SymbolMatrix) -> LargeSet:
-    """Expansion for an index-1 array: any t columns of an OA(v^t, k, v, t)
-    with lambda = 1 form a resolvable projection; the first t are used."""
-    levels = set(a.profile.levels)
-    if len(levels) != 1:
-        raise VerificationError("index-1 expansion needs a single-level profile")
-    v = levels.pop()
-    t = 0
-    n = a.n
-    while n > 1 and n % v == 0:
-        n //= v
-        t += 1
-    if n != 1 or t > a.k:
-        raise VerificationError(f"N={a.n} is not v^t for v={v} with t <= k={a.k}")
-    report = verify_strength(a, t)
-    if not report.ok:
-        raise VerificationError(
-            f"array is not an OA of strength {t} at index 1", report
-        )
-    seed = a if a.t == t else a.with_t(t)
-    return expand_shift(seed, ResolvableProjection(tuple(range(t)), a.n))

@@ -110,12 +110,36 @@ MUTANTS = (
            "cells = np.concatenate([l1.cells, l2.cells], axis=1)",
            ("tests/test_cell_dtype.py::"
             "test_juxtapose_across_256_levels_widens_before_it_relabels",)),
+    # the occupancy pass (arrays._smallest_repeat): a large set's union and a
+    # resolvable projection
+    Mutant("coverage always true", "arrays.py",
+           "        if seen.all():\n",
+           "        if True:\n",
+           ("tests/test_expand.py::test_check_resolvable_duplicate_tuple",
+            "tests/test_arrays.py::test_verify_large_set_detects_union_repeat")),
+    Mutant("reversed digit places in the row codes", "arrays.py",
+           """    out[:] = rows[:, 0]
+    for j in range(1, len(levels)):
+""",
+           """    out[:] = rows[:, -1]
+    for j in reversed(range(len(levels) - 1)):
+""",
+           ("tests/test_expand.py::test_check_resolvable_duplicate_tuple",
+            "tests/test_large_sets.py::"
+            "test_a_repeat_inside_a_chunk_or_across_two_leaves_the_map_uncovered")),
     Mutant("cells narrowed before the range check", "arrays.py",
            """        cells = np.asarray(cells)
         if cells.ndim != 2:""",
            """        cells = np.asarray(cells).astype(profile.dtype)
         if cells.ndim != 2:""",
            ("tests/test_cell_dtype.py::test_a_symbol_that_narrowing_would_wrap_is_refused",)),
+    # a (symbol, separator) record narrowed before _read_records checks it
+    # drops the separator byte, so a wrong separator reads as a symbol
+    Mutant("records narrowed before _read_records' check", "formats.py",
+           "records = np.empty((step, len(zero)), dtype=np.uint16)",
+           "records = np.empty((step, len(zero)), dtype=profile.dtype)",
+           ("tests/test_cell_dtype.py::test_a_wrong_separator_after_the_first_chunk_is_refused",
+            "tests/test_formats.py::test_stride_faults_match_reference_parser")),
 )
 
 

@@ -16,7 +16,6 @@ from oaforge.algebraic import (
     GeneratorColumns,
     bush_columns,
     field_det,
-    field_rank,
     linear_oa,
     projective_columns,
     q4_matrix,
@@ -24,12 +23,12 @@ from oaforge.algebraic import (
     sylvester,
     sylvester_oa2,
     sylvester_oa3,
-    verify_generator_columns,
 )
 from oaforge.arrays import LevelProfile, brute_force_strength, verify_strength
 from oaforge.errors import BudgetExceededError, ConstraintError, VerificationError
 from oaforge.expand import check_resolvable_projection, expand_shift
 from oaforge.gf import make_field
+from reference import field_rank
 
 
 def test_sylvester_order2():
@@ -125,7 +124,8 @@ def test_projective_columns_counts():
     assert len(projective_columns(3, 2).columns) == 4
     gc = projective_columns(4, 2)
     assert len(gc.columns) == 5
-    assert verify_generator_columns(gc) is None  # any 2 independent
+    a, _ = linear_oa(gc, 5)  # any 2 of the 5 independent
+    assert (a.n, a.k) == (16, 5)
 
 
 def test_linear_oa_binary_hamming():
@@ -219,13 +219,15 @@ def test_q4_matrix_q3():
     anchor = [gc.columns[0], gc.columns[1], gc.columns[2], gc.columns[4]]
     det = field_det(gc.field, list(zip(*anchor)))
     assert det == gc.field.neg(1)
-    assert verify_generator_columns(gc) is None  # all 120 triples
+    a, _ = linear_oa(gc, 10)  # all 120 triples independent
+    assert (a.n, a.k) == (81, 10)
 
 
 def test_q4_matrix_q4_exhaustive_triples():
     gc = q4_matrix(4)
     assert len(gc.columns) == 17
-    assert verify_generator_columns(gc) is None  # all C(17,3)=680 triples
+    a, _ = linear_oa(gc, 17)  # all C(17,3)=680 triples independent
+    assert (a.n, a.k) == (256, 17)
 
 
 def test_q4_array_strengths():
@@ -245,13 +247,12 @@ def test_q4_full_width_q5():
 # -- the independence check as one exhaustive count ----------------------------
 
 
-def reference_dependent_subset(gc):
-    """Colex-first t-subset of rank < t, one field_rank call per subset."""
-    dependent = [
-        sub for sub in itertools.combinations(range(len(gc.columns)), gc.t)
-        if field_rank(gc.field, [gc.columns[j] for j in sub]) < gc.t
-    ]
-    return min(dependent, key=lambda sub: sub[::-1], default=None)
+def reference_independent(gc):
+    """Whether the columns span F_q^m and any t of them are independent, one
+    field_rank call per t-subset."""
+    return field_rank(gc.field, gc.columns) == gc.m and all(
+        field_rank(gc.field, [gc.columns[j] for j in sub]) == gc.t
+        for sub in itertools.combinations(range(len(gc.columns)), gc.t))
 
 
 @st.composite
@@ -283,7 +284,18 @@ def generator_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(generator_sets())
 def test_independence_check_matches_field_rank_reference(gc):
-    assert verify_generator_columns(gc) == reference_dependent_subset(gc)
+    """linear_oa over all l columns: its count of every column proves any t
+    of them independent, or it refuses them."""
+    l = len(gc.columns)
+    if not gc.t <= gc.m <= l:
+        with pytest.raises(ConstraintError):
+            linear_oa(gc, l)
+    elif reference_independent(gc):
+        a, _ = linear_oa(gc, l)
+        assert (a.n, a.k, a.t) == (gc.field.q**gc.m, l, gc.t)
+    else:
+        with pytest.raises(VerificationError):
+            linear_oa(gc, l)
 
 
 def digit_table_cells(gc):
@@ -321,38 +333,30 @@ def test_row_builder_peaks_near_its_output():
 
 def test_more_than_m_columns_at_a_time_are_dependent(monkeypatch):
     gc = GeneratorColumns(make_field(3, 1), 2, ((1, 0), (0, 1), (1, 1), (1, 2)), 3)
-    assert verify_generator_columns(gc) == (0, 1, 2) == reference_dependent_subset(gc)
-    assert verify_generator_columns(GeneratorColumns(gc.field, 2, gc.columns[:2], 3)) is None
-    # decided without a count, whose q^t tuple space would dwarf the q^m rows
+    assert not reference_independent(gc)
+    # refused without a count, whose q^t tuple space would dwarf the q^m rows
     monkeypatch.setattr(algebraic, "verify_strength", None)
-    gc = GeneratorColumns(make_field(2, 8), 1, ((1,),) * 10, 4)
-    assert verify_generator_columns(gc) == (0, 1, 2, 3)
+    for gc in (gc, GeneratorColumns(make_field(2, 8), 1, ((1,),) * 10, 4)):
+        with pytest.raises(ConstraintError, match=f"need t={gc.t} <= m={gc.m}"):
+            linear_oa(gc, len(gc.columns))
 
 
 def test_only_the_emitted_columns_are_counted(monkeypatch):
-    counts, ranks = [], []
-    real_count, real_rank = algebraic.verify_strength, algebraic.field_rank
+    counts = []
+    real_count = algebraic.verify_strength
 
     def count(a, t, **kwargs):
         counts.append((a.n, a.k, t))
         return real_count(a, t, **kwargs)
 
-    def rank(field, vectors):
-        ranks.append(len(vectors))
-        return real_rank(field, vectors)
-
     monkeypatch.setattr(algebraic, "verify_strength", count)
-    monkeypatch.setattr(algebraic, "field_rank", rank)
     gc = q4_matrix(4)
-    assert counts == ranks == [] and "cells" not in vars(gc)  # the builder counts nothing
+    assert counts == [] and "cells" not in vars(gc)  # the builder counts nothing
     linear_oa(gc, 6)
     linear_oa(gc, 8)
-    # each output's self-check; the greedy basis takes no field_rank
+    # each output's self-check, on its own width; the full width only when asked
     assert counts == [(256, 6, 3), (256, 8, 3)] and "cells" not in vars(gc)
-    assert len(ranks) <= 2 * len(gc.columns)
-    # the full width is counted only on demand, once
-    assert verify_generator_columns(gc) is None
-    assert verify_generator_columns(gc) is None
+    linear_oa(gc, 17)
     assert counts[2:] == [(256, 17, 3)]
 
 
@@ -394,8 +398,6 @@ def test_each_count_is_charged_for_its_own_width():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=r"11\^4 rows x C\(122,3\) subsets"):
         linear_oa(gc, 122)
-    with pytest.raises(BudgetExceededError, match=r"11\^4 rows x C\(122,3\) subsets"):
-        verify_generator_columns(gc)
     assert time.perf_counter() - start < 2.0
     a, _ = linear_oa(gc, 6)
     assert (a.n, a.k, a.t) == (11**4, 6, 3)

@@ -14,7 +14,6 @@ from oaforge.arrays import (
     brute_force_strength,
     colex_combinations,
     full_factorial,
-    lambda_of,
     project_columns,
     verify_large_set,
     verify_simple,
@@ -104,12 +103,11 @@ def test_fixture_oa20_lambdas():
     assert report.ok
     assert report.lambda_by_subset[(0, 1)] == 5
     assert report.lambda_by_subset[(0, 8)] == 2
-    assert lambda_of(a, [0, 1]) == 5
-    assert lambda_of(a, [0, 8]) == 2
 
 
 def test_lambda_of_non_integer():
-    assert lambda_of(parity_code(), [0, 1, 2]) == Fraction(1, 2)
+    report = verify_strength(parity_code(), 3)
+    assert report.lambda_by_subset == {(0, 1, 2): Fraction(1, 2)} and not report.ok
 
 
 def test_non_integer_index_is_structural_failure():

@@ -156,6 +156,20 @@ def test_compose_kronecker_of_a_set_that_is_not_a_large_set_names_the_output_sub
     assert str(tuple(failures[0]["columns"])) in records[-1]["message"]
 
 
+def test_compose_kronecker_of_empty_large_sets_counts_its_empty_output(capsys, tmp_path):
+    """Two M = 1 sets of N = 0 members pair into a 0-row array on k1 + k2
+    columns, which is counted like any array (as `verify oa` counts an N = 0
+    file) and written."""
+    empty = tmp_path / "empty.loa"
+    empty.write_text("LOA M=1\nOA N=0 t=2 levels=2^3\n")
+    out_file = tmp_path / "k.oa"
+    code = main(["compose", "kronecker", str(empty), str(empty), "-o", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.startswith("OA(0,2^6,5)") and captured.err == ""
+    assert "Traceback" not in captured.out + captured.err
+    assert out_file.read_text() == "OA N=0 t=5 levels=2^6\n"
+
+
 def test_theorem_cli(capsys, tmp_path):
     out_file = tmp_path / "t.oa"
     code, out = run(capsys, "theorem", "v1+v3-2", "--params", "v=4,k=5",

@@ -1,12 +1,14 @@
 """Resolvable projections and the shift expansion."""
 
 from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oaforge import arrays
 from oaforge.arrays import (
     LevelProfile,
     SymbolMatrix,
@@ -19,7 +21,6 @@ from oaforge.errors import VerificationError
 from oaforge.expand import (
     ResolvableProjection,
     check_resolvable_projection,
-    expand_full_strength,
     expand_shift,
     find_resolvable_projection,
 )
@@ -43,10 +44,10 @@ def test_check_resolvable_examples():
 
 
 def test_check_resolvable_duplicate_tuple():
-    cells = [[0, 0], [0, 0], [1, 0], [1, 1]]
+    cells = [[0, 1], [0, 1], [1, 0], [1, 1]]
     a = SymbolMatrix(LevelProfile([2, 2]), cells)
     ok, why = check_resolvable_projection(a, (0, 1))
-    assert not ok and "more than once" in why
+    assert not ok and why == "tuple (0, 1) occurs more than once on columns (0, 1)"
 
 
 def lexsort_resolvable_projection(a, columns):
@@ -86,11 +87,16 @@ def projected_arrays(draw):
     return SymbolMatrix(LevelProfile(levels), cells), columns
 
 
+@pytest.mark.parametrize("chunk", [arrays.CHUNK_TARGET_CELLS, 6])
 @settings(max_examples=300, deadline=None)
 @given(projected_arrays())
-def test_resolvable_check_by_row_codes_matches_the_lexsort_reference(drawn):
+def test_resolvable_check_by_row_codes_matches_the_lexsort_reference(chunk, drawn):
+    """At a chunk of 6 cells the occupancy pass marks one to six rows at a
+    time, so repeats fall in one chunk and across two."""
     a, columns = drawn
-    assert check_resolvable_projection(a, columns) == lexsort_resolvable_projection(a, columns)
+    with mock.patch.object(arrays, "CHUNK_TARGET_CELLS", chunk):
+        got = check_resolvable_projection(a, columns)
+    assert got == lexsort_resolvable_projection(a, columns)
 
 
 def test_find_resolvable_projection():
@@ -211,16 +217,21 @@ def test_expand_then_project_commutes_with_project_then_expand():
 
 
 def test_expand_full_strength_full_factorial():
+    """An array of index 1 (strength t = log_v N) projects bijectively onto
+    any t columns; the search takes the first t."""
     ff = full_factorial(LevelProfile([3, 3]))
-    ls = expand_full_strength(ff)
-    assert ls.m == 1
+    proj = find_resolvable_projection(ff)
+    assert proj == ResolvableProjection((0, 1), 9)
+    assert expand_shift(ff, proj).m == 1
 
 
 def test_expand_full_strength_linear_oa():
     from oaforge.algebraic import linear_oa, projective_columns
 
     a, _ = linear_oa(projective_columns(3, 2), 4)
-    ls = expand_full_strength(a)
+    proj = find_resolvable_projection(a)
+    assert proj.columns == (0, 1)
+    ls = expand_shift(a, proj)
     assert ls.m == 9
     # independent partition check over all 81 quadruples
     union = set()
@@ -233,17 +244,17 @@ def test_expand_full_strength_linear_oa():
 
 
 def test_expand_full_strength_rejects_higher_index():
-    # index-2 strength-1 array on one column: N=4, v=2, N=v^2 but strength 2 fails
+    # N = 4 = 2^2 on two binary columns, but the row (0, 1) repeats
     a = SymbolMatrix(LevelProfile([2, 2]), [[0, 0], [0, 1], [1, 0], [0, 1]])
-    with pytest.raises(VerificationError):
-        expand_full_strength(a)
-    # doubled full factorial: N = 8 = 2^3 > k = 2 columns
+    # doubled full factorial: no columns have level product N = 8
     doubled = SymbolMatrix(
         LevelProfile([2, 2]),
         np.vstack([full_factorial(LevelProfile([2, 2])).cells] * 2),
     )
-    with pytest.raises(VerificationError):
-        expand_full_strength(doubled)
+    for b in (a, doubled):
+        assert find_resolvable_projection(b) is None
+        with pytest.raises(VerificationError):
+            expand_shift(b, ResolvableProjection((0, 1), b.n))
 
 
 def test_projection_search_budget(monkeypatch):

@@ -40,3 +40,15 @@ def test_theorem_and_large_set_checks_leave_numpy_ma_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_public_names_are_the_ones_readme_lists():
+    """A change to the public surface is deliberate: it changes this list and
+    README's together."""
+    assert oaforge.__all__ == [
+        "Field", "LargeSet", "LevelProfile", "ResolvableProjection", "StrengthReport",
+        "SymbolMatrix", "brute_force_strength", "check_resolvable_projection", "expand_shift",
+        "find_irreducible", "find_resolvable_projection", "full_factorial", "make_field",
+        "project_columns", "read_array", "verify_large_set", "verify_simple", "verify_strength",
+        "write_array"]
+    assert all(hasattr(oaforge, name) for name in oaforge.__all__)
