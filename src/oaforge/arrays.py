@@ -43,6 +43,7 @@ tested against.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -326,7 +327,7 @@ class StrengthReport:
         if self._lambda is None:
             subsets, prods, n = self._lazy
             self._lambda = {
-                sub: Fraction(n, int(p)) for sub, p in zip(subsets, prods)
+                tuple(sub): Fraction(n, p) for sub, p in zip(subsets.tolist(), prods.tolist())
             }
         return self._lambda
 
@@ -345,24 +346,14 @@ class StrengthReport:
         return f"StrengthReport(t={self.t}, {verdict}, {self.checked_subsets} subsets)"
 
 
-def colex_combinations(k: int, t: int):
-    """All t-subsets of range(k) as ascending tuples, in colexicographic order."""
-    if t == 0:
-        yield ()
-        return
-    for top in range(t - 1, k):
-        for rest in colex_combinations(top, t - 1):
-            yield rest + (top,)
-
-
 class _Plan(NamedTuple):
     """How to count one (levels, t, N).  A subset whose level product does
     not divide N has no integer index and fails without a count; the others
     are read off the leaves of the walk, blocks of s >= t columns (see
-    _cover), whose depth-d nodes fix the d largest columns."""
+    _cover), whose depth-d nodes are runs of leaves with the same d largest columns."""
 
     t: int
-    subsets: list[tuple[int, ...]]  # every t-subset, colex order
+    subsets: np.ndarray  # every t-subset, ascending, a row each in colex order
     prods: np.ndarray  # level product of each subset
     uncounted: list[int]  # indices of the subsets without an integer index
     counted: np.ndarray  # indices of the others, leaf by leaf
@@ -372,7 +363,25 @@ class _Plan(NamedTuple):
     spaces: np.ndarray  # level product of each leaf
     bounds: np.ndarray  # leaf i holds counted[bounds[i]:bounds[i + 1]]
     axes: list | None  # per counted subset, its leaf's table axes: the summed ones first
-    tree: tuple  # root node; a node is (lo, hi, ((column, level, child), ...))
+    cuts: tuple  # per depth d, the first leaf of each depth-(d + 1) node, then len(down)
+
+
+def _binom(k: int, t: int) -> np.ndarray:
+    """C(c, i) at [c, i] for c <= k and i <= t.  An ascending subset's colex
+    rank among those of its size is the sum of C(c, i + 1), c at place i."""
+    return np.array([[comb(c, i) for i in range(t + 1)] for c in range(k + 1)], dtype=np.int64)
+
+
+def _colex(k: int, t: int) -> np.ndarray:
+    """The t-subsets of range(k), ascending, as the rows of a (C(k, t), t)
+    array in colex order: the j-subsets of range(k - t + j) are, top column c
+    by c, the first C(c, j - 1) of the (j - 1)-subsets followed by c."""
+    binom, rows = _binom(k, t), np.zeros((1, 0), dtype=np.int64)
+    for j in range(1, t + 1):
+        tops = np.repeat(np.arange(k - t + j), binom[:k - t + j, j - 1])
+        # C(c, j) subsets come before the first one topped by c
+        rows = np.column_stack((rows[np.arange(len(tops)) - binom[tops, j]], tops))
+    return rows
 
 
 def _block_width(levels: tuple[int, ...], t: int, n: int) -> int:
@@ -389,8 +398,7 @@ def _block_width(levels: tuple[int, ...], t: int, n: int) -> int:
 # one compose_recipes benchmark deck, Kronecker factors included, makes about 70
 @lru_cache(maxsize=256)
 def _strength_plan(levels: tuple[int, ...], t: int, n: int) -> _Plan:
-    subsets = list(colex_combinations(len(levels), t))
-    cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
+    cols = _colex(len(levels), t)
     lv = np.asarray(levels, dtype=np.int64)
     prods = np.prod(lv[cols], axis=1)
     counted, width = np.flatnonzero(n % prods == 0), _block_width(levels, t, n)
@@ -399,12 +407,17 @@ def _strength_plan(levels: tuple[int, ...], t: int, n: int) -> _Plan:
         down, owned = _cover(cols, n % prods == 0, width)
         counted = np.fromiter(itertools.chain.from_iterable(owned), dtype=np.int64)
         bounds = np.cumsum([0] + [len(own) for own in owned])
-        axes = [tuple(sorted(range(width + 1), key=lambda a: 1 if a == 0 else 2 * (
-            block[a - 1] in subsets[i]))) for block, own in zip(down.tolist(), owned) for i in own]
+        blocks = np.repeat(down, np.diff(bounds), axis=0)  # the block of each counted subset
+        inside = (blocks[:, :, None] == cols[counted, None, :]).any(axis=2)
+        # the table's axes: the summed columns', the members' (0), the subset's columns'
+        axes = np.argsort(np.column_stack((np.ones(len(blocks)), 2 * inside)), 1, kind="stable")
+        axes = axes.tolist()  # lists, which transpose takes faster than rows
     radix = lv[down].astype(np.int32 if max(levels) < 1 << 31 else np.int64)
-    return _Plan(t, subsets, prods, np.flatnonzero(n % prods).tolist(), counted,
+    starts = np.ones((len(down) + 1, width), dtype=bool)  # leaf i starts a depth-(d + 1) node
+    starts[1:-1] = np.logical_or.accumulate(down[1:] != down[:-1], axis=1)
+    return _Plan(t, cols, prods, np.flatnonzero(n % prods).tolist(), counted,
                  n // prods[counted], down, radix, np.prod(lv[down], axis=1), bounds, axes,
-                 _node(down.tolist(), levels, 0, len(down), 0))
+                 tuple(np.flatnonzero(column) for column in starts.T))
 
 
 def _cover(cols: np.ndarray, need: np.ndarray, width: int):
@@ -415,10 +428,10 @@ def _cover(cols: np.ndarray, need: np.ndarray, width: int):
     subset still unassigned and takes, one at a time, the column that
     completes the most unassigned subsets, the smallest on a tie."""
     (m, t), k = cols.shape, int(cols.max()) + 1
-    binom = np.array([[comb(c, i) for i in range(1, t + 1)] for c in range(k)], dtype=np.int64)
+    binom = _binom(k, t)
 
     def ranks(subs, size):  # colex ranks of ascending rows
-        return binom[np.asarray(subs, dtype=np.int64), np.arange(size)].sum(-1)
+        return binom[np.asarray(subs, dtype=np.int64), np.arange(1, size + 1)].sum(-1)
 
     grow = np.full((comb(k, t - 1), k), m, dtype=np.int32)  # (t-1)-subset, column -> subset
     for j in range(t):
@@ -435,16 +448,6 @@ def _cover(cols: np.ndarray, need: np.ndarray, width: int):
         need[inside] = False
     order = sorted(found)
     return np.array(order, dtype=np.int64).reshape(len(order), width), [found[b] for b in order]
-
-
-def _node(down: list, levels, lo: int, hi: int, depth: int) -> tuple:
-    """The node over counted subsets [lo, hi), which share their `depth`
-    largest columns; its children split them by the next column."""
-    if lo == hi or depth == len(down[lo]):
-        return lo, hi, ()
-    cuts = [lo] + [i for i in range(lo + 1, hi) if down[i][depth] != down[i - 1][depth]] + [hi]
-    return lo, hi, tuple((down[a][depth], levels[down[a][depth]],
-                          _node(down, levels, a, b, depth + 1)) for a, b in zip(cuts, cuts[1:]))
 
 
 def _off_walk(cells: np.ndarray, plan: _Plan):
@@ -465,35 +468,34 @@ def _off_walk(cells: np.ndarray, plan: _Plan):
         # one row of codes per depth, then room for two batches of codes
         fit = CHUNK_TARGET_CELLS // max(x.shape[1], 1)
         bufs = np.empty((plan.down.shape[1] + 2 * max(fit, 1), x.shape[1]), dtype=dtype)
-        for lo, off in _walk(x, root, plan.tree, 0, plan, bufs, len(block)):
+        for lo, off in _walk(x, root, 0, len(plan.down), 0, plan, bufs, len(block)):
             yield first, plan.bounds[lo], off
 
 
-def _walk(x, code, node, depth, plan, bufs, members):
-    """Depth-first over `node`, whose rows have the codes `code` (None for
-    zeros).  A run of two or more children whose leaves x rows fit in
+def _walk(x, code, lo, hi, depth, plan, bufs, members):
+    """Depth-first over the depth-`depth` node of leaves [lo, hi), whose rows
+    have the codes `code` (None for zeros); its children start at its cuts.
+    A run of two or more children whose leaves x rows fit in
     CHUNK_TARGET_CELLS is one batch from these codes; any other child gets
     its codes, code * level + its column, in bufs[depth] and is walked."""
-    lo, hi, children = node
-    if not children:
+    if depth == len(plan.cuts):
         yield lo, _off_batch(x, code, plan, lo, hi, depth, members, bufs)
         return
+    first, last = plan.cuts[depth].searchsorted((lo, hi + 1)).tolist()
+    edges = plan.cuts[depth][first:last].tolist()  # child i has leaves [edges[i], edges[i + 1])
     fit, i = CHUNK_TARGET_CELLS // max(x.shape[1], 1), 0
-    while i < len(children):
-        start, j = children[i][2][0], i
-        while j < len(children) and children[j][2][1] - start <= fit:
-            j += 1
+    while i < len(edges) - 1:
+        j = bisect.bisect_right(edges, edges[i] + fit) - 1  # children i .. j - 1 fit
         if j > i + 1:
-            yield start, _off_batch(x, code, plan, start, children[j - 1][2][1], depth,
-                                    members, bufs)
+            yield edges[i], _off_batch(x, code, plan, edges[i], edges[j], depth, members, bufs)
             i = j
             continue
-        col, level, child = children[i]
+        col = plan.down[edges[i], depth]
         if code is not None:
-            np.multiply(code, level, out=bufs[depth])
+            np.multiply(code, plan.radix[edges[i], depth], out=bufs[depth])
             bufs[depth] += x[col]
-        yield from _walk(x, x[col] if code is None else bufs[depth], child, depth + 1,
-                         plan, bufs, members)
+        yield from _walk(x, x[col] if code is None else bufs[depth], edges[i], edges[i + 1],
+                         depth + 1, plan, bufs, members)
         i += 1
 
 
@@ -533,7 +535,8 @@ def _off_batch(x, code, plan, lo, hi, depth, members, bufs) -> np.ndarray:
     return (peaks != plan.lams[first:last, None]).T
 
 
-def _subset_failures(a: SymbolMatrix, sub: tuple[int, ...]) -> list[StrengthFailure]:
+def _subset_failures(a: SymbolMatrix, sub: np.ndarray) -> list[StrengthFailure]:
+    sub = tuple(sub.tolist())
     shape = [a.profile.levels[j] for j in sub]
     space = prod(shape)
     expected = Fraction(a.n, space)
@@ -564,16 +567,13 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
     if t == 0:
         return StrengthReport(t=0, lambda_by_subset={(): Fraction(a.n)}, checked_subsets=0)
-    plan = _strength_plan(a.profile.levels, t, a.n)
-    if budget is not None and a.n * len(plan.subsets) > budget:
+    if budget is not None and a.n * comb(a.k, t) > budget:  # before the plan lists them
         raise BudgetExceededError(
-            f"strength check needs {a.n * len(plan.subsets)} counting ops, budget {budget}"
+            f"strength check needs {a.n * comb(a.k, t)} counting ops, budget {budget}"
         )
-    report = StrengthReport(
-        t=t,
-        checked_subsets=len(plan.subsets),
-        _lazy_lambda=(plan.subsets, plan.prods, a.n),
-    )
+    plan = _strength_plan(a.profile.levels, t, a.n)
+    report = StrengthReport(t=t, checked_subsets=len(plan.subsets),
+                            _lazy_lambda=(plan.subsets, plan.prods, a.n))
     failing = (plan.counted[lo + j] for _, lo, off in _off_walk(a.cells[None], plan)
                for j in np.flatnonzero(off[0]).tolist())
     if plan.axes is not None:  # blocks give their subsets out of colex order
@@ -597,17 +597,13 @@ def _product_plan(levels: tuple[int, ...], k1: int, t: int):
     products, and per side its levels, the colex rank of T's part among that
     side's subsets of its size, and that size; T's first `size` columns are
     A, on the first side's k1 columns, the others B."""
-    subsets = list(colex_combinations(len(levels), t))
-    cols = np.array(subsets, dtype=np.int64)
+    cols, binom = _colex(len(levels), t), _binom(len(levels), t)
     prods = np.prod(np.asarray(levels, dtype=np.int64)[cols], axis=1)
     size, at = (cols < k1).sum(axis=1), np.arange(t)
-    binom = np.array([[comb(c, i) for i in range(t + 1)] for c in range(len(levels))],
-                     dtype=np.int64)
-    in_a = at < size[:, None]
-    rank_a = np.where(in_a, binom[cols, at + 1], 0).sum(axis=1)
-    rank_b = np.where(in_a, 0, binom[np.maximum(cols - k1, 0),
-                                     np.maximum(at - size[:, None] + 1, 0)]).sum(axis=1)
-    return subsets, prods, ((levels[:k1], rank_a, size), (levels[k1:], rank_b, t - size))
+    in_a = at < size[:, None]  # B's columns and places start at k1 and at size
+    terms = binom[np.where(in_a, cols, cols - k1), np.where(in_a, at, at - size[:, None]) + 1]
+    rank_a, rank_b = (terms * in_a).sum(axis=1), (terms * ~in_a).sum(axis=1)
+    return cols, prods, ((levels[:k1], rank_a, size), (levels[k1:], rank_b, t - size))
 
 
 def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> StrengthReport:
@@ -801,12 +797,12 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     report = LargeSetReport(m=ls.m, n=ls.n, universe=universe, t=t,
                             count_ok=ls.m * ls.n == universe)
     if t > 0:
-        plan = _strength_plan(ls.profile.levels, t, ls.n)
-        if budget is not None and ls.m * ls.n * len(plan.subsets) > budget:
+        if budget is not None and ls.m * ls.n * comb(ls.profile.k, t) > budget:
             raise BudgetExceededError(
-                f"large-set check needs {ls.m * ls.n * len(plan.subsets)} counting ops,"
+                f"large-set check needs {ls.m * ls.n * comb(ls.profile.k, t)} counting ops,"
                 f" budget {budget}"
             )
+        plan = _strength_plan(ls.profile.levels, t, ls.n)
     report.collision = _smallest_repeat(ls.cells.reshape(-1, ls.profile.k), ls.profile.levels)
     report.disjoint_ok = report.collision is None
     weak = np.zeros(ls.m, dtype=bool)

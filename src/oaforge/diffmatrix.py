@@ -507,6 +507,8 @@ def loads_dm(text: str) -> DifferenceMatrix:
         raise ParseError(f"malformed DM header: {exc}", lineno) from None
     if group.order != v:
         raise ParseError(f"group order {group.order} != v = {v}", lineno)
+    if not 1 <= k <= len(text) // v:  # every entry takes a character; checked before allocating
+        raise ParseError(f"k = {k} is outside 1 to {len(text) // v}, what the file holds", lineno)
     if len(lines) - 1 != v:
         raise ParseError(f"expected {v} rows, found {len(lines) - 1}", lineno)
     rank = len(group.factors)
@@ -535,8 +537,8 @@ def loads_dm(text: str) -> DifferenceMatrix:
 def dumps_dm(dm: DifferenceMatrix) -> str:
     out = [f"DM v={dm.v} k={dm.k} group={dm.group.label()}"]
     for row in dm.entries:
-        out.append(" ".join(
-            ",".join(str(c) for c in dm.group.element(int(x))) for x in row
+        out.append(" ".join(  # the trivial group's element, (), is written 0
+            ",".join(str(c) for c in dm.group.element(int(x))) or "0" for x in row
         ))
     return "\n".join(out) + "\n"
 

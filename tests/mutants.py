@@ -47,6 +47,9 @@ BUILD_TEST = ("tests/test_compose.py::test_kronecker_fills_the_block_formula_row
 FACTORS_TEST = ("tests/test_compose.py::"
                 "test_a_product_of_large_sets_is_counted_through_its_factors",)
 
+WALK_TESTS = ("tests/test_arrays.py::test_kernel_matches_the_oracle",
+              "tests/test_arrays.py::test_block_kernel_matches_the_oracle")
+
 MUTANTS = (
     # the Kronecker output's certificate (arrays._product_strength)
     Mutant("certificate always passes", "arrays.py",
@@ -57,6 +60,25 @@ MUTANTS = (
            "if not np.array_equal(products[:m], cells[lo:lo + m]):",
            "if not np.array_equal(products[:m, ..., :k1], cells[lo:lo + m, ..., :k1]):",
            CERTIFICATE_TEST),
+    # the strength plan's subsets and the walk over its cuts (arrays._colex, _walk)
+    Mutant("subsets in lexicographic order", "arrays.py",
+           "        rows = np.column_stack((rows[np.arange(len(tops)) - binom[tops, j]], tops))\n"
+           "    return rows\n",
+           "        rows = np.column_stack((rows[np.arange(len(tops)) - binom[tops, j]], tops))\n"
+           "    return rows[np.lexsort(rows.T[::-1])]\n",
+           # not the block tests: given ranks that are not row numbers, _cover never ends
+           ("tests/test_arrays.py::test_colex_order",
+            "tests/test_arrays.py::test_product_plan_ranks_are_rows_of_each_sides_colex_list",
+            "tests/test_arrays.py::test_kernel_matches_the_oracle")),
+    Mutant("walk skips a node's last child", "arrays.py",
+           "    while i < len(edges) - 1:",
+           "    while i < len(edges) - 2:",
+           WALK_TESTS),
+    Mutant("batch ends one child early", "arrays.py",
+           "yield edges[i], _off_batch(x, code, plan, edges[i], edges[j], depth, members, bufs)",
+           "yield edges[i], _off_batch(x, code, plan, edges[i], edges[j - 1], depth,"
+           " members, bufs)",
+           (*WALK_TESTS, "tests/test_arrays.py::test_block_reports_match_the_oracle")),
     # the Kronecker build (compose.kronecker)
     # (both give cells of the right shape: block s beside member s mod M1 mod M2
     # of the second side, or the second side's rows repeated and the first's tiled)

@@ -34,3 +34,14 @@ def row_weights(levels) -> np.ndarray:
     """Mixed-radix weights encoding a full row over `levels` to an integer in
     [0, product of the levels), column 0 most significant."""
     return np.array([prod(levels[j + 1:]) for j in range(len(levels))], dtype=np.int64)
+
+
+def colex_combinations(k: int, t: int):
+    """All t-subsets of range(k) as ascending tuples, in colexicographic
+    order: for each top column, the (t - 1)-subsets below it, recursively."""
+    if t == 0:
+        yield ()
+        return
+    for top in range(t - 1, k):
+        for rest in colex_combinations(top, t - 1):
+            yield rest + (top,)

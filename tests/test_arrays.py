@@ -1,6 +1,7 @@
 """Core data model and the strength/large-set verifiers."""
 
 from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from oaforge.arrays import (
     LevelProfile,
     SymbolMatrix,
     brute_force_strength,
-    colex_combinations,
     full_factorial,
     project_columns,
     verify_large_set,
@@ -21,6 +21,7 @@ from oaforge.arrays import (
 )
 from oaforge.errors import BudgetExceededError, ConstraintError
 from oaforge.fixtures import load_fixture
+from reference import colex_combinations
 
 
 def parity_code():
@@ -178,9 +179,38 @@ def test_project_columns():
 
 
 def test_colex_order():
+    """The plan's array of t-subsets, row for row, is the reference
+    generator's colex list."""
+    from oaforge.arrays import _colex
+
     subs = list(colex_combinations(4, 2))
     assert subs == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    assert list(colex_combinations(3, 0)) == [()]
+    assert list(colex_combinations(3, 0)) == [()] and _colex(3, 0).shape == (1, 0)
+    for k in range(1, 13):
+        for t in range(1, k + 1):
+            rows = _colex(k, t)
+            assert rows.shape == (comb(k, t), t)
+            assert list(map(tuple, rows.tolist())) == list(colex_combinations(k, t)), (k, t)
+
+
+@pytest.mark.parametrize("levels, k1, t", [
+    ((2,) * 7, 3, 3), ((3, 3, 2, 2, 2, 4), 2, 4), ((2, 5, 3, 2), 1, 2), ((2,) * 9, 4, 5),
+])
+def test_product_plan_ranks_are_rows_of_each_sides_colex_list(levels, k1, t):
+    """Each t-subset T of the product's columns, in colex order, has per
+    side the rank of its part in that side's colex list of its size."""
+    from oaforge.arrays import _product_plan
+
+    subsets, prods, parts = _product_plan(levels, k1, t)
+    assert list(map(tuple, subsets.tolist())) == list(colex_combinations(len(levels), t))
+    assert prods.tolist() == [prod(levels[c] for c in sub) for sub in subsets.tolist()]
+    (left, rank_a, size_a), (right, rank_b, size_b) = parts
+    assert (left, right) == (levels[:k1], levels[k1:])
+    for i, sub in enumerate(subsets.tolist()):
+        a, b = [c for c in sub if c < k1], [c - k1 for c in sub if c >= k1]
+        assert (size_a[i], size_b[i]) == (len(a), len(b))
+        assert rank_a[i] == list(colex_combinations(k1, len(a))).index(tuple(a))
+        assert rank_b[i] == list(colex_combinations(len(right), len(b))).index(tuple(b))
 
 
 def test_budget_exceeded():
@@ -578,6 +608,30 @@ def test_a_block_plan_builds_fast():
 
     took, plan = min((cold() for _ in range(3)), key=lambda run: run[0])
     assert plan.axes is not None and took < 0.05
+
+
+def test_a_cold_count_of_many_pairs_costs_little_more_than_a_warm_one():
+    """The 32,385 pairs of the 256 x 255 Sylvester array: with both plan
+    caches cleared, as in a one-shot CLI run, the count takes at most twice
+    its warm time, best of 3 each."""
+    import time
+
+    import oaforge.arrays as arrays_mod
+    from oaforge.algebraic import sylvester_oa2
+
+    a, _ = sylvester_oa2(8, 255)
+
+    def timed(cold):
+        if cold:
+            arrays_mod._strength_plan.cache_clear()
+            arrays_mod._product_plan.cache_clear()
+        start = time.perf_counter()
+        assert verify_strength(a, 2).ok
+        return time.perf_counter() - start
+
+    timed(False)
+    warm = min(timed(False) for _ in range(3))
+    assert min(timed(True) for _ in range(3)) <= 2 * warm
 
 
 def _check_the_kernel_against_the_oracle(data, constants):

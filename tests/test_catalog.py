@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oaforge.arrays import (
     LargeSet,
     SymbolMatrix,
-    colex_combinations,
     verify_large_set,
     verify_strength,
 )
@@ -19,6 +18,7 @@ from oaforge.catalog import catalog, run_entries
 from oaforge.cli import main
 from oaforge.compose import Expand, Leaf, Project, execute_plan, leaf, run_leaf
 from oaforge.errors import VerificationError
+from reference import colex_combinations
 
 DATA = Path(__file__).parent / "data"
 

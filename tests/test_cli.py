@@ -381,6 +381,21 @@ def test_search_dm_cli(capsys, tmp_path):
     assert code == 0 and "proven" in out
 
 
+def test_search_dm_writes_files_that_verify(capsys, tmp_path):
+    """The trivial group's element is written 0, so a v = 1 matrix reads
+    back; other files keep their bytes."""
+    for argv, want in (
+        (("--v", "1", "--k", "2"), "DM v=1 k=2 group=Z1\n0 0\n"),
+        (("--v", "7", "--k", "4"), "DM v=7 k=4 group=Z7\n0 0 0 0\n0 1 2 3\n0 2 4 6\n"
+                                   "0 3 6 2\n0 4 1 5\n0 5 3 1\n0 6 5 4\n"),
+    ):
+        path = tmp_path / "d.dm"
+        assert run(capsys, "search", "dm", *argv, "-o", str(path))[0] == 0
+        assert path.read_text() == want
+        code, out = run(capsys, "verify", "dm", str(path))
+        assert code == 0 and out.startswith("ok:")
+
+
 def test_oracle_cli(capsys):
     path = fixture_dir() / "oa54_3e5_2e1.txt"
     code, out = run(capsys, "oracle", str(path), "--strength", "3")
@@ -448,6 +463,8 @@ def test_parse_error_exit_code(capsys, tmp_path):
     ("loa", b"LOA M=2\nOA N=1 t=0 levels=2^1\n0\n\n"
             b"OA N=1000000000000 t=0 levels=2^1\n1\n", 5),
     ("dm", b"DM v=4 k=1 group=Z2xQ\n0\n1\n2\n3\n", 1),
+    ("dm", b"DM v=1 k=1000000000000 group=Z1\n0\n", 1),  # sized before any allocation
+    ("dm", b"DM v=1 k=-3 group=Z1\n0\n", 1),
 ])
 def test_garbled_file_is_a_parse_error_record(capsys, tmp_path, kind, content, line):
     bad = tmp_path / "bad.txt"

@@ -238,7 +238,8 @@ def test_chai1_expansion_is_a_partition():
 
 
 def test_dm_file_roundtrip(tmp_path):
-    for dm in (field_dm(5, 4), field_dm(4, 4), product_dm(field_dm(4, 4), field_dm(5, 4))):
+    for dm in (field_dm(5, 4), field_dm(4, 4), product_dm(field_dm(4, 4), field_dm(5, 4)),
+               search_dm(1, 2)):
         path = tmp_path / "d.dm"
         write_dm(dm, path)
         back = read_dm(path)
