@@ -7,7 +7,6 @@ constructions are treated as claims under test, never trusted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -97,40 +96,15 @@ def _self_check(a: SymbolMatrix, t: int, lead: int):
     return a, require_resolvable(a, range(lead))
 
 
-# -- linear algebra over a field ----------------------------------------------
-
-
-def field_det(field: Field, matrix) -> int:
-    """Determinant of a square matrix (list of rows) over the field."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = field.mul(inv, m[r][col])
-                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[col])]
-    return det
-
-
 # -- generator columns ---------------------------------------------------------
 
 
-def _check_work(q: int, m: int, l: int, t: int | None = None):
-    """Refuse q^m rows times l columns (the row table) or, given t, times
-    C(l, t) subsets (the --budget unit) above LINEAR_WORK_CAP, before any of
-    it is built.  The builders' q^m x l charge also bounds the Python
-    enumeration of their l columns, which runs before linear_oa's.  Once m
-    reaches the cap's bit length, q^m alone is over it."""
-    width, what = (l, f"{l} columns") if t is None else (comb(l, t), f"C({l},{t}) subsets")
+def _check_work(q: int, m: int, k: int, t: int | None = None):
+    """Refuse q^m rows times k columns (the cells) or, given t, times C(k, t)
+    subsets (the --budget unit) above LINEAR_WORK_CAP, before any of it is
+    built.  A builder, which does not know k, charges the smallest output,
+    k = m.  Once m reaches the cap's bit length, q^m alone is over it."""
+    width, what = (k, f"{k} columns") if t is None else (comb(k, t), f"C({k},{t}) subsets")
     if m >= LINEAR_WORK_CAP.bit_length():
         need = f"{q}^{m} rows"
     elif q**m * width > LINEAR_WORK_CAP:
@@ -143,103 +117,125 @@ def _check_work(q: int, m: int, l: int, t: int | None = None):
     )
 
 
+class _Columns:
+    """A family's l columns given by formula, lead-first: the m columns at
+    construction indices `lead` (ascending), then the rest in construction
+    order.  Indexing computes only the columns asked for: `build` maps an
+    array of construction indices to their (len, m) array of columns."""
+
+    def __init__(self, l: int, lead, build):
+        self._l, self._lead, self._build = l, np.asarray(lead, dtype=np.int64), build
+
+    def __len__(self) -> int:
+        return self._l
+
+    def __getitem__(self, i):
+        r = range(self._l)[i]
+        if isinstance(r, int):
+            return tuple(self[r:r + 1][0].tolist())
+        pos = np.arange(r.start, r.stop, r.step)
+        m = len(self._lead)
+        # the (pos - m)-th index outside the lead: skip each lead index at or below it
+        rest = pos - m + np.searchsorted(self._lead - np.arange(m), pos - m, "right")
+        return self._build(np.where(pos < m, self._lead[np.minimum(pos, m - 1)], rest))
+
+
 @dataclass(frozen=True)
 class GeneratorColumns:
-    """l column vectors in F_q^m, claimed any t independent and some m
-    spanning.  Construction checks the vectors and the q^m x l size, but
-    builds and counts nothing: linear_oa proves the k columns it emits (all
-    l when k = l) by counting the rows it builds through `cells`."""
+    """l column vectors in F_q^m, claimed any t independent and the first m
+    spanning.  `columns` is a family's `_Columns`, or hand-built: a sequence
+    of l vectors, range-checked here.  Construction charges q^m rows x m
+    columns, but builds and counts nothing: linear_oa proves the k columns
+    it emits by counting the rows it builds through `cells`."""
 
     field: Field
     m: int
-    columns: tuple[tuple[int, ...], ...]
+    columns: _Columns | tuple[tuple[int, ...], ...] | np.ndarray
     t: int
 
     def __post_init__(self):
         q = self.field.q
-        for j, col in enumerate(self.columns):
-            if len(col) != self.m or any(not 0 <= x < q for x in col):
-                raise ValueError(f"column {j} {col} is not a vector of F_{q}^{self.m}")
-        _check_work(q, self.m, len(self.columns))
+        _check_work(q, self.m, self.m)
+        if not isinstance(self.columns, _Columns):
+            try:  # ValueError for columns of other lengths, OverflowError for huge entries
+                mat = np.array(self.columns, dtype=np.int64).reshape(len(self.columns), self.m)
+            except (ValueError, OverflowError):
+                mat = None
+            if mat is None or ((mat < 0) | (mat >= q)).any():
+                raise ValueError(f"columns {self.columns} are not vectors of F_{q}^{self.m}")
 
     @cached_property
     def cells(self) -> np.ndarray:
         """Read-only q^m x l array of the rows x . M, x in F_q^m ascending,
         built one digit at a time: x_i . M_i + each row over x_(i+1..m-1),
         looked up in field tables of the cells' dtype (uint8 for q <= 256)."""
-        mat = np.asarray(self.columns, dtype=np.intp).reshape(-1, self.m).T
+        mat = np.asarray(self.columns[:], dtype=np.intp).reshape(-1, self.m).T
         dtype = LevelProfile([self.field.q]).dtype
         add, mul = self.field.add_table.astype(dtype), self.field.mul_table.astype(dtype)
         cells = np.zeros((1, mat.shape[1]), dtype=dtype)
         for i in reversed(range(self.m)):
-            cells = add[mul[:, mat[i]][:, None], cells].reshape(-1, mat.shape[1])
+            step = np.ascontiguousarray(mul[:, mat[i]])  # C-ordered rows: no copy in SymbolMatrix
+            cells = add[step[:, None], cells].reshape(-1, mat.shape[1])
         cells.setflags(write=False)
         return cells
 
 
 def linear_oa(gc: GeneratorColumns, k: int) -> tuple[SymbolMatrix, ResolvableProjection]:
-    """Rows x . M for all x in F_q^m, restricted to the first k columns after
-    rotating m independent columns to the front.  N = q^m, strength t, and
-    the leading m columns project bijectively (M = q^(k-m) after expansion).
-    Only these k columns are built; their strength-t self-check proves that
-    any t of them are independent, which is all the output relies on."""
-    field = gc.field
-    m = gc.m
+    """Rows x . M for all x in F_q^m, restricted to the first k columns.
+    N = q^m, strength t, and the leading m columns project bijectively
+    (M = q^(k-m) after expansion).  Only these k columns are built; their
+    strength-t self-check proves that any t of them are independent, and
+    the projection that the first m span, which is all the output relies on."""
+    q, m = gc.field.q, gc.m
     if not gc.t <= m <= k <= len(gc.columns):
         raise ConstraintError(f"need t={gc.t} <= m={m} <= k={k} <= l={len(gc.columns)}")
-    _check_work(field.q, m, k, gc.t)
-    # greedy basis in construction order, rotated to the front: each column
-    # is reduced once against the echelon rows (1 at their pivot) so far
-    basis: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []
-    for j, v in enumerate(gc.columns):
-        for pivot, row in echelon:
-            if f := v[pivot]:
-                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, [field.mul(field.inv(v[pivot]), x) for x in v]))
-            basis.append(j)
-            if len(basis) == m:
-                break
-    if len(basis) < m:
-        raise VerificationError(f"columns have rank {len(basis)} < m = {m}")
-    order = basis + [j for j in range(len(gc.columns)) if j not in set(basis)]
-    emitted = GeneratorColumns(field, m, tuple(gc.columns[j] for j in order[:k]), gc.t)
-    a = SymbolMatrix(LevelProfile([field.q] * k), emitted.cells, t=gc.t)
+    _check_work(q, m, k)
+    _check_work(q, m, k, gc.t)
+    emitted = GeneratorColumns(gc.field, m, gc.columns[:k], gc.t)
+    a = SymbolMatrix(LevelProfile([q] * k), emitted.cells, t=gc.t)
     return _self_check(a, gc.t, m)
 
 
 def projective_columns(q: int, n: int) -> GeneratorColumns:
     """One representative per projective point of F_q^n (first nonzero
     coordinate 1), in lexicographic coordinate order: (q^n - 1)/(q - 1)
-    columns claimed pairwise independent, unverified until linear_oa."""
+    columns claimed pairwise independent, unverified until linear_oa.  The
+    points whose 1 has i coordinates after it start at (q^i - 1)/(q - 1);
+    those starts, the unit vectors, lead."""
     if n < 2:
         raise ConstraintError("n must be >= 2")
-    _check_work(q, n, (q ** min(n, 30) - 1) // (q - 1))  # l unused if n >= 30
+    _check_work(q, n, n)
     field = make_field(*prime_power(q))
-    cols = [
-        v
-        for v in itertools.product(range(q), repeat=n)
-        if any(v) and next(x for x in v if x) == 1
-    ]
-    return GeneratorColumns(field, n, tuple(cols), 2)
+    starts = (q ** np.arange(n + 1, dtype=np.int64) - 1) // (q - 1)
+
+    def build(j):
+        i = np.searchsorted(starts, j, "right") - 1
+        point = j - starts[i] + q**i  # its coordinates as a base-q number
+        return point[:, None] // q ** np.arange(n - 1, -1, -1, dtype=np.int64) % q
+
+    return GeneratorColumns(field, n, _Columns(int(starts[n]), starts[:n], build), 2)
 
 
 def bush_columns(q: int, t: int) -> GeneratorColumns:
     """Moment-curve columns (1, c, c^2, ..., c^(t-1)) for every c, plus
     (0, ..., 0, 1); for even q at t = 3 also (0, 1, 0).  Any t columns are
-    independent (Vandermonde, unverified until linear_oa): OA(q^t, l, q, t)."""
+    independent (Vandermonde, unverified until linear_oa): OA(q^t, l, q, t).
+    The first t moment columns lead."""
     p, e = prime_power(q)
     if not 2 <= t <= q + 1:
         raise ConstraintError(f"t must be in [2, {q + 1}], got {t}")
-    _check_work(q, t, q + 1 + (p == 2 and t == 3))
+    _check_work(q, t, t)
     field = make_field(p, e)
-    cols = [tuple(field.pow(c, i) for i in range(t)) for c in field.elements()]
-    cols.append((0,) * (t - 1) + (1,))
-    if field.p == 2 and t == 3:
-        cols.append((0, 1, 0))
-    return GeneratorColumns(field, t, tuple(cols), t)
+    extra = np.eye(t, dtype=np.int64)[[t - 1, 1] if p == 2 and t == 3 else [t - 1]]
+
+    def build(j):
+        c, cols = np.minimum(j, q - 1), np.ones((len(j), t), dtype=np.int64)
+        for i in range(1, t):
+            cols[:, i] = field.mul_table[cols[:, i - 1], c]
+        cols[j >= q] = extra[j[j >= q] - q]
+        return cols
+
+    return GeneratorColumns(field, t, _Columns(q + len(extra), range(t), build), t)
 
 
 # -- the strength-3 matrix over q^2 + 1 columns --------------------------------
@@ -253,41 +249,40 @@ class QuadraticCoefficient:
     a: int
 
 
+def _quadratic(field: Field, a: int, x, y):
+    """-(x^2 + a*x*y + y^2) of element arrays x and y, by table lookups."""
+    add, mul = field.add_table, field.mul_table
+    return field.neg_table[add[add[mul[x, x], mul[a, mul[x, y]]], mul[y, y]]]
+
+
 def quad_coefficient(q: int) -> QuadraticCoefficient:
     """Smallest (by encoding) a outside {-(z + 1/z) : z nonzero}; the
     exhaustive no-nontrivial-zero check is run before returning."""
     if q < 3:
         raise ConstraintError("q must be a prime power >= 3")
     field = make_field(*prime_power(q))
-    forbidden = {field.neg(field.add(z, field.inv(z))) for z in range(1, q)}
-    a = next(x for x in field.elements() if x not in forbidden)
-    for x in field.elements():
-        for y in field.elements():
-            if (x, y) != (0, 0) and _g(field, a, x, y) == 0:
-                raise VerificationError(f"quadratic vanished at ({x}, {y}) with a={a}")
+    allowed = np.ones(q, dtype=bool)
+    allowed[field.neg_table[field.add_table[np.nonzero(field.mul_table == 1)]]] = False
+    a = int(allowed.argmax())
+    x = np.arange(q)
+    if np.count_nonzero(_quadratic(field, a, x[:, None], x) == 0) != 1:  # only at (0, 0)
+        raise VerificationError(f"quadratic vanished off the origin with a={a}")
     return QuadraticCoefficient(field, a)
 
 
-def _g(field: Field, a: int, x: int, y: int) -> int:
-    xx = field.mul(x, x)
-    yy = field.mul(y, y)
-    axy = field.mul(a, field.mul(x, y))
-    return field.neg(field.add(xx, field.add(axy, yy)))
-
-
 def q4_matrix(q: int) -> GeneratorColumns:
-    """The 4 x (q^2 + 1) matrix of columns (0,0,1,0) and
-    (x, y, -(x^2+a*x*y+y^2), 1) over all (x, y), any 3 of which are claimed
-    independent (unverified until linear_oa).  Expanding its strength-3
-    array partitions the q^k universe."""
-    _check_work(q, 4, q * q + 1)
+    """The 4 x (q^2 + 1) matrix of columns (0,0,1,0), then
+    (u, v, -(u^2+a*u*v+v^2), 1) over all (u, v) ascending, any 3 of which
+    are claimed independent (unverified until linear_oa).  Columns 0, 1, 2
+    and q + 1 lead.  Expanding its strength-3 array partitions the q^k
+    universe."""
+    _check_work(q, 4, 4)
     qc = quad_coefficient(q)
-    field = qc.field
-    cols = [(0, 0, 1, 0)]
-    for u in field.elements():
-        for v in field.elements():
-            cols.append((u, v, _g(field, qc.a, u, v), 1))
-    anchor = [cols[0], cols[1], cols[2], cols[q + 1]]
-    if field_det(field, list(zip(*anchor))) == 0:
-        raise VerificationError("anchor columns {0,1,2,q+1} are singular")
-    return GeneratorColumns(field, 4, tuple(cols), 3)
+
+    def build(j):
+        u, v = np.divmod(np.maximum(j - 1, 0), q)
+        cols = np.column_stack((u, v, _quadratic(qc.field, qc.a, u, v), np.ones_like(u)))
+        cols[j == 0] = (0, 0, 1, 0)
+        return cols
+
+    return GeneratorColumns(qc.field, 4, _Columns(q * q + 1, (0, 1, 2, q + 1), build), 3)

@@ -47,6 +47,7 @@ BUILD_TEST = ("tests/test_compose.py::test_kronecker_fills_the_block_formula_row
 FACTORS_TEST = ("tests/test_compose.py::"
                 "test_a_product_of_large_sets_is_counted_through_its_factors",)
 
+NEAR_WRITER_TEST = "tests/test_formats.py::test_loads_matches_reference_parser_on_near_writer_text"
 WALK_TESTS = ("tests/test_arrays.py::test_kernel_matches_the_oracle",
               "tests/test_arrays.py::test_block_kernel_matches_the_oracle")
 
@@ -162,6 +163,35 @@ MUTANTS = (
            "records = np.empty((step, len(zero)), dtype=profile.dtype)",
            ("tests/test_cell_dtype.py::test_a_wrong_separator_after_the_first_chunk_is_refused",
             "tests/test_formats.py::test_stride_faults_match_reference_parser")),
+    # the decoder's direct checks of each line (formats._decode, _header_t)
+    Mutant("token width unchecked", "formats.py",
+           "(size <= np.append(np.tile(widths, r), len(text))).all(axis=1)",
+           "(size > 0).all(axis=1)",
+           (NEAR_WRITER_TEST,)),
+    Mutant("header t above k accepted", "formats.py",
+           "& ((slot[:, 0] > 0) | (digits == 1)) & (t <= profile.k))",
+           "& ((slot[:, 0] > 0) | (digits == 1)))",
+           ("tests/test_formats.py::test_header_strength_outside_zero_to_k_is_refused",)),
+    Mutant("t slot read last digit first", "formats.py",
+           "power = 10 ** np.maximum(digits[:, None] - 1 - np.arange(most), 0)",
+           "power = 10 ** np.arange(most)",
+           ("tests/test_formats.py::test_members_whose_t_differ_in_digits_read_back_equal",)),
+    Mutant("any non-digit byte separates tokens", "formats.py",
+           'gap = (text == ord(" ")) | (text == ord("\\n"))',
+           "gap = (text < ord(\"0\")) | (text > ord(\"9\"))",
+           (NEAR_WRITER_TEST,)),
+    # the linear constructions' lead columns and their projection (algebraic)
+    Mutant("a family's lead column off by one", "algebraic.py",
+           "_Columns(q * q + 1, (0, 1, 2, q + 1), build)",
+           "_Columns(q * q + 1, (0, 1, 2, q), build)",
+           ("tests/test_algebraic.py::test_q4_matrix_q3",
+            "tests/test_algebraic.py::"
+            "test_columns_by_formula_are_the_greedy_basis_then_the_rest[q4t3 q=5]")),
+    Mutant("linear_oa skips require_resolvable", "algebraic.py",
+           "    return _self_check(a, gc.t, m)\n",
+           "    return ((a, ResolvableProjection(tuple(range(m)), a.n))\n"
+           "            if verify_strength(a, gc.t).ok else _self_check(a, gc.t, m))\n",
+           ("tests/test_algebraic.py::test_linear_oa_refuses_lead_columns_that_do_not_span",)),
 )
 
 

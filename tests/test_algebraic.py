@@ -15,7 +15,6 @@ from oaforge import algebraic
 from oaforge.algebraic import (
     GeneratorColumns,
     bush_columns,
-    field_det,
     linear_oa,
     projective_columns,
     q4_matrix,
@@ -27,8 +26,15 @@ from oaforge.algebraic import (
 from oaforge.arrays import LevelProfile, brute_force_strength, verify_strength
 from oaforge.errors import BudgetExceededError, ConstraintError, VerificationError
 from oaforge.expand import check_resolvable_projection, expand_shift
-from oaforge.gf import make_field
-from reference import field_rank
+from oaforge.gf import make_field, prime_power
+from reference import (
+    field_det,
+    field_rank,
+    lead_first,
+    moment_curve,
+    projective_points,
+    quartic_columns,
+)
 
 
 def test_sylvester_order2():
@@ -153,6 +159,16 @@ def test_linear_oa_rejects_dependent_columns():
         linear_oa(gc, 3)
 
 
+def test_linear_oa_refuses_lead_columns_that_do_not_span():
+    """Any t = 1 of these columns are independent, so the rows have strength
+    1; linear_oa emits only what its first m columns project bijectively."""
+    f = make_field(2, 1)
+    with pytest.raises(VerificationError, match=r"projection \(0, 1\) is not resolvable"):
+        linear_oa(GeneratorColumns(f, 2, ((1, 0), (1, 0), (0, 1)), 1), 3)
+    a, proj = linear_oa(GeneratorColumns(f, 2, ((1, 0), (0, 1), (1, 0)), 1), 3)
+    assert (a.n, a.k, a.t, proj.columns) == (4, 3, 1, (0, 1))
+
+
 def test_linear_oa_expansion_size():
     a, proj = linear_oa(projective_columns(3, 2), 4)
     ls = expand_shift(a, proj)
@@ -175,10 +191,9 @@ def test_bush_columns():
     gc = bush_columns(5, 4)
     assert len(gc.columns) == 6
     # independent Vandermonde oracle: every 4x4 minor on moment columns
-    f = gc.field
-    for sub in itertools.combinations(range(len(gc.columns)), 4):
-        mat = [gc.columns[j] for j in sub]
-        assert field_det(f, list(zip(*mat))) != 0
+    f, columns = gc.field, gc.columns[:6].tolist()
+    for sub in itertools.combinations(columns, 4):
+        assert field_det(f, list(zip(*sub))) != 0
 
 
 def test_bush_range():
@@ -216,7 +231,7 @@ def test_quad_nonvanishing_all_small_orders(q):
 def test_q4_matrix_q3():
     gc = q4_matrix(3)
     assert len(gc.columns) == 10
-    anchor = [gc.columns[0], gc.columns[1], gc.columns[2], gc.columns[4]]
+    anchor = gc.columns[:4].tolist()  # construction columns 0, 1, 2 and q + 1 = 4 lead
     det = field_det(gc.field, list(zip(*anchor)))
     assert det == gc.field.neg(1)
     a, _ = linear_oa(gc, 10)  # all 120 triples independent
@@ -248,9 +263,9 @@ def test_q4_full_width_q5():
 
 
 def reference_independent(gc):
-    """Whether the columns span F_q^m and any t of them are independent, one
-    field_rank call per t-subset."""
-    return field_rank(gc.field, gc.columns) == gc.m and all(
+    """Whether the first m columns span F_q^m and any t of all of them are
+    independent, one field_rank call per t-subset."""
+    return field_rank(gc.field, gc.columns[:gc.m]) == gc.m and all(
         field_rank(gc.field, [gc.columns[j] for j in sub]) == gc.t
         for sub in itertools.combinations(range(len(gc.columns)), gc.t))
 
@@ -285,7 +300,8 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_independence_check_matches_field_rank_reference(gc):
     """linear_oa over all l columns: its count of every column proves any t
-    of them independent, or it refuses them."""
+    of them independent, and its projection check the first m spanning, or
+    it refuses them."""
     l = len(gc.columns)
     if not gc.t <= gc.m <= l:
         with pytest.raises(ConstraintError):
@@ -315,6 +331,7 @@ def digit_table_cells(gc):
 @given(generator_sets())
 def test_rows_built_one_digit_at_a_time_match_the_digit_table(gc):
     assert gc.cells.dtype == LevelProfile([gc.field.q]).dtype and not gc.cells.flags.writeable
+    assert gc.cells.flags.c_contiguous  # so that linear_oa's SymbolMatrix does not copy them
     assert np.array_equal(gc.cells, digit_table_cells(gc))
 
 
@@ -361,16 +378,11 @@ def test_only_the_emitted_columns_are_counted(monkeypatch):
 
 
 def reference_emitted_columns(gc, k):
-    """The k columns linear_oa emits, the first m independent ones (greedy,
-    in construction order) leading, or None when no m of them span."""
-    basis = []
-    for j in range(len(gc.columns)):
-        if len(basis) < gc.m and field_rank(
-                gc.field, [gc.columns[i] for i in basis + [j]]) == len(basis) + 1:
-            basis.append(j)
-    if len(basis) < gc.m:
+    """The k columns linear_oa emits, the first k, or None when the first m
+    of them do not span."""
+    if field_rank(gc.field, gc.columns[:gc.m]) < gc.m:
         return None
-    return basis + [j for j in range(len(gc.columns)) if j not in basis][:k - gc.m]
+    return list(range(k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,9 +428,45 @@ def test_linear_output_is_a_column_selection_of_the_full_width_rows():
     full = {tuple(row) for row in gc.cells.tolist()}
     assert len(full) == 27 and gc.cells.shape == (27, 13)
     assert not gc.cells.flags.writeable
-    basis = [0, 1, 4]  # (0,0,1), (0,1,0), (1,0,0): the first independent ones
-    order = basis + [j for j in range(13) if j not in basis]
-    assert np.array_equal(a.cells, gc.cells[:, order[:6]])
+    # construction columns 0, 1, 4, the first independent ones, lead
+    assert gc.columns[:3].tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert np.array_equal(a.cells, gc.cells[:, :6])
+
+
+def _families():
+    """Every family over each prime power q <= 16 with q^m <= 10^6 (n <= 4,
+    t <= 5): an id, the builder, and its columns by the reference in
+    construction order."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        field = make_field(*prime_power(q))
+        for n in range(2, 5):
+            if q**n <= 10**6:
+                yield (f"projective q={q} n={n}", lambda q=q, n=n: projective_columns(q, n),
+                       lambda f=field, n=n: projective_points(f, n))
+        for t in range(2, min(5, q + 1) + 1):
+            if q**t <= 10**6:
+                yield (f"bush q={q} t={t}", lambda q=q, t=t: bush_columns(q, t),
+                       lambda f=field, t=t: moment_curve(f, t))
+        if q >= 3:
+            yield f"q4t3 q={q}", lambda q=q: q4_matrix(q), lambda f=field: quartic_columns(f)
+
+
+@pytest.mark.parametrize("build, reference", [
+    pytest.param(build, reference, id=name) for name, build, reference in _families()])
+def test_columns_by_formula_are_the_greedy_basis_then_the_rest(build, reference):
+    """Each family's lead columns are the greedy basis of its columns in
+    construction order, so that every output stays as it was when linear_oa
+    chose them by elimination."""
+    gc = build()
+    expected = np.array(lead_first(gc.field, reference(), gc.m))
+    assert len(gc.columns) == len(expected)
+    for k in range(gc.m, len(expected) + 1):
+        assert np.array_equal(gc.columns[:k], expected[:k])
+    k = min(len(expected), gc.m + 2)
+    a, proj = linear_oa(gc, k)
+    emitted = GeneratorColumns(gc.field, gc.m, tuple(map(tuple, expected[:k].tolist())), gc.t)
+    assert np.array_equal(a.cells, digit_table_cells(emitted))
+    assert proj.columns == tuple(range(gc.m))
 
 
 @pytest.mark.parametrize("build", [

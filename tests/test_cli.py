@@ -656,6 +656,19 @@ def test_linear_constructions_at_q16_verify(capsys, argv, label):
     assert time.perf_counter() - start < 30.0
 
 
+@pytest.mark.parametrize("argv, label", [
+    ("construct q4t3 --q 32 --k 6", "OA(1048576,32^6,3)"),
+    ("construct projective --q 64 --n 3 --k 5", "OA(262144,64^5,2)"),
+])
+def test_linear_constructions_are_charged_for_the_columns_they_emit(capsys, argv, label):
+    # q^m rows x l columns would be over the cap (32^4 x 1025, 64^3 x 4161);
+    # only the k columns emitted are built and counted
+    start = time.perf_counter()
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and out.startswith(label)
+    assert time.perf_counter() - start < 5.0
+
+
 @pytest.mark.parametrize("argv", [
     "construct projective --q 512 --n 2 --k 3",
     "construct bush --q 512 --t 2 --k 3",

@@ -365,6 +365,8 @@ def test_loads_matches_reference_parser(obj_chunk, kinds, data):
     "OA N=1 t=1 levels=1000^2\n5 \n",  # an empty token where 3 digits may stand
     "OA N=1 t=1 levels=1000^2\n 5\n",
     "LOA M=2\nOA N=1 t=1 levels=2^2\n0 1\n5\nOA N=1 t=1 levels=2^2\n1 0\n",  # no blank line
+    "OA N=1 t=1 levels=2^2\n0,1\n",  # a separator that is not a space
+    "OA N=1 t=1 levels=12^2\n11;1\n",
 ])
 def test_loads_matches_reference_parser_on_near_writer_text(text):
     same_result(text)
