@@ -9,17 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
+from . import work
 from .arrays import LevelProfile, SymbolMatrix, verify_strength
 from .errors import BudgetExceededError, ConstraintError, VerificationError
 from .expand import ResolvableProjection, require_resolvable
 from .gf import Field, make_field, prime_power
-
-SYLVESTER_MAX_N = 10
-LINEAR_WORK_CAP = 10**9  # counting operations of one generator-column check
 
 
 # -- Sylvester / Hadamard ------------------------------------------------------
@@ -29,8 +26,8 @@ def sylvester(n: int) -> np.ndarray:
     """The +-1 character matrix of Z_2^n: entry (x, y) = (-1)^(x . y) with
     rows/columns indexed by Z_2^n in lexicographic order.  Also built as the
     n-fold Kronecker power of the order-2 matrix; the two must agree."""
-    if not 1 <= n <= SYLVESTER_MAX_N:
-        raise ConstraintError(f"n must be in [1, {SYLVESTER_MAX_N}], got {n}")
+    if not 1 <= n <= work.SYLVESTER_MAX_N:
+        raise ConstraintError(f"n must be in [1, {work.SYLVESTER_MAX_N}], got {n}")
     idx = np.arange(1 << n, dtype=np.uint32)
     bits = np.bitwise_count(idx[:, None] & idx[None, :])
     direct = (1 - 2 * (bits & 1)).astype(np.int8)
@@ -103,17 +100,18 @@ def _check_work(q: int, m: int, k: int, t: int | None = None):
     """Refuse q^m rows times k columns (the cells) or, given t, times C(k, t)
     subsets (the --budget unit) above LINEAR_WORK_CAP, before any of it is
     built.  A builder, which does not know k, charges the smallest output,
-    k = m.  Once m reaches the cap's bit length, q^m alone is over it."""
-    width, what = (k, f"{k} columns") if t is None else (comb(k, t), f"C({k},{t}) subsets")
-    if m >= LINEAR_WORK_CAP.bit_length():
+    k = m.  Where even 2^m is surely over the cap, only q^m is named."""
+    width, what = (k, f"{k} columns") if t is None else \
+        (work.count_ops(1, k, t), f"C({k},{t}) subsets")
+    if work.surely_over(2, m, work.LINEAR_WORK_CAP):
         need = f"{q}^{m} rows"
-    elif q**m * width > LINEAR_WORK_CAP:
+    elif work.power_over(q, m, work.LINEAR_WORK_CAP, width):
         need = f"{q}^{m} rows x {what}"
     else:
         return
     raise BudgetExceededError(
         f"generator columns in F_{q}^{m} need {need},"
-        f" over the cap of {LINEAR_WORK_CAP} cells or counting operations"
+        f" over the cap of {work.LINEAR_WORK_CAP} cells or counting operations"
     )
 
 

@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import work
 from .errors import BudgetExceededError, ConstraintError
 
 OCCUPANCY_LIMIT = 1 << 24  # map or bincount of row codes up to this universe, sorted codes above
@@ -320,15 +321,14 @@ class StrengthReport:
         self.failures: list[StrengthFailure] = failures if failures is not None else []
         self.checked_subsets = checked_subsets
         self._lambda = lambda_by_subset
-        self._lazy = _lazy_lambda  # (subsets, prods, n)
+        self._lazy = _lazy_lambda  # (levels, n): every t-subset's index n / prod
 
     @property
     def lambda_by_subset(self) -> dict[tuple[int, ...], Fraction]:
         if self._lambda is None:
-            subsets, prods, n = self._lazy
-            self._lambda = {
-                tuple(sub): Fraction(n, p) for sub, p in zip(subsets.tolist(), prods.tolist())
-            }
+            levels, n = self._lazy
+            self._lambda = {tuple(sub): Fraction(n, prod(levels[j] for j in sub))
+                            for sub in _colex(len(levels), self.t).tolist()}
         return self._lambda
 
     @property
@@ -560,20 +560,21 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
     each compared as soon as it is counted, so a fail-fast return stops the
     walk; wider blocks give them out of order, so the walk is finished and
     the off subsets sorted first.  Only an off subset is recounted, to name
-    its tuples.  The budget counts N * (number of subsets) elementary
-    counting operations, those of counting each subset on its own.
+    its tuples.  The budget counts work.count_ops(N, k, t).  N = 0 passes
+    every subset with no plan: every index is 0, every table all zeros.
     """
     if not 0 <= t <= a.k:
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
     if t == 0:
         return StrengthReport(t=0, lambda_by_subset={(): Fraction(a.n)}, checked_subsets=0)
-    if budget is not None and a.n * comb(a.k, t) > budget:  # before the plan lists them
-        raise BudgetExceededError(
-            f"strength check needs {a.n * comb(a.k, t)} counting ops, budget {budget}"
-        )
+    ops = work.count_ops(a.n, a.k, t)
+    if budget is not None and ops > budget:  # before the plan lists them
+        raise BudgetExceededError(f"strength check needs {ops} counting ops, budget {budget}")
+    report = StrengthReport(t=t, checked_subsets=comb(a.k, t),
+                            _lazy_lambda=(a.profile.levels, a.n))
+    if a.n == 0:
+        return report
     plan = _strength_plan(a.profile.levels, t, a.n)
-    report = StrengthReport(t=t, checked_subsets=len(plan.subsets),
-                            _lazy_lambda=(plan.subsets, plan.prods, a.n))
     failing = (plan.counted[lo + j] for _, lo, off in _off_walk(a.cells[None], plan)
                for j in np.flatnonzero(off[0]).tolist())
     if plan.axes is not None:  # blocks give their subsets out of colex order
@@ -677,30 +678,29 @@ def _product_strength(a: SymbolMatrix, h: int, n1: int, k1: int, t: int) -> Stre
     each_a = uniform(sides[0], np.ones(len(subsets), dtype=bool), False)
     each_b = uniform(sides[1], ~each_a, False)
     on = each_a & uniform(sides[1], each_a, True) | each_b & uniform(sides[0], each_b, True)
-    report = StrengthReport(t=t, checked_subsets=len(subsets), _lazy_lambda=(subsets, prods, n))
+    report = StrengthReport(t=t, checked_subsets=len(subsets), _lazy_lambda=(levels, n))
     # a subset that neither side settles has on False
     for i in np.flatnonzero((n % prods != 0) | ~on).tolist():
         report.failures.extend(_subset_failures(a, subsets[i]))
     return report
 
 
-def brute_force_strength(a: SymbolMatrix, t: int, budget: int = 10**8) -> StrengthReport:
+def brute_force_strength(a: SymbolMatrix, t: int,
+                         budget: int = work.DEFAULT_BUDGET) -> StrengthReport:
     """Independent oracle: a deliberately naive nested re-count over python
-    tuples, sharing no counting kernels with verify_strength."""
+    tuples, sharing no counting kernels with verify_strength.  The budget
+    charges work.count_ops(N, k, t) or, for N = 0, the tuples enumerated:
+    C(k, t) times the product of the t largest levels."""
     if not 0 <= t <= a.k:
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
     if t == 0:
         return StrengthReport(t=0, lambda_by_subset={(): Fraction(a.n)}, checked_subsets=0)
-    n_subsets = 0
-    for _ in itertools.combinations(range(a.k), t):
-        n_subsets += 1
-    if a.n * n_subsets > budget:
-        raise BudgetExceededError(
-            f"oracle needs {a.n * n_subsets} operations, budget {budget}"
-        )
-    rows = [tuple(int(x) for x in row) for row in a.cells]
     levels = a.profile.levels
-    report = StrengthReport(t=t, lambda_by_subset={}, checked_subsets=n_subsets)
+    ops = work.count_ops(a.n or prod(sorted(levels)[-t:]), a.k, t)
+    if ops > budget:
+        raise BudgetExceededError(f"oracle needs {ops} operations, budget {budget}")
+    rows = [tuple(int(x) for x in row) for row in a.cells]
+    report = StrengthReport(t=t, lambda_by_subset={}, checked_subsets=comb(a.k, t))
     for sub in itertools.combinations(range(a.k), t):
         space = 1
         for j in sub:
@@ -790,25 +790,23 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     member 0 with each column's symbols permuted; a certified member has
     member 0's verdict, since such a relabelling keeps every tuple count.
     The certificate is tried only when there are more t-subsets than
-    columns.  The budget charges every member's count, M * N * C(k, t)."""
+    columns.  The budget charges work.count_ops(M * N, k, t), every member's
+    count.  N = 0 passes every member's count with no plan."""
     if not 0 <= t <= ls.profile.k:
         raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
     universe = ls.profile.universe_size
     report = LargeSetReport(m=ls.m, n=ls.n, universe=universe, t=t,
                             count_ok=ls.m * ls.n == universe)
-    if t > 0:
-        if budget is not None and ls.m * ls.n * comb(ls.profile.k, t) > budget:
-            raise BudgetExceededError(
-                f"large-set check needs {ls.m * ls.n * comb(ls.profile.k, t)} counting ops,"
-                f" budget {budget}"
-            )
-        plan = _strength_plan(ls.profile.levels, t, ls.n)
+    ops = work.count_ops(ls.m * ls.n, ls.profile.k, t)
+    if t > 0 and budget is not None and ops > budget:
+        raise BudgetExceededError(f"large-set check needs {ops} counting ops, budget {budget}")
+    plan = _strength_plan(ls.profile.levels, t, ls.n) if t > 0 and ls.n else None
     report.collision = _smallest_repeat(ls.cells.reshape(-1, ls.profile.k), ls.profile.levels)
     report.disjoint_ok = report.collision is None
     weak = np.zeros(ls.m, dtype=bool)
-    if t > 0 and plan.uncounted:  # a non-integer index fails every member uncounted
+    if plan is not None and plan.uncounted:  # a non-integer index fails every member uncounted
         weak[:] = True
-    elif t > 0:
+    elif plan is not None:
         certified = _relabels(ls.cells, ls.profile.levels) \
             if ls.m > 1 and len(plan.subsets) > ls.profile.k else np.zeros(ls.m, dtype=bool)
         counted = np.flatnonzero(~certified)
@@ -880,6 +878,8 @@ def _smallest_repeat(rows: np.ndarray, levels) -> tuple[int, ...] | None:
     it: a large set's union (M * N rows) and a resolvable projection (N
     rows onto a universe of N)."""
     universe = prod(levels)
+    if len(rows) < 2:  # nothing to repeat, and no map of the universe to build
+        return None
     if universe >= CODE_LIMIT:
         simple, pair = verify_simple(SymbolMatrix._trusted(LevelProfile(levels), rows, None))
         return None if simple else tuple(rows[pair[0]].tolist())

@@ -20,8 +20,9 @@ nothing is accepted without verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import prod
 
+from . import work
 from .arrays import LargeSet, LevelProfile
 from .compose import (
     Claim,
@@ -63,7 +64,7 @@ class CatalogEntry:
         large = isinstance(root, (Expand, Juxtapose)) or getattr(root, "kind", "") in (
             "cosets", "fixture")
         rows = prod(s**c for s, c in claim.profile_counts) if large else claim.n
-        return rows * comb(sum(c for _, c in claim.profile_counts), claim.t)
+        return work.count_ops(rows, sum(c for _, c in claim.profile_counts), claim.t)
 
 
 def _claim(text: str) -> Claim:
@@ -521,7 +522,7 @@ def run_entry(entry: CatalogEntry) -> str:
     return f"OA({out.n},{out.profile.format()},{out.t}) verified"
 
 
-def run_entries(entries, budget: int = 10**8) -> list[tuple[CatalogEntry, str]]:
+def run_entries(entries, budget: int = work.DEFAULT_BUDGET) -> list[tuple[CatalogEntry, str]]:
     """Run every synthesizable entry whose cost fits the budget; outcomes are
     'verified ...', 'failed: ...', 'skipped(budget)', 'needs-fixture', or
     'unreconciled'."""

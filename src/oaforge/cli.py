@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog as cat, compose, diffmatrix, fixtures as fix
+from . import catalog as cat, compose, diffmatrix, fixtures as fix, work
 from .arrays import (
     LargeSet,
     SymbolMatrix,
@@ -352,7 +352,7 @@ def _cmd_fixtures(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(
-        argv, argparse.Namespace(budget=10**8, fail_fast=False))
+        argv, argparse.Namespace(budget=work.DEFAULT_BUDGET, fail_fast=False))
     handlers = {
         "construct": _cmd_construct,
         "expand": _cmd_expand,

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from . import algebraic, diffmatrix, fixtures
+from . import algebraic, diffmatrix, fixtures, work
 from .arrays import (
     LargeSet,
     LevelProfile,
@@ -35,8 +35,6 @@ from .errors import ConstraintError, SizeCapError, VerificationError
 from .expand import ResolvableProjection, expand_shift, project_resolvable
 from .gf import prime_power
 
-MAX_MATERIALIZED = 1 << 24
-
 
 # -- direct constructions -------------------------------------------------------
 
@@ -46,7 +44,7 @@ def cosets_strength1(profile: LevelProfile) -> LargeSet:
     generated by (1, ..., 1): each coset is a simple strength-1 array with
     N = lcm of the levels, members ordered by their smallest row."""
     levels = profile.levels
-    if profile.universe_size * profile.k > MAX_MATERIALIZED:
+    if profile.universe_size * profile.k > work.MAX_MATERIALIZED:
         raise SizeCapError(f"universe of {profile.universe_size.bit_length()} bits"
                            " too large to materialize")
     # Adding i * (1, ..., 1) keeps columns 0..j-1 fixed iff lcm(l_0..l_{j-1})
@@ -74,7 +72,7 @@ def zero_sum_oa(s: int, t: int) -> tuple[SymbolMatrix, ResolvableProjection]:
     coordinate sum mod s.  The first t columns project bijectively."""
     if s < 2 or t < 1:
         raise ValueError("need s >= 2 and t >= 1")
-    if t * (s.bit_length() - 1) >= MAX_MATERIALIZED.bit_length() or s**t > MAX_MATERIALIZED:
+    if work.power_over(s, t, work.MAX_MATERIALIZED):
         raise SizeCapError(f"s^t = {s}^{t} too large to materialize")
     x = np.indices((s,) * t).reshape(t, -1).T
     last = (-x.sum(axis=1)) % s
@@ -137,7 +135,7 @@ def kronecker(l1: LargeSet, l2: LargeSet) -> SymbolMatrix:
     t = l1.t + l2.t + 1
     n_out = h * l1.n * l2.n
     k1 = l1.profile.k
-    if n_out * (k1 + l2.profile.k) > MAX_MATERIALIZED * 8:
+    if n_out * (k1 + l2.profile.k) > work.MAX_OUTPUT_CELLS:
         raise SizeCapError(f"output with {n_out} rows too large to materialize")
     # block s holds row i of member s mod M1 beside row j of member s mod M2
     # at row i * N2 + j; s mod M runs over h / M copies of range(M).  A member
@@ -424,7 +422,7 @@ def _check(cond: bool, theorem: str, constraint: str):
 
 
 def _is_prime_power(q: int) -> bool:
-    """Whether q is a prime power; a q above gf.MAX_ORDER is refused."""
+    """Whether q is a prime power; a q above MAX_ORDER is refused."""
     try:
         prime_power(q)
     except ConstraintError:
@@ -449,11 +447,11 @@ def _dev_node(v: int, cols: int) -> PlanNode:
 
 def _power(base: int, exp: int) -> int:
     """base ** exp, which divides the rows of a recipe's output, or, before
-    it is computed, a SizeCapError if it alone passes the Kronecker output's
-    cap of cells."""
-    cap = (MAX_MATERIALIZED * 8).bit_length() - 1  # the cap is 2^cap cells
-    if exp * (base.bit_length() - 1) > cap:
-        raise SizeCapError(f"output of over 2^{cap} cells too large to materialize")
+    it is computed, a SizeCapError if its lower bound alone passes the
+    output's cap of cells; a later check names what the exact value passes."""
+    if work.surely_over(base, exp, work.MAX_OUTPUT_CELLS):
+        raise SizeCapError(f"output of over 2^{work.MAX_OUTPUT_CELLS.bit_length() - 1} cells"
+                           " too large to materialize")
     return base**exp
 
 

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import work
 from .arrays import LevelProfile, StrengthReport, SymbolMatrix, verify_strength
 from .errors import (
     BudgetExceededError,
@@ -24,11 +25,9 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .expand import MAX_MEMBER_CELLS, ResolvableProjection, require_resolvable
+from .expand import ResolvableProjection, require_resolvable
 from .formats import read_utf8
-from .gf import MAX_ORDER, digitwise, make_field, prime_power
-
-SEARCH_SIZE_CAP = 200  # v * k above this is out of search scope
+from .gf import digitwise, factor, make_field, prime_power
 
 
 class AbelianGroup:
@@ -105,29 +104,12 @@ def _partitions(n: int):
 
 def abelian_groups(v: int) -> list[AbelianGroup]:
     """Every abelian group of order v up to isomorphism, the cyclic group
-    first (one choice of cyclic-factor partition per prime)."""
-    if v == 1:
-        return [AbelianGroup(())]
-    factorization = []
-    m = v
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factorization.append((p, e))
-        p += 1
-    if m > 1:
-        factorization.append((m, 1))
+    first (one choice of cyclic-factor partition per prime), for v whose
+    gf.factor is its factorization, every v below (MAX_ORDER + 1)^2."""
     choices = [[tuple(p**part for part in parts) for parts in _partitions(e)]
-               for p, e in factorization]
-    groups = []
-    for combo in itertools.product(*choices):
-        factors = tuple(itertools.chain.from_iterable(combo))
-        groups.append(AbelianGroup(factors))
-    return groups
+               for p, e in factor(v)]
+    return [AbelianGroup(tuple(itertools.chain.from_iterable(combo)))
+            for combo in itertools.product(*choices)]
 
 
 @dataclass(frozen=True)
@@ -229,7 +211,7 @@ def product_dm(d1: DifferenceMatrix, d2: DifferenceMatrix) -> DifferenceMatrix:
 def search_dm(
     v: int,
     k: int,
-    budget: int = 10**6,
+    budget: int = work.DM_SEARCH_BUDGET,
     group: AbelianGroup | None = None,
 ) -> DifferenceMatrix | None:
     """Backtracking search with the first row and first column normalized to
@@ -242,8 +224,8 @@ def search_dm(
     """
     if v < 1 or k < 1:
         raise ConstraintError(f"v and k must be >= 1, got v = {v}, k = {k}")
-    if v * k > SEARCH_SIZE_CAP:
-        raise SizeCapError(f"v*k = {v * k} exceeds search cap {SEARCH_SIZE_CAP}")
+    if v * k > work.SEARCH_SIZE_CAP:
+        raise SizeCapError(f"v*k = {v * k} exceeds search cap {work.SEARCH_SIZE_CAP}")
     grp = group if group is not None else AbelianGroup((v,))
     if grp.order != v:
         raise ConstraintError(f"group order {grp.order} != v = {v}")
@@ -292,30 +274,18 @@ def search_dm(
 def _dm_parts(v: int) -> list[int]:
     """The prime-power factors of v, after refusing an order that dm_for
     cannot serve: v < 4, v = 2 (mod 4), a field product (every factor at
-    least 4) with a factor above gf.MAX_ORDER, or a factor 3 with v over the
-    search's scope.  Trial division stops at MAX_ORDER; what is left above
-    it has only prime factors above the cap and is kept as one factor."""
+    least 4) with a factor above MAX_ORDER, or a factor 3 with v over the
+    search's scope.  As gf.factor gives them: what is left above MAX_ORDER
+    has only prime factors above it and is kept as one factor."""
     if v < 4:
         raise ConstraintError(f"v must be >= 4, got {v}")
     if v % 4 == 2:
         raise ConstraintError(f"v = {v} is 2 (mod 4); no (v,4,1) difference matrix exists")
-    parts = []
-    m = v
-    p = 2
-    while p * p <= m and p <= MAX_ORDER:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            parts.append(q)
-        p += 1
-    if m > 1:
-        parts.append(m)
-    over = [q for q in parts if q > MAX_ORDER]
+    parts = [p**e for p, e in factor(v)]
+    over = [q for q in parts if q > work.MAX_ORDER]
     if min(parts) >= 4 and over:  # a field product would need GF(q) for each factor q
         prime_power(over[0])  # raises the field cap's usage error
-    if min(parts) < 4 and v * 4 > SEARCH_SIZE_CAP:
+    if min(parts) < 4 and v * 4 > work.SEARCH_SIZE_CAP:
         raise DMUnavailableError(
             f"order v = {v} is not covered by built-in constructions"
             " (a bare factor 3 strands the field product); supply one with --dm-file"
@@ -331,7 +301,7 @@ def require_development(v: int, width: int, axes: int):
     _charge_cells(v, width, axes)
 
 
-def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
+def dm_for(v: int, search_budget: int = work.DM_SEARCH_BUDGET) -> DifferenceMatrix:
     """A (v, 4, 1)-DM for v >= 4, v != 2 (mod 4): the product of field
     matrices when every prime-power factor is >= 4, otherwise a backtracking
     search over every abelian group of order v.  The result always passes
@@ -359,10 +329,9 @@ def dm_for(v: int, search_budget: int = 10**6) -> DifferenceMatrix:
 
 
 def _charge_cells(v: int, width: int, axes: int):
-    cells = v**axes * width
-    if cells > MAX_MEMBER_CELLS:
-        raise SizeCapError(f"{width}-column development would materialize {cells}"
-                           f" cells (cap {MAX_MEMBER_CELLS})")
+    if work.power_over(v, axes, work.MAX_OUTPUT_CELLS, width):
+        raise SizeCapError(f"{width}-column development would materialize {v**axes * width}"
+                           f" cells (cap {work.MAX_OUTPUT_CELLS})")
 
 
 def _require_dm4(dm: DifferenceMatrix, width: int, axes: int):

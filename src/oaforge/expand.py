@@ -17,12 +17,9 @@ from math import prod
 
 import numpy as np
 
-from . import arrays
+from . import arrays, work
 from .arrays import LargeSet, SymbolMatrix, project_columns
 from .errors import BudgetExceededError, ConstraintError, SizeCapError, VerificationError
-
-SUBSET_SEARCH_CAP = 10**6
-MAX_MEMBER_CELLS = 1 << 27  # cap on total cells materialized by an expansion
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,9 @@ def _product_subsets(levels, top_limit: int, target: int, counter: list[int]):
     colexicographic order (largest element varied last)."""
     if target == 1:
         counter[0] += 1
-        if counter[0] > SUBSET_SEARCH_CAP:
+        if counter[0] > work.SUBSET_SEARCH_CAP:
             raise BudgetExceededError(
-                f"resolvable-projection search exceeded {SUBSET_SEARCH_CAP} candidates"
+                f"resolvable-projection search exceeded {work.SUBSET_SEARCH_CAP} candidates"
             )
         yield ()
         return
@@ -134,10 +131,10 @@ def expand_shift(a: SymbolMatrix, proj: ResolvableProjection) -> LargeSet:
     is one gather from the stacked tables."""
     require_resolvable(a, proj.columns)
     m = prod(s for j, s in enumerate(a.profile.levels) if j not in proj.columns)
-    if m * a.n * a.k > MAX_MEMBER_CELLS:
+    if m * a.n * a.k > work.MAX_OUTPUT_CELLS:
         raise SizeCapError(
             f"expansion would materialize {m * a.n * a.k} cells"
-            f" (cap {MAX_MEMBER_CELLS}); project to fewer columns first"
+            f" (cap {work.MAX_OUTPUT_CELLS}); project to fewer columns first"
         )
     radix, first, column, shift, level, place = _shift_index(a.profile.levels,
                                                              tuple(proj.columns))

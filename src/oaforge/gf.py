@@ -14,9 +14,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import work
 from .errors import ConstraintError
-
-MAX_ORDER = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -31,43 +30,46 @@ def is_prime(n: int) -> bool:
 
 
 def _over_cap(order: int | str) -> ConstraintError:
-    return ConstraintError(f"field order {order} exceeds cap {MAX_ORDER}")
+    return ConstraintError(f"field order {order} exceeds cap {work.MAX_ORDER}")
+
+
+def factor(n: int) -> list[tuple[int, int]]:
+    """The prime powers p^e of n >= 1 as (p, e), p ascending, by trial
+    division up to MAX_ORDER: a rest with no prime factor up to it is one
+    (rest, 1), a prime whenever n < (MAX_ORDER + 1)^2."""
+    out, p = [], 2
+    while p * p <= n and p <= work.MAX_ORDER:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] if n > 1 else out
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """Factor q as p^e with p prime, or raise ValueError (a ConstraintError
-    naming the cap for q above MAX_ORDER, before any factoring).  The
-    smallest factor p is found by trial division up to sqrt(q); none there
-    means q is prime."""
+    naming the cap for q above MAX_ORDER, before any factoring)."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    if q > MAX_ORDER:
+    if q > work.MAX_ORDER:
         raise _over_cap(q)
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    pe, *rest = factor(q)
+    if rest:
         raise ValueError(f"{q} is not a prime power")
-    return p, e
+    return pe
 
 
 def parse_order(text: str) -> tuple[int, int]:
     """Parse a field order given as 'p^e' or as a plain prime power.  An
-    order above MAX_ORDER is refused before p is tested or p^e computed:
-    e at or above the cap's bit length already gives 2^e > MAX_ORDER."""
+    order above MAX_ORDER is refused before p is tested or a power that is
+    surely over the cap computed."""
     if "^" in text:
         base, _, exp = text.partition("^")
         p, e = int(base), int(exp)
-        if p > 1 and (p > MAX_ORDER or e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER):
+        if p > 1 and (p > work.MAX_ORDER or work.power_over(p, e, work.MAX_ORDER)):
             raise _over_cap(f"{p}^{e}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -137,7 +139,7 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"degree must be >= 1, got {e}")
-    if p**e > MAX_ORDER:
+    if work.power_over(p, e, work.MAX_ORDER):
         raise _over_cap(p**e)
     if e == 1:
         return (0, 1)  # x itself; GF(p) needs no reduction

@@ -192,6 +192,20 @@ MUTANTS = (
            "    return ((a, ResolvableProjection(tuple(range(m)), a.n))\n"
            "            if verify_strength(a, gc.t).ok else _self_check(a, gc.t, m))\n",
            ("tests/test_algebraic.py::test_linear_oa_refuses_lead_columns_that_do_not_span",)),
+    # the size caps' arithmetic and the N = 0 verdicts (work, arrays)
+    Mutant("the N = 0 rule taken for N <= 1", "arrays.py",
+           "    if a.n == 0:\n        return report\n",
+           "    if a.n <= 1:\n        return report\n",
+           ("tests/test_arrays.py::test_no_rows_pass_every_subset_and_one_row_does_not",)),
+    Mutant("the power test compares with >=", "work.py",
+           "base**exp * times > cap",
+           "base**exp * times >= cap",
+           ("tests/test_work.py::test_a_power_exactly_at_the_cap_is_admitted",
+            "tests/test_work.py::test_every_cap_admits_itself_and_refuses_one_more")),
+    Mutant("the oracle's N = 0 charge dropped", "arrays.py",
+           "work.count_ops(a.n or prod(sorted(levels)[-t:]), a.k, t)",
+           "work.count_ops(a.n, a.k, t)",
+           ("tests/test_cli.py::test_linear_parameter_errors_are_usage_errors[oracle {zero}]",)),
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaforge import algebraic
+from oaforge import algebraic, work
 
 from oaforge.algebraic import (
     GeneratorColumns,
@@ -485,7 +485,7 @@ def test_oversized_generator_sets_are_refused_before_building(build):
 
 
 def test_work_cap_admits_q4t3_at_q9():
-    assert algebraic.LINEAR_WORK_CAP >= 9**4 * comb(9 * 9 + 1, 3)
+    assert work.LINEAR_WORK_CAP >= 9**4 * comb(9 * 9 + 1, 3)
 
 
 @pytest.mark.parametrize("columns", [

@@ -120,6 +120,27 @@ def test_non_integer_index_is_structural_failure():
     assert {f.kind for f in report.failures} == {"non-integer-index"}
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_no_rows_pass_every_subset_and_one_row_does_not(n):
+    """N = 0 gives every subset index 0, so every table passes; one row has
+    index 1/4 or 1/6 on every pair, with no integer index.  Both checks agree."""
+    a = SymbolMatrix(LevelProfile([2, 2, 3]), np.zeros((n, 3), dtype=np.uint8))
+    for report in (verify_strength(a, 2), brute_force_strength(a, 2)):
+        assert report.checked_subsets == 3 and report.ok == (n == 0)
+        assert report.lambda_by_subset == {(0, 1): Fraction(n, 4), (0, 2): Fraction(n, 6),
+                                           (1, 2): Fraction(n, 6)}
+        assert {f.kind for f in report.failures} == ({"non-integer-index"} if n else set())
+
+
+def test_oracle_charges_rows_or_for_no_rows_the_tuples_it_enumerates():
+    profile = LevelProfile([2, 3, 5])
+    empty = SymbolMatrix(profile, np.zeros((0, 3), dtype=np.uint8))
+    for a, ops in ((full_factorial(profile), 30 * 3), (empty, 3 * 15)):
+        assert brute_force_strength(a, 2, budget=ops).ok
+        with pytest.raises(BudgetExceededError, match=f"oracle needs {ops} operations"):
+            brute_force_strength(a, 2, budget=ops - 1)
+
+
 def test_count_imbalance_reports_tuples():
     cells = [[0, 0], [0, 0], [1, 0], [0, 1]]
     a = SymbolMatrix(LevelProfile([2, 2]), cells)

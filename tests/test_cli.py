@@ -6,6 +6,7 @@ import re
 import shlex
 import signal
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,33 @@ def test_compose_kronecker_of_empty_large_sets_counts_its_empty_output(capsys, t
     assert code == 0 and captured.out.startswith("OA(0,2^6,5)") and captured.err == ""
     assert "Traceback" not in captured.out + captured.err
     assert out_file.read_text() == "OA N=0 t=5 levels=2^6\n"
+
+
+ZERO_HEADER = "OA N=0 t=11 levels=2^22\n"  # C(22, 11) = 705,432 subsets, no rows
+
+
+@pytest.mark.parametrize("kind, text, exit_code, out", [
+    ("oa", ZERO_HEADER, 0, "ok: strength 11 verified (705432 column subsets)\n"),
+    ("loa", "LOA M=1\n" + ZERO_HEADER, 1,
+     '{"kind": "member-count", "m": 1, "n": 0, "universe": 4194304}\n'),
+])
+def test_an_empty_array_is_verified_without_a_strength_plan(capsys, monkeypatch, tmp_path,
+                                                            kind, text, exit_code, out):
+    """With no rows every index is 0 and every table all zeros, so every
+    subset passes; the verdict comes without listing the subsets."""
+    path = tmp_path / f"zero.{kind}"
+    path.write_text(text)
+    plans = []
+    monkeypatch.setattr(arrays, "_strength_plan", lambda *args: plans.append(args))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, printed = run(capsys, "verify", kind, str(path))
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, printed, plans) == (exit_code, out, [])
+    assert elapsed < 0.3 and peak < 16 << 20
 
 
 def test_theorem_cli(capsys, tmp_path):
@@ -593,6 +621,8 @@ CLI_ERRORS = [
     ("theorem v1+v3-2 --params v=4,k=5,k=6 -o {out}", 2),
     # a parameter of more digits than Python converts to an int
     ("theorem v1+v3-2 --params v={nines},k=5 -o {out}", 2),
+    # no rows to count, but C(22, 11) x 2^11 tuples for the oracle to enumerate
+    ("oracle {zero}", 1),
 ]
 
 CLI_TIME_BOUND = 5.0  # seconds of wall time a CLI_ERRORS row may run before it is stopped
@@ -616,6 +646,8 @@ def test_linear_parameter_errors_are_usage_errors(capsys, counts, tmp_path, argv
     oa = fixture_dir() / "oa54_3e5_2e1.txt"
     dm3 = tmp_path / "k3.dm"  # a (5, 3, 1)-DM, one column short of a development's
     write_dm(field_dm(5, 3), dm3)
+    zero = tmp_path / "zero.oa"
+    zero.write_text(ZERO_HEADER)
     out = tmp_path / "out.loa"
     counts.clear()  # those of building the inputs above
     # a row that hangs is stopped by SIGALRM in this thread, which starts no
@@ -625,7 +657,7 @@ def test_linear_parameter_errors_are_usage_errors(capsys, counts, tmp_path, argv
     start = time.perf_counter()
     try:
         code = main([arg.format(oa=oa, loa=loa, loa4=loa4, dm3=dm3, out=out, dir=tmp_path,
-                                nines="9" * 5000) for arg in argv.split()])
+                                zero=zero, nines="9" * 5000) for arg in argv.split()])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     finally:

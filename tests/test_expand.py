@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaforge import arrays
+from oaforge import arrays, work
 from oaforge.arrays import (
     LevelProfile,
     SymbolMatrix,
@@ -258,11 +258,10 @@ def test_expand_full_strength_rejects_higher_index():
 
 
 def test_projection_search_budget(monkeypatch):
-    import oaforge.expand as ex
     from oaforge.errors import BudgetExceededError
 
     a, _ = load_fixture("oa44_2e16_11e1")
-    monkeypatch.setattr(ex, "SUBSET_SEARCH_CAP", 1)
+    monkeypatch.setattr(work, "SUBSET_SEARCH_CAP", 1)
     with pytest.raises(BudgetExceededError):
         find_resolvable_projection(a)
 

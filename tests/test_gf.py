@@ -3,12 +3,14 @@
 import re
 import time
 import tracemalloc
+from math import prod
 
 import pytest
 
 from oaforge.errors import ConstraintError
-from oaforge.gf import (MAX_ORDER, Field, find_irreducible, make_field, parse_order,
+from oaforge.gf import (Field, factor, find_irreducible, is_prime, make_field, parse_order,
                         prime_power)
+from oaforge.work import MAX_ORDER
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -264,6 +266,18 @@ def test_prime_power_agrees_with_trial_division_by_every_divisor():
                 prime_power(q)
         else:
             assert prime_power(q) == want, q
+
+
+def test_factor_is_the_factorization_up_to_the_cap():
+    for n in range(1, 5000):
+        parts = factor(n)
+        assert prod(p**e for p, e in parts) == n and all(is_prime(p) for p, _ in parts)
+        assert [p for p, _ in parts] == sorted({p for p, _ in parts})
+    # trial division stops at MAX_ORDER: a rest above it is kept whole
+    assert factor(4 * 4099 * 4111) == [(2, 2), (4099 * 4111, 1)]
+    start = time.perf_counter()
+    assert factor(10**18 + 3) == [(10**18 + 3, 1)]
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("q", [2**31 - 1, 3**19, 10**18 + 3])

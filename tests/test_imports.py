@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import oaforge
+from oaforge import work
 
 
 def test_import_loads_only_the_core_modules():
@@ -19,7 +20,7 @@ def test_import_loads_only_the_core_modules():
     loaded = json.loads(done.stdout)
     assert [m for m in loaded if m.partition(".")[0] == "oaforge"] == [
         "oaforge", "oaforge.arrays", "oaforge.errors", "oaforge.expand", "oaforge.formats",
-        "oaforge.gf"]
+        "oaforge.gf", "oaforge.work"]
     assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
 
 
@@ -52,3 +53,16 @@ def test_public_names_are_the_ones_readme_lists():
         "project_columns", "read_array", "verify_large_set", "verify_simple", "verify_strength",
         "write_array"]
     assert all(hasattr(oaforge, name) for name in oaforge.__all__)
+
+
+def test_readme_lists_every_cap_with_its_value():
+    """README's "Size caps and --budget" table names exactly oaforge.work's
+    caps and budgets, each with its value (written 4096, 10^9 or 2^24)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.partition("## Size caps and `--budget`")[2].partition("\n\n|")[2]
+    listed = {}
+    for line in table.partition("\n\n")[0].splitlines()[2:]:  # below the header rule
+        name, value = line.split("|")[1:3]
+        base, _, exp = value.strip().partition("^")
+        listed[name.strip(" `")] = int(base) ** int(exp or 1)
+    assert listed == {name: value for name, value in vars(work).items() if name.isupper()}
