@@ -20,8 +20,9 @@ reported in colexicographic subset order.  A large set's members are
 counted only where needed: a member that is member 0 with each column's
 symbols permuted, row for row, has member 0's tuple counts up to
 relabelling and so its verdict (Hedayat, Sloane & Stufken, Orthogonal
-Arrays, 1999, ch. 1); such members are certified cell by cell and only the
-others are counted with member 0.
+Arrays, 1999, ch. 1); such members are certified by comparing their row
+codes with those of member 0's rows relabelled (see _certificate), and only
+the others are counted with member 0.
 An array of h blocks of row products P_s x Q_s, the output of the Kronecker
 pairing, is counted through its two factors where the walk would count it
 in blocks wider than t (see _product_strength): its cells are first
@@ -34,7 +35,9 @@ block count takes the same certificate as a large set's members
 Repeated rows are found by one occupancy pass over the row codes, a chunk
 at a time (see _smallest_repeat); when the rows fill the universe, marking
 a boolean map of it and finding every slot marked proves them repeat-free.
-It has two callers: a large set's union of M * N rows, and
+Up to a universe of OCCUPANCY_LIMIT = 2^24 a chunk's codes are one exact
+float32 matmul, and a large set's members are certified from the same
+codes.  The pass has two callers: a large set's union of M * N rows, and
 expand.check_resolvable_projection's N rows projected onto a universe of N.
 brute_force_strength re-counts with deliberately naive nested loops and
 shares no kernels with the fast path; it is the oracle the fast path is
@@ -57,7 +60,7 @@ import numpy as np
 from . import work
 from .errors import BudgetExceededError, ConstraintError
 
-OCCUPANCY_LIMIT = 1 << 24  # map or bincount of row codes up to this universe, sorted codes above
+OCCUPANCY_LIMIT = 1 << 24  # float32 row codes, and a map of the universe, up to this universe
 CODE_LIMIT = 1 << 62  # int64 row codes below this universe, lexsorted rows from it on
 CHUNK_TARGET_CELLS = 1 << 16  # cells per chunk: counting kernel, occupancy pass, shift expansion
 BLOCK_ROWS_PER_CELL = 16  # a block of columns counted for its t-subsets has <= N / this cells
@@ -779,19 +782,20 @@ class LargeSetReport:
 def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> LargeSetReport:
     """Check the three large-set properties: every member a simple OA of
     strength t, M * N = universe, and the union of all rows repeat-free
-    (hence the full factorial).  One occupancy pass over all M * N rows comes
-    first (see _smallest_repeat): when M * N is the universe it marks a map
-    of the universe and needs nothing more unless a slot stays empty.  With
-    no repeated row every member is simple and the members are disjoint, so
-    verify_simple runs per member only to name the members that hold a
-    repeat.  Strength is then counted by one walk (see the module doc)
-    over chunks of whole members, the member index leading every code: the
-    walk takes member 0 and every member that _relabels does not certify as
-    member 0 with each column's symbols permuted; a certified member has
-    member 0's verdict, since such a relabelling keeps every tuple count.
-    The certificate is tried only when there are more t-subsets than
-    columns.  The budget charges work.count_ops(M * N, k, t), every member's
-    count.  N = 0 passes every member's count with no plan."""
+    (hence the full factorial).  One pass over the row codes of all M * N
+    rows, a chunk of whole members at a time, comes first (see
+    _smallest_repeat): when M * N is the universe it marks a map of the
+    universe and needs nothing more unless a slot stays empty, and when
+    there are more t-subsets than columns the same codes certify the
+    members that are member 0 with each column's symbols permuted (see
+    _certificate).  With no repeated row every member is simple and the
+    members are disjoint, so verify_simple runs per member only to name the
+    members that hold a repeat.  Strength is then counted by one walk (see
+    the module doc) over chunks of whole members, the member index leading
+    every code: the walk takes member 0 and every member not certified; a
+    certified member has member 0's verdict, since such a relabelling keeps
+    every tuple count.  The budget charges work.count_ops(M * N, k, t),
+    every member's count.  N = 0 passes every member's count with no plan."""
     if not 0 <= t <= ls.profile.k:
         raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
     universe = ls.profile.universe_size
@@ -801,14 +805,14 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     if t > 0 and budget is not None and ops > budget:
         raise BudgetExceededError(f"large-set check needs {ops} counting ops, budget {budget}")
     plan = _strength_plan(ls.profile.levels, t, ls.n) if t > 0 and ls.n else None
-    report.collision = _smallest_repeat(ls.cells.reshape(-1, ls.profile.k), ls.profile.levels)
+    check = _certificate(ls.cells[0], ls.profile.levels) if plan is not None and \
+        not plan.uncounted and ls.m > 1 and len(plan.subsets) > ls.profile.k else None
+    report.collision, certified = _smallest_repeat(ls.cells, ls.profile.levels, check)
     report.disjoint_ok = report.collision is None
     weak = np.zeros(ls.m, dtype=bool)
     if plan is not None and plan.uncounted:  # a non-integer index fails every member uncounted
         weak[:] = True
     elif plan is not None:
-        certified = _relabels(ls.cells, ls.profile.levels) \
-            if ls.m > 1 and len(plan.subsets) > ls.profile.k else np.zeros(ls.m, dtype=bool)
         counted = np.flatnonzero(~certified)
         cells = ls.cells if len(counted) == ls.m else ls.cells[counted]
         for first, _, off in _off_walk(cells, plan):
@@ -832,80 +836,134 @@ def _relabels(cells: np.ndarray, levels) -> np.ndarray:
     f_c of c's symbols has cells[j, r, c] == f_c(cells[0, r, c]) on every
     row r.  Such a member has member 0's tuple counts up to relabelling, on
     every subset of columns, so its tables are uniform exactly where member
-    0's are.  f_c is read off member j at the first row of member 0 where
-    each symbol occurs; every cell is then compared with it (f_c is a
-    function) and each column's table must be a permutation of range(s_c)
-    (f_c is a bijection).  If member 0 lacks a symbol in some column, no
-    member is certified.  Members are taken in chunks of about
-    CHUNK_TARGET_CELLS cells."""
+    0's are.  Members are tested by _certificate in chunks of about
+    CHUNK_TARGET_CELLS cells; verify_large_set makes the same test with the
+    codes of its occupancy pass."""
     m, n, k = cells.shape
     certified = np.zeros(m, dtype=bool)
-    levels = np.asarray(levels, dtype=np.int64)
-    # slot offsets[c] + s stands for symbol s of column c
-    offsets = np.concatenate(([0], np.cumsum(levels[:-1])))
-    slots = int(levels.sum())
-    where = (cells[0] + offsets).reshape(-1)  # the slot of each cell of member 0
-    held, first = np.unique(where, return_index=True)  # and the first cell holding each
-    if len(held) < slots:
-        return certified
-    slot_offsets = np.repeat(offsets, levels)
-    per = max(1, CHUNK_TARGET_CELLS // (n * k))
-    image = np.empty((min(per, m), n * k), dtype=cells.dtype)
-    same = np.empty(image.shape, dtype=bool)
-    for lo in range(1, m, per):
-        block = cells[lo:lo + per].reshape(-1, n * k)
-        tables = np.take(block, first, axis=1)  # f_c(s) at slot offsets[c] + s
-        np.take(tables, where, axis=1, out=image[:len(block)])
-        function = np.equal(image[:len(block)], block, out=same[:len(block)]).all(axis=1)
-        # held is 0 .. slots - 1 here, so each column's table must be a permutation
-        bijection = (np.sort(tables + slot_offsets, axis=1) == held).all(axis=1)
-        certified[lo:lo + len(block)] = function & bijection
+    check = _certificate(cells[0], levels)
+    per = max(1, CHUNK_TARGET_CELLS // max(n * k, 1))
+    for lo in range(1, m if check else 1, per):
+        certified[lo:lo + per] = check(cells[lo:lo + per])
     return certified
 
 
-def _smallest_repeat(rows: np.ndarray, levels) -> tuple[int, ...] | None:
-    """The lexicographically smallest of the N x k `rows` over `levels` that
-    occurs more than once, or None.  Rows are read by their mixed-radix
-    codes (column 0 most significant, so codes order as rows do), computed a
-    chunk at a time.  When N is the universe and the universe is at most
-    OCCUPANCY_LIMIT, each chunk's codes mark a boolean map of the universe:
-    by pigeonhole the rows repeat exactly when some slot stays unmarked, a
-    repeat inside one chunk as well as across two.  Only then, or when N is
-    not the universe, are all the codes kept and the repeats named: by a
-    bincount of the universe up to OCCUPANCY_LIMIT, by sorting above it.
-    Rows over a universe of CODE_LIMIT or more, whose codes int64 may not
-    hold, are lexsorted instead, by verify_simple.  Two verdicts rest on
-    it: a large set's union (M * N rows) and a resolvable projection (N
-    rows onto a universe of N)."""
-    universe = prod(levels)
-    if len(rows) < 2:  # nothing to repeat, and no map of the universe to build
+def _certificate(zero: np.ndarray, levels):
+    """The relabelling test against member 0, whose N x k cells are `zero`,
+    or None (no member certified) if member 0 lacks a symbol in some column.
+    A member's f_c(s) is read off it at the first cell of member 0 holding
+    s in column c, slot offsets[c] + s of its table.  check(block, codes)
+    says per member of `block` (M', N, k) whether every cell is f_c of
+    member 0's (a function) and each column's table a permutation of
+    range(s_c) (a bijection).  Up to OCCUPANCY_LIMIT the cells are compared
+    through the members' row `codes` (made if None), as N compares a member:
+    member 0's rows under the f_c have the codes (table x digit places) @
+    onehot(member 0)^T, one matmul, exact as _row_codes is.  Above it, or
+    where the slots x N one-hot matrix would outgrow CHUNK_TARGET_CELLS,
+    the cells are gathered and compared."""
+    levels, (n, k) = tuple(levels), zero.shape
+    places, offsets = _radix(levels)
+    where = (zero + offsets).reshape(-1)  # the slot of each cell of member 0
+    held, first = np.unique(where, return_index=True)  # and the first cell holding each
+    if len(held) < sum(levels):
         return None
-    if universe >= CODE_LIMIT:
-        simple, pair = verify_simple(SymbolMatrix._trusted(LevelProfile(levels), rows, None))
-        return None if simple else tuple(rows[pair[0]].tolist())
-    step = max(1, CHUNK_TARGET_CELLS // len(levels))
-    dtype = np.int32 if universe <= 1 << 31 else np.int64
-    if len(rows) == universe <= OCCUPANCY_LIMIT:
-        seen = np.zeros(universe, dtype=bool)
-        buf = np.empty(min(step, len(rows)), dtype=dtype)
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            seen[_row_codes(block, levels, buf[:len(block)])] = True
-        if seen.all():
-            return None
-    codes = np.empty(len(rows), dtype=dtype)
+    offsets, places, onehot = offsets[first % k], places[first % k], None  # by slot
+    if _code_dtype(prod(levels)) == np.float32 and len(held) * n <= CHUNK_TARGET_CELLS:
+        onehot = np.zeros((len(held), n), dtype=np.float32)
+        onehot[where, np.arange(n * k) // k] = 1
+
+    def check(block, codes=None):
+        cells = block.reshape(len(block), -1)
+        tables = cells[:, first]  # f_c(s) at slot offsets[c] + s
+        if onehot is None:
+            function = (tables[:, where] == cells).all(axis=1)
+        else:
+            if codes is None:
+                codes = _row_codes(block.reshape(-1, k), levels,
+                                   np.empty(len(block) * n, dtype=np.float32))
+            image = np.matmul(tables * places, onehot)  # member 0's rows' codes under the f_c
+            function = (image == codes.reshape(image.shape)).all(axis=1)
+        # held is 0 .. slots - 1 here, so each column's table must be a permutation
+        bijection = (np.sort(tables + offsets, axis=1) == held).all(axis=1)
+        return function & bijection
+
+    return check
+
+
+def _smallest_repeat(cells: np.ndarray, levels, check=None):
+    """The lexicographically smallest row of `cells` (N x k, or an (M, N, k)
+    stack) over `levels` that occurs more than once, or None; and per member
+    whether the _certificate `check` certifies it, from the same codes (see
+    _row_codes; they order as rows do), made in one pass a chunk at a time,
+    of whole members for `check`.  Where the rows fill a universe of at most
+    OCCUPANCY_LIMIT, the codes mark a boolean map of it: by pigeonhole the
+    rows repeat, in one chunk or across two, exactly when a slot stays
+    unmarked, and only then are the codes made again for a bincount of the
+    universe to name the repeats.  Other rows keep their codes and sort
+    them, so the work is bounded by the rows.  From CODE_LIMIT on, where
+    int64 may not hold the codes, verify_simple lexsorts the rows.  Callers:
+    a large set's union and a resolvable projection (N rows onto N)."""
+    cells, levels = cells[None] if cells.ndim == 2 else cells, tuple(levels)
+    m, n, k = cells.shape
+    rows, universe, certified = cells.reshape(-1, k), prod(levels), np.zeros(m, dtype=bool)
+    step = n * max(1, CHUNK_TARGET_CELLS // (n * k)) if check else max(1, CHUNK_TARGET_CELLS // k)
+    coded = universe < CODE_LIMIT
+    cover = coded and len(rows) == universe <= OCCUPANCY_LIMIT
+    seen = np.zeros(universe if cover else 0, dtype=bool)
+    codes = np.empty(min(step, len(rows)) if cover else len(rows) * coded, _code_dtype(universe))
     for lo in range(0, len(rows), step):
-        _row_codes(rows[lo:lo + step], levels, codes[lo:lo + step])
-    if universe <= OCCUPANCY_LIMIT:
-        repeats = np.flatnonzero(np.bincount(codes, minlength=universe) > 1)
+        block = rows[lo:lo + step]
+        part = _row_codes(block, levels, codes[:len(block)] if cover else codes[lo:lo + step]) \
+            if coded else None
+        if cover:
+            seen[part.astype(np.intp)] = True
+        if check:
+            certified[lo // n:(lo + step) // n] = check(block.reshape(-1, n, k), part)
+    certified[:1] = False  # member 0 is counted, not certified by itself
+    if len(rows) < 2 or cover and seen.all():
+        return None, certified
+    if not coded:
+        simple, pair = verify_simple(SymbolMatrix._trusted(LevelProfile(levels), rows, None))
+        return (None if simple else tuple(rows[pair[0]].tolist())), certified
+    if cover:
+        codes = np.empty(len(rows), dtype=codes.dtype)
+        for lo in range(0, len(rows), step):
+            _row_codes(rows[lo:lo + step], levels, codes[lo:lo + step])
+        repeats = np.flatnonzero(np.bincount(codes.astype(np.intp), minlength=universe) > 1)
     else:
         codes.sort()
         repeats = codes[1:][codes[1:] == codes[:-1]]
-    return tuple(int(x) for x in np.unravel_index(repeats[0], levels)) if repeats.size else None
+    if not repeats.size:
+        return None, certified
+    return tuple(int(x) for x in np.unravel_index(int(repeats[0]), levels)), certified
+
+
+@lru_cache(maxsize=64)
+def _radix(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's digit place in the row codes over `levels`, float32 for
+    _row_codes' matmul, and its first slot, as _certificate numbers the
+    (column, symbol) pairs; cached as the strength plans are."""
+    places = np.cumprod((1,) + levels[:0:-1], dtype=np.int64)[::-1].astype(np.float32)
+    offsets = np.cumsum(levels) - levels
+    for index in (places, offsets):
+        index.setflags(write=False)
+    return places, offsets
+
+
+def _code_dtype(universe: int) -> type:
+    """float32 row codes up to OCCUPANCY_LIMIT (see _row_codes), int32 or int64 above."""
+    return np.float32 if universe <= OCCUPANCY_LIMIT else np.int32 if universe <= 1 << 31 \
+        else np.int64
 
 
 def _row_codes(rows: np.ndarray, levels, out: np.ndarray) -> np.ndarray:
-    """`out`, filled with the mixed-radix codes of `rows` (column 0 most significant)."""
+    """`out`, filled with the mixed-radix codes of `rows` (column 0 most
+    significant), in _code_dtype: float32 by one matmul of the rows with the
+    digit places, exact since every product and partial sum is an integer
+    below OCCUPANCY_LIMIT = 2^24 (fastest on rows stored row by row);
+    integers by k passes."""
+    if out.dtype == np.float32:
+        return np.matmul(rows, _radix(tuple(levels))[0], out=out, dtype=np.float32)
     out[:] = rows[:, 0]
     for j in range(1, len(levels)):
         out *= levels[j]

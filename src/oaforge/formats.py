@@ -349,7 +349,9 @@ def _decode(lines: _Lines, first: int, out: np.ndarray, profile: LevelProfile,
     for a, e, width, _ in runs:
         for d in range(1, width):  # the digit d places left of the last, if the token has it
             more = size[:, :-1].reshape(good, r, k)[..., a:e] > d + 1
-            cells[..., a:e] += np.where(more, digit.take(ends[..., a:e] - d), kind(0)) * 10**d
+            # a shorter token may end fewer than d bytes into the text: clipped, then dropped
+            place = digit.take(ends[..., a:e] - d, mode="clip")
+            cells[..., a:e] += np.where(more, place, kind(0)) * 10**d
     widths = np.repeat([w + 1 for _, _, w, _ in runs], [e - a for a, e, _, _ in runs])
     ok[:good] &= ((size <= np.append(np.tile(widths, r), len(text))).all(axis=1)
                   & (cells < np.array(profile.levels, dtype=kind)).all(axis=(1, 2)))

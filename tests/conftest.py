@@ -25,16 +25,17 @@ def counts(monkeypatch):
 
 @pytest.fixture
 def relabels(monkeypatch):
-    """The (M, N, k) of every stack that arrays._relabels, the relabelling
-    certificate, is asked about while the test runs: a large set's members
-    in verify_large_set, or one side's blocks in the Kronecker output's
-    count through its factors."""
+    """The (N, k) of member 0 of every stack that the relabelling
+    certificate, arrays._certificate, is built for while the test runs: a
+    large set's members, in verify_large_set's occupancy pass, or one
+    side's blocks in the Kronecker output's count through its factors (by
+    arrays._relabels)."""
     calls = []
-    certify = arrays._relabels
+    certificate = arrays._certificate
 
-    def spy(cells, levels):
-        calls.append(cells.shape)
-        return certify(cells, levels)
+    def spy(zero, levels):
+        calls.append(zero.shape)
+        return certificate(zero, levels)
 
-    monkeypatch.setattr(arrays, "_relabels", spy)
+    monkeypatch.setattr(arrays, "_certificate", spy)
     return calls

@@ -47,6 +47,12 @@ BUILD_TEST = ("tests/test_compose.py::test_kronecker_fills_the_block_formula_row
 FACTORS_TEST = ("tests/test_compose.py::"
                 "test_a_product_of_large_sets_is_counted_through_its_factors",)
 
+NOT_RELABELLED_TESTS = tuple(
+    "tests/test_large_sets.py::test_a_member_that_is_not_member_zero_relabelled_is_counted"
+    f"[{fault}]" for fault in ("last row", "merged symbols"))
+CODE_CERTIFICATE_TEST = ("tests/test_large_sets.py::"
+                         "test_the_certificate_compares_float_codes_only_up_to_the_occupancy_limit")
+
 NEAR_WRITER_TEST = "tests/test_formats.py::test_loads_matches_reference_parser_on_near_writer_text"
 WALK_TESTS = ("tests/test_arrays.py::test_kernel_matches_the_oracle",
               "tests/test_arrays.py::test_block_kernel_matches_the_oracle")
@@ -122,11 +128,19 @@ MUTANTS = (
 """,
            ("tests/test_arrays.py::"
             "test_a_certified_block_is_not_counted_alone_but_stays_in_the_union",)),
-    # the relabelling certificate (arrays._relabels)
+    # the relabelling certificate (arrays._certificate)
     Mutant("relabelling certifies every member", "arrays.py",
-           "certified[lo:lo + len(block)] = function & bijection",
-           "certified[lo:lo + len(block)] = True",
+           "        return function & bijection\n",
+           "        return np.ones(len(block), dtype=bool)\n",
            ("tests/test_large_sets.py::test_a_faulted_member_is_counted_with_member_zero",)),
+    Mutant("code certificate skips the last row", "arrays.py",
+           "function = (image == codes.reshape(image.shape)).all(axis=1)",
+           "function = (image == codes.reshape(image.shape))[:, :-1].all(axis=1)",
+           (*NOT_RELABELLED_TESTS[:1], CODE_CERTIFICATE_TEST + "[2^24]")),
+    Mutant("certificate's bijection test dropped", "arrays.py",
+           "        return function & bijection\n",
+           "        return function\n",
+           (*NOT_RELABELLED_TESTS[1:], CODE_CERTIFICATE_TEST + "[2^24]")),
     # cells stored in the profile's dtype
     Mutant("juxtapose relabels in the inputs' dtype", "compose.py",
            "cells = np.concatenate([l1.cells, l2.cells], axis=1, dtype=profile.dtype)",
@@ -136,20 +150,27 @@ MUTANTS = (
     # the occupancy pass (arrays._smallest_repeat): a large set's union and a
     # resolvable projection
     Mutant("coverage always true", "arrays.py",
-           "        if seen.all():\n",
-           "        if True:\n",
+           "if len(rows) < 2 or cover and seen.all():",
+           "if len(rows) < 2 or cover:",
            ("tests/test_expand.py::test_check_resolvable_duplicate_tuple",
             "tests/test_arrays.py::test_verify_large_set_detects_union_repeat")),
     Mutant("reversed digit places in the row codes", "arrays.py",
-           """    out[:] = rows[:, 0]
-    for j in range(1, len(levels)):
-""",
-           """    out[:] = rows[:, -1]
-    for j in reversed(range(len(levels) - 1)):
-""",
+           "places = np.cumprod((1,) + levels[:0:-1], dtype=np.int64)[::-1]",
+           "places = np.cumprod((1,) + levels[:-1], dtype=np.int64)",
            ("tests/test_expand.py::test_check_resolvable_duplicate_tuple",
             "tests/test_large_sets.py::"
             "test_a_repeat_inside_a_chunk_or_across_two_leaves_the_map_uncovered")),
+    Mutant("coverage on short sets", "arrays.py",
+           "cover = coded and len(rows) == universe <= OCCUPANCY_LIMIT",
+           "cover = coded and len(rows) <= universe <= OCCUPANCY_LIMIT",
+           ("tests/test_large_sets.py::test_a_set_short_of_the_universe_still_names_its_repeat",
+            "tests/test_cli.py::test_a_short_set_is_checked_for_repeats_within_its_rows")),
+    Mutant("float codes used above OCCUPANCY_LIMIT", "arrays.py",
+           "return np.float32 if universe <= OCCUPANCY_LIMIT else",
+           "return np.float32 if universe < CODE_LIMIT else",
+           ("tests/test_large_sets.py::"
+            "test_row_codes_are_float32_up_to_the_occupancy_limit_and_exact",
+            CODE_CERTIFICATE_TEST)),
     Mutant("cells narrowed before the range check", "arrays.py",
            """        cells = np.asarray(cells)
         if cells.ndim != 2:""",

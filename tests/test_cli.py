@@ -198,6 +198,30 @@ def test_an_empty_array_is_verified_without_a_strength_plan(capsys, monkeypatch,
     assert elapsed < 0.3 and peak < 16 << 20
 
 
+ROW = " ".join("01" * 12)  # a row of 24 binary columns: 0 1 0 1 ...
+
+
+@pytest.mark.parametrize("first, records", [
+    (ROW, ['{"kind": "member-count", "m": 1, "n": 2, "universe": 16777216}',
+           '{"kind": "member-simple", "member": 0}',
+           '{"kind": "union-repeat", "tuple": [' + ROW.replace(" ", ", ") + "]}"]),
+    ("1" + ROW[1:], ['{"kind": "member-count", "m": 1, "n": 2, "universe": 16777216}']),
+])
+def test_a_short_set_is_checked_for_repeats_within_its_rows(capsys, tmp_path, first, records):
+    """Two rows over a universe of 2^24: their repeat is named by sorting
+    their two codes, not by a table of the universe."""
+    path = tmp_path / "two.loa"
+    path.write_text(f"LOA M=1\nOA N=2 t=0 levels=2^24\n{first}\n{ROW}\n")
+    tracemalloc.start()
+    try:
+        code, printed = run(capsys, "verify", "loa", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, printed) == (1, "".join(r + "\n" for r in records))
+    assert peak < 16 << 20
+
+
 def test_theorem_cli(capsys, tmp_path):
     out_file = tmp_path / "t.oa"
     code, out = run(capsys, "theorem", "v1+v3-2", "--params", "v=4,k=5",

@@ -343,6 +343,16 @@ def perturb(text, kind, draw):
     return "\n".join(lines)
 
 
+@pytest.mark.parametrize("rows", [[[0], [10]], [[7], [1000000000]]])
+def test_a_row_shorter_than_its_columns_widest_token_reads_alone(rows):
+    """A member read a row at a time, where a row's text is shorter than
+    the ten digits a token of its column may take, reads back whole."""
+    profile = LevelProfile([1000000001])
+    ls = LargeSet(profile, [SymbolMatrix(profile, rows, t=0)], t=0)
+    with mock.patch.object(formats, "CHUNK_CELLS", 1):
+        assert np.array_equal(loads(dumps(ls)).cells, ls.cells)
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_objects(), st.lists(st.sampled_from(PERTURBATIONS), max_size=2), st.data())
 def test_loads_matches_reference_parser(obj_chunk, kinds, data):

@@ -12,6 +12,7 @@ against a naive per-column dictionary, and its count savings with the
 """
 
 import contextlib
+import itertools
 import json
 from collections import Counter
 from functools import lru_cache
@@ -170,10 +171,10 @@ def mutate(ls: LargeSet, kind: str, data) -> tuple[LargeSet, set[int]]:
 def union_branch(branch: str):
     """Force one of the occupancy pass's ways of finding a repeat: "bitmap"
     and "coverage" mark a map of the universe when M * N fills it and fall
-    back to a bincount on a repeat or a short set, "sorted" sorts the codes
-    and "lexsort" the rows.  All but "bitmap" run in small chunks, so that
-    the occupancy pass, the relabelling certificate and the count all cross
-    chunk boundaries."""
+    back to a bincount on a repeat (a short set sorts its codes), "sorted"
+    sorts the codes and "lexsort" the rows.  All but "bitmap" run in small
+    chunks, so that the occupancy pass, the relabelling certificate and the
+    count all cross chunk boundaries."""
     if branch == "coverage":
         return mock.patch.multiple(arrays_mod, CHUNK_TARGET_CELLS=64)
     if branch == "sorted":
@@ -269,6 +270,25 @@ def test_a_faulted_member_is_counted_with_member_zero(monkeypatch):
     assert np.array_equal(seen[1], bad.cells[[5]])
 
 
+@pytest.mark.parametrize("fault", ["last row", "merged symbols"])
+def test_a_member_that_is_not_member_zero_relabelled_is_counted(fault):
+    """A cell changed in the last row of the last member (its cells are not
+    a function of member 0's), or a member whose column 0 maps member 0's
+    two symbols to one (not a bijection), fails the certificate, so the
+    member is counted and named."""
+    ls = built("sylvester3 n=3 k=7")
+    cells = ls.cells.copy()
+    member = ls.m - 1 if fault == "last row" else 3
+    if fault == "last row":
+        cells[member, -1, 2] ^= 1
+    else:
+        cells[member, :, 0] = 0
+    bad = _with_cells(ls, cells)
+    report = verify_large_set(bad, bad.t)
+    assert (member, "strength") in report.member_problems
+    assert report.records() == reference_verify(bad, bad.t).records()
+
+
 def test_member_zero_missing_a_symbol_certifies_nothing(counts):
     # member 0 lacks symbol 1 in column 0; every other member maps its 0 to
     # 1 there and relabels the other columns as before: injective, not onto
@@ -293,7 +313,8 @@ def _planted(ls: LargeSet, source: int, target: int) -> LargeSet:
 @pytest.fixture
 def code_chunks(monkeypatch):
     """The rows of each chunk whose codes the occupancy pass computes, with
-    CHUNK_TARGET_CELLS at 10 rows of 7 columns."""
+    CHUNK_TARGET_CELLS at 70 cells: less than one 16 x 7 member, so a chunk
+    of whole members is one member."""
     monkeypatch.setattr(arrays_mod, "CHUNK_TARGET_CELLS", 70)
     calls = []
     codes = arrays_mod._row_codes
@@ -307,10 +328,10 @@ def code_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("source, target, records", [
-    # rows 20-29 are one chunk
+    # rows 16-31 (member 1) are one chunk
     (21, 27, [{"kind": "member-strength", "member": 1}, {"kind": "member-simple", "member": 1},
               {"kind": "union-repeat", "tuple": [0, 1, 0, 1, 1, 0, 0]}]),
-    # rows 40-49 and 90-99 are two
+    # rows 32-47 and 80-95 (members 2 and 5) are two
     (41, 95, [{"kind": "member-strength", "member": 5},
               {"kind": "union-repeat", "tuple": [1, 0, 1, 1, 0, 1, 1]}]),
 ])
@@ -323,12 +344,12 @@ def test_a_repeat_inside_a_chunk_or_across_two_leaves_the_map_uncovered(code_chu
     ls = built("sylvester3 n=3 k=7")
     del code_chunks[:]  # those of its build's projection checks, if it was built here
     assert verify_large_set(ls, ls.t).ok
-    assert code_chunks == [10] * 12 + [8]
+    assert code_chunks == [16] * 8
     del code_chunks[:]
     bad = _planted(ls, source, target)
     report = verify_large_set(bad, bad.t)
     assert report.records() == records == reference_verify(bad, bad.t).records()
-    assert code_chunks == ([10] * 12 + [8]) * 2
+    assert code_chunks == [16] * 8 * 2
 
 
 def test_a_set_short_of_the_universe_still_names_its_repeat(code_chunks):
@@ -343,4 +364,61 @@ def test_a_set_short_of_the_universe_still_names_its_repeat(code_chunks):
                {"kind": "union-repeat", "tuple": [1, 1, 1, 0, 1, 1, 1]}]
     assert verify_large_set(bad, bad.t).records() == records == \
         reference_verify(bad, bad.t).records()
-    assert code_chunks == ([10] * 11 + [2]) * 2
+    assert code_chunks == [16] * 7 * 2
+
+
+@pytest.fixture
+def code_dtypes(monkeypatch):
+    """The dtype of every row code arrays._row_codes computes."""
+    calls = []
+    codes = arrays_mod._row_codes
+
+    def spy(rows, levels, out):
+        calls.append(out.dtype)
+        return codes(rows, levels, out)
+
+    monkeypatch.setattr(arrays_mod, "_row_codes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("levels, dtype", [
+    ((4096, 4096), np.float32),  # 2^24, OCCUPANCY_LIMIT
+    ((4095, 4097), np.float32),  # 2^24 - 1
+    ((97, 257, 673), np.int32),  # 2^24 + 1
+], ids=["2^24", "2^24-1", "2^24+1"])
+def test_row_codes_are_float32_up_to_the_occupancy_limit_and_exact(code_dtypes, levels, dtype):
+    """Every row at the corners of the universe, and a sample inside it,
+    has the code int64 arithmetic gives it, and a repeat of the last row is
+    named through those codes."""
+    corners = list(itertools.product(*[(0, 1, s - 2, s - 1) for s in levels]))
+    sample = np.random.default_rng(5).integers(0, levels, (2000, len(levels)))
+    rows = np.unique(np.concatenate([corners, sample]), axis=0).astype(np.int32)
+    want = np.ravel_multi_index(rows.T.astype(np.int64), levels)
+    got = arrays_mod._row_codes(rows, levels, np.empty(len(rows), dtype=dtype))
+    assert np.array_equal(got.astype(np.int64), want)
+    del code_dtypes[:]
+    top = np.concatenate([rows, rows[-1:]])
+    assert arrays_mod._smallest_repeat(top, levels)[0] == tuple(s - 1 for s in levels)
+    assert code_dtypes and set(code_dtypes) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("levels, float_codes", [
+    ((2,) * 24, True),  # 2^24, OCCUPANCY_LIMIT
+    ((2,) * 25, False),
+    ((97, 257, 673), False),  # 2^24 + 1
+], ids=["2^24", "2^25", "2^24+1"])
+def test_the_certificate_compares_float_codes_only_up_to_the_occupancy_limit(code_dtypes, levels,
+                                                                            float_codes):
+    """Member 1 is member 0 relabelled; member 2 is member 1 with a cell of
+    its last row changed (not a function of member 0's), member 3 with two
+    symbols of column 0 merged (not a bijection).  Up to the limit the
+    members' float32 codes are compared, above it their cells."""
+    n, rng = 2 * max(levels), np.random.default_rng(3)
+    zero = np.arange(n)[:, None] % np.array(levels)  # each symbol before row n / 2
+    one = np.column_stack([rng.permutation(s)[zero[:, c]] for c, s in enumerate(levels)])
+    two, three = one.copy(), one.copy()
+    two[-1, 0] = (two[-1, 0] + 1) % levels[0]
+    three[:, 0] = np.where(three[:, 0] == 1, 0, three[:, 0])
+    stack = np.stack([zero, one, two, three]).astype(LevelProfile(levels).dtype)
+    assert arrays_mod._relabels(stack, levels).tolist() == [False, True, False, False]
+    assert set(code_dtypes) == ({np.dtype(np.float32)} if float_codes else set())
