@@ -33,12 +33,12 @@ block count takes the same certificate as a large set's members
 (_relabels): a block that is block 0 relabelled column by column has block
 0's verdict, so only block 0 and the blocks not certified are counted.
 Repeated rows are found by one occupancy pass over the row codes, a chunk
-at a time (see _smallest_repeat); when the rows fill the universe, marking
-a boolean map of it and finding every slot marked proves them repeat-free.
-Up to a universe of OCCUPANCY_LIMIT = 2^24 a chunk's codes are one exact
-float32 matmul, and a large set's members are certified from the same
-codes.  The pass has two callers: a large set's union of M * N rows, and
-expand.check_resolvable_projection's N rows projected onto a universe of N.
+at a time (see _smallest_repeat): a boolean map of a universe the rows
+fill, every slot marked, proves them repeat-free, and else one sort of the
+codes names the repeats.  Up to a universe of OCCUPANCY_LIMIT = 2^24 a
+chunk's codes are one exact float32 matmul, and a large set's members are
+certified from the same codes.  Its callers: a large set's union of M * N
+rows, and expand.check_resolvable_projection's N rows onto a universe of N.
 brute_force_strength re-counts with deliberately naive nested loops and
 shares no kernels with the fast path; it is the oracle the fast path is
 tested against.
@@ -60,8 +60,8 @@ import numpy as np
 from . import work
 from .errors import BudgetExceededError, ConstraintError
 
-OCCUPANCY_LIMIT = 1 << 24  # float32 row codes, and a map of the universe, up to this universe
-CODE_LIMIT = 1 << 62  # int64 row codes below this universe, lexsorted rows from it on
+OCCUPANCY_LIMIT = 1 << 24  # float32 row codes up to this universe
+CODE_LIMIT = 1 << 62  # int64 row codes below this universe, the rows' ranks from it on
 CHUNK_TARGET_CELLS = 1 << 16  # cells per chunk: counting kernel, occupancy pass, shift expansion
 BLOCK_ROWS_PER_CELL = 16  # a block of columns counted for its t-subsets has <= N / this cells
 BLOCK_MIN_ROWS = 1 << 13  # and is counted only in arrays of at least this many rows
@@ -556,15 +556,15 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
     """Exhaustively check that every t-tuple count is N / (product of levels)
     in every t-subset of columns.
 
-    t = 0 passes trivially.  Subsets whose level product does not divide N are
-    reported as a structural non-integer-index failure, distinct from count
-    imbalance, and are not counted.  The others are counted by the walk (see
-    the module doc).  With one subset per block they come in colex order,
-    each compared as soon as it is counted, so a fail-fast return stops the
+    t = 0 passes trivially.  Subsets whose level product does not divide N
+    fail uncounted, as non-integer-index (not count imbalance); below the
+    product of the t smallest levels that is every subset (none at N = 0),
+    and no plan is made.  The others are counted by the walk (see the
+    module doc).  With one subset per block they come in colex order, each
+    compared as soon as it is counted, so a fail-fast return stops the
     walk; wider blocks give them out of order, so the walk is finished and
     the off subsets sorted first.  Only an off subset is recounted, to name
-    its tuples.  The budget counts work.count_ops(N, k, t).  N = 0 passes
-    every subset with no plan: every index is 0, every table all zeros.
+    its tuples.  The budget counts work.count_ops(N, k, t).
     """
     if not 0 <= t <= a.k:
         raise ConstraintError(f"strength {t} out of range [0, {a.k}]")
@@ -575,7 +575,9 @@ def verify_strength(a: SymbolMatrix, t: int, *, fail_fast: bool = False,
         raise BudgetExceededError(f"strength check needs {ops} counting ops, budget {budget}")
     report = StrengthReport(t=t, checked_subsets=comb(a.k, t),
                             _lazy_lambda=(a.profile.levels, a.n))
-    if a.n == 0:
+    if a.n < prod(sorted(a.profile.levels)[:t]):
+        for sub in (np.arange(t)[None] if fail_fast else _colex(a.k, t)) if a.n else ():
+            report.failures.extend(_subset_failures(a, sub))
         return report
     plan = _strength_plan(a.profile.levels, t, a.n)
     failing = (plan.counted[lo + j] for _, lo, off in _off_walk(a.cells[None], plan)
@@ -784,33 +786,31 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
     strength t, M * N = universe, and the union of all rows repeat-free
     (hence the full factorial).  One pass over the row codes of all M * N
     rows, a chunk of whole members at a time, comes first (see
-    _smallest_repeat): when M * N is the universe it marks a map of the
-    universe and needs nothing more unless a slot stays empty, and when
-    there are more t-subsets than columns the same codes certify the
-    members that are member 0 with each column's symbols permuted (see
-    _certificate).  With no repeated row every member is simple and the
-    members are disjoint, so verify_simple runs per member only to name the
-    members that hold a repeat.  Strength is then counted by one walk (see
-    the module doc) over chunks of whole members, the member index leading
-    every code: the walk takes member 0 and every member not certified; a
-    certified member has member 0's verdict, since such a relabelling keeps
-    every tuple count.  The budget charges work.count_ops(M * N, k, t),
-    every member's count.  N = 0 passes every member's count with no plan."""
+    _smallest_repeat): it proves the union repeat-free or names its smallest
+    repeat and the members holding one, and where there are more t-subsets
+    than columns its codes certify the members that are member 0 with each
+    column's symbols permuted (see _certificate).  Strength is then counted
+    by one walk (see the module doc) over chunks of whole members, the
+    member index leading every code: the walk takes member 0 and every
+    member not certified; a certified member has member 0's verdict, since
+    such a relabelling keeps every tuple count.  The budget charges
+    work.count_ops(M * N, k, t), every member's count.  An N that
+    verify_strength decides with no plan passes or fails every member so."""
     if not 0 <= t <= ls.profile.k:
         raise ConstraintError(f"strength {t} out of range [0, {ls.profile.k}]")
-    universe = ls.profile.universe_size
-    report = LargeSetReport(m=ls.m, n=ls.n, universe=universe, t=t,
-                            count_ok=ls.m * ls.n == universe)
+    report = LargeSetReport(m=ls.m, n=ls.n, universe=ls.profile.universe_size, t=t)
+    report.count_ok = ls.m * ls.n == report.universe
     ops = work.count_ops(ls.m * ls.n, ls.profile.k, t)
     if t > 0 and budget is not None and ops > budget:
         raise BudgetExceededError(f"large-set check needs {ops} counting ops, budget {budget}")
-    plan = _strength_plan(ls.profile.levels, t, ls.n) if t > 0 and ls.n else None
-    check = _certificate(ls.cells[0], ls.profile.levels) if plan is not None and \
+    levels = ls.profile.levels
+    plan = _strength_plan(levels, t, ls.n) if t and ls.n >= prod(sorted(levels)[:t]) else None
+    check = _certificate(ls.cells[0], levels) if plan is not None and \
         not plan.uncounted and ls.m > 1 and len(plan.subsets) > ls.profile.k else None
-    report.collision, certified = _smallest_repeat(ls.cells, ls.profile.levels, check)
+    report.collision, repeated, certified = _smallest_repeat(ls.cells, levels, check)
     report.disjoint_ok = report.collision is None
     weak = np.zeros(ls.m, dtype=bool)
-    if plan is not None and plan.uncounted:  # a non-integer index fails every member uncounted
+    if t and ls.n and (plan is None or plan.uncounted):  # a non-integer index fails uncounted
         weak[:] = True
     elif plan is not None:
         counted = np.flatnonzero(~certified)
@@ -818,15 +818,14 @@ def verify_large_set(ls: LargeSet, t: int, *, budget: int | None = None) -> Larg
         for first, _, off in _off_walk(cells, plan):
             weak[counted[first:first + len(off)]] |= off.any(axis=1)
         weak[certified] = weak[0]
-    simple = np.ones(ls.m, dtype=bool) if report.disjoint_ok else \
-        np.array([verify_simple(m)[0] for m in ls.members])
-    for idx in np.flatnonzero(weak | ~simple).tolist():
+    for idx in np.flatnonzero(weak | repeated).tolist():
         if weak[idx]:
             report.member_problems.append((idx, "strength"))
-        if not simple[idx]:
+        if repeated[idx]:
             report.member_problems.append((idx, "simple"))
-    if weak.any():
-        report.first_bad_report = verify_strength(ls.members[np.argmax(weak)], t)
+    if weak.any():  # the first member at fault, alone, to name its tuples
+        first = SymbolMatrix._trusted(ls.profile, ls.cells[np.argmax(weak)], None)
+        report.first_bad_report = verify_strength(first, t)
     return report
 
 
@@ -892,23 +891,23 @@ def _certificate(zero: np.ndarray, levels):
 
 def _smallest_repeat(cells: np.ndarray, levels, check=None):
     """The lexicographically smallest row of `cells` (N x k, or an (M, N, k)
-    stack) over `levels` that occurs more than once, or None; and per member
-    whether the _certificate `check` certifies it, from the same codes (see
-    _row_codes; they order as rows do), made in one pass a chunk at a time,
-    of whole members for `check`.  Where the rows fill a universe of at most
-    OCCUPANCY_LIMIT, the codes mark a boolean map of it: by pigeonhole the
-    rows repeat, in one chunk or across two, exactly when a slot stays
-    unmarked, and only then are the codes made again for a bincount of the
-    universe to name the repeats.  Other rows keep their codes and sort
-    them, so the work is bounded by the rows.  From CODE_LIMIT on, where
-    int64 may not hold the codes, verify_simple lexsorts the rows.  Callers:
-    a large set's union and a resolvable projection (N rows onto N)."""
+    stack) over `levels` that occurs more than once, or None; per member
+    whether it holds a repeat; and per member whether the _certificate
+    `check` certifies it, from the same row codes (they order as rows do),
+    made in one pass a chunk at a time, of whole members for `check`.  Where
+    the rows fill a universe below CODE_LIMIT, the codes mark a boolean map
+    of it, a byte a row: by pigeonhole the rows repeat, in one chunk or
+    across two, exactly when a slot stays unmarked, and only then are the
+    codes made again.  Other rows keep theirs, or from CODE_LIMIT on take
+    their ranks among the distinct rows.  One step names the repeats: the
+    codes sorted member by member flag the members holding one, then sorted
+    whole give the smallest.  Callers: a large set's union and a resolvable
+    projection (N rows onto N)."""
     cells, levels = cells[None] if cells.ndim == 2 else cells, tuple(levels)
     m, n, k = cells.shape
     rows, universe, certified = cells.reshape(-1, k), prod(levels), np.zeros(m, dtype=bool)
     step = n * max(1, CHUNK_TARGET_CELLS // (n * k)) if check else max(1, CHUNK_TARGET_CELLS // k)
-    coded = universe < CODE_LIMIT
-    cover = coded and len(rows) == universe <= OCCUPANCY_LIMIT
+    coded, cover = universe < CODE_LIMIT, len(rows) == universe < CODE_LIMIT
     seen = np.zeros(universe if cover else 0, dtype=bool)
     codes = np.empty(min(step, len(rows)) if cover else len(rows) * coded, _code_dtype(universe))
     for lo in range(0, len(rows), step):
@@ -921,21 +920,22 @@ def _smallest_repeat(cells: np.ndarray, levels, check=None):
             certified[lo // n:(lo + step) // n] = check(block.reshape(-1, n, k), part)
     certified[:1] = False  # member 0 is counted, not certified by itself
     if len(rows) < 2 or cover and seen.all():
-        return None, certified
-    if not coded:
-        simple, pair = verify_simple(SymbolMatrix._trusted(LevelProfile(levels), rows, None))
-        return (None if simple else tuple(rows[pair[0]].tolist())), certified
-    if cover:
-        codes = np.empty(len(rows), dtype=codes.dtype)
+        return None, np.zeros(m, dtype=bool), certified
+    if cover:  # a slot is empty: every code again, kept
+        codes, seen = np.empty(len(rows), dtype=codes.dtype), None
         for lo in range(0, len(rows), step):
             _row_codes(rows[lo:lo + step], levels, codes[lo:lo + step])
-        repeats = np.flatnonzero(np.bincount(codes.astype(np.intp), minlength=universe) > 1)
-    else:
-        codes.sort()
-        repeats = codes[1:][codes[1:] == codes[:-1]]
-    if not repeats.size:
-        return None, certified
-    return tuple(int(x) for x in np.unravel_index(int(repeats[0]), levels)), certified
+    elif not coded:  # the rows' ranks, flat: NumPy 2.0.0 shapes this inverse otherwise
+        distinct, codes = np.unique(rows, axis=0, return_inverse=True)
+        codes = codes.reshape(-1)
+    by_member = codes.reshape(m, n)
+    by_member.sort(axis=1)
+    held = (by_member[:, 1:] == by_member[:, :-1]).any(axis=1)
+    codes.sort()
+    same = codes[1:] == codes[:-1]
+    first = int(np.argmax(same))
+    row = np.unravel_index(int(codes[first]), levels) if coded else distinct[codes[first]]
+    return (tuple(int(x) for x in row) if same[first] else None), held, certified
 
 
 @lru_cache(maxsize=64)

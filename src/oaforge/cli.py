@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fixtures", help="check the installed reference corpus")
     f.add_argument("--dir", type=Path, help="alternate corpus directory")
-    f.add_argument("--no-expand", action="store_true",
-                   help="skip the expansion check")
     f.add_argument("--list", action="store_true", help="list corpus files")
     return parser
 
@@ -340,7 +338,7 @@ def _cmd_fixtures(args) -> int:
             path = directory / f"{name}.txt"
             print(f"{name}: {path}" + ("" if path.exists() else " (missing)"))
         return 0
-    report = fix.fixtures_check(args.dir, expand=not args.no_expand)
+    report = fix.fixtures_check(args.dir)
     if report.corpus_empty:
         print("no fixtures installed")
         return 1

@@ -44,7 +44,7 @@ def check_resolvable_projection(a: SymbolMatrix, columns) -> tuple[bool, str | N
         return True, None
     # N rows onto a universe of N: the occupancy pass's marked map decides;
     # take keeps the projected rows row by row, as the codes' matmul reads them
-    tup, _ = arrays._smallest_repeat(a.cells.take(columns, axis=1), levels)
+    tup, _, _ = arrays._smallest_repeat(a.cells.take(columns, axis=1), levels)
     if tup is not None:
         return False, f"tuple {tup} occurs more than once on columns {columns}"
     return True, None

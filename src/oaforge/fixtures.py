@@ -125,10 +125,10 @@ class FixtureReport:
         return not self.corpus_empty and all(r.ok for r in self.results)
 
 
-def fixtures_check(directory: Path | None = None, expand: bool = True) -> FixtureReport:
+def fixtures_check(directory: Path | None = None) -> FixtureReport:
     """Verify every installed fixture: declared shape, strength at its claimed
-    t, marked-column resolvability, and (optionally) the full shift expansion.
-    An empty corpus is a distinct status, not a pass."""
+    t, marked-column resolvability, and the full shift expansion.  An empty
+    corpus is a distinct status, not a pass."""
     directory = directory or fixture_dir()
     report = FixtureReport()
     present = [f for f in FIXTURES if (directory / f"{f.name}.txt").exists()]
@@ -168,7 +168,7 @@ def fixtures_check(directory: Path | None = None, expand: bool = True) -> Fixtur
         ok, why = check_resolvable_projection(a, marked)
         if not ok:
             problems.append(f"marked columns not resolvable: {why}")
-        if expand and not problems:  # the seed's count above covers every member
+        if not problems:  # the seed's count above covers every member
             ls = expand_shift(a, ResolvableProjection(marked, a.n))
             lr = verify_large_set(ls, 0)
             if not lr.ok:

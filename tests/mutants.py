@@ -53,6 +53,11 @@ NOT_RELABELLED_TESTS = tuple(
 CODE_CERTIFICATE_TEST = ("tests/test_large_sets.py::"
                          "test_the_certificate_compares_float_codes_only_up_to_the_occupancy_limit")
 
+NAMING_TESTS = tuple(
+    "tests/test_large_sets.py::"
+    f"test_the_naming_step_flags_each_member_and_names_the_smallest_repeat[{case}]"
+    for case in ("float map, chunks-1", "short-3", "ranks-1"))
+
 NEAR_WRITER_TEST = "tests/test_formats.py::test_loads_matches_reference_parser_on_near_writer_text"
 WALK_TESTS = ("tests/test_arrays.py::test_kernel_matches_the_oracle",
               "tests/test_arrays.py::test_block_kernel_matches_the_oracle")
@@ -161,10 +166,35 @@ MUTANTS = (
             "tests/test_large_sets.py::"
             "test_a_repeat_inside_a_chunk_or_across_two_leaves_the_map_uncovered")),
     Mutant("coverage on short sets", "arrays.py",
-           "cover = coded and len(rows) == universe <= OCCUPANCY_LIMIT",
-           "cover = coded and len(rows) <= universe <= OCCUPANCY_LIMIT",
+           "len(rows) == universe < CODE_LIMIT",
+           "len(rows) <= universe < CODE_LIMIT",
            ("tests/test_large_sets.py::test_a_set_short_of_the_universe_still_names_its_repeat",
             "tests/test_cli.py::test_a_short_set_is_checked_for_repeats_within_its_rows")),
+    # the naming step: member flags from codes sorted member by member, the
+    # smallest repeat from the codes sorted whole, ranks past CODE_LIMIT
+    Mutant("a member's flag read from unsorted codes", "arrays.py",
+           "    by_member.sort(axis=1)\n",
+           "",
+           NAMING_TESTS[:1]),
+    Mutant("a member's flag read from the union's sorted codes", "arrays.py",
+           """    by_member = codes.reshape(m, n)
+    by_member.sort(axis=1)
+    held = (by_member[:, 1:] == by_member[:, :-1]).any(axis=1)
+    codes.sort()
+""",
+           """    codes.sort()
+    by_member = codes.reshape(m, n)
+    held = (by_member[:, 1:] == by_member[:, :-1]).any(axis=1)
+""",
+           NAMING_TESTS[:1]),
+    Mutant("the largest repeated code reported instead of the smallest", "arrays.py",
+           "first = int(np.argmax(same))",
+           "first = len(same) - 1 - int(np.argmax(same[::-1]))",
+           NAMING_TESTS[1:2]),
+    Mutant("ranks built from rows in the wrong order", "arrays.py",
+           "np.unique(rows, axis=0, return_inverse=True)",
+           "np.unique(rows[::-1], axis=0, return_inverse=True)",
+           NAMING_TESTS[2:]),
     Mutant("float codes used above OCCUPANCY_LIMIT", "arrays.py",
            "return np.float32 if universe <= OCCUPANCY_LIMIT else",
            "return np.float32 if universe < CODE_LIMIT else",
@@ -215,8 +245,8 @@ MUTANTS = (
            ("tests/test_algebraic.py::test_linear_oa_refuses_lead_columns_that_do_not_span",)),
     # the size caps' arithmetic and the N = 0 verdicts (work, arrays)
     Mutant("the N = 0 rule taken for N <= 1", "arrays.py",
-           "    if a.n == 0:\n        return report\n",
-           "    if a.n <= 1:\n        return report\n",
+           "_colex(a.k, t)) if a.n else ()",
+           "_colex(a.k, t)) if a.n > 1 else ()",
            ("tests/test_arrays.py::test_no_rows_pass_every_subset_and_one_row_does_not",)),
     Mutant("the power test compares with >=", "work.py",
            "base**exp * times > cap",

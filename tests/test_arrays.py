@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oaforge.arrays import (
     LargeSet,
     LevelProfile,
+    StrengthFailure,
     SymbolMatrix,
     brute_force_strength,
     full_factorial,
@@ -130,6 +131,27 @@ def test_no_rows_pass_every_subset_and_one_row_does_not(n):
         assert report.lambda_by_subset == {(0, 1): Fraction(n, 4), (0, 2): Fraction(n, 6),
                                            (1, 2): Fraction(n, 6)}
         assert {f.kind for f in report.failures} == ({"non-integer-index"} if n else set())
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_rows_below_every_pairs_product_fail_each_pair_without_a_plan(monkeypatch, fail_fast):
+    """Five rows over levels 3, 2, 4, 3: the smallest pair product is 6, so
+    no pair has an integer index.  Every pair fails, in colex order (only the
+    first with fail_fast), in verify_strength and in a one-member large
+    set's first report, and neither makes a plan."""
+    import oaforge.arrays as arrays_mod
+
+    levels = (3, 2, 4, 3)
+    rows = np.random.default_rng(2).integers(0, levels, (5, 4))
+    a = SymbolMatrix(LevelProfile(levels), rows, t=2)
+    monkeypatch.setattr(arrays_mod, "_strength_plan", None)  # not to be called
+    want = [StrengthFailure(sub, "non-integer-index", None, None,
+                            Fraction(5, prod(levels[j] for j in sub)))
+            for sub in colex_combinations(4, 2)]
+    assert verify_strength(a, 2, fail_fast=fail_fast).failures == want[:1 if fail_fast else None]
+    report = verify_large_set(LargeSet(a.profile, [a], t=2), 2)
+    assert report.member_problems == [(0, "strength")]
+    assert report.first_bad_report.failures == want
 
 
 def test_oracle_charges_rows_or_for_no_rows_the_tuples_it_enumerates():

@@ -198,6 +198,26 @@ def test_an_empty_array_is_verified_without_a_strength_plan(capsys, monkeypatch,
     assert elapsed < 0.3 and peak < 16 << 20
 
 
+def test_one_row_fails_its_first_subset_without_a_strength_plan(capsys, monkeypatch, tmp_path):
+    """One row has index 1/2048 on every 11-subset of 2^22, no integer, so
+    `verify oa --fail-fast` names the first subset in colex order, as the
+    plan did, without listing the C(22, 11) subsets."""
+    path = tmp_path / "one.oa"
+    path.write_text(ZERO_HEADER.replace("N=0", "N=1") + " ".join("0" * 22) + "\n")
+    plans = []
+    monkeypatch.setattr(arrays, "_strength_plan", lambda *args: plans.append(args))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, printed = run(capsys, "verify", "oa", "--fail-fast", str(path))
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, printed, plans) == (1, '{"columns": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],'
+                                         ' "expected": "1/2048", "kind": "non-integer-index"}\n', [])
+    assert elapsed < 0.3 and peak < 60 << 20
+
+
 ROW = " ".join("01" * 12)  # a row of 24 binary columns: 0 1 0 1 ...
 
 
@@ -291,7 +311,7 @@ def test_fixture_without_marked_comment_is_inferred(capsys, tmp_path):
             src = "\n".join(line for line in src.splitlines()
                             if not line.startswith("# marked")) + "\n"
         (tmp_path / f"{fx.name}.txt").write_text(src)
-    report = fixtures_check(tmp_path, expand=False)
+    report = fixtures_check(tmp_path)
     assert report.ok
     by_name = {r.name: r for r in report.results}
     assert "inferred" in by_name["oa20_2e8_5e1"].details
@@ -455,7 +475,7 @@ def test_oracle_cli(capsys):
 
 
 def test_fixtures_cli(capsys):
-    code, out = run(capsys, "fixtures", "--no-expand")
+    code, out = run(capsys, "fixtures")
     assert code == 0
     assert out.count(": ok") == 8
 
@@ -647,6 +667,8 @@ CLI_ERRORS = [
     ("theorem v1+v3-2 --params v={nines},k=5 -o {out}", 2),
     # no rows to count, but C(22, 11) x 2^11 tuples for the oracle to enumerate
     ("oracle {zero}", 1),
+    # the expansion check is part of every fixtures run
+    ("fixtures --no-expand", 2),
 ]
 
 CLI_TIME_BOUND = 5.0  # seconds of wall time a CLI_ERRORS row may run before it is stopped

@@ -41,7 +41,7 @@ def test_oa54_marked_product():
 
 
 def test_fixtures_check_passes():
-    report = fixtures_check(expand=False)
+    report = fixtures_check()
     assert report.ok
     assert {r.name for r in report.results} == {f.name for f in FIXTURES}
 
@@ -67,7 +67,7 @@ def test_fixtures_check_localizes_mutation(tmp_path):
     row[0] = str((int(row[0]) + 1) % 3)
     lines[header + 1] = " ".join(row)
     target.write_text("\n".join(lines) + "\n")
-    report = fixtures_check(tmp_path, expand=False)
+    report = fixtures_check(tmp_path)
     assert not report.ok
     bad = {r.name: r for r in report.results}
     assert not bad["oa54_3e5_2e1"].ok

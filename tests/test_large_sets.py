@@ -14,6 +14,7 @@ against a naive per-column dictionary, and its count savings with the
 import contextlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from unittest import mock
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oaforge.arrays as arrays_mod
-from oaforge.algebraic import sylvester_oa2, sylvester_oa3
+from oaforge.algebraic import linear_oa, q4_matrix, sylvester_oa2, sylvester_oa3
 from oaforge.arrays import (
     LargeSet,
     LargeSetReport,
@@ -157,6 +158,8 @@ def mutate(ls: LargeSet, kind: str, data) -> tuple[LargeSet, set[int]]:
         source = data.draw(st.integers(0, ls.n - 1).filter(lambda r: r != row),
                            label="source row")
         cells[member, row] = cells[member, source]
+    elif kind == "far_dup_row":  # a member's first and last rows, in two chunks at t = 1
+        cells[member, -1] = cells[member, 0]
     elif kind == "dup_member":  # a sound member twice: N repeats, no member at fault
         other = data.draw(st.integers(0, ls.m - 1).filter(lambda i: i != member),
                           label="other member")
@@ -168,34 +171,52 @@ def mutate(ls: LargeSet, kind: str, data) -> tuple[LargeSet, set[int]]:
     return LargeSet(ls.profile, members, ls.t), touched
 
 
+BRANCHES = ["float map", "float map, chunks", "int map", "short", "ranks"]
+
+
 def union_branch(branch: str):
-    """Force one of the occupancy pass's ways of finding a repeat: "bitmap"
-    and "coverage" mark a map of the universe when M * N fills it and fall
-    back to a bincount on a repeat (a short set sorts its codes), "sorted"
-    sorts the codes and "lexsort" the rows.  All but "bitmap" run in small
-    chunks, so that the occupancy pass, the relabelling certificate and the
-    count all cross chunk boundaries."""
-    if branch == "coverage":
+    """Force one of the occupancy pass's ways to the codes that name a
+    repeat: a map of the universe that M * N fills, marked with float32
+    codes ("float map") or integer ones ("int map", OCCUPANCY_LIMIT
+    patched low), with the codes made again on a gap; the kept codes of a
+    set one member short of the universe ("short", see shortened); or the
+    rows' ranks ("ranks", CODE_LIMIT patched low).  All but "float map"
+    run in small chunks, so that the occupancy pass, the relabelling
+    certificate and the count all cross chunk boundaries."""
+    if branch in ("float map, chunks", "short"):
         return mock.patch.multiple(arrays_mod, CHUNK_TARGET_CELLS=64)
-    if branch == "sorted":
+    if branch == "int map":
         return mock.patch.multiple(arrays_mod, OCCUPANCY_LIMIT=1, CHUNK_TARGET_CELLS=64)
-    if branch == "lexsort":
+    if branch == "ranks":
         return mock.patch.multiple(arrays_mod, CODE_LIMIT=1, CHUNK_TARGET_CELLS=64)
     return contextlib.nullcontext()
 
 
-@pytest.mark.parametrize("branch", ["bitmap", "coverage", "sorted", "lexsort"])
+def shortened(ls: LargeSet, branch: str) -> LargeSet:
+    """ls without its last member on the "short" branch, else ls."""
+    if branch != "short":
+        return ls
+    return LargeSet._stacked(ls.profile, ls.cells[:-1], ls.member_t[:-1], ls.t)
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(BUILDERS)),
-       kind=st.sampled_from(["clean", "cell", "swap_rows", "dup_row", "dup_member",
-                             "relabel", "collapse", "row_permute", "weak_zero"]),
+       kind=st.sampled_from(["clean", "cell", "swap_rows", "dup_row", "far_dup_row",
+                             "dup_member", "relabel", "collapse", "row_permute", "weak_zero"]),
        data=st.data())
 def test_verify_large_set_matches_per_member_reference(branch, name, kind, data):
+    """At t = 1 no member is certified, so chunks are rows, not whole
+    members, and a member's two rows of "far_dup_row" fall in two chunks
+    on the branches with small chunks."""
     ls, touched = mutate(built(name), kind, data)
+    ls = shortened(ls, branch)
+    touched = {j for j in touched if j < ls.m}
+    t = data.draw(st.sampled_from(sorted({1, ls.t})), label="t")
     with union_branch(branch):
-        got = verify_large_set(ls, ls.t)
+        got = verify_large_set(ls, t)
         certified = arrays_mod._relabels(ls.cells, ls.profile.levels).tolist()
-    want = reference_verify(ls, ls.t)
+    want = reference_verify(ls, t)
     assert certified == reference_relabels(ls)
     if kind in ("clean", "relabel"):  # every built set is one relabelling class
         assert all(certified[1:])
@@ -208,8 +229,28 @@ def test_verify_large_set_matches_per_member_reference(branch, name, kind, data)
     else:
         assert got.first_bad_report.failures == want.first_bad_report.failures
     if kind != "relabel":  # a relabelled member may repeat another's rows
-        assert got.ok == (kind in ("clean", "row_permute"))
+        assert got.ok == (kind in ("clean", "row_permute") and branch != "short")
     assert touched <= {idx for idx, _ in got.member_problems}
+
+
+@pytest.mark.parametrize("t", [1, 3])
+@pytest.mark.parametrize("branch", BRANCHES[1:])
+def test_the_naming_step_flags_each_member_and_names_the_smallest_repeat(branch, t):
+    """Member 2's last row is a copy of its first, 15 rows apart: at t = 1,
+    where no certificate makes chunks whole members, they fall in two
+    chunks of 9 rows.  Member 5 is a copy of member 4, so the union has 17
+    repeated rows and member 2 alone holds one.  Every way to the codes
+    names them as the reference does."""
+    ls = built("sylvester3 n=3 k=7")
+    cells = ls.cells.copy()
+    cells[2, -1] = cells[2, 0]
+    cells[5] = cells[4]
+    bad = shortened(_with_cells(ls, cells), branch)
+    with union_branch(branch):
+        report = verify_large_set(bad, t)
+    assert report.records() == reference_verify(bad, t).records()
+    assert [j for j, what in report.member_problems if what == "simple"] == [2]
+    assert report.collision == min(map(tuple, cells[4].tolist() + [cells[2, 0].tolist()]))
 
 
 def test_stacked_count_spans_member_chunks(monkeypatch):
@@ -365,6 +406,27 @@ def test_a_set_short_of_the_universe_still_names_its_repeat(code_chunks):
     assert verify_large_set(bad, bad.t).records() == records == \
         reference_verify(bad, bad.t).records()
     assert code_chunks == [16] * 7 * 2
+
+
+def test_a_changed_cell_among_a_million_rows_is_named_in_under_8_bytes_a_row():
+    """q4t3 q=4 k=10 expanded: 4096 members of 256 rows fill 4^10.  With one
+    cell changed the map has a gap, and the float32 codes made again name
+    the member at fault and the smallest repeated row, at under 8 bytes a
+    row traced above the cells."""
+    ls = expand_shift(*linear_oa(q4_matrix(4), 10))
+    cells = ls.cells.copy()
+    cells[1234, 100, 7] = (cells[1234, 100, 7] + 1) % 4
+    bad = _with_cells(ls, cells)
+    tracemalloc.start()
+    try:
+        report = verify_large_set(bad, bad.t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.records() == [{"kind": "member-strength", "member": 1234},
+                                {"kind": "union-repeat", "tuple": [1, 0, 3, 0, 1, 3, 0, 1, 2, 3]}]
+    assert len(report.first_bad_report.failures) == 72
+    assert peak < 8 * ls.m * ls.n
 
 
 @pytest.fixture
